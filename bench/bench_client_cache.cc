@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/zipf.h"
+#include "faults/channel_model.h"
 #include "sim/cache.h"
 #include "sim/simulation.h"
 
@@ -52,8 +53,8 @@ BroadcastProgram BuildServerProgram(std::size_t files) {
 double MeanAccessLatency(const BroadcastProgram& program, std::size_t capacity,
                          CachePolicy policy, const ZipfDistribution& zipf,
                          Rng* rng) {
-  NoFaultModel faults;
-  Simulator sim(program, &faults, 400000);
+  const faults::LosslessChannel channel;
+  Simulator sim(program, channel, 400000);
   ClientCache cache(capacity, policy);
 
   // Broadcast frequency of each item: transmissions per period.

@@ -16,6 +16,7 @@
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "ida/dispersal.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
@@ -109,8 +110,8 @@ bool ScaleWorkload(const std::vector<unsigned>& thread_counts) {
   }
   auto program = BuildFlatProgram(files, FlatLayout::kSpread);
   if (!program.ok()) return false;
-  BernoulliFaultModel faults(0.08, 4242);
-  Simulator sim(*program, &faults, 200000);
+  const faults::BernoulliChannel channel(0.08, 4242);
+  Simulator sim(*program, channel, 200000);
   WorkloadConfig config;
   config.requests_per_file = 17000;  // 102k requests total.
   config.seed = 99;

@@ -15,6 +15,7 @@
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
 #include "common/stats.h"
+#include "faults/channel_model.h"
 #include "sim/versioned.h"
 
 namespace {
@@ -53,7 +54,7 @@ int main() {
     auto server = VersionedBroadcastServer::Create(*program, options);
     if (!server.ok()) return 1;
 
-    NoFaultModel faults;
+    const faults::LosslessChannel channel;
     RunningStats age;
     std::uint64_t restarts = 0;
     int completed = 0;
@@ -62,7 +63,7 @@ int main() {
       const std::uint64_t start =
           (static_cast<std::uint64_t>(t) * 37) % (4 * program->period());
       auto session =
-          RunVersionedRetrieval(*server, &faults, 0, start, 20000);
+          RunVersionedRetrieval(*server, channel, 0, start, 20000);
       if (!session.ok()) return 1;
       if (session->completed) {
         ++completed;

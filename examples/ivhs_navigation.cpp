@@ -18,6 +18,7 @@
 
 #include "bdisk/delay_analysis.h"
 #include "bdisk/pinwheel_builder.h"
+#include "faults/channel_model.h"
 #include "pinwheel/composite_scheduler.h"
 #include "sim/simulation.h"
 
@@ -76,11 +77,11 @@ int main() {
   }
 
   // Stochastic check on a bursty channel at 5% loss.
-  bdisk::sim::GilbertElliottFaultModel::Params params;
+  bdisk::faults::GilbertElliottChannel::Params params;
   params.p_bad_to_good = 0.25;
   params.p_good_to_bad = 0.05 * params.p_bad_to_good / 0.95;
-  bdisk::sim::GilbertElliottFaultModel faults(params, 2026);
-  bdisk::sim::Simulator sim(program, &faults,
+  const bdisk::faults::GilbertElliottChannel channel(params, 2026);
+  bdisk::sim::Simulator sim(program, channel,
                             400 * program.DataCycleLength());
   bdisk::sim::WorkloadConfig config;
   config.requests_per_file = 4000;
@@ -92,7 +93,7 @@ int main() {
   }
   std::printf("\nsimulation on a bursty channel (~%.1f%% stationary loss), "
               "4000 retrievals per file:\n%s",
-              100.0 * faults.StationaryLossRate(),
+              100.0 * channel.StationaryLossRate(),
               metrics->ToString().c_str());
   std::printf("overall deadline miss rate: %.4f\n",
               metrics->OverallMissRate());

@@ -104,10 +104,8 @@ std::vector<sim::ClientRequest> GenerateDriftingRequests(
 Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
     const std::vector<broadcast::FlatFileSpec>& files,
     const DriftingZipfWorkload& workload, std::uint64_t interval_slots,
-    const AdaptiveLoopOptions& options, double loss_probability,
-    std::uint64_t fault_seed, runtime::ThreadPool* pool,
-    const broadcast::BroadcastProgram* initial,
-    const faults::ChannelModel* channel,
+    const AdaptiveLoopOptions& options, const faults::ChannelModel& channel,
+    runtime::ThreadPool* pool, const broadcast::BroadcastProgram* initial,
     std::uint64_t snapshot_interval_slots,
     const obs::TraceOptions* trace_options,
     const std::function<Status(const obs::Timeline& timeline, bool adaptive)>&
@@ -190,15 +188,12 @@ Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
   }
 
   // Replay the identical trace against both timelines over the same fault
-  // realization: the caller's channel model when given (a pure trace, so
-  // both simulators see the identical realization by construction), else a
-  // Bernoulli model from loss_probability / fault_seed (one model, Reset()
-  // by each Simulator).
+  // realization (the channel is a pure trace, so both simulators see the
+  // identical realization by construction).
   const std::uint64_t tail =
       8 * std::max(baseline.DataCycleLength(),
                    controller.schedule().MaxDataCycleLength());
   const std::uint64_t horizon = workload.arrival_horizon + tail;
-  sim::BernoulliFaultModel faults(loss_probability, fault_seed);
 
   // The replay horizon is only known here, so the snapshot timelines are
   // owned by the result rather than passed in by the caller.
@@ -211,9 +206,7 @@ Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
         snapshot_interval_slots, horizon);
   }
 
-  sim::Simulator static_sim =
-      channel != nullptr ? sim::Simulator(baseline, *channel, horizon)
-                         : sim::Simulator(baseline, &faults, horizon);
+  sim::Simulator static_sim(baseline, channel, horizon);
   BDISK_ASSIGN_OR_RETURN(sim::SimulationMetrics static_metrics,
                          static_sim.RunRequests(requests, pool,
                                                 static_timeline.get(),
@@ -222,10 +215,7 @@ Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
     BDISK_RETURN_NOT_OK(on_replay_timeline(*static_timeline, false));
   }
 
-  sim::Simulator adaptive_sim =
-      channel != nullptr
-          ? sim::Simulator(controller.schedule(), *channel, horizon)
-          : sim::Simulator(controller.schedule(), &faults, horizon);
+  sim::Simulator adaptive_sim(controller.schedule(), channel, horizon);
   BDISK_ASSIGN_OR_RETURN(sim::SimulationMetrics adaptive_metrics,
                          adaptive_sim.RunRequests(requests, pool,
                                                   adaptive_timeline.get(),

@@ -210,4 +210,13 @@ std::string ComposedChannel::Describe() const {
   return out;
 }
 
+ComposedChannel LostSlots(const std::vector<std::uint64_t>& slots) {
+  std::vector<std::unique_ptr<ChannelModel>> parts;
+  parts.push_back(std::make_unique<LosslessChannel>());
+  for (const std::uint64_t slot : slots) {
+    parts.push_back(std::make_unique<OutageChannel>(0, slot, 1));
+  }
+  return ComposedChannel(std::move(parts));
+}
+
 }  // namespace bdisk::faults

@@ -199,6 +199,12 @@ class ComposedChannel final : public ChannelModel {
   std::vector<std::unique_ptr<ChannelModel>> parts_;
 };
 
+/// \brief Deterministic fault injection for tests and worst-case
+/// experiments: exactly the listed slots are lost. Built as a lossless base
+/// (so the empty set is legal) composed with one-slot outage windows, so
+/// Describe() re-parses to the same trace.
+ComposedChannel LostSlots(const std::vector<std::uint64_t>& slots);
+
 }  // namespace bdisk::faults
 
 #endif  // BDISK_FAULTS_CHANNEL_MODEL_H_

@@ -99,38 +99,6 @@ void ReconstructingClient::Clear() {
   version_.reset();
 }
 
-Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
-                                          FaultModel* faults,
-                                          broadcast::FileIndex file,
-                                          std::uint64_t start_slot,
-                                          std::uint64_t horizon) {
-  if (file >= server.program().file_count()) {
-    return Status::InvalidArgument("RunRetrievalSession: unknown file");
-  }
-  const broadcast::ProgramFile& pf = server.program().files()[file];
-  ReconstructingClient client(static_cast<ida::FileId>(file), pf.m, pf.n,
-                              server.block_size());
-  faults->Reset();
-  SessionResult result;
-  for (std::uint64_t t = 0; t < horizon; ++t) {
-    const bool lost = faults->Corrupts(t);
-    if (t < start_slot) continue;  // Channel state still advances.
-    const auto block = server.TransmissionAt(t);
-    if (!block.has_value() || lost) continue;
-    if (client.Offer(*block, server.schedule().EpochIndexAt(t))) {
-      result.completed = true;
-      result.completion_slot = t;
-      result.latency = t - start_slot + 1;
-      break;
-    }
-  }
-  result.epochs_spanned = client.EpochsSpanned();
-  if (result.completed) {
-    BDISK_ASSIGN_OR_RETURN(result.data, client.Reconstruct());
-  }
-  return result;
-}
-
 namespace {
 
 // Completion slot of a faultless byte-level session (index walk only — no

@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "common/random.h"
+#include "sim/client.h"
 
 namespace bdisk::sim {
 
@@ -94,54 +95,44 @@ Result<std::optional<ida::Block>> VersionedBroadcastServer::TransmissionAt(
 }
 
 Result<VersionedSessionResult> RunVersionedRetrieval(
-    const VersionedBroadcastServer& server, FaultModel* faults,
-    broadcast::FileIndex file, std::uint64_t start, std::uint64_t horizon) {
+    const VersionedBroadcastServer& server,
+    const faults::ChannelModel& channel, broadcast::FileIndex file,
+    std::uint64_t start, std::uint64_t horizon) {
   if (file >= server.program().file_count()) {
     return Status::InvalidArgument("RunVersionedRetrieval: unknown file");
   }
   const broadcast::ProgramFile& pf = server.program().files()[file];
-  faults->Reset();
+  ReconstructingClient client(static_cast<ida::FileId>(file), pf.m, pf.n,
+                              server.block_size());
+  // Every version is stamped at dispersal, so an unstamped block can only
+  // be a corruption artifact.
+  client.set_require_checksums(true);
 
   VersionedSessionResult result;
-  std::uint64_t current_version = 0;
-  std::vector<ida::Block> collected;
-  std::vector<bool> have(pf.n, false);
-
-  for (std::uint64_t t = 0; t < horizon; ++t) {
-    const bool lost = faults->Corrupts(t);
-    if (t < start) continue;  // Channel state still advances.
+  // The channel trace is random-access, so listening starts at `start`.
+  for (std::uint64_t t = start; t < horizon; ++t) {
+    // Fetched before the channel verdict: the server transmits (and, when
+    // store-backed, commits each new version) whether or not the slot
+    // arrives.
     BDISK_ASSIGN_OR_RETURN(std::optional<ida::Block> block,
                            server.TransmissionAt(t));
-    if (!block.has_value() || lost) continue;
-    if (block->header.file_id != file) continue;
-
-    if (collected.empty() || block->header.version > current_version) {
-      // Fresh start (first block, or a newer snapshot invalidates ours).
-      if (!collected.empty()) ++result.restarts;
-      current_version = block->header.version;
-      collected.clear();
-      have.assign(pf.n, false);
-    } else if (block->header.version < current_version) {
-      continue;  // Stale straggler; cannot be combined.
+    const faults::FaultType fault = channel.FaultAt(t);
+    if (!block.has_value() || fault == faults::FaultType::kLost) continue;
+    if (fault == faults::FaultType::kCorrupted) {
+      channel.CorruptBlock(t, &*block);
     }
-    if (have[block->header.block_index]) continue;
-    have[block->header.block_index] = true;
-    collected.push_back(*block);
-    if (collected.size() == pf.m) {
+    if (client.OfferEx(*block) == OfferOutcome::kCompleted) {
       result.completed = true;
       result.completion_slot = t;
       result.latency = t - start + 1;
-      result.version = current_version;
-      result.data_age =
-          t - server.VersionStartSlot(file, current_version) + 1;
+      result.version = block->header.version;
+      result.data_age = t - server.VersionStartSlot(file, result.version) + 1;
       break;
     }
   }
+  result.restarts = client.restarts();
   if (result.completed) {
-    auto engine =
-        ida::Dispersal::Create(pf.m, pf.n, server.block_size());
-    BDISK_RETURN_NOT_OK(engine.status());
-    BDISK_ASSIGN_OR_RETURN(result.data, engine->Reconstruct(collected));
+    BDISK_ASSIGN_OR_RETURN(result.data, client.Reconstruct());
   }
   return result;
 }

@@ -27,8 +27,8 @@
 
 #include "bdisk/program.h"
 #include "common/status.h"
+#include "faults/channel_model.h"
 #include "ida/dispersal.h"
-#include "sim/fault_model.h"
 #include "store/block_store.h"
 
 namespace bdisk::sim {
@@ -106,12 +106,16 @@ struct VersionedSessionResult {
   std::vector<std::uint8_t> data;
 };
 
-/// \brief Runs a version-aware retrieval: collect blocks of the newest
-/// version seen, discarding stale partials; reconstruct at m distinct
-/// blocks of one version.
+/// \brief Runs a version-aware retrieval from slot `start`: a
+/// ReconstructingClient collects blocks of the newest version heard through
+/// `channel` (its version rule discards a stale partial collection and
+/// rejects stale stragglers) and reconstructs at m distinct blocks of one
+/// version. Lost slots never reach the client; corrupted slots deliver a
+/// damaged copy, which the client's required checksum check discards.
 Result<VersionedSessionResult> RunVersionedRetrieval(
-    const VersionedBroadcastServer& server, FaultModel* faults,
-    broadcast::FileIndex file, std::uint64_t start, std::uint64_t horizon);
+    const VersionedBroadcastServer& server,
+    const faults::ChannelModel& channel, broadcast::FileIndex file,
+    std::uint64_t start, std::uint64_t horizon);
 
 }  // namespace bdisk::sim
 

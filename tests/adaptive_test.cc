@@ -14,6 +14,7 @@
 #include "bdisk/flat_builder.h"
 #include "bdisk/multi_disk.h"
 #include "common/zipf.h"
+#include "faults/channel_model.h"
 #include "runtime/thread_pool.h"
 
 namespace bdisk::adaptive {
@@ -235,8 +236,7 @@ TEST(AdaptiveLoopTest, AdaptiveBeatsStaticUnderDrift) {
 
   auto result = RunAdaptiveExperiment(Population(), workload,
                                       /*interval_slots=*/3000, {},
-                                      /*loss_probability=*/0.02,
-                                      /*fault_seed=*/41);
+                                      faults::BernoulliChannel(0.02, 41));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GE(result->swaps, 1u);
   const double static_mean = result->static_metrics.OverallMeanLatency();
@@ -257,12 +257,13 @@ TEST(AdaptiveLoopTest, ExperimentIsThreadCountInvariant) {
   workload.arrival_horizon = 12000;
   workload.flip_slot = 6000;
 
-  auto serial = RunAdaptiveExperiment(Population(), workload, 2000, {},
-                                      0.05, 7);
+  const faults::BernoulliChannel channel(0.05, 7);
+  auto serial =
+      RunAdaptiveExperiment(Population(), workload, 2000, {}, channel);
   ASSERT_TRUE(serial.ok()) << serial.status();
   runtime::ThreadPool pool(4);
   auto parallel = RunAdaptiveExperiment(Population(), workload, 2000, {},
-                                        0.05, 7, &pool);
+                                        channel, &pool);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(serial->swaps, parallel->swaps);
   ASSERT_EQ(serial->schedule.epoch_count(), parallel->schedule.epoch_count());

@@ -87,6 +87,15 @@ TEST(BernoulliChannelTest, RateApproximatesP) {
   EXPECT_NEAR(static_cast<double>(losses) / trials, 0.2, 0.01);
 }
 
+TEST(BernoulliChannelTest, ZeroAndOneRates) {
+  const BernoulliChannel never(0.0, 1);
+  const BernoulliChannel always(1.0, 1);
+  for (std::uint64_t t = 0; t < 1000; ++t) {
+    EXPECT_EQ(never.FaultAt(t), FaultType::kNone) << "slot " << t;
+    EXPECT_EQ(always.FaultAt(t), FaultType::kLost) << "slot " << t;
+  }
+}
+
 TEST(BernoulliChannelTest, DistinctSeedsDecorrelate) {
   const BernoulliChannel a(0.5, 1);
   const BernoulliChannel b(0.5, 2);
@@ -97,6 +106,17 @@ TEST(BernoulliChannelTest, DistinctSeedsDecorrelate) {
   }
   // Independent fair coins agree about half the time.
   EXPECT_NEAR(static_cast<double>(agree) / trials, 0.5, 0.05);
+}
+
+TEST(GilbertElliottChannelTest, StationaryLossRateFormula) {
+  GilbertElliottChannel::Params params;
+  params.p_good_to_bad = 0.1;
+  params.p_bad_to_good = 0.3;
+  params.loss_good = 0.0;
+  params.loss_bad = 1.0;
+  const GilbertElliottChannel channel(params, 5);
+  // pi_bad = 0.1 / 0.4 = 0.25 -> loss rate 0.25.
+  EXPECT_NEAR(channel.StationaryLossRate(), 0.25, 1e-12);
 }
 
 TEST(GilbertElliottChannelTest, EmpiricalRateMatchesStationary) {
@@ -221,6 +241,25 @@ TEST(ComposedChannelTest, EqualSeedsAcrossFamiliesStayIndependent) {
   // Independent streams deliver ~ 0.05 * (1 - 0.1) = 4.5% corrupted slots.
   EXPECT_NEAR(static_cast<double>(corrupted) / static_cast<double>(trials),
               0.045, 0.005);
+}
+
+TEST(LostSlotsTest, LosesExactlyTheListedSlots) {
+  const ComposedChannel channel = LostSlots({3, 5, 8});
+  const std::vector<FaultType> fill = Realize(channel, 64);
+  for (std::uint64_t t = 0; t < 64; ++t) {
+    const bool listed = t == 3 || t == 5 || t == 8;
+    EXPECT_EQ(fill[t], listed ? FaultType::kLost : FaultType::kNone) << t;
+  }
+  // Describe() re-parses (through outage: terms) to the same trace.
+  auto reparsed = ParseChannelSpec(channel.Describe());
+  ASSERT_TRUE(reparsed.ok()) << channel.Describe();
+  EXPECT_EQ(Realize(**reparsed, 64), fill) << channel.Describe();
+
+  const ComposedChannel none = LostSlots({});
+  EXPECT_EQ(Realize(none, 64), std::vector<FaultType>(64, FaultType::kNone));
+  auto reparsed_none = ParseChannelSpec(none.Describe());
+  ASSERT_TRUE(reparsed_none.ok()) << none.Describe();
+  EXPECT_EQ(Realize(**reparsed_none, 64), Realize(none, 64));
 }
 
 TEST(ChannelSpecTest, ParsesEveryModelAndRoundTrips) {

@@ -138,11 +138,12 @@ TEST(ChannelPropertyTest, AnyMSurvivorsSufficeThroughClient) {
     rng.Shuffle(&chosen);
     ReconstructingClient client(0, g.m, g.n, g.block_size);
     client.set_require_checksums(true);
-    bool done = false;
-    for (std::size_t i : chosen) {
-      done = client.Offer((*blocks)[i]);
+    for (std::size_t k = 0; k < chosen.size(); ++k) {
+      ASSERT_EQ(client.OfferEx((*blocks)[chosen[k]]),
+                k + 1 < chosen.size() ? OfferOutcome::kAccepted
+                                      : OfferOutcome::kCompleted)
+          << "m=" << g.m << " n=" << g.n << " offer " << k;
     }
-    ASSERT_TRUE(done) << "m=" << g.m << " n=" << g.n;
     auto data = client.Reconstruct();
     ASSERT_TRUE(data.ok()) << data.status();
     ASSERT_EQ(*data, contents) << "m=" << g.m << " n=" << g.n;

@@ -5,6 +5,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "sim/client.h"
 #include "sim/server.h"
 
@@ -66,9 +67,9 @@ TEST(DataPlaneTest, EndToEndNoFaults) {
   auto server = BroadcastServer::Create(p, contents, kBlockSize);
   ASSERT_TRUE(server.ok());
 
-  NoFaultModel faults;
+  const faults::LosslessChannel channel;
   for (broadcast::FileIndex f = 0; f < 2; ++f) {
-    auto session = RunRetrievalSession(*server, &faults, f, 0, 1000);
+    auto session = RunRetrievalSession(*server, channel, f, 0, 1000);
     ASSERT_TRUE(session.ok()) << session.status();
     ASSERT_TRUE(session->completed);
     EXPECT_EQ(session->data, contents[f]);
@@ -83,11 +84,11 @@ TEST(DataPlaneTest, EndToEndWithBurstLoss) {
   auto server = BroadcastServer::Create(p, contents, kBlockSize);
   ASSERT_TRUE(server.ok());
 
-  GilbertElliottFaultModel::Params params;
+  faults::GilbertElliottChannel::Params params;
   params.p_good_to_bad = 0.05;
   params.p_bad_to_good = 0.3;
-  GilbertElliottFaultModel faults(params, 99);
-  auto session = RunRetrievalSession(*server, &faults, 0, 0, 100000);
+  const faults::GilbertElliottChannel channel(params, 99);
+  auto session = RunRetrievalSession(*server, channel, 0, 0, 100000);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(session->completed);
   EXPECT_EQ(session->data, contents[0]);
@@ -104,10 +105,8 @@ TEST(DataPlaneTest, LosingFirstPeriodStillReconstructsViaRotation) {
   ASSERT_TRUE(server.ok());
 
   // Corrupt all of A's first-period transmissions.
-  std::unordered_set<std::uint64_t> dead;
-  for (std::uint64_t slot : p.OccurrencesOf(0)) dead.insert(slot);
-  SlotSetFaultModel faults(std::move(dead));
-  auto session = RunRetrievalSession(*server, &faults, 0, 0, 1000);
+  auto session = RunRetrievalSession(
+      *server, faults::LostSlots(p.OccurrencesOf(0)), 0, 0, 1000);
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE(session->completed);
   EXPECT_EQ(session->data, contents[0]);
@@ -121,18 +120,18 @@ TEST(ReconstructingClientTest, IgnoresForeignAndMalformedBlocks) {
   ida::Block foreign;
   foreign.header = ida::BlockHeader{1, 0, 2, 4};
   foreign.payload.assign(8, 0);
-  EXPECT_FALSE(client.Offer(foreign));
+  EXPECT_EQ(client.OfferEx(foreign), OfferOutcome::kWrongFile);
   EXPECT_EQ(client.distinct_blocks(), 0u);
 
   ida::Block malformed;
   malformed.header = ida::BlockHeader{0, 9, 2, 4};  // Index out of range.
   malformed.payload.assign(8, 0);
-  EXPECT_FALSE(client.Offer(malformed));
+  EXPECT_EQ(client.OfferEx(malformed), OfferOutcome::kMalformedHeader);
 
   ida::Block stale;
   stale.header = ida::BlockHeader{0, 1, 3, 4};  // Wrong threshold.
   stale.payload.assign(8, 0);
-  EXPECT_FALSE(client.Offer(stale));
+  EXPECT_EQ(client.OfferEx(stale), OfferOutcome::kMalformedHeader);
   EXPECT_FALSE(client.CanReconstruct());
   EXPECT_TRUE(client.Reconstruct().status().IsDataLoss());
 }
@@ -146,8 +145,8 @@ TEST(ReconstructingClientTest, ClearResets) {
   ASSERT_TRUE(blocks.ok());
 
   ReconstructingClient client(0, 2, 4, 8);
-  EXPECT_FALSE(client.Offer((*blocks)[0]));
-  EXPECT_TRUE(client.Offer((*blocks)[2]));
+  EXPECT_EQ(client.OfferEx((*blocks)[0]), OfferOutcome::kAccepted);
+  EXPECT_EQ(client.OfferEx((*blocks)[2]), OfferOutcome::kCompleted);
   ASSERT_TRUE(client.CanReconstruct());
   auto rec = client.Reconstruct();
   ASSERT_TRUE(rec.ok());
@@ -165,8 +164,8 @@ TEST(ReconstructingClientTest, DuplicateBlocksDoNotAdvance) {
   auto blocks = engine->Disperse(0, RandomBytes(16, &rng));
   ASSERT_TRUE(blocks.ok());
   ReconstructingClient client(0, 2, 4, 8);
-  EXPECT_FALSE(client.Offer((*blocks)[1]));
-  EXPECT_FALSE(client.Offer((*blocks)[1]));
+  EXPECT_EQ(client.OfferEx((*blocks)[1]), OfferOutcome::kAccepted);
+  EXPECT_EQ(client.OfferEx((*blocks)[1]), OfferOutcome::kDuplicate);
   EXPECT_EQ(client.distinct_blocks(), 1u);
 }
 

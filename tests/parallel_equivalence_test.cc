@@ -9,6 +9,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "ida/dispersal.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
@@ -58,8 +59,8 @@ void ExpectIdenticalMetrics(const SimulationMetrics& a,
 TEST(ParallelWorkloadTest, MatchesSerialBitwiseAcrossSeedsAndThreadCounts) {
   const auto program = SixFileProgram();
   for (std::uint64_t seed : {1ull, 42ull, 987654321ull}) {
-    BernoulliFaultModel faults(0.08, 4242);
-    Simulator sim(program, &faults, 60000);
+    const faults::BernoulliChannel channel(0.08, 4242);
+    Simulator sim(program, channel, 60000);
     WorkloadConfig config;
     config.requests_per_file = 500;
     config.seed = seed;
@@ -78,8 +79,8 @@ TEST(ParallelWorkloadTest, ShardCountDoesNotLeakIntoResults) {
   // Different pool sizes shard the same workload differently; the merged
   // metrics must not depend on the split.
   const auto program = SixFileProgram();
-  BernoulliFaultModel faults(0.15, 99);
-  Simulator sim(program, &faults, 60000);
+  const faults::BernoulliChannel channel(0.15, 99);
+  Simulator sim(program, channel, 60000);
   WorkloadConfig config;
   config.requests_per_file = 333;  // Deliberately not divisible by shards.
   ThreadPool pool_a(2);
@@ -93,13 +94,13 @@ TEST(ParallelWorkloadTest, ShardCountDoesNotLeakIntoResults) {
 
 TEST(ParallelWorkloadTest, ValidationStillFailsUpFront) {
   const auto program = SixFileProgram();
-  NoFaultModel faults;
-  Simulator sim(program, &faults, 30);  // Horizon too small.
+  const faults::LosslessChannel channel;
+  Simulator sim(program, channel, 30);  // Horizon too small.
   ThreadPool pool(2);
   WorkloadConfig config;
   EXPECT_FALSE(sim.RunWorkload(config, &pool).ok());
   // Flat model on a rotating (n > m) program is rejected before sharding.
-  Simulator sim2(program, &faults, 60000);
+  Simulator sim2(program, channel, 60000);
   WorkloadConfig flat;
   flat.model = broadcast::ClientModel::kFlat;
   EXPECT_FALSE(sim2.RunWorkload(flat, &pool).ok());
@@ -108,8 +109,8 @@ TEST(ParallelWorkloadTest, ValidationStillFailsUpFront) {
 TEST(ParallelTransactionTest, MatchesSerialBitwise) {
   const auto program = SixFileProgram();
   for (std::uint64_t seed : {7ull, 4096ull}) {
-    BernoulliFaultModel faults(0.1, 777);
-    Simulator sim(program, &faults, 60000);
+    const faults::BernoulliChannel channel(0.1, 777);
+    Simulator sim(program, channel, 60000);
     TransactionWorkloadConfig config;
     config.transactions = 1500;
     config.files_per_transaction = 3;
@@ -136,8 +137,8 @@ TEST(ParallelTransactionTest, MatchesSerialBitwise) {
 
 TEST(ParallelTransactionTest, ValidatesConfig) {
   const auto program = SixFileProgram();
-  NoFaultModel faults;
-  Simulator sim(program, &faults, 60000);
+  const faults::LosslessChannel channel;
+  Simulator sim(program, channel, 60000);
   TransactionWorkloadConfig config;
   config.files_per_transaction = 0;
   EXPECT_FALSE(sim.RunTransactionWorkload(config).ok());

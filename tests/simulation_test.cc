@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bdisk/flat_builder.h"
+#include "faults/channel_model.h"
 
 namespace bdisk::sim {
 namespace {
@@ -21,8 +22,8 @@ broadcast::BroadcastProgram ToyProgram(bool ida) {
 
 TEST(SimulatorTest, NoFaultRetrievalMatchesOccurrenceCount) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 1000);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 1000);
   EXPECT_EQ(sim.CorruptedSlotCount(), 0u);
 
   ClientRequest req;
@@ -39,8 +40,8 @@ TEST(SimulatorTest, NoFaultRetrievalMatchesOccurrenceCount) {
 
 TEST(SimulatorTest, ValidationErrors) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 100);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 100);
   ClientRequest bad_file;
   bad_file.file = 9;
   EXPECT_FALSE(sim.Retrieve(bad_file).ok());
@@ -59,8 +60,7 @@ TEST(SimulatorTest, TargetedFaultDelaysExactlyToNextBlock) {
   const auto p = ToyProgram(true);
   // Corrupt the third B transmission; client must finish at the fourth.
   const auto& occ = p.OccurrencesOf(1);
-  SlotSetFaultModel faults({occ[2]});
-  Simulator sim(p, &faults, 1000);
+  Simulator sim(p, faults::LostSlots({occ[2]}), 1000);
 
   ClientRequest req;
   req.file = 1;
@@ -78,8 +78,7 @@ TEST(SimulatorTest, FlatClientWaitsForSpecificBlock) {
   const auto& occ = p.OccurrencesOf(1);
   // Corrupt B's third transmission (block index 2). The flat client needs
   // exactly that block again: one full period later.
-  SlotSetFaultModel faults({occ[2]});
-  Simulator sim(p, &faults, 1000);
+  Simulator sim(p, faults::LostSlots({occ[2]}), 1000);
   ClientRequest req;
   req.file = 1;
   req.start_slot = 0;
@@ -96,10 +95,11 @@ TEST(SimulatorTest, IdaClientRecoversFasterThanFlat) {
   const auto ida_p = ToyProgram(true);
   const auto flat_p = ToyProgram(false);
   const auto& occ = ida_p.OccurrencesOf(0);
-  SlotSetFaultModel faults({occ[4]});  // Kill A's fifth transmission.
+  // Kill A's fifth transmission.
+  const faults::ComposedChannel channel = faults::LostSlots({occ[4]});
 
-  Simulator ida_sim(ida_p, &faults, 1000);
-  Simulator flat_sim(flat_p, &faults, 1000);
+  Simulator ida_sim(ida_p, channel, 1000);
+  Simulator flat_sim(flat_p, channel, 1000);
   ClientRequest req;
   req.file = 0;
   req.start_slot = 0;
@@ -115,8 +115,8 @@ TEST(SimulatorTest, IdaClientRecoversFasterThanFlat) {
 
 TEST(SimulatorTest, IncompleteWhenChannelDead) {
   const auto p = ToyProgram(true);
-  BernoulliFaultModel faults(1.0, 1);  // Everything lost.
-  Simulator sim(p, &faults, 500);
+  const faults::BernoulliChannel channel(1.0, 1);  // Everything lost.
+  Simulator sim(p, channel, 500);
   ClientRequest req;
   req.file = 0;
   req.start_slot = 0;
@@ -129,8 +129,8 @@ TEST(SimulatorTest, IncompleteWhenChannelDead) {
 
 TEST(SimulatorTest, DeadlineVerdicts) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 1000);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 1000);
   ClientRequest req;
   req.file = 0;
   req.start_slot = 1;
@@ -147,8 +147,8 @@ TEST(SimulatorTest, DeadlineVerdicts) {
 
 TEST(SimulatorTest, WorkloadAggregation) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 5000);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 5000);
   WorkloadConfig config;
   config.requests_per_file = 200;
   config.seed = 7;
@@ -177,8 +177,8 @@ TEST(SimulatorTest, WorkloadMissRateGrowsWithErrorRate) {
   config.requests_per_file = 300;
   double prev_miss = -1.0;
   for (double rate : {0.0, 0.2, 0.5}) {
-    BernoulliFaultModel faults(rate, 11);
-    Simulator sim(p, &faults, 20000);
+    const faults::BernoulliChannel channel(rate, 11);
+    Simulator sim(p, channel, 20000);
     auto metrics = sim.RunWorkload(config);
     ASSERT_TRUE(metrics.ok());
     EXPECT_GE(metrics->OverallMissRate(), prev_miss);
@@ -189,16 +189,16 @@ TEST(SimulatorTest, WorkloadMissRateGrowsWithErrorRate) {
 
 TEST(SimulatorTest, HorizonTooSmallForWorkload) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 30);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 30);
   WorkloadConfig config;
   EXPECT_FALSE(sim.RunWorkload(config).ok());
 }
 
 TEST(TransactionTest, CompletesAtLastFile) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 1000);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 1000);
   TransactionRequest txn;
   txn.files = {0, 1};
   txn.start_slot = 0;
@@ -220,15 +220,15 @@ TEST(TransactionTest, CompletesAtLastFile) {
 
 TEST(TransactionTest, EmptyRejected) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 100);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 100);
   EXPECT_FALSE(sim.RetrieveTransaction({}).ok());
 }
 
 TEST(TransactionTest, JointDeadlineVerdict) {
   const auto p = ToyProgram(true);
-  NoFaultModel faults;
-  Simulator sim(p, &faults, 1000);
+  const faults::LosslessChannel channel;
+  Simulator sim(p, channel, 1000);
   TransactionRequest txn;
   txn.files = {0, 1};
   txn.start_slot = 1;
@@ -245,8 +245,8 @@ TEST(TransactionTest, JointDeadlineVerdict) {
 
 TEST(TransactionTest, IncompleteFilePropagates) {
   const auto p = ToyProgram(true);
-  BernoulliFaultModel faults(1.0, 3);
-  Simulator sim(p, &faults, 200);
+  const faults::BernoulliChannel channel(1.0, 3);
+  Simulator sim(p, channel, 200);
   TransactionRequest txn;
   txn.files = {0};
   txn.deadline_slots = 50;

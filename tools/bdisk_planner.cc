@@ -30,7 +30,8 @@
 // retrieval attempts per file (default 200), --seed the workload seed
 // (default 42); the channel's own seed lives in SPEC, and the whole replay
 // is deterministic. With --adaptive, the same channel also drives the
-// adaptive replay.
+// adaptive replay; --adaptive without --channel replays over
+// bernoulli:p=0.02,seed=99.
 //
 // --engine selects the simulation core for the channel replay: `slot` (the
 // default) walks every slot; `event` runs the discrete-event engine
@@ -454,10 +455,11 @@ int ReplayAdaptive(const BroadcastProgram& planned) {
   };
   const bdisk::obs::TraceOptions* trace_options =
       g_trace_out != nullptr ? &g_trace_options : nullptr;
+  const bdisk::faults::BernoulliChannel default_channel(0.02, 99);
   auto replay = bdisk::adaptive::RunAdaptiveExperiment(
-      population, workload, interval, {}, /*loss_probability=*/0.02,
-      /*fault_seed=*/99, g_pool, &planned, g_channel, snapshot_interval,
-      trace_options, on_replay);
+      population, workload, interval, {},
+      g_channel != nullptr ? *g_channel : default_channel, g_pool, &planned,
+      snapshot_interval, trace_options, on_replay);
   if (!replay.ok()) {
     std::fprintf(stderr, "adaptive replay failed: %s\n",
                  replay.status().ToString().c_str());
