@@ -20,6 +20,7 @@
 #include "adaptive/adaptive_loop.h"
 #include "bench_util.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 
 namespace {
@@ -42,10 +43,13 @@ std::vector<FlatFileSpec> Population(std::size_t files) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
+  const unsigned threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
   const auto files = static_cast<std::size_t>(
-      benchutil::UintFlag(argc, argv, "files", 12));
-  const double theta = benchutil::DoubleFlag(argc, argv, "theta", 1.1);
+      runtime::OrExit(runtime::ConsumeUintFlagOnce(&argc, argv, "files", 12)));
+  const double theta = runtime::OrExit(
+      runtime::ConsumeDoubleFlagOnce(&argc, argv, "theta", 1.1));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   std::unique_ptr<runtime::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);
 

@@ -18,6 +18,7 @@
 #include "common/stats.h"
 #include "common/zipf.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "sim/cache.h"
 #include "sim/simulation.h"
 
@@ -95,8 +96,10 @@ int main(int argc, char** argv) {
   // Workload shape flags (runtime/flags.h): --files N items on the
   // broadcast, --theta X Zipf skew of the client's accesses.
   const auto files = static_cast<std::size_t>(
-      benchutil::UintFlag(argc, argv, "files", 12));
-  const double theta = benchutil::DoubleFlag(argc, argv, "theta", 0.95);
+      runtime::OrExit(runtime::ConsumeUintFlagOnce(&argc, argv, "files", 12)));
+  const double theta = runtime::OrExit(
+      runtime::ConsumeDoubleFlagOnce(&argc, argv, "theta", 0.95));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   if (files < 2) {
     std::fprintf(stderr, "--files must be >= 2\n");
     return 2;

@@ -30,6 +30,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "faults/channel_spec.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/client.h"
 #include "sim/server.h"
@@ -140,7 +141,8 @@ int CheckByteLevel(const BroadcastProgram& program,
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_threads = benchutil::ThreadsFlag(argc, argv);
+  g_threads = runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (g_threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(g_threads);

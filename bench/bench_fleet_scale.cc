@@ -49,6 +49,7 @@
 #include "faults/channel_spec.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
+#include "runtime/flags.h"
 #include "runtime/rng_stream.h"
 #include "runtime/thread_pool.h"
 #include "sim/arrivals.h"
@@ -114,11 +115,15 @@ bool EnginesAgreeOnSmallConfig(runtime::ThreadPool* pool) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
-  const std::uint64_t clients =
-      benchutil::UintFlag(argc, argv, "clients", 1000000);
-  const std::uint64_t slots = benchutil::UintFlag(argc, argv, "slots", 10000);
-  const std::uint64_t seed = benchutil::UintFlag(argc, argv, "seed", 42);
+  const unsigned threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
+  const std::uint64_t clients = runtime::OrExit(
+      runtime::ConsumeUintFlagOnce(&argc, argv, "clients", 1000000));
+  const std::uint64_t slots = runtime::OrExit(
+      runtime::ConsumeUintFlagOnce(&argc, argv, "slots", 10000));
+  const std::uint64_t seed =
+      runtime::OrExit(runtime::ConsumeUintFlagOnce(&argc, argv, "seed", 42));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
 
   std::unique_ptr<runtime::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);

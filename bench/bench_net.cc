@@ -38,6 +38,7 @@ namespace {
 
 namespace net = bdisk::net;
 namespace broadcast = bdisk::broadcast;
+namespace runtime = bdisk::runtime;
 namespace sim = bdisk::sim;
 using bdisk::Rng;
 
@@ -65,13 +66,15 @@ double VirtualClockErrorPct(std::uint64_t rate, std::uint64_t datagram_bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = bdisk::runtime::ThreadsFlag(argc, argv, 1);
-  const std::uint64_t block_size =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "block-size", 32 * 1024);
-  const double seconds =
-      bdisk::runtime::DoubleFlag(argc, argv, "seconds", 1.0);
-  const double tolerance_pct =
-      bdisk::runtime::DoubleFlag(argc, argv, "tolerance-pct", 5.0);
+  const unsigned threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
+  const std::uint64_t block_size = runtime::OrExit(
+      runtime::ConsumeByteSizeFlagOnce(&argc, argv, "block-size", 32 * 1024));
+  const double seconds = runtime::OrExit(
+      runtime::ConsumeDoubleFlagOnce(&argc, argv, "seconds", 1.0));
+  const double tolerance_pct = runtime::OrExit(
+      runtime::ConsumeDoubleFlagOnce(&argc, argv, "tolerance-pct", 5.0));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
 
   // A dense single-file program: every slot carries a block, so the wire
   // stream is uniform datagrams of block_size + header.

@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "faults/channel_model.h"
 #include "ida/dispersal.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -156,7 +157,9 @@ bool ScaleWorkload(const std::vector<unsigned>& thread_counts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned max_threads = benchutil::ThreadsFlag(argc, argv, 8);
+  const unsigned max_threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv, 8));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   std::vector<unsigned> thread_counts;
   for (unsigned t = 1; t < max_threads; t *= 2) thread_counts.push_back(t);
   thread_counts.push_back(max_threads);  // Include non-power-of-two caps.

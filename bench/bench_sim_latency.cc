@@ -10,6 +10,7 @@
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -59,7 +60,9 @@ Row Run(const BroadcastProgram& p, const faults::ChannelModel& channel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
+  const unsigned threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(threads);

@@ -29,6 +29,7 @@
 namespace {
 
 using bdisk::Rng;
+namespace runtime = bdisk::runtime;
 namespace store = bdisk::store;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -66,17 +67,20 @@ void FillPayload(std::vector<std::uint8_t>* payload, Rng* rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = bdisk::runtime::ThreadsFlag(argc, argv, 1);
+  const unsigned threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
   const std::uint64_t store_bytes =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "store-bytes", 256ull << 20);
-  const std::uint64_t cap_bytes =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "cap-bytes", 64ull << 20);
+      runtime::OrExit(runtime::ConsumeByteSizeFlagOnce(
+          &argc, argv, "store-bytes", 256ull << 20));
+  const std::uint64_t cap_bytes = runtime::OrExit(
+      runtime::ConsumeByteSizeFlagOnce(&argc, argv, "cap-bytes", 64ull << 20));
   const std::uint64_t reads =
-      bdisk::runtime::UintFlag(argc, argv, "reads", 1024);
-  const std::uint64_t device_block =
-      bdisk::runtime::ByteSizeFlag(argc, argv, "device-block", 4096);
-  const char* path = bdisk::runtime::ConsumeStringFlag(
-      &argc, argv, "path", "/tmp/bdisk_bench_store.dev");
+      runtime::OrExit(runtime::ConsumeUintFlagOnce(&argc, argv, "reads", 1024));
+  const std::uint64_t device_block = runtime::OrExit(
+      runtime::ConsumeByteSizeFlagOnce(&argc, argv, "device-block", 4096));
+  const char* path = runtime::OrExit(runtime::ConsumeStringFlagOnce(
+      &argc, argv, "path", "/tmp/bdisk_bench_store.dev"));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
 
   // Entry shape: 16 entries of an 8-of-16 dispersal; payload sized so the
   // 16 entries together approximate --store-bytes.

@@ -15,6 +15,7 @@
 #include "bdisk/flat_builder.h"
 #include "bench_util.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -57,7 +58,9 @@ double MissRate(const BroadcastProgram& p, ClientModel model,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = benchutil::ThreadsFlag(argc, argv);
+  const unsigned threads =
+      runtime::OrExit(runtime::ConsumeThreadsFlagOnce(&argc, argv));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   std::unique_ptr<bdisk::runtime::ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<bdisk::runtime::ThreadPool>(threads);

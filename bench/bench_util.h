@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "obs/json.h"
-#include "runtime/flags.h"
 
 // Injected by CMake (-DBDISK_BUILD_COMMIT="<short sha>"); "unknown" when
 // building outside a git checkout.
@@ -25,11 +24,6 @@
 #endif
 
 namespace benchutil {
-
-/// `--threads N` / `--threads=N` parsing — the shared runtime-layer parser.
-using bdisk::runtime::DoubleFlag;
-using bdisk::runtime::ThreadsFlag;
-using bdisk::runtime::UintFlag;
 
 /// Emits one JSON metric line: {"bench":...,"metric":...,"value":...,
 /// "threads":N,"commit":...}. Built on the canonical obs::JsonWriter, so

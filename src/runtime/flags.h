@@ -1,22 +1,28 @@
 /// \file flags.h
-/// \brief Command-line parsing for the flags shared across executables.
+/// \brief Command-line flag parsing shared by every executable.
 ///
-/// Pools are owned at the edge (docs/ARCHITECTURE.md), so every executable
-/// that takes a thread count parses the same flag. One parser keeps the
-/// semantics uniform across benches and tools: `--threads N` or
-/// `--threads=N`; absent, zero, negative, or malformed values fall back.
-/// The generic UintFlag / DoubleFlag / ConsumeBoolFlag helpers give bench
-/// and tool parameters (`--files N`, `--theta X`, `--adaptive`) the same
-/// two spellings and fallback behaviour.
+/// One family. Each `Consume*FlagOnce` call accepts both spellings,
+/// `--<name> V` and `--<name>=V`, and removes the flag and its value from
+/// argv, so what is left is positional. An absent flag takes its default.
+/// A flag given twice, given without its value, or given a malformed value
+/// is a typed InvalidArgument error that names the flag. Once every flag
+/// is consumed, ExpectPositionals makes any leftover argument (an unknown
+/// or misspelled flag, or a surplus positional) a usage error, and OrExit
+/// reports any of these errors and exits 2.
 
 #ifndef BDISK_RUNTIME_FLAGS_H_
 #define BDISK_RUNTIME_FLAGS_H_
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "common/status.h"
 
@@ -24,8 +30,8 @@ namespace bdisk::runtime {
 
 /// \brief Strict decimal uint64 parse: the whole token, no sign, no
 /// whitespace, no overflow (ERANGE would otherwise silently saturate to
-/// ULLONG_MAX). The single parser behind UintFlag, the planner's value
-/// flags, and the channel-spec grammar.
+/// ULLONG_MAX). The single parser behind the uint flags, the channel-spec
+/// and device-fault-spec grammars, and endpoint ports.
 inline bool ParseUint64Token(const char* token, std::uint64_t* out) {
   if (token == nullptr || token[0] < '0' || token[0] > '9') return false;
   char* end = nullptr;
@@ -66,263 +72,188 @@ inline bool ParseByteSizeToken(const char* token, std::uint64_t* out) {
   return true;
 }
 
-/// \brief ParseByteSizeToken with a typed error naming the offending token
-/// (channel-spec error style) for callers that report to users.
-inline Result<std::uint64_t> ParseByteSize(const std::string& token) {
-  std::uint64_t value = 0;
-  if (!ParseByteSizeToken(token.c_str(), &value)) {
-    return Status::InvalidArgument(
-        "byte size: '" + token +
-        "' is not a decimal count with an optional B, KiB, MiB, or GiB "
-        "suffix");
-  }
-  return value;
+/// \brief Strict decimal floating-point parse: the whole token as one
+/// finite number (`0.2`, `-1.5`, `1e3`). Rejects whitespace, a leading
+/// `+`, hex floats, `inf`/`nan`, out-of-range values and trailing junk
+/// (`0.2junk`, which atof would quietly read as 0.2). Locale-independent.
+inline bool ParseDoubleToken(const char* token, double* out) {
+  if (token == nullptr) return false;
+  const char* end = token + std::strlen(token);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(token, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 /// Largest accepted thread count — far above any real machine, low enough
-/// that a typo cannot wrap the unsigned conversion or exhaust the process
-/// spawning threads.
-inline constexpr long kMaxThreadsFlag = 4096;
+/// that a typo cannot exhaust the process spawning threads.
+inline constexpr std::uint64_t kMaxThreads = 4096;
 
-/// \brief Parses one candidate value token. Accepts only a complete
-/// positive integer in (0, kMaxThreadsFlag].
-inline bool ParseThreadsValue(const char* token, unsigned* out) {
-  char* end = nullptr;
-  const long value = std::strtol(token, &end, 10);
-  if (end == token || *end != '\0') return false;
-  if (value <= 0 || value > kMaxThreadsFlag) return false;
+/// \brief Strict thread-count parse: a ParseUint64Token value in
+/// [1, kMaxThreads].
+inline bool ParseThreadsToken(const char* token, unsigned* out) {
+  std::uint64_t value = 0;
+  if (!ParseUint64Token(token, &value) || value == 0 || value > kMaxThreads) {
+    return false;
+  }
   *out = static_cast<unsigned>(value);
   return true;
 }
 
-/// \brief Parses `--threads N` / `--threads=N` from argv without mutating
-/// it; returns `fallback` when the flag is absent or its value malformed.
-inline unsigned ThreadsFlag(int argc, char** argv, unsigned fallback = 1) {
-  unsigned value = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (ParseThreadsValue(argv[i + 1], &value)) return value;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      if (ParseThreadsValue(argv[i] + 10, &value)) return value;
-    }
-  }
-  return fallback;
+namespace flags_internal {
+
+inline Status FlagError(const char* name, const std::string& what) {
+  return Status::InvalidArgument(std::string("flag --") + name + what);
 }
 
-/// \brief Like ThreadsFlag, but also removes the flag (and its valid
-/// value) from argv, compacting it and updating *argc, so the caller can
-/// treat the remaining arguments as positional. A `--threads` or
-/// `--threads=` whose value is not a valid count is left in place for the
-/// caller's own usage check — neither a positional argument nor a typo is
-/// ever silently consumed.
-inline unsigned ConsumeThreadsFlag(int* argc, char** argv,
-                                   unsigned fallback = 1) {
-  const unsigned threads = ThreadsFlag(*argc, argv, fallback);
-  unsigned ignored = 0;
-  int out = 1;
+/// Finds the one occurrence of `--<name>` and removes it from argv
+/// (compacting argv and *argc, keeping argv[argc] == NULL). With `value`
+/// non-null the flag takes a value (`--<name> V` or `--<name>=V`), stored
+/// in *value; with `value` null it is a presence flag. Returns whether the
+/// flag was present; argv is left unchanged on error.
+inline Result<bool> TakeFlag(int* argc, char** argv, const char* name,
+                             const char** value) {
+  const std::size_t len = std::strlen(name);
+  int at = 0;     // argv index of the flag; 0 = absent.
+  int width = 0;  // Arguments it spans, value included.
   for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc &&
-        ParseThreadsValue(argv[i + 1], &ignored)) {
-      ++i;  // Flag plus valid value: drop both.
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--", 2) != 0 ||
+        std::strncmp(arg + 2, name, len) != 0) {
       continue;
     }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
-        ParseThreadsValue(argv[i] + 10, &ignored)) {
-      continue;
+    const char tail = arg[2 + len];
+    if (tail != '\0' && tail != '=') continue;  // A longer flag name.
+    if (at != 0) return FlagError(name, " given more than once");
+    if (value == nullptr && tail == '=') {
+      return FlagError(name, " takes no value");
     }
-    argv[out++] = argv[i];
+    if (value != nullptr && tail == '\0' && i + 1 >= *argc) {
+      return FlagError(name, " needs a value");
+    }
+    at = i;
+    width = value != nullptr && tail == '\0' ? 2 : 1;
+    i += width - 1;  // The value is never itself a flag occurrence.
   }
-  *argc = out;
-  argv[out] = nullptr;  // Preserve the argv[argc] == NULL guarantee.
-  return threads;
+  if (at == 0) return false;
+  if (value != nullptr) {
+    *value = width == 2 ? argv[at + 1] : argv[at] + 3 + len;
+  }
+  std::copy(argv + at + width, argv + *argc, argv + at);
+  *argc -= width;
+  argv[*argc] = nullptr;
+  return true;
 }
 
-/// \brief Value token of `--<name> V` / `--<name>=V`, or nullptr when the
-/// flag is absent or valueless.
-inline const char* FlagValueToken(int argc, char** argv, const char* name) {
-  const std::size_t name_len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const char* body = argv[i] + 2;
-    if (std::strncmp(body, name, name_len) != 0) continue;
-    if (body[name_len] == '\0') {
-      if (i + 1 < argc) return argv[i + 1];
-    } else if (body[name_len] == '=') {
-      return body + name_len + 1;
-    }
-  }
-  return nullptr;
-}
-
-/// \brief Parses `--<name> N` / `--<name>=N` as an unsigned integer;
-/// returns `fallback` when absent or malformed. Negative values are
-/// malformed (strtoull would silently wrap them).
-inline std::uint64_t UintFlag(int argc, char** argv, const char* name,
-                              std::uint64_t fallback) {
-  std::uint64_t value = 0;
-  if (!ParseUint64Token(FlagValueToken(argc, argv, name), &value)) {
-    return fallback;
+/// ConsumeStringFlagOnce, then `parse` on the value; a value `parse`
+/// rejects is an error naming the flag, the token, and `what` it must be.
+template <typename T, typename Parse>
+Result<T> ConsumeParsedFlagOnce(int* argc, char** argv, const char* name,
+                                T fallback, Parse parse, const char* what) {
+  const char* token = nullptr;
+  BDISK_ASSIGN_OR_RETURN(const bool present,
+                         TakeFlag(argc, argv, name, &token));
+  if (!present) return fallback;
+  T value{};
+  if (!parse(token, &value)) {
+    return FlagError(name, std::string(": '") + token + "' is not " + what);
   }
   return value;
 }
 
-/// \brief Parses `--<name> SIZE` / `--<name>=SIZE` as a byte size
-/// (ParseByteSizeToken); returns `fallback` when absent or malformed.
-inline std::uint64_t ByteSizeFlag(int argc, char** argv, const char* name,
-                                  std::uint64_t fallback) {
-  std::uint64_t value = 0;
-  if (!ParseByteSizeToken(FlagValueToken(argc, argv, name), &value)) {
-    return fallback;
-  }
-  return value;
-}
+}  // namespace flags_internal
 
-/// \brief Parses `--<name> X` / `--<name>=X` as a double; returns
-/// `fallback` when absent or malformed.
-inline double DoubleFlag(int argc, char** argv, const char* name,
-                         double fallback) {
-  const char* token = FlagValueToken(argc, argv, name);
-  if (token == nullptr) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(token, &end);
-  if (end == token || *end != '\0') return fallback;
-  return value;
-}
-
-/// \brief Value of `--<name> V` / `--<name>=V` as a string, removing the
-/// flag (and its value) from argv and updating *argc so the caller can
-/// treat the remaining arguments as positional; returns `fallback` when
-/// the flag is absent. A trailing `--<name>` with no value is left in
-/// place for the caller's own usage check.
-inline const char* ConsumeStringFlag(int* argc, char** argv, const char* name,
-                                     const char* fallback = nullptr) {
-  const char* value = fallback;
-  const std::size_t name_len = std::strlen(name);
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      const char* body = argv[i] + 2;
-      if (std::strncmp(body, name, name_len) == 0) {
-        if (body[name_len] == '\0' && i + 1 < *argc) {
-          value = argv[i + 1];
-          ++i;  // Flag plus value: drop both.
-          continue;
-        }
-        if (body[name_len] == '=') {
-          value = body + name_len + 1;
-          continue;
-        }
-      }
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;  // Preserve the argv[argc] == NULL guarantee.
-  return value;
-}
-
-/// \brief True iff `--<name>` appears in argv; removes it (compacting argv
-/// and updating *argc) so the caller can treat the rest as positional.
-inline bool ConsumeBoolFlag(int* argc, char** argv, const char* name) {
-  bool present = false;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0 &&
-        std::strcmp(argv[i] + 2, name) == 0) {
-      present = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;  // Preserve the argv[argc] == NULL guarantee.
-  return present;
-}
-
-/// \brief Occurrences of `--<name>` (either spelling: `--<name> V` and
-/// `--<name>=V` both count, as does a bare `--<name>`).
-inline int CountFlagOccurrences(int argc, char** argv, const char* name) {
-  const std::size_t name_len = std::strlen(name);
-  int count = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const char* body = argv[i] + 2;
-    if (std::strncmp(body, name, name_len) != 0) continue;
-    if (body[name_len] == '\0' || body[name_len] == '=') ++count;
-  }
-  return count;
-}
-
-/// \brief Typed error for a flag given more than once. A repeated flag is
-/// almost always an edited-command mistake, and silently letting one
-/// occurrence win (first for the value helpers, last for the consuming
-/// ones — historically they even disagreed) means the user runs something
-/// other than what they read on their own command line.
-inline Status DuplicateFlagError(const char* name) {
-  return Status::InvalidArgument(std::string("flag --") + name +
-                                 " given more than once");
-}
-
-/// \brief Strict ConsumeStringFlag: accepts `--<name> V` and
-/// `--<name>=V`, removes the flag + value from argv, and errors (naming
-/// the flag) when the flag appears more than once. Returns `fallback`
-/// when absent. A trailing valueless `--<name>` is left in place for the
-/// caller's usage check, exactly like ConsumeStringFlag.
+/// \brief String flag: the value of `--<name> V` / `--<name>=V`, or
+/// `fallback` when absent.
 inline Result<const char*> ConsumeStringFlagOnce(
     int* argc, char** argv, const char* name,
     const char* fallback = nullptr) {
-  if (CountFlagOccurrences(*argc, argv, name) > 1) {
-    return DuplicateFlagError(name);
-  }
-  return ConsumeStringFlag(argc, argv, name, fallback);
+  const char* value = fallback;
+  BDISK_RETURN_NOT_OK(
+      flags_internal::TakeFlag(argc, argv, name, &value).status());
+  return value;
 }
 
-/// \brief Strict presence flag: true iff `--<name>` appears exactly once
-/// (removed from argv); absent is false; more than once is an error
-/// naming the flag.
+/// \brief Presence flag: true iff a bare `--<name>` appears; `--<name>=V`
+/// is an error.
 inline Result<bool> ConsumeBoolFlagOnce(int* argc, char** argv,
                                         const char* name) {
-  if (CountFlagOccurrences(*argc, argv, name) > 1) {
-    return DuplicateFlagError(name);
-  }
-  return ConsumeBoolFlag(argc, argv, name);
+  return flags_internal::TakeFlag(argc, argv, name, nullptr);
 }
 
-/// \brief Strict uint flag: both spellings, consumed from argv, duplicate
-/// and malformed values are errors naming the flag; absent = `fallback`.
+/// \brief Unsigned integer flag (ParseUint64Token grammar).
 inline Result<std::uint64_t> ConsumeUintFlagOnce(int* argc, char** argv,
                                                  const char* name,
                                                  std::uint64_t fallback) {
-  BDISK_ASSIGN_OR_RETURN(const char* token,
-                         ConsumeStringFlagOnce(argc, argv, name));
-  if (token == nullptr) return fallback;
-  std::uint64_t value = 0;
-  if (!ParseUint64Token(token, &value)) {
-    return Status::InvalidArgument(std::string("flag --") + name +
-                                   ": '" + token +
-                                   "' is not a non-negative integer");
-  }
-  return value;
+  return flags_internal::ConsumeParsedFlagOnce(
+      argc, argv, name, fallback, ParseUint64Token,
+      "a non-negative integer");
 }
 
-/// \brief Strict byte-size flag (ParseByteSizeToken grammar): both
-/// spellings, consumed, duplicates and malformed values are errors naming
-/// the flag; absent = `fallback`.
+/// \brief Byte-size flag (ParseByteSizeToken grammar).
 inline Result<std::uint64_t> ConsumeByteSizeFlagOnce(int* argc, char** argv,
                                                      const char* name,
                                                      std::uint64_t fallback) {
-  BDISK_ASSIGN_OR_RETURN(const char* token,
-                         ConsumeStringFlagOnce(argc, argv, name));
-  if (token == nullptr) return fallback;
-  std::uint64_t value = 0;
-  if (!ParseByteSizeToken(token, &value)) {
-    return Status::InvalidArgument(
-        std::string("flag --") + name + ": '" + token +
-        "' is not a byte size (decimal count with optional B/KiB/MiB/GiB)");
-  }
-  return value;
+  return flags_internal::ConsumeParsedFlagOnce(
+      argc, argv, name, fallback, ParseByteSizeToken,
+      "a byte size (decimal count with optional B/KiB/MiB/GiB)");
 }
 
+/// \brief Floating-point flag (ParseDoubleToken grammar).
+inline Result<double> ConsumeDoubleFlagOnce(int* argc, char** argv,
+                                            const char* name,
+                                            double fallback) {
+  return flags_internal::ConsumeParsedFlagOnce(
+      argc, argv, name, fallback, ParseDoubleToken, "a decimal number");
+}
+
+/// \brief `--threads` (ParseThreadsToken grammar), the pool width every
+/// parallel executable takes.
+inline Result<unsigned> ConsumeThreadsFlagOnce(int* argc, char** argv,
+                                               unsigned fallback = 1) {
+  return flags_internal::ConsumeParsedFlagOnce(
+      argc, argv, "threads", fallback, ParseThreadsToken,
+      "a thread count in 1..4096");
+}
+
+/// \brief Usage check once every flag is consumed: OK iff exactly `count`
+/// arguments remain. A leftover `--...` argument is reported as an
+/// unknown flag, any other surplus as an unexpected argument.
+inline Status ExpectPositionals(int argc, char** argv, int count) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      return Status::InvalidArgument(std::string("unknown flag '") +
+                                     argv[i] + "'");
+    }
+  }
+  if (argc - 1 > count) {
+    return Status::InvalidArgument(std::string("unexpected argument '") +
+                                   argv[count + 1] + "'");
+  }
+  if (argc - 1 < count) {
+    return Status::InvalidArgument(
+        "expected " + std::to_string(count) + " positional argument(s), got " +
+        std::to_string(argc - 1));
+  }
+  return Status::OK();
+}
+
+/// \brief The usage-error exit: unless `status` is OK, prints
+/// `error: <message>` (then `usage`, when given) to stderr and exits 2.
+inline void OrExit(const Status& status, const char* usage = nullptr) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "error: %s\n", status.message().c_str());
+  if (usage != nullptr) std::fprintf(stderr, "%s\n", usage);
+  std::exit(2);
+}
+
+/// \brief The value of `result`, or the usage-error exit.
+template <typename T>
+T OrExit(Result<T> result) {
+  OrExit(result.status());
+  return std::move(result).value();
+}
 
 }  // namespace bdisk::runtime
 

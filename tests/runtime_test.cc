@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "runtime/flags.h"
@@ -146,6 +147,30 @@ TEST(RngStreamTest, StreamRngReplaysIdentically) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
 }
 
+// A mutable, NULL-terminated argv ("prog" then `args`) for the Consume*
+// calls, which compact it in place.
+class Argv {
+ public:
+  explicit Argv(std::vector<std::string> args) : args_(std::move(args)) {
+    args_.insert(args_.begin(), "prog");
+    for (std::string& arg : args_) ptrs_.push_back(arg.data());
+    ptrs_.push_back(nullptr);
+    argc = static_cast<int>(args_.size());
+  }
+  char** argv() { return ptrs_.data(); }
+
+  int argc = 0;
+
+ private:
+  std::vector<std::string> args_;
+  std::vector<char*> ptrs_;
+};
+
+Result<std::uint64_t> ByteSizeFlagValue(const std::string& token) {
+  Argv a({"--size=" + token});
+  return ConsumeByteSizeFlagOnce(&a.argc, a.argv(), "size", 7);
+}
+
 TEST(ByteSizeTest, ParsesPlainAndBinarySuffixes) {
   const struct {
     const char* token;
@@ -163,7 +188,7 @@ TEST(ByteSizeTest, ParsesPlainAndBinarySuffixes) {
     std::uint64_t value = 0;
     EXPECT_TRUE(ParseByteSizeToken(c.token, &value)) << c.token;
     EXPECT_EQ(value, c.expected) << c.token;
-    const auto result = ParseByteSize(c.token);
+    const auto result = ByteSizeFlagValue(c.token);
     ASSERT_TRUE(result.ok()) << c.token;
     EXPECT_EQ(*result, c.expected) << c.token;
   }
@@ -178,7 +203,7 @@ TEST(ByteSizeTest, RejectsMalformedInputNamingTheToken) {
   for (const char* token : kBad) {
     std::uint64_t value = 0;
     EXPECT_FALSE(ParseByteSizeToken(token, &value)) << token;
-    const auto result = ParseByteSize(token);
+    const auto result = ByteSizeFlagValue(token);
     ASSERT_FALSE(result.ok()) << token;
     EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
     // The error names the offending token (channel-spec error style).
@@ -190,46 +215,93 @@ TEST(ByteSizeTest, RejectsMalformedInputNamingTheToken) {
   EXPECT_FALSE(ParseByteSizeToken(nullptr, &value));
 }
 
-TEST(ByteSizeTest, ByteSizeFlagParsesAndFallsBack) {
-  const char* argv_ok[] = {"prog", "--store-bytes", "8MiB"};
-  EXPECT_EQ(ByteSizeFlag(3, const_cast<char**>(argv_ok), "store-bytes", 7),
-            8ull << 20);
-  const char* argv_eq[] = {"prog", "--cap-bytes=512KiB"};
-  EXPECT_EQ(ByteSizeFlag(2, const_cast<char**>(argv_eq), "cap-bytes", 7),
-            512ull << 10);
-  const char* argv_bad[] = {"prog", "--store-bytes", "8MB"};
-  EXPECT_EQ(ByteSizeFlag(3, const_cast<char**>(argv_bad), "store-bytes", 7),
-            7u);
-  EXPECT_EQ(ByteSizeFlag(1, const_cast<char**>(argv_ok), "store-bytes", 7),
-            7u);
+TEST(ByteSizeTest, ByteSizeFlagParsesOrNamesTheFlag) {
+  Argv ok({"--store-bytes", "8MiB"});
+  auto v = ConsumeByteSizeFlagOnce(&ok.argc, ok.argv(), "store-bytes", 7);
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(*v, 8ull << 20);
+  EXPECT_EQ(ok.argc, 1);  // The `--size=V` spelling: ByteSizeFlagValue.
+  Argv absent({});
+  v = ConsumeByteSizeFlagOnce(&absent.argc, absent.argv(), "store-bytes", 7);
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(*v, 7u);
+  // A malformed size does not fall back: it is an error naming the flag.
+  Argv bad({"--store-bytes", "8MB"});
+  v = ConsumeByteSizeFlagOnce(&bad.argc, bad.argv(), "store-bytes", 7);
+  ASSERT_FALSE(v.ok());
+  EXPECT_TRUE(v.status().IsInvalidArgument());
+  EXPECT_NE(v.status().message().find("--store-bytes"), std::string::npos);
+  EXPECT_NE(v.status().message().find("'8MB'"), std::string::npos);
+}
+
+// The same tokens through both strict parsers: a thread count is a plain
+// decimal in 1..4096; a double is any complete finite decimal number.
+TEST(StrictFlagTest, ThreadsAndDoubleParsersAreStrict) {
+  const struct {
+    const char* token;
+    bool threads_ok;
+    unsigned threads;
+    bool double_ok;
+    double value;
+  } kCases[] = {
+      {"0", false, 0, true, 0.0},         {"1", true, 1, true, 1.0},
+      {"4096", true, 4096, true, 4096.0}, {"4097", false, 0, true, 4097.0},
+      {"+4", false, 0, false, 0.0},       {" 4", false, 0, false, 0.0},
+      {"1e3", false, 0, true, 1000.0},    {"0.2junk", false, 0, false, 0.0},
+  };
+  for (const auto& c : kCases) {
+    // A rejected token leaves the output untouched (0).
+    unsigned threads = 0;
+    EXPECT_EQ(ParseThreadsToken(c.token, &threads), c.threads_ok) << c.token;
+    EXPECT_EQ(threads, c.threads) << c.token;
+    double value = 0.0;
+    EXPECT_EQ(ParseDoubleToken(c.token, &value), c.double_ok) << c.token;
+    EXPECT_EQ(value, c.value) << c.token;
+
+    Argv t({"--threads", c.token});
+    const auto tf = ConsumeThreadsFlagOnce(&t.argc, t.argv(), 3);
+    ASSERT_EQ(tf.ok(), c.threads_ok) << c.token;
+    if (!tf.ok()) {
+      EXPECT_NE(tf.status().message().find("--threads"), std::string::npos);
+    }
+    Argv d({"--threshold=" + std::string(c.token)});
+    const auto df = ConsumeDoubleFlagOnce(&d.argc, d.argv(), "threshold", 0.1);
+    ASSERT_EQ(df.ok(), c.double_ok) << c.token;
+    if (!df.ok()) {
+      EXPECT_NE(df.status().message().find("--threshold"), std::string::npos);
+      EXPECT_NE(df.status().message().find(c.token), std::string::npos);
+    }
+  }
+  for (const char* token : {"", "inf", "nan", "0x10", "1e999"}) {
+    double value = 0.0;
+    EXPECT_FALSE(ParseDoubleToken(token, &value)) << token;
+  }
+  Argv absent({});
+  EXPECT_EQ(*ConsumeThreadsFlagOnce(&absent.argc, absent.argv()), 1u);
+  EXPECT_EQ(*ConsumeDoubleFlagOnce(&absent.argc, absent.argv(), "x", 0.5),
+            0.5);
 }
 
 TEST(StrictFlagTest, AcceptsBothSpellingsAndConsumes) {
   {
-    char a0[] = "prog", a1[] = "--port", a2[] = "9000", a3[] = "file";
-    char* argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
+    Argv a({"--port", "9000", "file"});
+    const auto v = ConsumeUintFlagOnce(&a.argc, a.argv(), "port", 7);
     ASSERT_TRUE(v.ok()) << v.status();
     EXPECT_EQ(*v, 9000u);
-    ASSERT_EQ(argc, 2);  // Flag and value consumed; positional kept.
-    EXPECT_STREQ(argv[1], "file");
-    EXPECT_EQ(argv[2], nullptr);  // argv[argc] == NULL preserved.
+    ASSERT_EQ(a.argc, 2);  // Flag and value consumed; positional kept.
+    EXPECT_STREQ(a.argv()[1], "file");
+    EXPECT_EQ(a.argv()[2], nullptr);  // argv[argc] == NULL preserved.
   }
   {
-    char a0[] = "prog", a1[] = "--port=9000";
-    char* argv[] = {a0, a1, nullptr};
-    int argc = 2;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
+    Argv a({"--port=9000"});
+    const auto v = ConsumeUintFlagOnce(&a.argc, a.argv(), "port", 7);
     ASSERT_TRUE(v.ok()) << v.status();
     EXPECT_EQ(*v, 9000u);
-    EXPECT_EQ(argc, 1);
+    EXPECT_EQ(a.argc, 1);
   }
   {
-    char a0[] = "prog";
-    char* argv[] = {a0, nullptr};
-    int argc = 1;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
+    Argv a({});
+    const auto v = ConsumeUintFlagOnce(&a.argc, a.argv(), "port", 7);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(*v, 7u);  // Absent: fallback.
   }
@@ -238,11 +310,8 @@ TEST(StrictFlagTest, AcceptsBothSpellingsAndConsumes) {
 TEST(StrictFlagTest, DuplicateFlagErrorsNamingTheFlag) {
   // Same spelling twice.
   {
-    char a0[] = "prog", a1[] = "--port", a2[] = "1", a3[] = "--port",
-         a4[] = "2";
-    char* argv[] = {a0, a1, a2, a3, a4, nullptr};
-    int argc = 5;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
+    Argv a({"--port", "1", "--port", "2"});
+    const auto v = ConsumeUintFlagOnce(&a.argc, a.argv(), "port", 7);
     ASSERT_FALSE(v.ok());
     EXPECT_TRUE(v.status().IsInvalidArgument());
     EXPECT_NE(v.status().message().find("--port"), std::string::npos)
@@ -250,48 +319,69 @@ TEST(StrictFlagTest, DuplicateFlagErrorsNamingTheFlag) {
   }
   // Mixed spellings count as the same flag.
   {
-    char a0[] = "prog", a1[] = "--port=1", a2[] = "--port", a3[] = "2";
-    char* argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    const auto v = ConsumeStringFlagOnce(&argc, argv, "port");
+    Argv a({"--port=1", "--port", "2"});
+    const auto v = ConsumeStringFlagOnce(&a.argc, a.argv(), "port");
     ASSERT_FALSE(v.ok());
     EXPECT_NE(v.status().message().find("--port"), std::string::npos);
   }
   // Bool flags too.
   {
-    char a0[] = "prog", a1[] = "--follow", a2[] = "--follow";
-    char* argv[] = {a0, a1, a2, nullptr};
-    int argc = 3;
-    const auto v = ConsumeBoolFlagOnce(&argc, argv, "follow");
+    Argv a({"--follow", "--follow"});
+    const auto v = ConsumeBoolFlagOnce(&a.argc, a.argv(), "follow");
     ASSERT_FALSE(v.ok());
     EXPECT_NE(v.status().message().find("--follow"), std::string::npos);
   }
   // A different flag sharing the prefix is NOT a duplicate.
   {
-    char a0[] = "prog", a1[] = "--port", a2[] = "1", a3[] = "--portable";
-    char* argv[] = {a0, a1, a2, a3, nullptr};
-    int argc = 4;
-    const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
+    Argv a({"--port", "1", "--portable"});
+    const auto v = ConsumeUintFlagOnce(&a.argc, a.argv(), "port", 7);
     ASSERT_TRUE(v.ok()) << v.status();
     EXPECT_EQ(*v, 1u);
   }
 }
 
 TEST(StrictFlagTest, MalformedValueErrorsNamingFlagAndToken) {
-  char a0[] = "prog", a1[] = "--port", a2[] = "-3";
-  char* argv[] = {a0, a1, a2, nullptr};
-  int argc = 3;
-  const auto v = ConsumeUintFlagOnce(&argc, argv, "port", 7);
+  Argv a({"--port", "-3"});
+  const auto v = ConsumeUintFlagOnce(&a.argc, a.argv(), "port", 7);
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.status().message().find("--port"), std::string::npos);
   EXPECT_NE(v.status().message().find("-3"), std::string::npos);
 
-  char b0[] = "prog", b1[] = "--bandwidth=8MB";
-  char* argv2[] = {b0, b1, nullptr};
-  int argc2 = 2;
-  const auto w = ConsumeByteSizeFlagOnce(&argc2, argv2, "bandwidth", 0);
+  Argv b({"--bandwidth=8MB"});
+  const auto w = ConsumeByteSizeFlagOnce(&b.argc, b.argv(), "bandwidth", 0);
   ASSERT_FALSE(w.ok());
   EXPECT_NE(w.status().message().find("--bandwidth"), std::string::npos);
+
+  // A trailing value flag with no value, and a value on a presence flag.
+  Argv trailing({"spec", "--seed"});
+  const auto seed = ConsumeUintFlagOnce(&trailing.argc, trailing.argv(),
+                                        "seed", 42);
+  ASSERT_FALSE(seed.ok());
+  EXPECT_NE(seed.status().message().find("--seed"), std::string::npos);
+  EXPECT_EQ(trailing.argc, 3);  // argv untouched on error.
+  Argv valued({"--follow=yes"});
+  const auto follow = ConsumeBoolFlagOnce(&valued.argc, valued.argv(),
+                                          "follow");
+  ASSERT_FALSE(follow.ok());
+  EXPECT_NE(follow.status().message().find("--follow"), std::string::npos);
+}
+
+TEST(StrictFlagTest, LeftoverArgumentsAreUsageErrors) {
+  Argv exact({"spec"});
+  EXPECT_TRUE(ExpectPositionals(exact.argc, exact.argv(), 1).ok());
+  Argv stdin_spec({"-"});
+  EXPECT_TRUE(ExpectPositionals(stdin_spec.argc, stdin_spec.argv(), 1).ok());
+
+  Argv unknown({"--chanel", "x", "spec"});
+  Status s = ExpectPositionals(unknown.argc, unknown.argv(), 1);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("'--chanel'"), std::string::npos) << s;
+  Argv surplus({"a", "b"});
+  s = ExpectPositionals(surplus.argc, surplus.argv(), 1);
+  EXPECT_NE(s.message().find("'b'"), std::string::npos) << s;
+  Argv missing({});
+  EXPECT_TRUE(ExpectPositionals(missing.argc, missing.argv(), 1)
+                  .IsInvalidArgument());
 }
 
 }  // namespace

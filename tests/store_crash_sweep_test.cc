@@ -99,6 +99,28 @@ bool MatchesGeneration(BlockStore& store, const ExpectedGeneration& expected,
 
 using Workload = std::function<Status(std::unique_ptr<BlockDevice>)>;
 
+// Forwards to a device the caller keeps alive, so the caller can still
+// read it after the workload has destroyed the handle it was given.
+class BorrowedDevice final : public BlockDevice {
+ public:
+  explicit BorrowedDevice(BlockDevice* device) : device_(device) {}
+
+  std::size_t block_size() const override { return device_->block_size(); }
+  std::uint64_t block_count() const override {
+    return device_->block_count();
+  }
+  IoResult ReadBlock(std::uint64_t index, void* out) override {
+    return device_->ReadBlock(index, out);
+  }
+  IoResult WriteBlock(std::uint64_t index, const void* data) override {
+    return device_->WriteBlock(index, data);
+  }
+  IoResult Sync() override { return device_->Sync(); }
+
+ private:
+  BlockDevice* device_;
+};
+
 // Runs `workload` over a counting pass-through to learn its write count.
 std::uint64_t CountWrites(const MemBlockDevice::Buffer& base,
                           const Workload& workload) {
@@ -106,13 +128,11 @@ std::uint64_t CountWrites(const MemBlockDevice::Buffer& base,
   *inner->buffer() = base;
   const auto config = ParseDeviceFaultSpec("none");
   BDISK_CHECK(config.ok());
-  auto counter = std::make_unique<FaultingBlockDevice>(std::move(inner),
-                                                       *config);
-  FaultingBlockDevice* raw = counter.get();
-  const Status status = workload(std::move(counter));
+  FaultingBlockDevice counter(std::move(inner), *config);
+  const Status status = workload(std::make_unique<BorrowedDevice>(&counter));
   EXPECT_TRUE(status.ok()) << "fault-free workload failed: " << status;
   BDISK_CHECK(status.ok());
-  return raw->writes_attempted();
+  return counter.writes_attempted();
 }
 
 // The sweep proper. `allow_unformatted` accepts the pre-format state

@@ -13,6 +13,10 @@
 //                 workload.spec
 //   bdisk_planner [...] - < workload.spec
 //
+// Every flag takes `--flag V` or `--flag=V` (runtime/flags.h). A flag given
+// twice, a malformed value, an unknown flag and a stray argument are usage
+// errors: the planner names the flag on stderr and exits 2.
+//
 // --threads N fans the per-file worst-case delay analysis (the exact
 // adversary computation, the planner's dominant cost on big specs) out
 // across N workers; output is identical at any thread count.
@@ -94,9 +98,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -130,74 +136,301 @@
 namespace {
 
 using namespace bdisk::broadcast;  // NOLINT
+using namespace bdisk::runtime;    // NOLINT
+using bdisk::Status;
 
-bdisk::runtime::ThreadPool* g_pool = nullptr;
-const bdisk::faults::ChannelModel* g_channel = nullptr;
-std::uint64_t g_requests_per_file = 200;
-std::uint64_t g_workload_seed = 42;
-bool g_evented_engine = false;
-const char* g_metrics_out = nullptr;
-std::uint64_t g_metrics_interval = 0;  // 0 = one program period.
-// The first stream truncates the file; later runs (e.g. the two --adaptive
-// replays) append to it.
-bool g_metrics_append = false;
-const char* g_store_path = nullptr;
-// 0 = size the device to fit the program; otherwise a hard capacity cap.
-std::uint64_t g_store_bytes = 0;
-const char* g_trace_out = nullptr;
-// --serve / --listen: the real UDP data plane.
-const char* g_serve_endpoint = nullptr;
-const char* g_listen_endpoint = nullptr;
-std::uint64_t g_serve_bandwidth = 0;  // 0 = the spec's channel rate.
-std::uint64_t g_serve_horizon = 0;    // 0 = tail + 50 periods.
-// Capture policy; tracing is active iff g_trace_out is set.
-bdisk::obs::TraceOptions g_trace_options;
-// Sinks accumulated by the replays, written as one Chrome trace at the
-// end of Plan (one process lane group per replay).
-std::vector<std::pair<std::string, std::unique_ptr<bdisk::obs::TraceSink>>>
-    g_trace_tracks;
+// The command line, parsed once by ParseOptions. Each default is the value
+// an absent flag leaves.
+struct Options {
+  unsigned threads = 1;
+  bool adaptive = false;
+  std::unique_ptr<const bdisk::faults::ChannelModel> channel;
+  std::uint64_t requests_per_file = 200;
+  std::uint64_t workload_seed = 42;
+  bool evented_engine = false;
+  const char* metrics_out = nullptr;
+  std::uint64_t metrics_interval = 0;  // Absent: one program period.
+  const char* store_path = nullptr;
+  std::uint64_t store_bytes = 0;  // Absent: size the device to the program.
+  const char* trace_out = nullptr;
+  // Capture policy; tracing is active iff trace_out is set.
+  bdisk::obs::TraceOptions trace_options;
+  std::optional<bdisk::net::Endpoint> serve;
+  std::optional<bdisk::net::Endpoint> listen;
+  std::uint64_t serve_bandwidth = 0;  // Absent: the spec's channel rate.
+  std::uint64_t serve_horizon = 0;    // Absent: ReplayHorizon.
+  const char* spec_path = nullptr;    // "-" = stdin.
+};
+
+// `--<name> N` with N > 0, or `fallback` when absent.
+std::uint64_t ConsumePositiveFlag(int* argc, char** argv, const char* name,
+                                  std::uint64_t fallback) {
+  const char* token = OrExit(ConsumeStringFlagOnce(argc, argv, name));
+  std::uint64_t value = fallback;
+  if (token != nullptr && (!ParseUint64Token(token, &value) || value == 0)) {
+    OrExit(Status::InvalidArgument(std::string("--") + name +
+                                   " must be a positive integer, got '" +
+                                   token + "'"));
+  }
+  return value;
+}
+
+// `--<name> HOST:PORT`, parsed when present.
+std::optional<bdisk::net::Endpoint> ConsumeEndpointFlag(int* argc,
+                                                        char** argv,
+                                                        const char* name) {
+  const char* token = OrExit(ConsumeStringFlagOnce(argc, argv, name));
+  if (token == nullptr) return std::nullopt;
+  auto endpoint = bdisk::net::ParseEndpoint(token);
+  OrExit(endpoint.status().WithContext(std::string("--") + name));
+  return *endpoint;
+}
+
+// Parses the command line; a usage error exits 2.
+Options ParseOptions(int argc, char** argv) {
+  Options o;
+  o.threads = OrExit(ConsumeThreadsFlagOnce(&argc, argv));
+  o.adaptive = OrExit(ConsumeBoolFlagOnce(&argc, argv, "adaptive"));
+  if (const char* spec = OrExit(ConsumeStringFlagOnce(&argc, argv,
+                                                      "channel"))) {
+    auto channel = bdisk::faults::ParseChannelSpec(spec);
+    OrExit(channel.status().WithContext("--channel"));
+    o.channel = std::move(*channel);
+  }
+  o.requests_per_file =
+      ConsumePositiveFlag(&argc, argv, "requests", o.requests_per_file);
+  o.workload_seed =
+      OrExit(ConsumeUintFlagOnce(&argc, argv, "seed", o.workload_seed));
+  const char* engine =
+      OrExit(ConsumeStringFlagOnce(&argc, argv, "engine", "slot"));
+  o.evented_engine = std::strcmp(engine, "event") == 0;
+  if (!o.evented_engine && std::strcmp(engine, "slot") != 0) {
+    OrExit(Status::InvalidArgument(
+        std::string("--engine must be 'slot' or 'event', got '") + engine +
+        "'"));
+  }
+  o.metrics_out = OrExit(ConsumeStringFlagOnce(&argc, argv, "metrics-out"));
+  o.metrics_interval = ConsumePositiveFlag(&argc, argv, "metrics-interval", 0);
+  o.store_path = OrExit(ConsumeStringFlagOnce(&argc, argv, "store"));
+  o.store_bytes =
+      OrExit(ConsumeByteSizeFlagOnce(&argc, argv, "store-bytes", 0));
+  o.trace_out = OrExit(ConsumeStringFlagOnce(&argc, argv, "trace-out"));
+  if (const char* sample = OrExit(ConsumeStringFlagOnce(&argc, argv,
+                                                        "trace-sample"))) {
+    // Accepted as "1/N" (the sampling-rate reading) or plain "N".
+    const char* n = std::strncmp(sample, "1/", 2) == 0 ? sample + 2 : sample;
+    if (!ParseUint64Token(n, &o.trace_options.sample_every) ||
+        o.trace_options.sample_every == 0) {
+      OrExit(Status::InvalidArgument(
+          std::string("--trace-sample must be 1/N or N with positive N, "
+                      "got '") +
+          sample + "'"));
+    }
+  }
+  o.trace_options.stall_threshold =
+      ConsumePositiveFlag(&argc, argv, "trace-stall", 0);
+  o.trace_options.flight_recorder_depth =
+      ConsumePositiveFlag(&argc, argv, "trace-flight", 0);
+  o.serve = ConsumeEndpointFlag(&argc, argv, "serve");
+  o.listen = ConsumeEndpointFlag(&argc, argv, "listen");
+  o.serve_bandwidth =
+      OrExit(ConsumeByteSizeFlagOnce(&argc, argv, "serve-bandwidth", 0));
+  o.serve_horizon =
+      OrExit(ConsumeUintFlagOnce(&argc, argv, "serve-horizon", 0));
+  OrExit(ExpectPositionals(argc, argv, 1),
+         "usage: bdisk_planner [--threads N] [--adaptive] [--channel SPEC] "
+         "[--engine slot|event] [--requests N] [--seed S] "
+         "[--metrics-out PATH] [--metrics-interval N] "
+         "[--store PATH] [--store-bytes SIZE] "
+         "[--trace-out PATH] [--trace-sample 1/N] [--trace-stall S] "
+         "[--trace-flight K] [--serve HOST:PORT | --listen HOST:PORT] "
+         "[--serve-bandwidth RATE] [--serve-horizon N] <spec-file | ->");
+  o.spec_path = argv[1];
+
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) OrExit(Status::InvalidArgument(message));
+  };
+  require(o.store_bytes == 0 || o.store_path != nullptr,
+          "--store-bytes requires --store");
+  const bool trace_tuned = o.trace_options.sample_every != 0 ||
+                           o.trace_options.stall_threshold != 0 ||
+                           o.trace_options.flight_recorder_depth != 0;
+  require(o.trace_out != nullptr || !trace_tuned,
+          "--trace-sample/--trace-stall/--trace-flight require --trace-out");
+  require(o.trace_out == nullptr || o.channel != nullptr || o.adaptive,
+          "--trace-out requires --channel or --adaptive (nothing to trace "
+          "otherwise)");
+  require(!o.serve || !o.listen,
+          "--serve and --listen are exclusive (run one process per role)");
+  require(o.serve || (o.serve_bandwidth == 0 && o.serve_horizon == 0),
+          "--serve-bandwidth/--serve-horizon require --serve");
+  require(o.metrics_out != nullptr || o.metrics_interval == 0,
+          "--metrics-interval requires --metrics-out");
+  return o;
+}
+
+// A workload spec resolved into what every mode runs on.
+struct Plan {
+  BuildResult build;
+  // Bytes per coded block: the chosen block size, or a fixed 64 for
+  // slot-domain specs, which have no byte size.
+  std::size_t payload_bytes = 64;
+  // The spec's channel rate in bytes/s: the default --serve pacing. 0 for
+  // slot-domain specs, which model no byte rate (unpaced).
+  std::uint64_t rate_bytes_per_sec = 0;
+};
+
+// Plans the broadcast program, printing the workload header on the way.
+bdisk::Result<Plan> ResolvePlan(const WorkloadSpec& spec) {
+  bdisk::pinwheel::CompositeScheduler scheduler;
+  if (!spec.IsByteDomain()) {
+    std::printf("slot-domain workload: %zu generalized files\n",
+                spec.generalized_files.size());
+    BDISK_ASSIGN_OR_RETURN(
+        BuildResult build,
+        BuildGeneralizedProgram(spec.generalized_files, scheduler));
+    return Plan{std::move(build)};
+  }
+  std::printf("byte-domain workload: %zu files, channel %llu bytes/s\n",
+              spec.byte_files.size(),
+              static_cast<unsigned long long>(spec.channel_bytes_per_second));
+  std::vector<std::uint64_t> ladder;
+  if (spec.block_size != 0) ladder.push_back(spec.block_size);
+  BDISK_ASSIGN_OR_RETURN(
+      BlockSizeChoice choice,
+      ChooseLargestFeasibleBlockSize(spec.byte_files,
+                                     spec.channel_bytes_per_second,
+                                     scheduler, std::move(ladder)));
+  std::printf("block size: %llu bytes  =>  bandwidth %llu blocks/s\n",
+              static_cast<unsigned long long>(choice.block_size),
+              static_cast<unsigned long long>(
+                  choice.bandwidth_blocks_per_second));
+  return Plan{std::move(choice.build), choice.block_size,
+              spec.channel_bytes_per_second};
+}
+
+// Room for every per-file tail (deadline or four data cycles) plus a
+// generous start range of 50 periods: the --channel replay's horizon and
+// the default --serve horizon.
+std::uint64_t ReplayHorizon(const BroadcastProgram& program) {
+  std::uint64_t tail = 4 * program.DataCycleLength();
+  for (const ProgramFile& pf : program.files()) {
+    if (!pf.latency_slots.empty()) {
+      tail = std::max(tail, pf.latency_slots.front());
+    }
+  }
+  return tail + 50 * program.period() + 1;
+}
+
+// Deterministic per-file contents (exactly m payloads each): the same
+// bytes for the same spec on every run, so --store re-materializations are
+// byte-identical and a --listen receiver can verify a --serve broadcast
+// from a different process (or machine) without a side channel.
+std::vector<std::vector<std::uint8_t>> DeterministicContents(
+    const BroadcastProgram& planned, std::size_t payload_bytes) {
+  std::vector<std::vector<std::uint8_t>> contents(planned.file_count());
+  for (FileIndex f = 0; f < planned.file_count(); ++f) {
+    bdisk::Rng rng(0x5702Eull + f);
+    contents[f].resize(planned.files()[f].m * payload_bytes);
+    for (auto& b : contents[f]) {
+      b = static_cast<std::uint8_t>(rng.Uniform(256));
+    }
+  }
+  return contents;
+}
+
+// Prints the plan, then runs each selected mode on it in a fixed order.
+class Planner {
+ public:
+  explicit Planner(const Options& options) : options_(options) {
+    if (options.threads > 1) {
+      pool_ = std::make_unique<ThreadPool>(options.threads);
+    }
+  }
+
+  int Run(const Plan& plan) {
+    PrintProgram(plan.build);
+    using Mode = Status (Planner::*)(const Plan&);
+    const struct {
+      bool selected;
+      Mode run;
+      const char* name;
+    } modes[] = {
+        {options_.store_path != nullptr, &Planner::MaterializeStore, "store"},
+        {options_.channel != nullptr, &Planner::ReplayChannel,
+         "channel replay"},
+        {options_.adaptive, &Planner::ReplayAdaptive, "adaptive replay"},
+        {options_.serve.has_value(), &Planner::ServeUdp, "serve"},
+        {options_.listen.has_value(), &Planner::ListenUdp, "listen"},
+        {options_.trace_out != nullptr, &Planner::EmitTrace, "trace output"},
+    };
+    for (const auto& mode : modes) {
+      if (!mode.selected) continue;
+      const Status status = (this->*mode.run)(plan);
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s: %s\n", mode.name,
+                     status.ToString().c_str());
+        return 1;
+      }
+    }
+    return 0;
+  }
+
+ private:
+  void PrintProgram(const BuildResult& result) const;
+  Status MaterializeStore(const Plan& plan);
+  Status ReplayChannel(const Plan& plan);
+  Status ReplayAdaptive(const Plan& plan);
+  Status ServeUdp(const Plan& plan);
+  Status ListenUdp(const Plan& plan);
+  Status EmitTrace(const Plan& plan);
+  Status EmitMetricsStream(const bdisk::obs::Timeline& timeline);
+
+  std::uint64_t SnapshotInterval(const BroadcastProgram& program) const {
+    return options_.metrics_interval > 0 ? options_.metrics_interval
+                                         : program.period();
+  }
+
+  const Options& options_;
+  std::unique_ptr<ThreadPool> pool_;
+  // The first metrics stream truncates the file; later runs (e.g. the two
+  // --adaptive replays) append to it.
+  bool metrics_append_ = false;
+  // Sinks accumulated by the replays, written as one Chrome trace by
+  // EmitTrace (one process lane group per replay).
+  std::vector<std::pair<std::string, std::unique_ptr<bdisk::obs::TraceSink>>>
+      trace_tracks_;
+};
 
 // Streams `timeline` (plus the global registry) to --metrics-out, then
 // resets the registry so the next stream's registry line covers only its
 // own run — without this the phase timers of an earlier replay (e.g. the
 // static half of --adaptive) bleed into every later stream.
-int EmitMetricsStream(const bdisk::obs::Timeline& timeline) {
-  auto status = bdisk::obs::WriteSnapshotStream(
-      timeline, &bdisk::obs::GlobalRegistry(), g_metrics_out,
-      g_metrics_append);
-  if (!status.ok()) {
-    std::fprintf(stderr, "metrics stream failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  g_metrics_append = true;
+Status Planner::EmitMetricsStream(const bdisk::obs::Timeline& timeline) {
+  BDISK_RETURN_NOT_OK(bdisk::obs::WriteSnapshotStream(
+      timeline, &bdisk::obs::GlobalRegistry(), options_.metrics_out,
+      metrics_append_));
+  metrics_append_ = true;
   bdisk::obs::GlobalRegistry().Reset();
-  return 0;
+  return Status::OK();
 }
 
 // Writes the accumulated trace tracks to --trace-out as one Chrome
 // trace-event JSON document.
-int EmitTrace() {
-  if (g_trace_out == nullptr) return 0;
+Status Planner::EmitTrace(const Plan&) {
   std::vector<bdisk::obs::TraceTrack> tracks;
-  for (const auto& [label, sink] : g_trace_tracks) {
+  for (const auto& [label, sink] : trace_tracks_) {
     tracks.push_back({sink.get(), label});
   }
   std::vector<std::pair<std::string, std::string>> metadata;
-  metadata.emplace_back("engine", g_evented_engine ? "event" : "slot");
-  if (g_channel != nullptr) {
-    metadata.emplace_back("channel", g_channel->Describe());
+  metadata.emplace_back("engine", options_.evented_engine ? "event" : "slot");
+  if (options_.channel != nullptr) {
+    metadata.emplace_back("channel", options_.channel->Describe());
   }
-  auto status = bdisk::obs::WriteChromeTrace(tracks, metadata, g_trace_out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "trace output failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return bdisk::obs::WriteChromeTrace(tracks, metadata, options_.trace_out);
 }
 
-void PrintProgram(const BuildResult& result) {
+void Planner::PrintProgram(const BuildResult& result) const {
   const BroadcastProgram& p = result.program;
   std::printf("\nprogram: period %llu slots, data cycle %llu, utilization "
               "%.0f%%, scheduled density %.3f\n",
@@ -210,10 +443,9 @@ void PrintProgram(const BuildResult& result) {
   // The exact adversary analysis is independent per file: shard it across
   // the pool (analysis only — the rendered table stays in file order).
   std::vector<std::string> latency_cols(p.file_count());
-  bdisk::runtime::ParallelFor(
-      g_pool, p.file_count(),
-      bdisk::runtime::ShardCountFor(g_pool, p.file_count()),
-      [&](unsigned, bdisk::runtime::ShardRange range) {
+  ParallelFor(
+      pool_.get(), p.file_count(), ShardCountFor(pool_.get(), p.file_count()),
+      [&](unsigned, ShardRange range) {
         for (std::uint64_t f = range.begin; f < range.end; ++f) {
           const ProgramFile& pf = p.files()[f];
           std::string col;
@@ -248,44 +480,22 @@ void PrintProgram(const BuildResult& result) {
   }
 }
 
-using bdisk::runtime::ParseUint64Token;
-
 // --store: materialize the planned program into a crash-safe persistent
-// block store at g_store_path, serve one full period back from disk, and
-// re-read every coded block bit-exact before reporting the store's stats.
-// Deterministic per-file contents (exactly m payloads each): the same
-// bytes for the same spec on every run, so --store re-materializations are
-// byte-identical and a --listen receiver can verify a --serve broadcast
-// from a different process (or machine) without a side channel.
-std::vector<std::vector<std::uint8_t>> DeterministicContents(
-    const BroadcastProgram& planned, std::size_t payload_bytes) {
-  std::vector<std::vector<std::uint8_t>> contents(planned.file_count());
-  for (FileIndex f = 0; f < planned.file_count(); ++f) {
-    bdisk::Rng rng(0x5702Eull + f);
-    contents[f].resize(planned.files()[f].m * payload_bytes);
-    for (auto& b : contents[f]) {
-      b = static_cast<std::uint8_t>(rng.Uniform(256));
-    }
-  }
-  return contents;
-}
-
-int MaterializeStore(const BroadcastProgram& planned,
-                     std::size_t payload_bytes) {
+// block store, serve one full period back from disk, and re-read every
+// coded block bit-exact before reporting the store's stats.
+Status Planner::MaterializeStore(const Plan& plan) {
   namespace store = bdisk::store;
   constexpr std::size_t kDeviceBlock = 4096;
-
+  const BroadcastProgram& planned = plan.build.program;
+  const std::size_t payload_bytes = plan.payload_bytes;
   const std::vector<std::vector<std::uint8_t>> contents =
       DeterministicContents(planned, payload_bytes);
 
-  std::uint64_t device_blocks;
-  if (g_store_bytes != 0) {
-    device_blocks = g_store_bytes / kDeviceBlock;
-  } else {
+  std::uint64_t device_blocks = options_.store_bytes / kDeviceBlock;
+  if (options_.store_bytes == 0) {
     device_blocks = store::BlockStore::kFirstDataBlock;
     std::uint64_t catalog_bytes = 8;
-    for (FileIndex f = 0; f < planned.file_count(); ++f) {
-      const ProgramFile& pf = planned.files()[f];
+    for (const ProgramFile& pf : planned.files()) {
       device_blocks +=
           pf.n * ((payload_bytes + kDeviceBlock - 1) / kDeviceBlock);
       catalog_bytes += 28 + pf.n * 12;
@@ -294,137 +504,98 @@ int MaterializeStore(const BroadcastProgram& planned,
         2 * ((catalog_bytes + kDeviceBlock - 1) / kDeviceBlock) + 16;
   }
 
-  std::remove(g_store_path);
-  auto device =
-      store::FileBlockDevice::Create(g_store_path, kDeviceBlock,
-                                     device_blocks);
-  if (!device.ok()) {
-    std::fprintf(stderr, "store: %s\n", device.status().ToString().c_str());
-    return 1;
-  }
-  auto built = store::BlockStore::Format(std::move(*device));
-  if (!built.ok()) {
-    std::fprintf(stderr, "store: %s\n", built.status().ToString().c_str());
-    return 1;
-  }
-  store::BlockStore& st = **built;
-  auto server = bdisk::sim::BroadcastServer::CreateDiskBacked(
-      bdisk::sim::EpochSchedule::Single(planned), contents, payload_bytes,
-      &st);
-  if (!server.ok()) {
-    std::fprintf(stderr, "store: %s\n", server.status().ToString().c_str());
-    return 1;
-  }
+  std::remove(options_.store_path);
+  BDISK_ASSIGN_OR_RETURN(auto device,
+                         store::FileBlockDevice::Create(
+                             options_.store_path, kDeviceBlock, device_blocks));
+  BDISK_ASSIGN_OR_RETURN(std::unique_ptr<store::BlockStore> st,
+                         store::BlockStore::Format(std::move(device)));
+  BDISK_ASSIGN_OR_RETURN(
+      auto server, bdisk::sim::BroadcastServer::CreateDiskBacked(
+                       bdisk::sim::EpochSchedule::Single(planned), contents,
+                       payload_bytes, st.get()));
 
   // Serve one full period from disk, then re-read and re-verify every
   // cataloged block and reconstruct each file from its first m blocks.
   for (std::uint64_t t = 0; t < planned.period(); ++t) {
-    auto tx = server->FetchTransmission(t);
-    if (!tx.ok()) {
-      std::fprintf(stderr, "store: slot %llu: %s\n",
-                   static_cast<unsigned long long>(t),
-                   tx.status().ToString().c_str());
-      return 1;
-    }
+    BDISK_RETURN_NOT_OK(server.FetchTransmission(t).status().WithContext(
+        "slot " + std::to_string(t)));
   }
   for (FileIndex f = 0; f < planned.file_count(); ++f) {
     const ProgramFile& pf = planned.files()[f];
     std::vector<bdisk::ida::Block> first_m;
     for (std::uint32_t k = 0; k < pf.n; ++k) {
-      auto block = st.ReadCodedBlock(f, 0, k);
-      if (!block.ok()) {
-        std::fprintf(stderr, "store: %s block %u: %s\n", pf.name.c_str(), k,
-                     block.status().ToString().c_str());
-        return 1;
-      }
+      auto block = st->ReadCodedBlock(f, 0, k);
+      BDISK_RETURN_NOT_OK(block.status().WithContext(
+          pf.name + " block " + std::to_string(k)));
       if (first_m.size() < pf.m) first_m.push_back(std::move(*block));
     }
-    auto engine = bdisk::ida::Dispersal::Create(pf.m, pf.n, payload_bytes);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "store: %s\n",
-                   engine.status().ToString().c_str());
-      return 1;
-    }
-    auto data = engine->Reconstruct(first_m);
+    BDISK_ASSIGN_OR_RETURN(
+        auto engine,
+        bdisk::ida::Dispersal::Create(pf.m, pf.n, payload_bytes));
+    auto data = engine.Reconstruct(first_m);
     if (!data.ok() || *data != contents[f]) {
-      std::fprintf(stderr,
-                   "store: %s did not reconstruct to the bytes written\n",
-                   pf.name.c_str());
-      return 1;
+      return Status::DataLoss(pf.name +
+                              " did not reconstruct to the bytes written");
     }
   }
   std::printf("\nstore: materialized to %s and verified (one period served "
               "from disk, every block re-read bit-exact)\n  %s\n",
-              g_store_path, st.Stats().ToString().c_str());
-  return 0;
+              options_.store_path, st->Stats().ToString().c_str());
+  return Status::OK();
 }
 
 // --channel replay: a random-start retrieval workload against the planned
 // program over the parsed erasure channel, surfacing the
 // reliability/latency frontier of the chosen (n, m) redundancy.
-int ReplayChannel(const BroadcastProgram& planned) {
-  // Horizon: room for every per-file tail (deadline or four data cycles)
-  // plus a generous start range of 50 periods.
-  std::uint64_t tail = 4 * planned.DataCycleLength();
-  for (const ProgramFile& pf : planned.files()) {
-    if (!pf.latency_slots.empty()) {
-      tail = std::max(tail, pf.latency_slots.front());
-    }
-  }
-  const std::uint64_t horizon = tail + 50 * planned.period() + 1;
-
-  bdisk::sim::Simulator simulator(planned, *g_channel, horizon);
+Status Planner::ReplayChannel(const Plan& plan) {
+  const BroadcastProgram& planned = plan.build.program;
+  const std::uint64_t horizon = ReplayHorizon(planned);
+  bdisk::sim::Simulator simulator(planned, *options_.channel, horizon);
   bdisk::sim::WorkloadConfig config;
-  config.requests_per_file = g_requests_per_file;
-  config.seed = g_workload_seed;
+  config.requests_per_file = options_.requests_per_file;
+  config.seed = options_.workload_seed;
   std::unique_ptr<bdisk::obs::Timeline> timeline;
-  if (g_metrics_out != nullptr) {
-    const std::uint64_t interval =
-        g_metrics_interval > 0 ? g_metrics_interval : planned.period();
-    timeline = std::make_unique<bdisk::obs::Timeline>(interval, horizon);
+  if (options_.metrics_out != nullptr) {
+    timeline = std::make_unique<bdisk::obs::Timeline>(
+        SnapshotInterval(planned), horizon);
   }
   std::unique_ptr<bdisk::obs::TraceSink> trace;
-  if (g_trace_out != nullptr) {
-    trace = std::make_unique<bdisk::obs::TraceSink>(g_trace_options);
+  if (options_.trace_out != nullptr) {
+    trace = std::make_unique<bdisk::obs::TraceSink>(options_.trace_options);
   }
-  auto metrics =
-      g_evented_engine
-          ? simulator.RunWorkloadEvented(config, g_pool, timeline.get(),
+  BDISK_ASSIGN_OR_RETURN(
+      const auto metrics,
+      options_.evented_engine
+          ? simulator.RunWorkloadEvented(config, pool_.get(), timeline.get(),
                                          trace.get())
-          : simulator.RunWorkload(config, g_pool, timeline.get(),
-                                  trace.get());
-  if (!metrics.ok()) {
-    std::fprintf(stderr, "channel replay failed: %s\n",
-                 metrics.status().ToString().c_str());
-    return 1;
-  }
-  if (timeline != nullptr) {
-    const int rc = EmitMetricsStream(*timeline);
-    if (rc != 0) return rc;
-  }
+          : simulator.RunWorkload(config, pool_.get(), timeline.get(),
+                                  trace.get()));
+  if (timeline != nullptr) BDISK_RETURN_NOT_OK(EmitMetricsStream(*timeline));
   if (trace != nullptr) {
-    g_trace_tracks.emplace_back("channel replay", std::move(trace));
+    trace_tracks_.emplace_back("channel replay", std::move(trace));
   }
   std::printf("\nchannel replay (%s engine): %s over %llu slots "
               "(%llu faulty), %llu requests/file, workload seed %llu\n",
-              g_evented_engine ? "event" : "slot",
-              g_channel->Describe().c_str(),
+              options_.evented_engine ? "event" : "slot",
+              options_.channel->Describe().c_str(),
               static_cast<unsigned long long>(horizon),
               static_cast<unsigned long long>(simulator.CorruptedSlotCount()),
-              static_cast<unsigned long long>(g_requests_per_file),
-              static_cast<unsigned long long>(g_workload_seed));
-  std::printf("%s", metrics->ToString().c_str());
+              static_cast<unsigned long long>(options_.requests_per_file),
+              static_cast<unsigned long long>(options_.workload_seed));
+  std::printf("%s", metrics.ToString().c_str());
   std::printf("overall: mean latency %.2f slots, mean stall %.2f slots, "
               "undecodable rate %.4f, miss rate %.4f\n",
-              metrics->OverallMeanLatency(), metrics->OverallMeanStall(),
-              metrics->OverallUndecodableRate(), metrics->OverallMissRate());
-  return 0;
+              metrics.OverallMeanLatency(), metrics.OverallMeanStall(),
+              metrics.OverallUndecodableRate(), metrics.OverallMissRate());
+  return Status::OK();
 }
 
 // --adaptive replay: a drifting-Zipf demand trace (ranking reverses
 // mid-run) against the planned program (static) and against the adaptive
 // controller re-optimizing over the same file population.
-int ReplayAdaptive(const BroadcastProgram& planned) {
+Status Planner::ReplayAdaptive(const Plan& plan) {
+  const BroadcastProgram& planned = plan.build.program;
   std::vector<FlatFileSpec> population;
   for (const ProgramFile& pf : planned.files()) {
     population.push_back({pf.name, pf.m, pf.n, pf.latency_slots});
@@ -438,40 +609,31 @@ int ReplayAdaptive(const BroadcastProgram& planned) {
   workload.seed = 7;
   const std::uint64_t interval = 25 * planned.period();
 
-  std::uint64_t snapshot_interval = 0;
-  if (g_metrics_out != nullptr) {
-    snapshot_interval =
-        g_metrics_interval > 0 ? g_metrics_interval : planned.period();
-  }
+  const std::uint64_t snapshot_interval =
+      options_.metrics_out != nullptr ? SnapshotInterval(planned) : 0;
   // Streams are emitted per replay through the experiment's callback, so
   // the registry reset in EmitMetricsStream lands *between* the static
   // and adaptive runs — each stream's registry line is its own run's.
-  const auto on_replay =
-      [](const bdisk::obs::Timeline& timeline, bool) -> bdisk::Status {
-    if (EmitMetricsStream(timeline) != 0) {
-      return bdisk::Status::Internal("metrics stream failed");
-    }
-    return bdisk::Status::OK();
+  const auto on_replay = [this](const bdisk::obs::Timeline& timeline, bool) {
+    return EmitMetricsStream(timeline);
   };
   const bdisk::obs::TraceOptions* trace_options =
-      g_trace_out != nullptr ? &g_trace_options : nullptr;
+      options_.trace_out != nullptr ? &options_.trace_options : nullptr;
   const bdisk::faults::BernoulliChannel default_channel(0.02, 99);
-  auto replay = bdisk::adaptive::RunAdaptiveExperiment(
-      population, workload, interval, {},
-      g_channel != nullptr ? *g_channel : default_channel, g_pool, &planned,
-      snapshot_interval, trace_options, on_replay);
-  if (!replay.ok()) {
-    std::fprintf(stderr, "adaptive replay failed: %s\n",
-                 replay.status().ToString().c_str());
-    return 1;
+  BDISK_ASSIGN_OR_RETURN(
+      auto replay,
+      bdisk::adaptive::RunAdaptiveExperiment(
+          population, workload, interval, {},
+          options_.channel != nullptr ? *options_.channel : default_channel,
+          pool_.get(), &planned, snapshot_interval, trace_options,
+          on_replay));
+  if (replay.static_trace != nullptr) {
+    trace_tracks_.emplace_back("static replay",
+                               std::move(replay.static_trace));
   }
-  if (replay->static_trace != nullptr) {
-    g_trace_tracks.emplace_back("static replay",
-                                std::move(replay->static_trace));
-  }
-  if (replay->adaptive_trace != nullptr) {
-    g_trace_tracks.emplace_back("adaptive replay",
-                                std::move(replay->adaptive_trace));
+  if (replay.adaptive_trace != nullptr) {
+    trace_tracks_.emplace_back("adaptive replay",
+                               std::move(replay.adaptive_trace));
   }
   std::printf("\nadaptive replay: Zipf(%.2f) demand over %llu slots, "
               "ranking reversed at slot %llu, %llu requests, "
@@ -481,19 +643,19 @@ int ReplayAdaptive(const BroadcastProgram& planned) {
               static_cast<unsigned long long>(workload.flip_slot),
               static_cast<unsigned long long>(workload.requests),
               static_cast<unsigned long long>(interval));
-  std::printf("  hot swaps: %zu\n", replay->swaps);
-  for (std::size_t e = 1; e < replay->schedule.epoch_count(); ++e) {
-    const auto& epoch = replay->schedule.epochs()[e];
+  std::printf("  hot swaps: %zu\n", replay.swaps);
+  for (std::size_t e = 1; e < replay.schedule.epoch_count(); ++e) {
+    const auto& epoch = replay.schedule.epochs()[e];
     std::printf("    epoch %zu from slot %llu (period %llu slots)\n", e,
                 static_cast<unsigned long long>(epoch.start_slot),
                 static_cast<unsigned long long>(epoch.program.period()));
   }
-  const double s = replay->static_metrics.OverallMeanLatency();
-  const double a = replay->adaptive_metrics.OverallMeanLatency();
+  const double s = replay.static_metrics.OverallMeanLatency();
+  const double a = replay.adaptive_metrics.OverallMeanLatency();
   std::printf("  mean retrieval delay: static %.1f slots, adaptive %.1f "
               "slots (%+.1f%%)\n",
               s, a, 100.0 * (a - s) / s);
-  return 0;
+  return Status::OK();
 }
 
 // --serve: broadcast the planned program as real UDP datagrams — one per
@@ -501,68 +663,50 @@ int ReplayAdaptive(const BroadcastProgram& planned) {
 // --serve-bandwidth override). With --channel, the datagrams pass through
 // a FaultingSocket first: the channel model's per-slot verdicts become
 // deliberately dropped or corrupted packets on the real wire.
-int ServeUdp(const BroadcastProgram& planned, std::size_t payload_bytes,
-             std::uint64_t default_rate) {
+Status Planner::ServeUdp(const Plan& plan) {
   namespace net = bdisk::net;
-  auto endpoint = net::ParseEndpoint(g_serve_endpoint);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "error: --serve: %s\n",
-                 endpoint.status().ToString().c_str());
-    return 2;
-  }
-  const auto contents = DeterministicContents(planned, payload_bytes);
-  auto server =
-      bdisk::sim::BroadcastServer::Create(planned, contents, payload_bytes);
-  if (!server.ok()) {
-    std::fprintf(stderr, "serve: %s\n", server.status().ToString().c_str());
-    return 1;
-  }
-  std::uint64_t horizon = g_serve_horizon;
-  if (horizon == 0) {
-    std::uint64_t tail = 4 * planned.DataCycleLength();
-    for (const ProgramFile& pf : planned.files()) {
-      if (!pf.latency_slots.empty()) {
-        tail = std::max(tail, pf.latency_slots.front());
-      }
-    }
-    horizon = tail + 50 * planned.period() + 1;
-  }
-  auto socket = net::UdpSocket::Open();
-  if (!socket.ok()) {
-    std::fprintf(stderr, "serve: %s\n", socket.status().ToString().c_str());
-    return 1;
-  }
-  net::SocketSink socket_sink(&*socket, *endpoint);
+  const BroadcastProgram& planned = plan.build.program;
+  const net::Endpoint& endpoint = *options_.serve;
+  BDISK_ASSIGN_OR_RETURN(
+      auto server,
+      bdisk::sim::BroadcastServer::Create(
+          planned, DeterministicContents(planned, plan.payload_bytes),
+          plan.payload_bytes));
+  BDISK_ASSIGN_OR_RETURN(auto socket, net::UdpSocket::Open());
+  net::SocketSink socket_sink(&socket, endpoint);
   std::unique_ptr<net::FaultingSocket> faulting;
   net::WireSink* sink = &socket_sink;
-  if (g_channel != nullptr) {
-    faulting = std::make_unique<net::FaultingSocket>(g_channel, &socket_sink);
+  if (options_.channel != nullptr) {
+    faulting = std::make_unique<net::FaultingSocket>(options_.channel.get(),
+                                                     &socket_sink);
     sink = faulting.get();
   }
-  net::UdpServerOptions options;
-  options.horizon = horizon;
-  options.bandwidth_bytes_per_sec =
-      g_serve_bandwidth != 0 ? g_serve_bandwidth : default_rate;
+  net::UdpServerOptions serve;
+  serve.horizon = options_.serve_horizon != 0 ? options_.serve_horizon
+                                              : ReplayHorizon(planned);
+  // Pace at the spec's modeled channel rate unless overridden: the wire
+  // then carries exactly the bandwidth the plan assumed. 0 = as fast as
+  // the kernel accepts.
+  serve.bandwidth_bytes_per_sec = options_.serve_bandwidth != 0
+                                      ? options_.serve_bandwidth
+                                      : plan.rate_bytes_per_sec;
   std::printf("\nserving %llu slots to %s:%u at %llu bytes/s%s\n",
-              static_cast<unsigned long long>(horizon),
-              endpoint->host.c_str(), endpoint->port,
-              static_cast<unsigned long long>(
-                  options.bandwidth_bytes_per_sec),
-              g_channel != nullptr ? " (channel faults injected)" : "");
+              static_cast<unsigned long long>(serve.horizon),
+              endpoint.host.c_str(), endpoint.port,
+              static_cast<unsigned long long>(serve.bandwidth_bytes_per_sec),
+              options_.channel != nullptr ? " (channel faults injected)"
+                                          : "");
   std::fflush(stdout);
-  auto stats = bdisk::net::ServeBroadcast(&*server, sink, options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "serve: %s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-  const double wall_s = static_cast<double>(stats->wall_ns) / 1e9;
+  BDISK_ASSIGN_OR_RETURN(const auto stats,
+                         net::ServeBroadcast(&server, sink, serve));
+  const double wall_s = static_cast<double>(stats.wall_ns) / 1e9;
   std::printf("served: %llu block + %llu idle + %llu end datagrams, "
               "%llu bytes in %.2fs (%.0f bytes/s)\n",
-              static_cast<unsigned long long>(stats->block_datagrams),
-              static_cast<unsigned long long>(stats->idle_datagrams),
-              static_cast<unsigned long long>(stats->end_datagrams),
-              static_cast<unsigned long long>(stats->bytes), wall_s,
-              wall_s > 0 ? static_cast<double>(stats->bytes) / wall_s : 0.0);
+              static_cast<unsigned long long>(stats.block_datagrams),
+              static_cast<unsigned long long>(stats.idle_datagrams),
+              static_cast<unsigned long long>(stats.end_datagrams),
+              static_cast<unsigned long long>(stats.bytes), wall_s,
+              wall_s > 0 ? static_cast<double>(stats.bytes) / wall_s : 0.0);
   if (faulting != nullptr) {
     std::printf("channel on the wire: %llu dropped, %llu corrupted, "
                 "%llu forwarded\n",
@@ -575,67 +719,52 @@ int ServeUdp(const BroadcastProgram& planned, std::size_t payload_bytes,
                 static_cast<unsigned long long>(
                     socket_sink.kernel_dropped()));
   }
-  return 0;
+  return Status::OK();
 }
 
 // --listen: tune in to a broadcast of this same spec (mid-stream join is
 // fine — blocks are self-identifying), reconstruct every file, and verify
 // the bytes against the spec's deterministic contents.
-int ListenUdp(const BroadcastProgram& planned, std::size_t payload_bytes) {
+Status Planner::ListenUdp(const Plan& plan) {
   namespace net = bdisk::net;
-  auto endpoint = net::ParseEndpoint(g_listen_endpoint);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "error: --listen: %s\n",
-                 endpoint.status().ToString().c_str());
-    return 2;
-  }
-  net::UdpClientOptions options;
-  options.bind_host = endpoint->host;
-  options.port = endpoint->port;
-  options.block_size = payload_bytes;
-  auto client = net::UdpClient::Create(options);
-  if (!client.ok()) {
-    std::fprintf(stderr, "listen: %s\n",
-                 client.status().ToString().c_str());
-    return 1;
-  }
+  const BroadcastProgram& planned = plan.build.program;
+  net::UdpClientOptions listen;
+  listen.bind_host = options_.listen->host;
+  listen.port = options_.listen->port;
+  listen.block_size = plan.payload_bytes;
+  BDISK_ASSIGN_OR_RETURN(auto client, net::UdpClient::Create(listen));
   for (FileIndex f = 0; f < planned.file_count(); ++f) {
     net::WireSession session;
     session.file = f;
     session.m = planned.files()[f].m;
     session.n = planned.files()[f].n;
-    client->AddSession(session);  // No start slot: join mid-stream.
+    client.AddSession(session);  // No start slot: join mid-stream.
   }
   std::printf("\nlistening on %s:%u for %zu files...\n",
-              endpoint->host.c_str(), client->bound_port(),
+              listen.bind_host.c_str(), client.bound_port(),
               planned.file_count());
   std::fflush(stdout);
-  auto results = client->Run();
-  if (!results.ok()) {
-    std::fprintf(stderr, "listen: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
-  }
-  const auto expected = DeterministicContents(planned, payload_bytes);
-  const auto& stats = client->stats();
+  BDISK_ASSIGN_OR_RETURN(const auto results, client.Run());
+  const auto expected = DeterministicContents(planned, plan.payload_bytes);
+  const auto& stats = client.stats();
   std::printf("heard %llu datagrams (%llu blocks, %llu idle)%s%s\n",
               static_cast<unsigned long long>(stats.datagrams),
               static_cast<unsigned long long>(stats.block_datagrams),
               static_cast<unsigned long long>(stats.idle_datagrams),
               stats.end_seen ? ", end of stream" : "",
               stats.timed_out ? ", timed out" : "");
-  int rc = 0;
-  for (std::size_t f = 0; f < results->size(); ++f) {
-    const auto& r = (*results)[f];
+  std::size_t failed = 0;
+  for (std::size_t f = 0; f < results.size(); ++f) {
+    const auto& r = results[f];
     if (!r.session.completed) {
       std::printf("  %-16s INCOMPLETE (tuned in at slot %llu)\n",
                   planned.files()[f].name.c_str(),
                   static_cast<unsigned long long>(r.start_slot));
-      rc = 1;
+      ++failed;
       continue;
     }
     const bool byte_exact = r.session.data == expected[f];
-    if (!byte_exact) rc = 1;
+    if (!byte_exact) ++failed;
     std::printf("  %-16s reconstructed in %llu slots from slot %llu "
                 "(%zu bytes, %s)\n",
                 planned.files()[f].name.c_str(),
@@ -644,303 +773,38 @@ int ListenUdp(const BroadcastProgram& planned, std::size_t payload_bytes) {
                 r.session.data.size(),
                 byte_exact ? "byte-exact" : "MISMATCH vs spec contents");
   }
-  return rc;
-}
-
-int Plan(const std::string& text, bool adaptive) {
-  auto spec = ParseWorkloadSpec(text);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "error: %s\n", spec.status().ToString().c_str());
-    return 2;
+  if (failed > 0) {
+    return Status::DataLoss(std::to_string(failed) +
+                            " file(s) not reconstructed byte-exact");
   }
-  bdisk::pinwheel::CompositeScheduler scheduler;
-
-  if (spec->IsByteDomain()) {
-    std::printf("byte-domain workload: %zu files, channel %llu bytes/s\n",
-                spec->byte_files.size(),
-                static_cast<unsigned long long>(
-                    spec->channel_bytes_per_second));
-    std::vector<std::uint64_t> ladder;
-    if (spec->block_size != 0) ladder.push_back(spec->block_size);
-    auto choice = ChooseLargestFeasibleBlockSize(
-        spec->byte_files, spec->channel_bytes_per_second, scheduler,
-        std::move(ladder));
-    if (!choice.ok()) {
-      std::fprintf(stderr, "infeasible: %s\n",
-                   choice.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("block size: %llu bytes  =>  bandwidth %llu blocks/s\n",
-                static_cast<unsigned long long>(choice->block_size),
-                static_cast<unsigned long long>(
-                    choice->bandwidth_blocks_per_second));
-    PrintProgram(choice->build);
-    if (g_store_path != nullptr) {
-      const int rc =
-          MaterializeStore(choice->build.program, choice->block_size);
-      if (rc != 0) return rc;
-    }
-    if (g_channel != nullptr) {
-      const int rc = ReplayChannel(choice->build.program);
-      if (rc != 0) return rc;
-    }
-    if (adaptive) {
-      const int rc = ReplayAdaptive(choice->build.program);
-      if (rc != 0) return rc;
-    }
-    if (g_serve_endpoint != nullptr) {
-      // Pace at the spec's modeled channel rate unless overridden: the
-      // wire then carries exactly the bandwidth the plan assumed.
-      const int rc = ServeUdp(choice->build.program, choice->block_size,
-                              spec->channel_bytes_per_second);
-      if (rc != 0) return rc;
-    }
-    if (g_listen_endpoint != nullptr) {
-      const int rc = ListenUdp(choice->build.program, choice->block_size);
-      if (rc != 0) return rc;
-    }
-    return EmitTrace();
-  }
-
-  std::printf("slot-domain workload: %zu generalized files\n",
-              spec->generalized_files.size());
-  auto result = BuildGeneralizedProgram(spec->generalized_files, scheduler);
-  if (!result.ok()) {
-    std::fprintf(stderr, "infeasible: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-  PrintProgram(*result);
-  if (g_store_path != nullptr) {
-    // Slot-domain specs have no byte size; store a fixed 64-byte payload
-    // per coded block.
-    const int rc = MaterializeStore(result->program, 64);
-    if (rc != 0) return rc;
-  }
-  if (g_channel != nullptr) {
-    const int rc = ReplayChannel(result->program);
-    if (rc != 0) return rc;
-  }
-  if (adaptive) {
-    const int rc = ReplayAdaptive(result->program);
-    if (rc != 0) return rc;
-  }
-  if (g_serve_endpoint != nullptr) {
-    // Slot-domain specs model no byte rate: unpaced unless
-    // --serve-bandwidth is given (ServeUdp treats 0 as "as fast as the
-    // kernel accepts").
-    const int rc = ServeUdp(result->program, 64, g_serve_bandwidth);
-    if (rc != 0) return rc;
-  }
-  if (g_listen_endpoint != nullptr) {
-    const int rc = ListenUdp(result->program, 64);
-    if (rc != 0) return rc;
-  }
-  return EmitTrace();
+  return Status::OK();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = bdisk::runtime::ConsumeThreadsFlag(&argc, argv);
-  const bool adaptive =
-      bdisk::runtime::ConsumeBoolFlag(&argc, argv, "adaptive");
-  const char* channel_spec =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "channel");
-  const char* requests_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "requests");
-  const char* seed_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "seed");
-  const char* engine_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "engine");
-  g_metrics_out = bdisk::runtime::ConsumeStringFlag(&argc, argv,
-                                                    "metrics-out");
-  const char* metrics_interval_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "metrics-interval");
-  g_store_path = bdisk::runtime::ConsumeStringFlag(&argc, argv, "store");
-  const char* store_bytes_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "store-bytes");
-  g_trace_out = bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-out");
-  const auto serve_flag =
-      bdisk::runtime::ConsumeStringFlagOnce(&argc, argv, "serve");
-  if (!serve_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 serve_flag.status().message().c_str());
-    return 2;
-  }
-  g_serve_endpoint = *serve_flag;
-  const auto listen_flag =
-      bdisk::runtime::ConsumeStringFlagOnce(&argc, argv, "listen");
-  if (!listen_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 listen_flag.status().message().c_str());
-    return 2;
-  }
-  g_listen_endpoint = *listen_flag;
-  const auto serve_bandwidth_flag =
-      bdisk::runtime::ConsumeByteSizeFlagOnce(&argc, argv,
-                                              "serve-bandwidth", 0);
-  if (!serve_bandwidth_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 serve_bandwidth_flag.status().message().c_str());
-    return 2;
-  }
-  g_serve_bandwidth = *serve_bandwidth_flag;
-  const auto serve_horizon_flag =
-      bdisk::runtime::ConsumeUintFlagOnce(&argc, argv, "serve-horizon", 0);
-  if (!serve_horizon_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 serve_horizon_flag.status().message().c_str());
-    return 2;
-  }
-  g_serve_horizon = *serve_horizon_flag;
-  const char* trace_sample_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-sample");
-  const char* trace_stall_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-stall");
-  const char* trace_flight_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "trace-flight");
-  if (argc != 2) {
-    std::fprintf(stderr,
-                 "usage: %s [--threads N] [--adaptive] [--channel SPEC] "
-                 "[--engine slot|event] [--requests N] [--seed S] "
-                 "[--metrics-out PATH] [--metrics-interval N] "
-                 "[--store PATH] [--store-bytes SIZE] "
-                 "[--trace-out PATH] [--trace-sample 1/N] [--trace-stall S] "
-                 "[--trace-flight K] [--serve HOST:PORT | --listen "
-                 "HOST:PORT] [--serve-bandwidth RATE] [--serve-horizon N] "
-                 "<spec-file | ->\n",
-                 argv[0]);
-    return 2;
-  }
-  if (store_bytes_token != nullptr) {
-    auto parsed = bdisk::runtime::ParseByteSize(store_bytes_token);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: --store-bytes: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    g_store_bytes = *parsed;
-    if (g_store_path == nullptr) {
-      std::fprintf(stderr, "error: --store-bytes requires --store\n");
-      return 2;
-    }
-  }
-  if (trace_sample_token != nullptr) {
-    // Accepted as "1/N" (the sampling-rate reading) or plain "N".
-    std::string token(trace_sample_token);
-    if (token.rfind("1/", 0) == 0) token = token.substr(2);
-    if (!ParseUint64Token(token.c_str(), &g_trace_options.sample_every) ||
-        g_trace_options.sample_every == 0) {
-      std::fprintf(stderr, "error: --trace-sample must be 1/N or N with "
-                   "positive N, got '%s'\n", trace_sample_token);
-      return 2;
-    }
-  }
-  if (trace_stall_token != nullptr &&
-      (!ParseUint64Token(trace_stall_token,
-                         &g_trace_options.stall_threshold) ||
-       g_trace_options.stall_threshold == 0)) {
-    std::fprintf(stderr, "error: --trace-stall must be a positive integer, "
-                 "got '%s'\n", trace_stall_token);
-    return 2;
-  }
-  if (trace_flight_token != nullptr &&
-      (!ParseUint64Token(trace_flight_token,
-                         &g_trace_options.flight_recorder_depth) ||
-       g_trace_options.flight_recorder_depth == 0)) {
-    std::fprintf(stderr, "error: --trace-flight must be a positive integer, "
-                 "got '%s'\n", trace_flight_token);
-    return 2;
-  }
-  if (g_trace_out == nullptr &&
-      (trace_sample_token != nullptr || trace_stall_token != nullptr ||
-       trace_flight_token != nullptr)) {
-    std::fprintf(stderr, "error: --trace-sample/--trace-stall/--trace-flight "
-                 "require --trace-out\n");
-    return 2;
-  }
-  if (g_trace_out != nullptr && channel_spec == nullptr && !adaptive) {
-    std::fprintf(stderr,
-                 "error: --trace-out requires --channel or --adaptive "
-                 "(nothing to trace otherwise)\n");
-    return 2;
-  }
-  if (g_serve_endpoint != nullptr && g_listen_endpoint != nullptr) {
-    std::fprintf(stderr, "error: --serve and --listen are exclusive (run "
-                 "one process per role)\n");
-    return 2;
-  }
-  if ((g_serve_bandwidth != 0 || g_serve_horizon != 0) &&
-      g_serve_endpoint == nullptr) {
-    std::fprintf(stderr,
-                 "error: --serve-bandwidth/--serve-horizon require "
-                 "--serve\n");
-    return 2;
-  }
-  if (metrics_interval_token != nullptr) {
-    if (!ParseUint64Token(metrics_interval_token, &g_metrics_interval) ||
-        g_metrics_interval == 0) {
-      std::fprintf(stderr, "error: --metrics-interval must be a positive "
-                   "integer, got '%s'\n", metrics_interval_token);
-      return 2;
-    }
-  }
-  if (g_metrics_interval != 0 && g_metrics_out == nullptr) {
-    std::fprintf(stderr,
-                 "error: --metrics-interval requires --metrics-out\n");
-    return 2;
-  }
-  if (engine_token != nullptr) {
-    if (std::string(engine_token) == "event") {
-      g_evented_engine = true;
-    } else if (std::string(engine_token) != "slot") {
-      std::fprintf(stderr, "error: --engine must be 'slot' or 'event', "
-                   "got '%s'\n", engine_token);
-      return 2;
-    }
-  }
-  std::unique_ptr<bdisk::faults::ChannelModel> channel;
-  if (channel_spec != nullptr) {
-    auto parsed = bdisk::faults::ParseChannelSpec(channel_spec);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    channel = std::move(*parsed);
-    g_channel = channel.get();
-  }
-  if (requests_token != nullptr) {
-    if (!ParseUint64Token(requests_token, &g_requests_per_file) ||
-        g_requests_per_file == 0) {
-      std::fprintf(stderr, "error: --requests must be a positive integer, "
-                   "got '%s'\n", requests_token);
-      return 2;
-    }
-  }
-  if (seed_token != nullptr &&
-      !ParseUint64Token(seed_token, &g_workload_seed)) {
-    std::fprintf(stderr, "error: --seed must be a 64-bit non-negative "
-                 "integer, got '%s'\n", seed_token);
-    return 2;
-  }
-  const char* spec_arg = argv[1];
-  std::unique_ptr<bdisk::runtime::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<bdisk::runtime::ThreadPool>(threads);
-    g_pool = pool.get();
-  }
+  const Options options = ParseOptions(argc, argv);
   std::ostringstream text;
-  if (std::string(spec_arg) == "-") {
+  if (std::strcmp(options.spec_path, "-") == 0) {
     text << std::cin.rdbuf();
   } else {
-    std::ifstream in(spec_arg);
+    std::ifstream in(options.spec_path);
     if (!in) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", spec_arg);
+      std::fprintf(stderr, "error: cannot open '%s'\n", options.spec_path);
       return 2;
     }
     text << in.rdbuf();
   }
-  return Plan(text.str(), adaptive);
+  auto spec = ParseWorkloadSpec(text.str());
+  if (!spec.ok()) {
+    std::fprintf(stderr, "error: %s\n", spec.status().ToString().c_str());
+    return 2;
+  }
+  auto plan = ResolvePlan(*spec);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "infeasible: %s\n",
+                 plan.status().ToString().c_str());
+    return 1;
+  }
+  return Planner(options).Run(*plan);
 }

@@ -186,26 +186,13 @@ void Render(const Stream& s, std::size_t max_rows, const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto follow_flag =
-      bdisk::runtime::ConsumeBoolFlagOnce(&argc, argv, "follow");
-  if (!follow_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 follow_flag.status().message().c_str());
-    return 2;
-  }
-  const bool follow = *follow_flag;
-  const auto rows_flag =
-      bdisk::runtime::ConsumeUintFlagOnce(&argc, argv, "rows", 20);
-  if (!rows_flag.ok()) {
-    std::fprintf(stderr, "error: %s\n", rows_flag.status().message().c_str());
-    return 2;
-  }
-  const std::uint64_t max_rows = *rows_flag;
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: %s [--follow] [--rows N] stream.jsonl\n",
-                 argv[0]);
-    return 2;
-  }
+  namespace runtime = bdisk::runtime;
+  const bool follow =
+      runtime::OrExit(runtime::ConsumeBoolFlagOnce(&argc, argv, "follow"));
+  const std::uint64_t max_rows =
+      runtime::OrExit(runtime::ConsumeUintFlagOnce(&argc, argv, "rows", 20));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 1),
+                  "usage: bdisk_top [--follow] [--rows N] stream.jsonl");
   const char* path = argv[1];
 
   bdisk::obs::StreamTail tail;

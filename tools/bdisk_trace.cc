@@ -251,38 +251,34 @@ void PrintChrome(const JsonValue& doc, const JsonValue& events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool summary = bdisk::runtime::ConsumeBoolFlag(&argc, argv,
-                                                       "summary");
-  const bool chrome = bdisk::runtime::ConsumeBoolFlag(&argc, argv, "chrome");
+  namespace runtime = bdisk::runtime;
+  const bool summary =
+      runtime::OrExit(runtime::ConsumeBoolFlagOnce(&argc, argv, "summary"));
+  const bool chrome =
+      runtime::OrExit(runtime::ConsumeBoolFlagOnce(&argc, argv, "chrome"));
   const char* client_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "client");
-  const char* top_token = bdisk::runtime::ConsumeStringFlag(&argc, argv,
-                                                            "top");
+      runtime::OrExit(runtime::ConsumeStringFlagOnce(&argc, argv, "client"));
+  const std::uint64_t top =
+      runtime::OrExit(runtime::ConsumeUintFlagOnce(&argc, argv, "top", 10));
   Filters filters;
-  filters.file = bdisk::runtime::ConsumeStringFlag(&argc, argv, "file");
-  filters.outcome = bdisk::runtime::ConsumeStringFlag(&argc, argv,
-                                                      "outcome");
-  if (argc != 2) {
-    std::fprintf(stderr,
-                 "usage: %s [--client N] [--file NAME] [--outcome "
-                 "ok|deadline_miss|undecodable] [--summary] [--top N] "
-                 "[--chrome] <trace.json | ->\n",
-                 argv[0]);
-    return 2;
-  }
+  filters.file =
+      runtime::OrExit(runtime::ConsumeStringFlagOnce(&argc, argv, "file"));
+  filters.outcome =
+      runtime::OrExit(runtime::ConsumeStringFlagOnce(&argc, argv, "outcome"));
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 1),
+                  "usage: bdisk_trace [--client N] [--file NAME] [--outcome "
+                  "ok|deadline_miss|undecodable] [--summary] [--top N] "
+                  "[--chrome] <trace.json | ->");
   if (client_token != nullptr) {
-    if (!bdisk::runtime::ParseUint64Token(client_token, &filters.client)) {
+    if (!runtime::ParseUint64Token(client_token, &filters.client)) {
       std::fprintf(stderr, "error: --client must be a non-negative integer, "
                    "got '%s'\n", client_token);
       return 2;
     }
     filters.have_client = true;
   }
-  std::uint64_t top = 10;
-  if (top_token != nullptr &&
-      (!bdisk::runtime::ParseUint64Token(top_token, &top) || top == 0)) {
-    std::fprintf(stderr, "error: --top must be a positive integer, got "
-                 "'%s'\n", top_token);
+  if (top == 0) {
+    std::fprintf(stderr, "error: --top must be a positive integer, got 0\n");
     return 2;
   }
   if (filters.outcome != nullptr) {

@@ -17,7 +17,8 @@
 //     Compares two trajectory files keyed by (bench, metric, threads) and
 //     fails (exit 1) when any *headline* metric regresses by more than T
 //     (default 0.10, overridable by --threshold or the
-//     BDISK_PERF_THRESHOLD env var). Headline metrics and their
+//     BDISK_PERF_THRESHOLD env var; either must be a whole decimal number
+//     in (0, 1), or the tool exits 2). Headline metrics and their
 //     directions:
 //       higher is better: *bytes_per_second, events_per_sec, *_MBps
 //       lower  is better: *real_time_ns, mean_delay_slots,
@@ -208,35 +209,31 @@ int CompareMode(const char* baseline_path, const char* current_path,
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace runtime = bdisk::runtime;
   const char* check_path =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "check");
-  const char* threshold_token =
-      bdisk::runtime::ConsumeStringFlag(&argc, argv, "threshold");
-
+      runtime::OrExit(runtime::ConsumeStringFlagOnce(&argc, argv, "check"));
   double threshold = 0.10;
   if (const char* env = std::getenv("BDISK_PERF_THRESHOLD")) {
-    threshold = std::atof(env);
+    if (!runtime::ParseDoubleToken(env, &threshold)) {
+      std::fprintf(stderr,
+                   "error: BDISK_PERF_THRESHOLD: '%s' is not a decimal "
+                   "number\n",
+                   env);
+      return 2;
+    }
   }
-  if (threshold_token != nullptr) threshold = std::atof(threshold_token);
+  threshold = runtime::OrExit(
+      runtime::ConsumeDoubleFlagOnce(&argc, argv, "threshold", threshold));
   if (threshold <= 0.0 || threshold >= 1.0) {
     std::fprintf(stderr, "error: threshold must be in (0, 1), got %g\n",
                  threshold);
     return 2;
   }
 
-  if (check_path != nullptr) {
-    if (argc != 1) {
-      std::fprintf(stderr, "usage: %s --check FILE\n", argv[0]);
-      return 2;
-    }
-    return CheckMode(check_path);
-  }
-  if (argc != 3) {
-    std::fprintf(stderr,
-                 "usage: %s BASELINE CURRENT [--threshold T]\n"
-                 "       %s --check FILE\n",
-                 argv[0], argv[0]);
-    return 2;
-  }
-  return CompareMode(argv[1], argv[2], threshold);
+  runtime::OrExit(
+      runtime::ExpectPositionals(argc, argv, check_path != nullptr ? 0 : 2),
+      "usage: bench_compare BASELINE CURRENT [--threshold T]\n"
+      "       bench_compare --check FILE");
+  return check_path != nullptr ? CheckMode(check_path)
+                               : CompareMode(argv[1], argv[2], threshold);
 }
