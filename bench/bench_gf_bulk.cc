@@ -13,6 +13,12 @@
 // The fused-vs-unfused pair measures GFBulk::MatrixMulAccumulate against
 // the equivalent n * m independent MulRowAccumulate calls on the dispersal
 // geometry of the acceptance bar (n=8 outputs, m=5 inputs, 64 KiB blocks).
+//
+// The other per-block data-plane kernel is the CRC-32C every stamp and
+// verify runs: BM_Crc32cPortable (the bytewise table) vs BM_Crc32c (the
+// kernel Crc32cExtend selects on this host, named in the run's label), over
+// the stamped span of a 1 KiB and a 32 KiB block — payload plus the 24
+// identity bytes.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +27,7 @@
 #include <vector>
 
 #include "bench_gbench.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "gf/gf256.h"
 #include "gf/gf_dispatch.h"
@@ -67,6 +74,34 @@ BENCHMARK(BM_PerByteLogExpAccumulate)
     ->Arg(4096)
     ->Arg(65536)
     ->Arg(1 << 20);
+
+// Stamped spans of a 1 KiB and a 32 KiB block: payload + identity bytes.
+constexpr std::int64_t kStampedSpans[] = {1024 + 24, 32768 + 24};
+
+using CrcExtend = std::uint32_t (*)(std::uint32_t, const void*, std::size_t);
+
+void RunCrc32c(benchmark::State& state, CrcExtend extend) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto data = RandomBytes(n);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = extend(crc, data.data(), n);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  RunCrc32c(state, bdisk::internal::Crc32cExtendPortable);
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(kStampedSpans[0])->Arg(kStampedSpans[1]);
+
+void BM_Crc32c(benchmark::State& state) {
+  RunCrc32c(state, bdisk::Crc32cExtend);
+  state.SetLabel(bdisk::internal::Crc32cKernelName());
+}
+BENCHMARK(BM_Crc32c)->Arg(kStampedSpans[0])->Arg(kStampedSpans[1]);
 
 // One registered benchmark per (implementation, kernel); the implementation
 // name is part of the benchmark name, so every JSON line identifies its

@@ -5,10 +5,20 @@
 /// block over a corrupting channel recomputes the checksum and discards the
 /// block on mismatch. CRC-32C guarantees detection of any single error
 /// burst of at most 32 bits; longer random corruption escapes with
-/// probability 2^-32. The implementation is a portable table-driven one —
-/// stamping happens once per block at dispersal-store build time, off the
-/// GF(2^8) hot path, so hardware CRC instructions are not worth a dispatch
-/// layer here.
+/// probability 2^-32.
+///
+/// Checksums sit on the data path. `ida::VerifyChecksum` recomputes a
+/// block's stamp in `BlockStore::StageFile` (every coded block staged),
+/// `BlockStore::ReadCodedBlock` (every block read back) and
+/// `ReconstructingClient::OfferEx` (every block a client is offered); the
+/// servers stamp every block they disperse, and the store's superblock and
+/// catalog carry their own CRC. All of them go through `Crc32cExtend`.
+///
+/// `Crc32cExtend` runs one of two kernels, chosen once per process by a
+/// CPU probe: on x86-64 CPUs with SSE4.2, the `crc32` instruction over
+/// 8-byte words; everywhere else, the portable bytewise table
+/// (`internal::Crc32cExtendPortable`). Both compute the same function, so
+/// every stamp is byte-identical whichever kernel wrote or checks it.
 
 #ifndef BDISK_COMMON_CRC32C_H_
 #define BDISK_COMMON_CRC32C_H_
@@ -27,6 +37,19 @@ inline std::uint32_t Crc32c(const void* data, std::size_t len) {
   return Crc32cExtend(0, data, len);
 }
 
+namespace internal {
+
+/// \brief The bytewise table kernel: the only path on CPUs without a CRC
+/// instruction, and the reference the tests compare the selected kernel
+/// against. Same contract as Crc32cExtend.
+std::uint32_t Crc32cExtendPortable(std::uint32_t crc, const void* data,
+                                   std::size_t len);
+
+/// \brief Name of the kernel Crc32cExtend runs on this host: "sse4.2" or
+/// "portable".
+const char* Crc32cKernelName();
+
+}  // namespace internal
 }  // namespace bdisk
 
 #endif  // BDISK_COMMON_CRC32C_H_

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "gf/gf256.h"
 #include "gf/matrix.h"
@@ -26,6 +27,33 @@ TEST(BlockHeaderTest, ToStringIncludesAllFields) {
   EXPECT_EQ(h.ToString(), "file=3 block=4/10 (m=5) v0");
   BlockHeader none;
   EXPECT_NE(none.ToString().find("<none>"), std::string::npos);
+}
+
+// Pins the stamp format: stores and --serve streams written by earlier
+// binaries carry this value, so it must never change. The constant was
+// computed by the table-only CRC-32C kernel before the hardware one existed.
+TEST(BlockChecksumTest, StampOfAFixedBlockIsPinned) {
+  constexpr std::uint32_t kPinned = 0xD411F21Bu;
+  Block block;
+  block.header = {.file_id = 7,
+                  .block_index = 3,
+                  .reconstruct_threshold = 5,
+                  .total_blocks = 8,
+                  .version = 42};
+  block.payload.resize(1024);
+  for (std::size_t i = 0; i < block.payload.size(); ++i) {
+    block.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  EXPECT_EQ(BlockChecksum(block), kPinned);
+
+  // The same coverage (identity bytes, then payload) through the portable
+  // reference kernel, so the pin holds on both kernels.
+  const auto identity = SerializeIdentity(block.header);
+  std::uint32_t crc = bdisk::internal::Crc32cExtendPortable(
+      0, identity.data(), identity.size());
+  crc = bdisk::internal::Crc32cExtendPortable(crc, block.payload.data(),
+                                              block.payload.size());
+  EXPECT_EQ(crc, kPinned);
 }
 
 TEST(DispersalTest, CreateValidation) {
