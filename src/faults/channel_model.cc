@@ -73,24 +73,17 @@ double GilbertElliottChannel::StationaryLossRate() const {
 }
 
 FaultType GilbertElliottChannel::FaultAt(std::uint64_t slot) const {
-  // Regenerate at the frame boundary, then run the chain within the frame.
-  // Draw order per slot is loss-then-transition, and must match
-  // FillFaults exactly.
-  const std::uint64_t frame = slot / kFrameSlots;
-  Rng rng = runtime::StreamRng(seed_ ^ kBurstStreamTag, frame);
-  bool bad = rng.Bernoulli(StationaryBadProbability());
-  for (std::uint64_t t = frame * kFrameSlots;; ++t) {
-    const bool lost =
-        rng.Bernoulli(bad ? params_.loss_bad : params_.loss_good);
-    if (t == slot) return lost ? FaultType::kLost : FaultType::kNone;
-    bad = bad ? !rng.Bernoulli(params_.p_bad_to_good)
-              : rng.Bernoulli(params_.p_good_to_bad);
-  }
+  // One chain walk serves both: the frame runs from its start to `slot`.
+  FaultType fault = FaultType::kNone;
+  FillFaults(slot, slot + 1, &fault);
+  return fault;
 }
 
 void GilbertElliottChannel::FillFaults(std::uint64_t begin, std::uint64_t end,
                                        FaultType* out) const {
-  // Walk each overlapped frame once instead of O(frame) work per slot.
+  // Regenerate at each frame boundary, then run the chain within the
+  // frame (loss, then transition, per slot). Each overlapped frame is
+  // walked once instead of O(frame) work per slot.
   std::uint64_t t = begin;
   while (t < end) {
     const std::uint64_t frame = t / kFrameSlots;
@@ -217,6 +210,15 @@ ComposedChannel LostSlots(const std::vector<std::uint64_t>& slots) {
     parts.push_back(std::make_unique<OutageChannel>(0, slot, 1));
   }
   return ComposedChannel(std::move(parts));
+}
+
+FaultType FaultCursor::At(std::uint64_t slot) {
+  if (slot < begin_ || slot - begin_ >= chunk_.size()) {
+    begin_ = slot - slot % GilbertElliottChannel::kFrameSlots;
+    chunk_.resize(kChunkSlots);
+    channel_->FillFaults(begin_, begin_ + kChunkSlots, chunk_.data());
+  }
+  return chunk_[slot - begin_];
 }
 
 }  // namespace bdisk::faults

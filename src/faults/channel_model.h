@@ -24,9 +24,9 @@
 /// the contract by *frame regeneration*: time is cut into fixed frames, the
 /// state at each frame boundary is drawn from the chain's stationary
 /// distribution on the frame's own RNG stream, and the chain runs
-/// sequentially only within a frame. Random access costs O(frame length);
-/// burst statistics are exact within frames and only the (rare) bursts
-/// straddling a boundary are truncated.
+/// sequentially only within a frame. Random access costs O(frame length)
+/// (a FaultCursor walk, O(1) per slot); burst statistics are exact within
+/// frames and only the (rare) bursts straddling a boundary are truncated.
 ///
 /// Models are safe for concurrent const use.
 
@@ -204,6 +204,26 @@ class ComposedChannel final : public ChannelModel {
 /// (so the empty set is legal) composed with one-slot outage windows, so
 /// Describe() re-parses to the same trace.
 ComposedChannel LostSlots(const std::vector<std::uint64_t>& slots);
+
+/// \brief One walker's reader of a channel's trace: At(slot) equals
+/// FaultAt(slot) for any slot in any order, but a mostly forward walk costs
+/// O(1) per slot, because the cursor refills a frame-aligned chunk through
+/// FillFaults (Gilbert–Elliott's FaultAt re-runs its frame on every call).
+/// `channel` is not owned and must outlive the cursor.
+class FaultCursor {
+ public:
+  explicit FaultCursor(const ChannelModel* channel) : channel_(channel) {}
+
+  FaultType At(std::uint64_t slot);
+
+ private:
+  static constexpr std::uint64_t kChunkSlots =
+      4 * GilbertElliottChannel::kFrameSlots;
+
+  const ChannelModel* channel_;
+  std::uint64_t begin_ = 0;
+  std::vector<FaultType> chunk_;
+};
 
 }  // namespace bdisk::faults
 

@@ -14,7 +14,7 @@ Status FaultingSocket::SendDatagram(const std::uint8_t* data,
     return next_->SendDatagram(data, size);
   }
   BDISK_ASSIGN_OR_RETURN(std::uint64_t slot, PeekSlot(data, size));
-  const faults::FaultType fault = channel_->FaultAt(slot);
+  const faults::FaultType fault = faults_.At(slot);
   if (fault == faults::FaultType::kLost) {
     ++dropped_;
     return Status::OK();

@@ -1,5 +1,7 @@
 #include "net/udp_client.h"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "net/wire.h"
@@ -19,62 +21,24 @@ Result<UdpClient> UdpClient::Create(const UdpClientOptions& options) {
 }
 
 void UdpClient::AddSession(const WireSession& session) {
-  sessions_.push_back(ActiveSession{
-      session,
-      sim::ReconstructingClient(static_cast<ida::FileId>(session.file),
-                                session.m, session.n, options_.block_size),
-      WireSessionResult{},
-      /*tuned_in=*/false});
-  sessions_.back().client.set_require_checksums(options_.require_checksums);
-  if (session.start_slot.has_value()) {
-    // Prefill so an incomplete result still reports where it listened from.
-    sessions_.back().result.start_slot = *session.start_slot;
-  }
-}
-
-bool UdpClient::AllComplete() const {
-  for (const ActiveSession& s : sessions_) {
-    if (!s.result.session.completed) return false;
-  }
-  return true;
-}
-
-void UdpClient::OfferToSessions(std::uint64_t slot, std::uint64_t epoch,
-                                const ida::Block& block) {
-  for (ActiveSession& s : sessions_) {
-    if (!s.tuned_in) {
-      if (s.spec.start_slot.has_value()) {
-        if (slot < *s.spec.start_slot) continue;
-        s.result.start_slot = *s.spec.start_slot;
-      } else {
-        // Mid-stream join: latency counts from the first slot heard.
-        s.result.start_slot = slot;
-      }
-      s.tuned_in = true;
-    }
-    if (s.result.session.completed) continue;
-    const sim::OfferOutcome outcome = s.client.OfferEx(block, epoch);
-    if (outcome == sim::OfferOutcome::kChecksumMismatch &&
-        block.header.file_id == static_cast<ida::FileId>(s.spec.file)) {
-      // Attribution by claimed identity — see the header-comment caveat.
-      ++s.result.session.corrupt_detected;
-    }
-    if (sim::OfferSatisfied(outcome)) {
-      s.result.session.completed = true;
-      s.result.session.completion_slot = slot;
-      s.result.session.latency = slot - s.result.start_slot + 1;
-    }
-  }
+  by_file_.resize(std::max(by_file_.size(), std::size_t{session.file} + 1));
+  by_file_[session.file].push_back(sessions_.size());
+  sessions_.emplace_back(session.file, session.m, session.n,
+                         options_.block_size, session.start_slot);
 }
 
 Result<std::vector<WireSessionResult>> UdpClient::Run() {
+  // Sessions still to tune in, the earliest start at the back: each
+  // datagram tunes in from the back until it meets a start it has not
+  // reached. A mid-stream joiner counts as start 0 until it tunes in.
+  std::vector<std::size_t> waiting(sessions_.size());
+  std::iota(waiting.begin(), waiting.end(), std::size_t{0});
+  std::sort(waiting.begin(), waiting.end(),
+            [this](std::size_t a, std::size_t b) {
+              return sessions_[a].start_slot() > sessions_[b].start_slot();
+            });
   std::vector<std::uint8_t> buf(65536);
-  // Tuning out the moment every session completes (!linger_until_end)
-  // sounds like an optimization but silently breaks any sent-vs-received
-  // datagram accounting: the unread stream tail looks exactly like kernel
-  // loss to the harness. Lingering to the end marker is the default so
-  // the stats cover the whole broadcast.
-  while ((options_.linger_until_end || !AllComplete()) && !stats_.end_seen) {
+  while (!stats_.end_seen) {
     BDISK_ASSIGN_OR_RETURN(bool readable,
                            socket_.PollReadable(options_.idle_timeout_ms));
     if (!readable) {
@@ -99,30 +63,32 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
         stats_.end_seen = true;
         break;
       }
+      // Any block or idle beacon tells the broadcast clock.
+      while (!waiting.empty() && sessions_[waiting.back()].TuneIn(d.slot)) {
+        waiting.pop_back();
+      }
       if (d.type == DatagramType::kIdle) {
         ++stats_.idle_datagrams;
-        // An idle beacon still tunes mid-stream joiners in: it tells
-        // them the broadcast clock.
-        for (ActiveSession& s : sessions_) {
-          if (!s.tuned_in && !s.spec.start_slot.has_value()) {
-            s.result.start_slot = d.slot;
-            s.tuned_in = true;
-          }
-        }
         continue;
       }
       ++stats_.block_datagrams;
-      OfferToSessions(d.slot, d.epoch, d.block);
+      const ida::FileId claimed = d.block.header.file_id;
+      if (claimed >= by_file_.size()) continue;
+      for (const std::size_t i : by_file_[claimed]) {
+        sim::RetrievalSession& s = sessions_[i];
+        if (s.listening() && s.Offer(d.slot, d.block, d.epoch) ==
+                                 sim::OfferOutcome::kChecksumMismatch) {
+          // Attribution by claimed identity — see the header comment.
+          s.CountCorrupt();
+        }
+      }
     }
   }
   std::vector<WireSessionResult> results;
   results.reserve(sessions_.size());
-  for (ActiveSession& s : sessions_) {
-    s.result.session.epochs_spanned = s.client.EpochsSpanned();
-    if (s.result.session.completed) {
-      BDISK_ASSIGN_OR_RETURN(s.result.session.data, s.client.Reconstruct());
-    }
-    results.push_back(std::move(s.result));
+  for (const sim::RetrievalSession& s : sessions_) {
+    BDISK_ASSIGN_OR_RETURN(sim::SessionResult session, s.Finish());
+    results.push_back(WireSessionResult{std::move(session), s.start_slot()});
   }
   return results;
 }

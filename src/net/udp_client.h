@@ -4,17 +4,18 @@
 ///
 /// One socket hosts many *logical sessions* — that is the broadcast
 /// semantics of the paper: every listener hears the same datagrams, so N
-/// concurrent retrievals cost one wire pass, not N. Each session owns a
-/// `sim::ReconstructingClient` and every received block datagram is
-/// offered to every session that has tuned in; duplicate/stale/corrupt
-/// rejection is the in-process `OfferEx` path, byte for byte (the wire
-/// header carries the block's identity + CRC-32C stamp verbatim).
+/// concurrent retrievals cost one wire pass, not N. Each session is the
+/// `sim::RetrievalSession` the in-process walk drives, and a block
+/// datagram is offered only to the tuned-in sessions of the file its
+/// header claims; duplicate/stale/corrupt rejection is the in-process
+/// `OfferEx` path, byte for byte (the wire header carries the block's
+/// identity + CRC-32C stamp verbatim, and the stamp is required).
 ///
 /// The loop is single-threaded and non-blocking: `poll(2)` for
-/// readability, drain the socket, decode, offer. It terminates when all
-/// sessions complete, an end-of-stream datagram arrives, or the wire
-/// stays silent past the idle timeout (UDP may lose the end datagrams
-/// too).
+/// readability, drain the socket, decode, offer. It runs past the last
+/// completion until an end-of-stream datagram arrives or the wire stays
+/// silent past the idle timeout (UDP may lose the end datagrams too), so
+/// datagrams received can always be audited against datagrams sent.
 ///
 /// What a wire listener *cannot* report: `lost_observed` and
 /// `stall_slots` need the server's schedule as ground truth (a lost
@@ -70,15 +71,6 @@ struct UdpClientOptions {
   int recv_buffer_bytes = 4 << 20;
   /// Give up after this long with no datagram at all.
   int idle_timeout_ms = 5000;
-  /// Reject unstamped blocks (the broadcast server stamps everything).
-  bool require_checksums = true;
-  /// Keep listening until the end-of-stream marker even after every
-  /// session has completed. On: stats cover the whole broadcast, and
-  /// datagrams-received can be audited against datagrams-sent. Off: tune
-  /// out as soon as all sessions are done (a real receiver switching the
-  /// radio off) — the stream tail then goes deliberately unread, so
-  /// sent-vs-received accounting is meaningless.
-  bool linger_until_end = true;
 };
 
 /// \brief Run tallies (client-level, across all sessions).
@@ -116,20 +108,11 @@ class UdpClient {
   explicit UdpClient(UdpClientOptions options, UdpSocket socket)
       : options_(std::move(options)), socket_(std::move(socket)) {}
 
-  struct ActiveSession {
-    WireSession spec;
-    sim::ReconstructingClient client;
-    WireSessionResult result;
-    bool tuned_in = false;
-  };
-
-  void OfferToSessions(std::uint64_t slot, std::uint64_t epoch,
-                       const ida::Block& block);
-  bool AllComplete() const;
-
   UdpClientOptions options_;
   UdpSocket socket_;
-  std::vector<ActiveSession> sessions_;
+  std::vector<sim::RetrievalSession> sessions_;
+  // by_file_[f]: indices into sessions_ of file f's sessions.
+  std::vector<std::vector<std::size_t>> by_file_;
   UdpClientStats stats_;
 };
 

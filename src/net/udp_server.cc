@@ -49,8 +49,7 @@ Result<UdpServerStats> ServeBroadcast(sim::BroadcastServer* server,
     ++stats.slots;
   }
   const std::uint64_t end_epoch =
-      options.horizon == 0 ? 0
-                           : server->schedule().EpochIndexAt(options.horizon - 1);
+      server->schedule().EpochIndexAt(options.horizon - 1);
   for (int i = 0; i < options.end_repeats; ++i) {
     const std::vector<std::uint8_t> datagram =
         EncodeControlDatagram(DatagramType::kEnd, options.horizon, end_epoch);

@@ -49,11 +49,7 @@ Result<Endpoint> ParseEndpoint(const std::string& spec) {
   }
   ep.port = static_cast<std::uint16_t>(port);
   // Validate the host eagerly so Bind/SendTo failures can't be a typo.
-  struct sockaddr_in addr;
-  if (inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("net: not a numeric IPv4 address: '" +
-                                   ep.host + "'");
-  }
+  BDISK_RETURN_NOT_OK(ToSockaddr(ep).status());
   return ep;
 }
 

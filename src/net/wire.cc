@@ -74,15 +74,8 @@ Result<WireDatagram> DecodeDatagram(const std::uint8_t* data,
     return Status::InvalidArgument("wire: datagram shorter than the header (" +
                                    std::to_string(size) + " bytes)");
   }
-  if (std::memcmp(data, kWireMagic, 4) != 0) {
-    return Status::InvalidArgument("wire: bad magic");
-  }
-  if (data[4] > static_cast<std::uint8_t>(DatagramType::kEnd)) {
-    return Status::InvalidArgument("wire: unknown datagram type " +
-                                   std::to_string(data[4]));
-  }
   WireDatagram d;
-  d.type = static_cast<DatagramType>(data[4]);
+  BDISK_ASSIGN_OR_RETURN(d.type, PeekType(data, size));
   d.slot = GetU64(data + 8);
   d.epoch = GetU64(data + 16);
   if (d.type != DatagramType::kBlock) {

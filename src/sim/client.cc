@@ -1,7 +1,5 @@
 #include "sim/client.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "sim/simulation.h"
 
@@ -35,8 +33,11 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
     ++checksum_rejected_;
     return OfferOutcome::kChecksumMismatch;
   }
+  // A checksum covers whatever payload arrived, so a short or long one
+  // can verify; it must not reach the buffer, where Reconstruct would fail.
   if (block.header.reconstruct_threshold != m_ ||
-      block.header.total_blocks != n_ || block.header.block_index >= n_) {
+      block.header.total_blocks != n_ || block.header.block_index >= n_ ||
+      block.payload.size() != engine_.block_size()) {
     return OfferOutcome::kMalformedHeader;
   }
   if (CanReconstruct()) return OfferOutcome::kAlreadyComplete;
@@ -99,22 +100,74 @@ void ReconstructingClient::Clear() {
   version_.reset();
 }
 
-namespace {
-
-// Completion slot of a faultless byte-level session (index walk only — no
-// payload copies): the stall baseline, on the shared walk definition.
-std::optional<std::uint64_t> LosslessSessionCompletion(
-    const BroadcastServer& server, broadcast::FileIndex file,
-    std::uint64_t start_slot, std::uint64_t horizon) {
-  const broadcast::ProgramFile& pf = server.program().files()[file];
-  return LosslessCompletionWalk(
-      [&server](std::uint64_t t) {
-        return server.schedule().TransmissionAt(t);
-      },
-      file, pf.m, pf.n, start_slot, horizon);
+RetrievalSession::RetrievalSession(broadcast::FileIndex file,
+                                   std::uint32_t m, std::uint32_t n,
+                                   std::size_t block_size,
+                                   std::optional<std::uint64_t> start_slot)
+    : client_(static_cast<ida::FileId>(file), m, n, block_size),
+      start_slot_(start_slot) {
+  client_.set_require_checksums(true);
 }
 
-}  // namespace
+bool RetrievalSession::TuneIn(std::uint64_t slot) {
+  if (!tuned_in_ && slot >= start_slot()) {
+    start_slot_ = start_slot_.value_or(slot);
+    tuned_in_ = true;
+  }
+  return tuned_in_;
+}
+
+OfferOutcome RetrievalSession::Offer(std::uint64_t slot,
+                                     const ida::Block& block,
+                                     std::uint64_t epoch) {
+  const OfferOutcome outcome = client_.OfferEx(block, epoch);
+  if (!result_.completed && OfferSatisfied(outcome)) {
+    result_.completed = true;
+    result_.completion_slot = slot;
+    result_.latency = slot - start_slot() + 1;
+  }
+  return outcome;
+}
+
+Result<SessionResult> RetrievalSession::Finish() const {
+  SessionResult result = result_;
+  result.epochs_spanned = client_.EpochsSpanned();
+  if (result.completed) {
+    BDISK_ASSIGN_OR_RETURN(result.data, client_.Reconstruct());
+  }
+  return result;
+}
+
+Result<SessionResult> WalkRetrieval(
+    const std::function<Result<std::optional<ida::Block>>(std::uint64_t)>&
+        fetch,
+    const EpochSchedule* epochs, const faults::ChannelModel& channel,
+    std::uint64_t horizon, RetrievalSession* session) {
+  // The channel trace is a pure function of the slot, so the session
+  // starts listening at its start slot directly — no replay from slot 0.
+  faults::FaultCursor faults(&channel);
+  session->TuneIn(session->start_slot());
+  for (std::uint64_t t = session->start_slot();
+       t < horizon && session->listening(); ++t) {
+    // Fetched before the verdict: the server transmits (and a store-backed
+    // versioned server commits each new version) whether or not the slot
+    // arrives.
+    BDISK_ASSIGN_OR_RETURN(std::optional<ida::Block> block, fetch(t));
+    if (!block.has_value()) continue;
+    const bool ours = block->header.file_id == session->client().file();
+    const faults::FaultType fault = faults.At(t);
+    if (fault == faults::FaultType::kLost) {
+      if (ours) session->CountLost();
+      continue;
+    }
+    if (fault == faults::FaultType::kCorrupted) {
+      channel.CorruptBlock(t, &*block);
+      if (ours) session->CountCorrupt();
+    }
+    session->Offer(t, *block, epochs == nullptr ? 0 : epochs->EpochIndexAt(t));
+  }
+  return session->Finish();
+}
 
 Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
                                           const faults::ChannelModel& channel,
@@ -125,58 +178,21 @@ Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
     return Status::InvalidArgument("RunRetrievalSession: unknown file");
   }
   const broadcast::ProgramFile& pf = server.program().files()[file];
-  ReconstructingClient client(static_cast<ida::FileId>(file), pf.m, pf.n,
-                              server.block_size());
-  // The server stamps every transmission, so an unstamped block can only
-  // be a corruption artifact; require checksums outright.
-  client.set_require_checksums(true);
-  SessionResult result;
-  // The channel trace is a pure function of the slot, so the session can
-  // start listening at start_slot directly — no replay from slot 0. The
-  // trace is fetched in chunks via FillFaults so frame-regenerative
-  // models (Gilbert-Elliott) walk each frame once instead of O(frame)
-  // work per FaultAt call.
-  constexpr std::uint64_t kFaultChunk = 1024;
-  std::vector<faults::FaultType> chunk;
-  std::uint64_t chunk_begin = start_slot;
-  for (std::uint64_t t = start_slot; t < horizon; ++t) {
-    if (t >= chunk_begin + chunk.size()) {
-      chunk_begin = t;
-      chunk.resize(std::min(kFaultChunk, horizon - t));
-      channel.FillFaults(chunk_begin, chunk_begin + chunk.size(),
-                         chunk.data());
-    }
-    const faults::FaultType fault = chunk[t - chunk_begin];
-    auto block = server.TransmissionAt(t);
-    if (!block.has_value()) continue;
-    const bool ours = block->header.file_id == file;
-    if (fault == faults::FaultType::kLost) {
-      if (ours) ++result.lost_observed;
-      continue;
-    }
-    if (fault == faults::FaultType::kCorrupted) {
-      channel.CorruptBlock(t, &*block);
-      // The file identity is ground truth from the server, not from the
-      // (possibly damaged) header.
-      if (ours) ++result.corrupt_detected;
-    }
-    if (OfferSatisfied(
-            client.OfferEx(*block, server.schedule().EpochIndexAt(t)))) {
-      result.completed = true;
-      result.completion_slot = t;
-      result.latency = t - start_slot + 1;
-      break;
-    }
-  }
-  result.epochs_spanned = client.EpochsSpanned();
-  if (result.completed) {
-    if (result.lost_observed + result.corrupt_detected > 0) {
-      const auto baseline =
-          LosslessSessionCompletion(server, file, start_slot, horizon);
-      BDISK_CHECK(baseline.has_value());  // Completes by result's slot.
-      result.stall_slots = result.completion_slot - *baseline;
-    }
-    BDISK_ASSIGN_OR_RETURN(result.data, client.Reconstruct());
+  RetrievalSession session(file, pf.m, pf.n, server.block_size(),
+                           start_slot);
+  BDISK_ASSIGN_OR_RETURN(
+      SessionResult result,
+      WalkRetrieval(
+          [&server](std::uint64_t t) { return server.FetchTransmission(t); },
+          &server.schedule(), channel, horizon, &session));
+  if (result.completed && result.lost_observed + result.corrupt_detected > 0) {
+    // The stall baseline: the faultless session's completion, on the
+    // shared index walk (no payload copies).
+    const auto baseline = LosslessCompletionWalk(
+        [&](std::uint64_t t) { return server.schedule().TransmissionAt(t); },
+        file, pf.m, pf.n, start_slot, horizon);
+    BDISK_CHECK(baseline.has_value());  // Completes by result's slot.
+    result.stall_slots = result.completion_slot - *baseline;
   }
   return result;
 }

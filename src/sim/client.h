@@ -10,6 +10,7 @@
 #define BDISK_SIM_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -34,7 +35,7 @@ enum class OfferOutcome : std::uint8_t {
   kAlreadyComplete,
   /// Ignored: the block belongs to a different file.
   kWrongFile,
-  /// Rejected: header geometry does not match (wrong m/n, index >= n).
+  /// Rejected: geometry does not match (m, n, index >= n, payload size).
   kMalformedHeader,
   /// Rejected: a block with this index is already buffered (duplicates
   /// carry no new information under IDA).
@@ -106,6 +107,8 @@ class ReconstructingClient {
   std::uint64_t checksum_rejected() const { return checksum_rejected_; }
   /// Partial collections discarded because a newer version appeared.
   std::uint32_t restarts() const { return restarts_; }
+  /// The file this client collects.
+  ida::FileId file() const { return file_; }
 
  private:
   ida::FileId file_;
@@ -147,14 +150,65 @@ struct SessionResult {
   std::vector<std::uint8_t> data;
 };
 
+/// \brief One retrieval as a client runs it: tune in, offer each block
+/// heard, record completion and latency, reconstruct. The in-process walk
+/// and the UDP listener (net/udp_client.h) both drive it, and attribute
+/// faults on their own evidence. Checksums are required: every server
+/// stamps its blocks, so an unstamped block can only be damage.
+class RetrievalSession {
+ public:
+  /// `start_slot` unset: tune in at the first slot heard (mid-stream join).
+  RetrievalSession(broadcast::FileIndex file, std::uint32_t m,
+                   std::uint32_t n, std::size_t block_size,
+                   std::optional<std::uint64_t> start_slot);
+
+  /// Hears `slot` (an idle beacon or any file's block): the first slot at
+  /// or after the start slot tunes in. Returns whether it is tuned in.
+  bool TuneIn(std::uint64_t slot);
+  /// Tuned in and not complete.
+  bool listening() const { return tuned_in_ && !result_.completed; }
+  /// Offers a block heard at `slot`; the first satisfied outcome completes
+  /// the session there.
+  OfferOutcome Offer(std::uint64_t slot, const ida::Block& block,
+                     std::uint64_t epoch);
+  void CountLost() { ++result_.lost_observed; }
+  void CountCorrupt() { ++result_.corrupt_detected; }
+
+  /// The slot latency counts from (a joiner's is 0 until it tunes in).
+  std::uint64_t start_slot() const { return start_slot_.value_or(0); }
+  const ReconstructingClient& client() const { return client_; }
+  /// The result, with the data reconstructed when complete.
+  Result<SessionResult> Finish() const;
+
+ private:
+  ReconstructingClient client_;
+  std::optional<std::uint64_t> start_slot_;
+  bool tuned_in_ = false;
+  SessionResult result_;
+};
+
+/// \brief The in-process walk behind RunRetrievalSession and
+/// RunVersionedRetrieval: from the session's start slot until it completes
+/// or `horizon`, fetch each slot's transmission (nullopt when idle), apply
+/// `channel`'s verdict and offer what arrives under the slot's epoch in
+/// `epochs` (nullptr: one program, epoch 0). Losses and corruptions of the
+/// session's file are counted by the server's identity of the block
+/// (ground truth), not by its possibly damaged header.
+Result<SessionResult> WalkRetrieval(
+    const std::function<Result<std::optional<ida::Block>>(std::uint64_t)>&
+        fetch,
+    const EpochSchedule* epochs, const faults::ChannelModel& channel,
+    std::uint64_t horizon, RetrievalSession* session);
+
 /// \brief Runs a full retrieval session: from `start_slot`, listen to
-/// `server` through `channel`'s deterministic fault trace until the file
-/// is reconstructable or `horizon` is reached, then reconstruct. Lost
-/// slots never reach the client; corrupted slots deliver a damaged copy of
-/// the block, which the client must detect (the server stamps checksums,
-/// and the session requires them) and discard. Because the trace is
-/// random-access, no replay from slot 0 is needed — the realization is
-/// identical no matter where (or on how many threads) sessions start.
+/// `server` (in-memory or disk-backed) through `channel`'s deterministic
+/// fault trace until the file is reconstructable or `horizon` is reached,
+/// then reconstruct. Lost slots never reach the client; corrupted slots
+/// deliver a damaged copy of the block, which the client must detect (the
+/// server stamps checksums, and the session requires them) and discard.
+/// Because the trace is random-access, no replay from slot 0 is needed —
+/// the realization is identical no matter where (or on how many threads)
+/// sessions start. A disk-backed server's read failure is returned.
 Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
                                           const faults::ChannelModel& channel,
                                           broadcast::FileIndex file,

@@ -16,31 +16,7 @@ Result<BroadcastServer> BroadcastServer::Create(
     EpochSchedule schedule,
     const std::vector<std::vector<std::uint8_t>>& contents,
     std::size_t block_size) {
-  if (contents.size() != schedule.file_count()) {
-    return Status::InvalidArgument(
-        "BroadcastServer: need contents for all " +
-        std::to_string(schedule.file_count()) + " files, got " +
-        std::to_string(contents.size()));
-  }
-  BroadcastServer server(std::move(schedule), block_size);
-  for (broadcast::FileIndex f = 0; f < server.schedule_.file_count(); ++f) {
-    const broadcast::ProgramFile& pf = server.schedule_.files()[f];
-    BDISK_ASSIGN_OR_RETURN(ida::Dispersal engine,
-                           ida::Dispersal::Create(pf.m, pf.n, block_size));
-    auto blocks = engine.Disperse(static_cast<ida::FileId>(f), contents[f]);
-    if (!blocks.ok()) {
-      return blocks.status().WithContext("BroadcastServer: file '" + pf.name +
-                                         "'");
-    }
-    // Stamp integrity checksums once, at store-build time: every
-    // transmission is self-verifying, so clients on corrupting channels
-    // can discard damaged blocks (sim/client.h) instead of reconstructing
-    // wrong bytes.
-    ida::StampChecksums(&*blocks);
-    server.engines_.push_back(std::move(engine));
-    server.coded_.push_back(std::move(*blocks));
-  }
-  return server;
+  return Build(std::move(schedule), contents, block_size, nullptr);
 }
 
 Result<BroadcastServer> BroadcastServer::CreateDiskBacked(
@@ -48,6 +24,13 @@ Result<BroadcastServer> BroadcastServer::CreateDiskBacked(
     const std::vector<std::vector<std::uint8_t>>& contents,
     std::size_t block_size, store::BlockStore* store) {
   BDISK_CHECK(store != nullptr);
+  return Build(std::move(schedule), contents, block_size, store);
+}
+
+Result<BroadcastServer> BroadcastServer::Build(
+    EpochSchedule schedule,
+    const std::vector<std::vector<std::uint8_t>>& contents,
+    std::size_t block_size, store::BlockStore* store) {
   if (contents.size() != schedule.file_count()) {
     return Status::InvalidArgument(
         "BroadcastServer: need contents for all " +
@@ -58,32 +41,30 @@ Result<BroadcastServer> BroadcastServer::CreateDiskBacked(
   server.store_ = store;
   for (broadcast::FileIndex f = 0; f < server.schedule_.file_count(); ++f) {
     const broadcast::ProgramFile& pf = server.schedule_.files()[f];
+    const std::string context = "BroadcastServer: file '" + pf.name + "'";
     BDISK_ASSIGN_OR_RETURN(ida::Dispersal engine,
                            ida::Dispersal::Create(pf.m, pf.n, block_size));
     auto blocks = engine.Disperse(static_cast<ida::FileId>(f), contents[f]);
-    if (!blocks.ok()) {
-      return blocks.status().WithContext("BroadcastServer: file '" + pf.name +
-                                         "'");
-    }
+    if (!blocks.ok()) return blocks.status().WithContext(context);
+    // Stamp integrity checksums once, at store-build time: every
+    // transmission is self-verifying, so clients on corrupting channels
+    // can discard damaged blocks (sim/client.h) instead of reconstructing
+    // wrong bytes.
     ida::StampChecksums(&*blocks);
-    BDISK_RETURN_NOT_OK(store->StageFile(*blocks).WithContext(
-        "BroadcastServer: file '" + pf.name + "'"));
-    server.engines_.push_back(std::move(engine));
-    // coded_ stays empty: the store is the only copy of the blocks.
+    if (store == nullptr) {
+      server.coded_.push_back(std::move(*blocks));
+    } else {
+      // coded_ stays empty: the store is the only copy of the blocks.
+      BDISK_RETURN_NOT_OK(store->StageFile(*blocks).WithContext(context));
+    }
   }
-  // One commit for the whole program: the epoch hot-swap contract's
-  // durable twin — the catalog flips from "no files" to "all files"
-  // atomically.
-  BDISK_RETURN_NOT_OK(store->Commit().WithContext("BroadcastServer"));
+  if (store != nullptr) {
+    // One commit for the whole program: the epoch hot-swap contract's
+    // durable twin — the catalog flips from "no files" to "all files"
+    // atomically.
+    BDISK_RETURN_NOT_OK(store->Commit().WithContext("BroadcastServer"));
+  }
   return server;
-}
-
-std::optional<ida::Block> BroadcastServer::TransmissionAt(
-    std::uint64_t t) const {
-  BDISK_CHECK(store_ == nullptr);  // Disk-backed: use FetchTransmission.
-  const auto tx = schedule_.TransmissionAt(t);
-  if (!tx.has_value()) return std::nullopt;
-  return coded_[tx->file][tx->block_index];
 }
 
 Result<std::optional<ida::Block>> BroadcastServer::FetchTransmission(

@@ -53,21 +53,15 @@ class BroadcastServer {
   /// Disk-backed variant: the dispersed blocks are committed to `store`
   /// (one staging transaction, one commit) instead of held in memory, and
   /// transmissions are served through the store's checksum-verified read
-  /// path. `store` is not owned and must outlive the server. Use
-  /// FetchTransmission — the infallible TransmissionAt is reserved for
-  /// in-memory servers.
+  /// path. `store` is not owned and must outlive the server.
   static Result<BroadcastServer> CreateDiskBacked(
       EpochSchedule schedule,
       const std::vector<std::vector<std::uint8_t>>& contents,
       std::size_t block_size, store::BlockStore* store);
 
-  /// The coded block transmitted in slot t (nullopt for idle slots).
-  /// In-memory servers only (CHECKs on disk-backed ones, whose reads can
-  /// fail and must not be collapsed).
-  std::optional<ida::Block> TransmissionAt(std::uint64_t t) const;
-
-  /// Fallible variant serving both modes; disk-backed reads surface
-  /// device and checksum failures as typed statuses.
+  /// The coded block transmitted in slot t (nullopt for idle slots), in
+  /// either mode. Disk-backed reads surface device and checksum failures
+  /// as typed statuses; in-memory fetches cannot fail.
   Result<std::optional<ida::Block>> FetchTransmission(std::uint64_t t) const;
 
   bool disk_backed() const { return store_ != nullptr; }
@@ -83,18 +77,18 @@ class BroadcastServer {
 
   std::size_t block_size() const { return block_size_; }
 
-  /// The dispersal engine for file f (clients use the same geometry).
-  const ida::Dispersal& DispersalFor(broadcast::FileIndex f) const {
-    return engines_[f];
-  }
-
  private:
   BroadcastServer(EpochSchedule schedule, std::size_t block_size)
       : schedule_(std::move(schedule)), block_size_(block_size) {}
 
+  /// Both modes: `store` == nullptr keeps the blocks in memory.
+  static Result<BroadcastServer> Build(
+      EpochSchedule schedule,
+      const std::vector<std::vector<std::uint8_t>>& contents,
+      std::size_t block_size, store::BlockStore* store);
+
   EpochSchedule schedule_;
   std::size_t block_size_;
-  std::vector<ida::Dispersal> engines_;
   // coded_[f][k] = k-th dispersed block of file f (k < files()[f].n).
   // Epoch-invariant: dispersal depends only on geometry and contents.
   // Empty for disk-backed servers, whose blocks live in *store_.

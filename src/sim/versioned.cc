@@ -54,7 +54,7 @@ std::vector<std::uint8_t> VersionedBroadcastServer::ContentsOf(
   return data;
 }
 
-Result<std::optional<ida::Block>> VersionedBroadcastServer::TransmissionAt(
+Result<std::optional<ida::Block>> VersionedBroadcastServer::FetchTransmission(
     std::uint64_t slot) const {
   const auto tx = program_.TransmissionAt(slot);
   if (!tx.has_value()) return std::optional<ida::Block>();
@@ -102,37 +102,24 @@ Result<VersionedSessionResult> RunVersionedRetrieval(
     return Status::InvalidArgument("RunVersionedRetrieval: unknown file");
   }
   const broadcast::ProgramFile& pf = server.program().files()[file];
-  ReconstructingClient client(static_cast<ida::FileId>(file), pf.m, pf.n,
-                              server.block_size());
-  // Every version is stamped at dispersal, so an unstamped block can only
-  // be a corruption artifact.
-  client.set_require_checksums(true);
-
+  RetrievalSession session(file, pf.m, pf.n, server.block_size(), start);
+  BDISK_ASSIGN_OR_RETURN(
+      SessionResult walked,
+      WalkRetrieval(
+          [&server](std::uint64_t t) { return server.FetchTransmission(t); },
+          /*epochs=*/nullptr, channel, horizon, &session));
   VersionedSessionResult result;
-  // The channel trace is random-access, so listening starts at `start`.
-  for (std::uint64_t t = start; t < horizon; ++t) {
-    // Fetched before the channel verdict: the server transmits (and, when
-    // store-backed, commits each new version) whether or not the slot
-    // arrives.
-    BDISK_ASSIGN_OR_RETURN(std::optional<ida::Block> block,
-                           server.TransmissionAt(t));
-    const faults::FaultType fault = channel.FaultAt(t);
-    if (!block.has_value() || fault == faults::FaultType::kLost) continue;
-    if (fault == faults::FaultType::kCorrupted) {
-      channel.CorruptBlock(t, &*block);
-    }
-    if (client.OfferEx(*block) == OfferOutcome::kCompleted) {
-      result.completed = true;
-      result.completion_slot = t;
-      result.latency = t - start + 1;
-      result.version = block->header.version;
-      result.data_age = t - server.VersionStartSlot(file, result.version) + 1;
-      break;
-    }
-  }
-  result.restarts = client.restarts();
+  result.completed = walked.completed;
+  result.completion_slot = walked.completion_slot;
+  result.latency = walked.latency;
+  result.restarts = session.client().restarts();
   if (result.completed) {
-    BDISK_ASSIGN_OR_RETURN(result.data, client.Reconstruct());
+    // The completing block is the version current at its slot, and every
+    // block the client holds carries that one version.
+    result.version = server.VersionAt(file, result.completion_slot);
+    result.data_age = result.completion_slot -
+                      server.VersionStartSlot(file, result.version) + 1;
+    result.data = std::move(walked.data);
   }
   return result;
 }

@@ -71,7 +71,9 @@ class VersionedBroadcastServer {
                                        std::uint64_t version) const;
 
   /// The coded block transmitted at `slot` (nullopt when idle).
-  Result<std::optional<ida::Block>> TransmissionAt(std::uint64_t slot) const;
+  Result<std::optional<ida::Block>> FetchTransmission(std::uint64_t t) const;
+  /// Old name of FetchTransmission, kept for existing callers.
+  auto TransmissionAt(std::uint64_t t) const { return FetchTransmission(t); }
 
   const broadcast::BroadcastProgram& program() const { return program_; }
   std::size_t block_size() const { return options_.block_size; }
@@ -106,12 +108,12 @@ struct VersionedSessionResult {
   std::vector<std::uint8_t> data;
 };
 
-/// \brief Runs a version-aware retrieval from slot `start`: a
-/// ReconstructingClient collects blocks of the newest version heard through
-/// `channel` (its version rule discards a stale partial collection and
-/// rejects stale stragglers) and reconstructs at m distinct blocks of one
-/// version. Lost slots never reach the client; corrupted slots deliver a
-/// damaged copy, which the client's required checksum check discards.
+/// \brief Runs a version-aware retrieval from slot `start` on
+/// RunRetrievalSession's walk: the client collects blocks of the newest
+/// version heard through `channel` (its version rule discards a stale
+/// partial collection and rejects stale stragglers) and reconstructs at m
+/// distinct blocks of one version. Corrupted slots deliver a damaged copy,
+/// which the client's required checksum check discards.
 Result<VersionedSessionResult> RunVersionedRetrieval(
     const VersionedBroadcastServer& server,
     const faults::ChannelModel& channel, broadcast::FileIndex file,

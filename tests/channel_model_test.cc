@@ -36,7 +36,8 @@ TEST(ChannelModelTest, TracesAreReproducible) {
 
 // Part 2: random access equals sequential fill, for every model — this is
 // what makes traces shard-count invariant (any partition of [0, H) into
-// FillFaults calls, or any per-slot FaultAt pattern, sees one realization).
+// FillFaults calls, any per-slot FaultAt pattern, or any FaultCursor walk
+// sees one realization).
 TEST(ChannelModelTest, RandomAccessMatchesSequentialFill) {
   GilbertElliottChannel::Params params;
   params.p_good_to_bad = 0.05;
@@ -45,11 +46,15 @@ TEST(ChannelModelTest, RandomAccessMatchesSequentialFill) {
   const GilbertElliottChannel gilbert(params, 5);
   const CorruptionChannel corrupt(0.15, 5);
   const OutageChannel outage(64, 10, 7);
+  auto composed = ParseChannelSpec(
+      "gilbert:pgb=0.05,pbg=0.3,seed=5+corrupt:p=0.15,seed=6");
+  ASSERT_TRUE(composed.ok()) << composed.status();
   for (const ChannelModel* model :
        {static_cast<const ChannelModel*>(&bern),
         static_cast<const ChannelModel*>(&gilbert),
         static_cast<const ChannelModel*>(&corrupt),
-        static_cast<const ChannelModel*>(&outage)}) {
+        static_cast<const ChannelModel*>(&outage),
+        static_cast<const ChannelModel*>(composed->get())}) {
     constexpr std::uint64_t kHorizon = 1500;
     const std::vector<FaultType> fill = Realize(*model, kHorizon);
     // Per-slot random access, probed out of order.
@@ -66,6 +71,24 @@ TEST(ChannelModelTest, RandomAccessMatchesSequentialFill) {
         ASSERT_EQ(shard[t - begin], fill[t])
             << model->Describe() << " begin " << begin << " slot " << t;
       }
+    }
+    // A cursor walk: from mid-frame, slot by slot across frame boundaries
+    // and the first chunk's end (its chunk covers [256, 1280)), forward
+    // with gaps, then jumping back.
+    std::vector<std::uint64_t> walk;
+    for (std::uint64_t t = 300; t < 1300; ++t) walk.push_back(t);
+    for (std::uint64_t t = 1300; t < kHorizon; t += 1 + t % 13) {
+      walk.push_back(t);
+    }
+    for (std::uint64_t t : {std::uint64_t{7}, std::uint64_t{8},
+                            std::uint64_t{1279}, std::uint64_t{255},
+                            std::uint64_t{256}, kHorizon - 1}) {
+      walk.push_back(t);
+    }
+    FaultCursor cursor(model);
+    for (const std::uint64_t t : walk) {
+      ASSERT_EQ(cursor.At(t), model->FaultAt(t))
+          << model->Describe() << " slot " << t;
     }
   }
 }

@@ -135,6 +135,24 @@ TEST(OfferOutcomeTest, WrongFileAndMalformedHeaders) {
   wrong_m.header.reconstruct_threshold = 3;
   ida::StampChecksum(&wrong_m);  // Valid checksum, wrong geometry.
   EXPECT_EQ(geometry.OfferEx(wrong_m), OfferOutcome::kMalformedHeader);
+
+  // A re-stamped payload of the wrong size verifies, but is never
+  // buffered: the client still completes and reconstructs from genuine
+  // blocks.
+  ida::Block short_payload = blocks[1];
+  short_payload.payload.resize(8);
+  ida::StampChecksum(&short_payload);
+  ida::Block long_payload = blocks[1];
+  long_payload.payload.push_back(0x5A);
+  ida::StampChecksum(&long_payload);
+  EXPECT_EQ(geometry.OfferEx(short_payload), OfferOutcome::kMalformedHeader);
+  EXPECT_EQ(geometry.OfferEx(long_payload), OfferOutcome::kMalformedHeader);
+  EXPECT_EQ(geometry.distinct_blocks(), 0u);
+  EXPECT_EQ(geometry.OfferEx(blocks[1]), OfferOutcome::kAccepted);
+  EXPECT_EQ(geometry.OfferEx(blocks[3]), OfferOutcome::kCompleted);
+  auto data = geometry.Reconstruct();
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(*data, RandomFile(2 * 16, 10));
 }
 
 TEST(OfferOutcomeTest, ClearResetsCollectionButKeepsCounters) {

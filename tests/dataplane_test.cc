@@ -49,13 +49,14 @@ TEST(BroadcastServerTest, TransmissionsAreSelfIdentifying) {
   ASSERT_TRUE(server.ok()) << server.status();
 
   for (std::uint64_t t = 0; t < p.DataCycleLength(); ++t) {
-    const auto block = server->TransmissionAt(t);
-    ASSERT_TRUE(block.has_value());
+    const auto block = server->FetchTransmission(t);
+    ASSERT_TRUE(block.ok()) << block.status();
+    ASSERT_TRUE(block->has_value());
     const auto tx = p.TransmissionAt(t);
     ASSERT_TRUE(tx.has_value());
-    EXPECT_EQ(block->header.file_id, tx->file);
-    EXPECT_EQ(block->header.block_index, tx->block_index);
-    EXPECT_EQ(block->payload.size(), kBlockSize);
+    EXPECT_EQ((*block)->header.file_id, tx->file);
+    EXPECT_EQ((*block)->header.block_index, tx->block_index);
+    EXPECT_EQ((*block)->payload.size(), kBlockSize);
   }
 }
 

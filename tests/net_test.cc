@@ -328,13 +328,15 @@ struct WireRun {
   UdpServerStats server_stats;
 };
 
-// One loopback broadcast pass. Returns nullopt when the kernel dropped
+// One loopback broadcast pass; `preamble` datagrams go out through the
+// same sink ahead of the stream. Returns nullopt when the kernel dropped
 // datagrams (receive-buffer overflow — not channel loss): the caller
 // retries, because kernel loss is scheduler noise, not semantics.
 Result<std::optional<WireRun>> RunWireOnce(
     sim::BroadcastServer* server, const faults::ChannelModel* channel,
     const std::vector<WireSession>& sessions,
-    const UdpServerOptions& server_options) {
+    const UdpServerOptions& server_options,
+    const std::vector<std::vector<std::uint8_t>>& preamble) {
   UdpClientOptions client_options;
   client_options.block_size = server->block_size();
   client_options.idle_timeout_ms = 10000;
@@ -350,6 +352,9 @@ Result<std::optional<WireRun>> RunWireOnce(
                        ? static_cast<WireSink*>(&faulting)
                        : static_cast<WireSink*>(&socket_sink);
 
+  for (const std::vector<std::uint8_t>& datagram : preamble) {
+    BDISK_RETURN_NOT_OK(sink->SendDatagram(datagram.data(), datagram.size()));
+  }
   Result<UdpServerStats> server_stats =
       Status::Internal("server thread never ran");
   std::thread server_thread([&] {
@@ -374,14 +379,15 @@ Result<std::optional<WireRun>> RunWireOnce(
   return std::optional<WireRun>(std::move(run));
 }
 
-Result<WireRun> RunWireWithRetry(sim::BroadcastServer* server,
-                                 const faults::ChannelModel* channel,
-                                 const std::vector<WireSession>& sessions,
-                                 const UdpServerOptions& server_options) {
+Result<WireRun> RunWireWithRetry(
+    sim::BroadcastServer* server, const faults::ChannelModel* channel,
+    const std::vector<WireSession>& sessions,
+    const UdpServerOptions& server_options,
+    const std::vector<std::vector<std::uint8_t>>& preamble = {}) {
   for (int attempt = 0; attempt < 5; ++attempt) {
     BDISK_ASSIGN_OR_RETURN(
         std::optional<WireRun> run,
-        RunWireOnce(server, channel, sessions, server_options));
+        RunWireOnce(server, channel, sessions, server_options, preamble));
     if (run.has_value()) return std::move(*run);
   }
   return Status::Internal(
@@ -484,6 +490,112 @@ TEST(UdpLoopbackTest, MidStreamTuneInUnderGilbertLossIsByteIdentical) {
   // The channel actually bit: some datagrams were deliberately dropped.
   EXPECT_LT(run->client_stats.block_datagrams + run->client_stats.idle_datagrams,
             options.horizon);
+}
+
+TEST(UdpLoopbackTest, ShortPayloadWithValidChecksumIsNeverBuffered) {
+  // A genuine block cut short and re-stamped verifies, arrives first, and
+  // claims an index its file's session still needs. The session must
+  // reject it, and every file must still reconstruct byte-exactly.
+  const auto program = ToyProgram();
+  Rng rng(5);
+  std::vector<std::vector<std::uint8_t>> contents{
+      RandomBytes(5 * kBlockSize, &rng), RandomBytes(3 * kBlockSize, &rng)};
+  auto server = sim::BroadcastServer::Create(program, contents, kBlockSize);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto first = server->FetchTransmission(0);
+  ASSERT_TRUE(first.ok() && first->has_value());
+  ida::Block short_block = **first;
+  short_block.payload.resize(kBlockSize / 2);
+  ida::StampChecksum(&short_block);
+  ASSERT_EQ(ida::VerifyChecksum(short_block), ida::ChecksumState::kValid);
+
+  UdpServerOptions options;
+  options.horizon = 64;
+  std::vector<WireSession> sessions;
+  for (broadcast::FileIndex f = 0; f < 2; ++f) {
+    WireSession s;
+    s.file = f;
+    s.m = program.files()[f].m;
+    s.n = program.files()[f].n;
+    s.start_slot = 0;
+    sessions.push_back(s);
+  }
+  auto run = RunWireWithRetry(&*server, nullptr, sessions, options,
+                              {EncodeBlockDatagram(0, 0, short_block)});
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->client_stats.block_datagrams,
+            run->server_stats.block_datagrams + 1);
+  const faults::LosslessChannel no_faults;
+  for (broadcast::FileIndex f = 0; f < 2; ++f) {
+    const auto& r = run->results[f];
+    ASSERT_TRUE(r.session.completed) << "file " << f;
+    EXPECT_EQ(r.session.data, contents[f]) << "file " << f;
+    auto reference =
+        sim::RunRetrievalSession(*server, no_faults, f, 0, options.horizon);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(r.session.completion_slot, reference->completion_slot);
+  }
+}
+
+TEST(UdpLoopbackTest, SessionsTuneInAtTheFirstDatagramHeard) {
+  // A session without a start slot tunes in at the first datagram of any
+  // kind: an idle beacon, or another file's block. Period of 8 slots:
+  // idle, A, B, A, idle, B, B, A.
+  constexpr auto kIdle = broadcast::BroadcastProgram::kIdleSlot;
+  std::vector<broadcast::ProgramFile> files(2);
+  files[0].name = "A";
+  files[0].m = 2;
+  files[0].n = 3;
+  files[1].name = "B";
+  files[1].m = 2;
+  files[1].n = 4;
+  auto program = broadcast::BroadcastProgram::Create(
+      files, {kIdle, 0, 1, 0, kIdle, 1, 1, 0});
+  ASSERT_TRUE(program.ok()) << program.status();
+  Rng rng(9);
+  std::vector<std::vector<std::uint8_t>> contents{
+      RandomBytes(2 * kBlockSize, &rng), RandomBytes(2 * kBlockSize, &rng)};
+  auto server = sim::BroadcastServer::Create(*program, contents, kBlockSize);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  UdpServerOptions options;
+  options.horizon = 64;
+  // B starts at 3, between its transmissions at slots 2 and 5.
+  std::vector<WireSession> sessions(3);
+  sessions[0].file = 0;
+  sessions[1].file = 1;
+  sessions[2].file = 1;
+  sessions[2].start_slot = 3;
+  for (WireSession& s : sessions) {
+    s.m = files[s.file].m;
+    s.n = files[s.file].n;
+  }
+  // Lossless, the first datagram is slot 0's idle beacon. With slots 0
+  // and 1 lost, it is slot 2's block of B.
+  struct Case {
+    const char* channel;
+    std::uint64_t first_heard;
+  };
+  for (const Case& c : {Case{"lossless", 0}, Case{"outage:start=0,len=2", 2}}) {
+    auto channel = faults::ParseChannelSpec(c.channel);
+    ASSERT_TRUE(channel.ok()) << channel.status();
+    auto run = RunWireWithRetry(&*server, channel->get(), sessions, options);
+    ASSERT_TRUE(run.ok()) << run.status();
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const WireSessionResult& r = run->results[i];
+      EXPECT_EQ(r.start_slot, sessions[i].start_slot.value_or(c.first_heard))
+          << c.channel << " session " << i;
+      auto reference = sim::RunRetrievalSession(
+          *server, **channel, sessions[i].file, r.start_slot, options.horizon);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      ASSERT_TRUE(r.session.completed) << c.channel << " session " << i;
+      EXPECT_EQ(r.session.latency, reference->latency)
+          << c.channel << " session " << i;
+      EXPECT_EQ(r.session.completion_slot, reference->completion_slot)
+          << c.channel << " session " << i;
+      EXPECT_EQ(r.session.data, contents[sessions[i].file]);
+    }
+  }
 }
 
 }  // namespace

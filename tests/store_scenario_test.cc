@@ -1,10 +1,11 @@
 // Disk-backed scenario replay: every committed scenario fixture is built
 // into a persistent BlockStore on a real file device, and the disk-backed
 // broadcast server must transmit BYTE-IDENTICAL blocks to the in-memory
-// server at every slot of the horizon. The store is then closed and
-// reopened (the recovery path — the same code that runs after a crash)
-// and every cataloged block must still read back bit-exact, with every
-// file reconstructing to its original contents from m disk-read blocks.
+// server at every slot of the horizon, and a retrieval session on either
+// must end identically. The store is then closed and reopened (the
+// recovery path — the same code that runs after a crash) and every
+// cataloged block must still read back bit-exact, with every file
+// reconstructing to its original contents from m disk-read blocks.
 // Finally the index-level metric replay is held to the committed golden,
 // pinning the whole disk-backed pipeline to the same bytes as the
 // in-memory one.
@@ -20,6 +21,7 @@
 #include "faults/channel_spec.h"
 #include "ida/aida.h"
 #include "scenario_util.h"
+#include "sim/client.h"
 #include "sim/metrics.h"
 #include "sim/server.h"
 #include "sim/simulation.h"
@@ -113,14 +115,48 @@ TEST_P(StoreScenarioTest, DiskBackedReplayIsByteIdentical) {
       const auto from_disk = disk->FetchTransmission(t);
       ASSERT_TRUE(from_disk.ok()) << "slot " << t << ": "
                                   << from_disk.status();
-      const auto from_memory = memory->TransmissionAt(t);
-      ASSERT_EQ(from_disk->has_value(), from_memory.has_value())
+      const auto from_memory = memory->FetchTransmission(t);
+      ASSERT_TRUE(from_memory.ok()) << from_memory.status();
+      ASSERT_EQ(from_disk->has_value(), from_memory->has_value())
           << "slot " << t;
-      if (from_memory.has_value()) {
-        ASSERT_EQ(**from_disk, *from_memory)
+      if (from_memory->has_value()) {
+        ASSERT_EQ(**from_disk, **from_memory)
             << "slot " << t << ": disk and memory transmissions differ";
       }
     }
+
+    // A retrieval session reads either server the same way and ends the
+    // same way: every file, from several starts, under bursty loss plus
+    // corruption.
+    auto lossy = faults::ParseChannelSpec(
+        "gilbert:pgb=0.05,pbg=0.3,seed=4+corrupt:p=0.2,seed=6");
+    ASSERT_TRUE(lossy.ok()) << lossy.status();
+    std::uint64_t lost = 0;
+    std::uint64_t corrupt = 0;
+    for (broadcast::FileIndex f = 0; f < program.file_count(); ++f) {
+      for (const std::uint64_t start :
+           {std::uint64_t{0}, std::uint64_t{77}, scenario.horizon / 2}) {
+        auto on_disk =
+            RunRetrievalSession(*disk, **lossy, f, start, scenario.horizon);
+        auto in_memory =
+            RunRetrievalSession(*memory, **lossy, f, start, scenario.horizon);
+        ASSERT_TRUE(on_disk.ok()) << on_disk.status();
+        ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+        ASSERT_TRUE(in_memory->completed) << "file " << f << " from " << start;
+        EXPECT_EQ(on_disk->completed, in_memory->completed);
+        EXPECT_EQ(on_disk->completion_slot, in_memory->completion_slot);
+        EXPECT_EQ(on_disk->latency, in_memory->latency);
+        EXPECT_EQ(on_disk->epochs_spanned, in_memory->epochs_spanned);
+        EXPECT_EQ(on_disk->lost_observed, in_memory->lost_observed);
+        EXPECT_EQ(on_disk->corrupt_detected, in_memory->corrupt_detected);
+        EXPECT_EQ(on_disk->stall_slots, in_memory->stall_slots);
+        EXPECT_EQ(on_disk->data, contents[f]) << "file " << f;
+        lost += in_memory->lost_observed;
+        corrupt += in_memory->corrupt_detected;
+      }
+    }
+    EXPECT_GT(lost, 0u) << "the channel dropped nothing";
+    EXPECT_GT(corrupt, 0u) << "the channel damaged nothing";
   }  // Store and device close here.
 
   // Reopen through recovery and demand every block back, bit-exact, and

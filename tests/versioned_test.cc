@@ -56,7 +56,7 @@ TEST(VersionedServerTest, VersionArithmetic) {
 TEST(VersionedServerTest, TransmissionsCarryCurrentVersion) {
   const auto server = MakeServer(10, 0);
   for (std::uint64_t t = 0; t < 60; ++t) {
-    auto block = server.TransmissionAt(t);
+    auto block = server.FetchTransmission(t);
     ASSERT_TRUE(block.ok());
     ASSERT_TRUE(block->has_value());
     const auto& header = (*block)->header;
