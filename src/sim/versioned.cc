@@ -1,10 +1,54 @@
 #include "sim/versioned.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/check.h"
 #include "common/random.h"
 #include "sim/client.h"
 
 namespace bdisk::sim {
+
+namespace {
+
+/// `word` in little-endian byte order, so a memcpy of it stores the same
+/// bytes on every host.
+std::uint64_t LittleEndian(std::uint64_t word) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// Stages the erase of `file`'s committed versions beyond the
+/// kRetainedVersions nearest `version`, which is being added: farthest
+/// from `version` first, the older one on a tie.
+Status StageEvictions(store::BlockStore* store, ida::FileId file,
+                      std::uint64_t version) {
+  const store::Catalog& committed = store->catalog();
+  std::vector<std::uint64_t> others;
+  for (auto it = committed.lower_bound({file, 0});
+       it != committed.end() && it->first.first == file; ++it) {
+    others.push_back(it->first.second);
+  }
+  const auto distance = [version](std::uint64_t v) {
+    return v > version ? v - version : version - v;
+  };
+  std::sort(others.begin(), others.end(),
+            [&distance](std::uint64_t a, std::uint64_t b) {
+              return distance(a) != distance(b) ? distance(a) > distance(b)
+                                                : a < b;
+            });
+  // `version` itself takes one place in the window.
+  const std::size_t kept = VersionedBroadcastServer::kRetainedVersions - 1;
+  for (std::size_t i = 0; i + kept < others.size(); ++i) {
+    BDISK_RETURN_NOT_OK(store->StageErase(file, others[i]));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<VersionedBroadcastServer> VersionedBroadcastServer::Create(
     broadcast::BroadcastProgram program, VersionedServerOptions options) {
@@ -46,11 +90,21 @@ std::vector<std::uint8_t> VersionedBroadcastServer::ContentsOf(
     broadcast::FileIndex file, std::uint64_t version) const {
   BDISK_CHECK(file < program_.file_count());
   const broadcast::ProgramFile& pf = program_.files()[file];
-  // Deterministic synthetic snapshot: seeded by (seed, file, version).
+  // Deterministic synthetic snapshot: seeded by (seed, file, version),
+  // eight bytes per draw, each draw stored as one little-endian word (a
+  // short tail takes the low bytes of one more draw).
   Rng rng(options_.content_seed * 0x9E3779B97F4A7C15ULL + file * 1000003ULL +
           version);
   std::vector<std::uint8_t> data(pf.m * options_.block_size);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Uniform(256));
+  std::size_t i = 0;
+  for (; data.size() - i >= 8; i += 8) {
+    const std::uint64_t word = LittleEndian(rng());
+    std::memcpy(data.data() + i, &word, 8);
+  }
+  if (i < data.size()) {
+    const std::uint64_t word = LittleEndian(rng());
+    std::memcpy(data.data() + i, &word, data.size() - i);
+  }
   return data;
 }
 
@@ -62,9 +116,10 @@ Result<std::optional<ida::Block>> VersionedBroadcastServer::FetchTransmission(
   const auto file_id = static_cast<ida::FileId>(tx->file);
   if (options_.store != nullptr) {
     // Disk-backed: on first sight of a (file, version), disperse and
-    // persist it (a commit per version exercises the two-generation swap
-    // under natural update churn); every transmission is served from
-    // disk — the memory cache stays empty.
+    // persist it, retiring the file's versions outside the retention
+    // window in the same commit (one commit per version exercises the
+    // two-generation swap under natural update churn); every transmission
+    // is served from disk — the memory cache stays empty.
     if (options_.store->FindEntry(file_id, version) == nullptr) {
       BDISK_ASSIGN_OR_RETURN(
           std::vector<ida::Block> blocks,
@@ -72,6 +127,7 @@ Result<std::optional<ida::Block>> VersionedBroadcastServer::FetchTransmission(
                                       version));
       ida::StampChecksums(&blocks);
       BDISK_RETURN_NOT_OK(options_.store->StageFile(blocks));
+      BDISK_RETURN_NOT_OK(StageEvictions(options_.store, file_id, version));
       BDISK_RETURN_NOT_OK(options_.store->Commit());
     }
     BDISK_ASSIGN_OR_RETURN(

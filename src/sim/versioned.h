@@ -17,6 +17,19 @@
 /// newer versions, never mixes), and the resulting metrics: retrieval
 /// latency, number of restarts, and *data age* at completion — the
 /// quantity a temporal-consistency constraint bounds.
+///
+/// Retention. A store-backed server keeps at most kRetainedVersions
+/// versions of each file on disk. The commit that adds (f, v) also stages
+/// the erase of f's other committed versions beyond the kRetainedVersions
+/// nearest v (v itself included): farthest from v first, the older one on
+/// a tie. The rule reads only the committed catalog. The catalog thus
+/// holds at most files x kRetainedVersions entries, a version commit
+/// costs one version's work rather than the file history's, and the
+/// device space a server needs (one more version per file than the
+/// window, for the one being staged, plus catalog slack) does not grow
+/// with the history. Fetches stay random-access: a fetch of an evicted
+/// version disperses it again, which yields identical blocks (contents
+/// and dispersal are deterministic). The in-memory cache is not windowed.
 
 #ifndef BDISK_SIM_VERSIONED_H_
 #define BDISK_SIM_VERSIONED_H_
@@ -45,7 +58,8 @@ struct VersionedServerOptions {
   std::uint64_t content_seed = 1;
   /// Optional persistent backing (not owned; must outlive the server).
   /// When set, every (file, version) dispersal is committed to the store
-  /// on first transmission — one generation per version, exercising the
+  /// on first transmission — one generation per version, which also
+  /// retires versions outside the retention window, exercising the
   /// crash-safe swap under natural update churn — and transmissions are
   /// served from disk through the checksum-verified read path.
   store::BlockStore* store = nullptr;
@@ -55,6 +69,9 @@ struct VersionedServerOptions {
 /// transmission carries the *current* version's coded block.
 class VersionedBroadcastServer {
  public:
+  /// Versions of one file a store-backed server keeps committed.
+  static constexpr std::size_t kRetainedVersions = 2;
+
   static Result<VersionedBroadcastServer> Create(
       broadcast::BroadcastProgram program, VersionedServerOptions options);
 
@@ -65,8 +82,11 @@ class VersionedBroadcastServer {
   std::uint64_t VersionStartSlot(broadcast::FileIndex file,
                                  std::uint64_t version) const;
 
-  /// Ground-truth contents of `file` at `version` (deterministic from the
-  /// seed; used by tests to check byte-exactness).
+  /// Ground-truth contents of `file` at `version`: m x block_size bytes
+  /// from an xoshiro256** stream seeded by (content_seed, file, version),
+  /// eight bytes per draw, each draw stored little-endian (a short tail
+  /// keeps the low bytes of one more draw). Stands in for a database
+  /// update; tests and benchmarks check byte-exactness against it.
   std::vector<std::uint8_t> ContentsOf(broadcast::FileIndex file,
                                        std::uint64_t version) const;
 

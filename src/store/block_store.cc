@@ -172,13 +172,12 @@ bool MarkEntry(const CatalogEntry& entry, std::size_t block_size,
   const std::uint64_t run = entry.BlocksPerCoded(block_size);
   for (const CodedBlockRef& ref : entry.blocks) {
     if (ref.first_block < BlockStore::kFirstDataBlock ||
-        run > bitmap->size() - ref.first_block) {
+        ref.first_block > bitmap->size() ||
+        run > bitmap->size() - ref.first_block ||
+        bitmap->AnySet(ref.first_block, run)) {
       return false;
     }
-    for (std::uint64_t b = 0; b < run; ++b) {
-      if (bitmap->Test(ref.first_block + b)) return false;
-      bitmap->Set(ref.first_block + b);
-    }
+    bitmap->SetRun(ref.first_block, run);
   }
   return true;
 }
@@ -197,34 +196,40 @@ std::string StoreStats::ToString() const {
          " block_size=" + std::to_string(block_size);
 }
 
+// Full sectors move straight between the device and the caller's buffer;
+// only a partial tail sector goes through a scratch sector. Either way it
+// is one device call per sector in sector order, the write boundaries the
+// crash sweep enumerates.
 IoResult BlockStore::WriteExtent(std::uint64_t first,
                                  const std::uint8_t* bytes,
                                  std::uint64_t len) {
   const std::size_t bs = device_->block_size();
-  std::vector<std::uint8_t> sector(bs);
-  for (std::uint64_t i = 0; i < ExtentBlocks(len, bs); ++i) {
-    const std::uint64_t off = i * bs;
-    const std::size_t chunk =
-        static_cast<std::size_t>(std::min<std::uint64_t>(bs, len - off));
-    std::memcpy(sector.data(), bytes + off, chunk);
-    if (chunk < bs) std::memset(sector.data() + chunk, 0, bs - chunk);
-    const IoResult r = device_->WriteBlock(first + i, sector.data());
+  const std::uint64_t full = len / bs;
+  for (std::uint64_t i = 0; i < full; ++i) {
+    const IoResult r = device_->WriteBlock(first + i, bytes + i * bs);
     if (!r.ok()) return r;
   }
-  return IoResult::Ok();
+  const auto tail = static_cast<std::size_t>(len % bs);
+  if (tail == 0) return IoResult::Ok();
+  std::vector<std::uint8_t> sector(bs, 0);
+  std::memcpy(sector.data(), bytes + full * bs, tail);
+  return device_->WriteBlock(first + full, sector.data());
 }
 
 IoResult BlockStore::ReadExtent(std::uint64_t first, std::uint8_t* bytes,
                                 std::uint64_t len) const {
   const std::size_t bs = device_->block_size();
-  std::vector<std::uint8_t> sector(bs);
-  for (std::uint64_t i = 0; i < ExtentBlocks(len, bs); ++i) {
-    const IoResult r = device_->ReadBlock(first + i, sector.data());
+  const std::uint64_t full = len / bs;
+  for (std::uint64_t i = 0; i < full; ++i) {
+    const IoResult r = device_->ReadBlock(first + i, bytes + i * bs);
     if (!r.ok()) return r;
-    const std::uint64_t off = i * bs;
-    std::memcpy(bytes + off, sector.data(),
-                static_cast<std::size_t>(std::min<std::uint64_t>(bs, len - off)));
   }
+  const auto tail = static_cast<std::size_t>(len % bs);
+  if (tail == 0) return IoResult::Ok();
+  std::vector<std::uint8_t> sector(bs);
+  const IoResult r = device_->ReadBlock(first + full, sector.data());
+  if (!r.ok()) return r;
+  std::memcpy(bytes + full * bs, sector.data(), tail);
   return IoResult::Ok();
 }
 
@@ -233,9 +238,7 @@ void BlockStore::RebuildBitmaps() {
   FreeBitmap used(device_->block_count());
   used.Set(0);
   used.Set(1);
-  for (std::uint64_t i = 0; i < ExtentBlocks(catalog_bytes_, bs); ++i) {
-    used.Set(catalog_first_ + i);
-  }
+  used.SetRun(catalog_first_, ExtentBlocks(catalog_bytes_, bs));
   for (const auto& [key, entry] : committed_) {
     BDISK_CHECK(MarkEntry(entry, bs, &used));
   }
@@ -348,10 +351,8 @@ Result<std::unique_ptr<BlockStore>> BlockStore::Open(
     FreeBitmap used(count);
     used.Set(0);
     if (count > 1) used.Set(1);
+    used.SetRun(sb.catalog_first, ExtentBlocks(sb.catalog_bytes, bs));
     bool consistent = true;
-    for (std::uint64_t i = 0; i < ExtentBlocks(sb.catalog_bytes, bs); ++i) {
-      used.Set(sb.catalog_first + i);
-    }
     for (const auto& [key, entry] : *catalog) {
       if (!MarkEntry(entry, bs, &used)) {
         consistent = false;

@@ -7,16 +7,23 @@
 // kill the device bytes are reopened and the store must recover to
 // EXACTLY the old or the new consistent generation — every cataloged
 // block checksum-valid and byte-identical to that generation's expected
-// contents — never a torn hybrid.
+// contents — never a torn hybrid. The last workload is a store-backed
+// versioned server's retention commit, which adds a version and erases
+// one in a single transaction; after each of its cuts a server reopened
+// on the recovered store must also serve byte-exact blocks.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "bdisk/flat_builder.h"
 #include "ida/block.h"
+#include "ida/dispersal.h"
+#include "sim/versioned.h"
 #include "store/block_device.h"
 #include "store/block_store.h"
 #include "store/fault_device.h"
@@ -98,6 +105,9 @@ bool MatchesGeneration(BlockStore& store, const ExpectedGeneration& expected,
 }
 
 using Workload = std::function<Status(std::unique_ptr<BlockDevice>)>;
+// An extra check of a store recovered to a legal generation.
+using RecoveredCheck =
+    std::function<void(BlockStore* store, const std::string& spec)>;
 
 // Forwards to a device the caller keeps alive, so the caller can still
 // read it after the workload has destroyed the handle it was given.
@@ -140,7 +150,8 @@ std::uint64_t CountWrites(const MemBlockDevice::Buffer& base,
 void SweepWorkload(const MemBlockDevice::Buffer& base,
                    const Workload& workload,
                    const std::vector<ExpectedGeneration>& legal,
-                   bool allow_unformatted) {
+                   bool allow_unformatted,
+                   const RecoveredCheck& recovered_check = nullptr) {
   const std::uint64_t writes = CountWrites(base, workload);
   ASSERT_GT(writes, 0u);
   // Boundary k = "power dies on the k-th write"; k == writes exercises a
@@ -188,6 +199,7 @@ void SweepWorkload(const MemBlockDevice::Buffer& base,
       EXPECT_TRUE(matched)
           << spec << ": recovered generation " << (*reopened)->generation()
           << " matches neither legal state:" << tried;
+      if (matched && recovered_check) recovered_check(reopened->get(), spec);
     }
   }
 }
@@ -264,6 +276,101 @@ TEST(StoreCrashSweepTest, BackToBackUpdatesRecoverAcrossBothSlots) {
   const ExpectedGeneration new_gen{"gen4-f0v2", {FileBlocks(0, 2)}};
   SweepWorkload(base, update, {old_gen, new_gen},
                 /*allow_unformatted=*/false);
+}
+
+// A two-file versioned program on one-sector blocks: file 0 updates
+// every kInterval slots, file 1 never.
+constexpr std::uint64_t kInterval = 6;
+
+Result<sim::VersionedBroadcastServer> MakeVersionedServer(BlockStore* store) {
+  std::vector<broadcast::FlatFileSpec> files{{"A", 2, 3, {}},
+                                             {"B", 2, 3, {}}};
+  BDISK_ASSIGN_OR_RETURN(
+      broadcast::BroadcastProgram program,
+      broadcast::BuildFlatProgram(files, broadcast::FlatLayout::kSpread));
+  sim::VersionedServerOptions options;
+  options.block_size = kBlockSize;
+  options.update_interval_slots = {kInterval, 0};
+  options.store = store;
+  return sim::VersionedBroadcastServer::Create(std::move(program), options);
+}
+
+// The stamped blocks the versioned server commits for (file, version).
+std::vector<ida::Block> VersionBlocks(ida::FileId file,
+                                      std::uint64_t version) {
+  const auto contents = MakeVersionedServer(nullptr);
+  BDISK_CHECK(contents.ok());
+  auto engine = ida::Dispersal::Create(2, 3, kBlockSize);
+  BDISK_CHECK(engine.ok());
+  auto blocks =
+      engine->Disperse(file, contents->ContentsOf(file, version), version);
+  BDISK_CHECK(blocks.ok());
+  ida::StampChecksums(&*blocks);
+  return *blocks;
+}
+
+// Fetches slots from `from` until the server has sent file 0 at `version`,
+// committing each (file, version) it meets on the way.
+Status ServeUntilVersion(const sim::VersionedBroadcastServer& server,
+                         std::uint64_t from, std::uint64_t version) {
+  for (std::uint64_t t = from;; ++t) {
+    BDISK_ASSIGN_OR_RETURN(std::optional<ida::Block> block,
+                           server.FetchTransmission(t));
+    if (block.has_value() && block->header.file_id == 0 &&
+        block->header.version == version) {
+      return Status::OK();
+    }
+  }
+}
+
+TEST(StoreCrashSweepTest, VersionedRetentionCommitRecoversOldOrNew) {
+  // Base state: f0 v0, f0 v1 and f1 v0, committed by the server itself.
+  MemBlockDevice::Buffer base;
+  {
+    auto mem = std::make_unique<MemBlockDevice>(kBlockSize, kBlockCount);
+    auto buffer = mem->buffer();
+    auto store = BlockStore::Format(std::move(mem));
+    ASSERT_TRUE(store.ok()) << store.status();
+    const auto server = MakeVersionedServer(store->get());
+    ASSERT_TRUE(server.ok()) << server.status();
+    ASSERT_TRUE(ServeUntilVersion(*server, 0, 1).ok());
+    ASSERT_EQ((*store)->catalog().size(), 3u);
+    base = *buffer;
+  }
+  // The third version of f0: one commit adds f0 v2 and erases f0 v0.
+  const Workload retention =
+      [](std::unique_ptr<BlockDevice> device) -> Status {
+    BDISK_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> store,
+                           BlockStore::Open(std::move(device)));
+    BDISK_ASSIGN_OR_RETURN(sim::VersionedBroadcastServer server,
+                           MakeVersionedServer(store.get()));
+    return ServeUntilVersion(server, 2 * kInterval, 2);
+  };
+  const ExpectedGeneration old_gen{
+      "f0v0-f0v1-f1v0",
+      {VersionBlocks(0, 0), VersionBlocks(0, 1), VersionBlocks(1, 0)}};
+  const ExpectedGeneration new_gen{
+      "f0v1-f0v2-f1v0",
+      {VersionBlocks(0, 1), VersionBlocks(0, 2), VersionBlocks(1, 0)}};
+  // A server reopened on either generation serves the in-memory server's
+  // blocks over all three versions, re-dispersing what it lacks.
+  std::set<std::uint64_t> generations;
+  const RecoveredCheck serve = [&generations](BlockStore* store,
+                                              const std::string& spec) {
+    generations.insert(store->generation());
+    const auto memory = MakeVersionedServer(nullptr);
+    const auto disk = MakeVersionedServer(store);
+    ASSERT_TRUE(memory.ok() && disk.ok());
+    for (std::uint64_t t = 0; t < 3 * kInterval; ++t) {
+      const auto want = memory->FetchTransmission(t);
+      const auto got = disk->FetchTransmission(t);
+      ASSERT_TRUE(want.ok() && got.ok()) << spec << " slot " << t;
+      ASSERT_EQ(*got, *want) << spec << " slot " << t;
+    }
+  };
+  SweepWorkload(base, retention, {old_gen, new_gen},
+                /*allow_unformatted=*/false, serve);
+  EXPECT_EQ(generations.size(), 2u) << "the sweep never recovered one side";
 }
 
 }  // namespace

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
+#include "common/random.h"
 #include "ida/block.h"
 #include "store/bitmap.h"
 #include "store/block_device.h"
@@ -196,6 +200,73 @@ TEST(FreeBitmapTest, AllocateRunIsFirstFit) {
   EXPECT_EQ(bitmap.AllocateRun(4), std::optional<std::uint64_t>(6));
   EXPECT_EQ(bitmap.AllocateRun(7), std::nullopt);  // Only 6 left.
   EXPECT_EQ(bitmap.AllocateRun(6), std::optional<std::uint64_t>(10));
+  EXPECT_EQ(bitmap.FreeCount(), 0u);
+  EXPECT_EQ(bitmap.AllocateRun(1), std::nullopt);
+}
+
+// The bit-by-bit first fit the word scan replaced: the lowest start whose
+// `run` sectors are all free, or nullopt.
+std::optional<std::uint64_t> ReferenceFirstFit(const FreeBitmap& bitmap,
+                                               std::uint64_t run) {
+  if (run == 0 || run > bitmap.size()) return std::nullopt;
+  std::uint64_t have = 0;
+  for (std::uint64_t i = 0; i < bitmap.size(); ++i) {
+    have = bitmap.Test(i) ? 0 : have + 1;
+    if (have == run) return i + 1 - run;
+  }
+  return std::nullopt;
+}
+
+TEST(FreeBitmapTest, WordScanMatchesBitByBitFirstFit) {
+  Rng rng(17);
+  std::uint64_t allocations = 0;
+  for (std::uint64_t size = 1; size <= 300; ++size) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Sparse to dense fills, plus used runs that cross word boundaries.
+      FreeBitmap bitmap(size);
+      const std::uint64_t density = rng.Uniform(5);
+      for (std::uint64_t i = 0; i < size; ++i) {
+        if (rng.Uniform(4) < density) bitmap.Set(i);
+      }
+      for (int k = 0; k < 2; ++k) {
+        const std::uint64_t first = rng.Uniform(size);
+        bitmap.SetRun(first, rng.Uniform(std::min<std::uint64_t>(
+                                 size - first + 1, 130)));
+      }
+      // Each answer must match the reference and mark exactly its run.
+      const auto check = [&](std::uint64_t run) {
+        const FreeBitmap before = bitmap;
+        const std::optional<std::uint64_t> got = bitmap.AllocateRun(run);
+        ASSERT_EQ(got, ReferenceFirstFit(before, run))
+            << "size " << size << " run " << run;
+        for (std::uint64_t i = 0; i < size; ++i) {
+          const bool in_run = got.has_value() && i >= *got && i < *got + run;
+          ASSERT_EQ(bitmap.Test(i), before.Test(i) || in_run)
+              << "size " << size << " sector " << i;
+        }
+        if (got.has_value()) ++allocations;
+      };
+      // Random runs up to size + 1 (so run > size too), then single
+      // sectors until the bitmap is exhausted.
+      for (int step = 0; step < 24; ++step) check(1 + rng.Uniform(size + 1));
+      while (bitmap.FreeCount() > 0) check(1);
+      check(1);
+      check(size);
+    }
+  }
+  EXPECT_GT(allocations, 1000u);
+}
+
+TEST(FreeBitmapTest, AnySetAndSetRunAcrossWords) {
+  FreeBitmap bitmap(200);
+  bitmap.SetRun(60, 10);  // Crosses the word boundary at 64.
+  EXPECT_TRUE(bitmap.AnySet(69, 1));
+  EXPECT_FALSE(bitmap.AnySet(70, 130));
+  EXPECT_FALSE(bitmap.AnySet(0, 60));
+  EXPECT_TRUE(bitmap.AnySet(0, 61));
+  EXPECT_FALSE(bitmap.AnySet(200, 0));
+  EXPECT_EQ(bitmap.FreeCount(), 190u);
+  bitmap.SetRun(0, 200);
   EXPECT_EQ(bitmap.FreeCount(), 0u);
   EXPECT_EQ(bitmap.AllocateRun(1), std::nullopt);
 }
@@ -391,6 +462,35 @@ TEST(BlockStoreTest, StageCommitReopenReadRoundTrip) {
   }
 }
 
+TEST(BlockStoreTest, PartialTailSectorIsZeroPaddedOnDevice) {
+  // A 100-byte payload on 64-byte sectors: one full sector written
+  // straight from the payload, then a tail sector whose last 28 bytes
+  // must be zeros on the device even though the sector held garbage.
+  auto mem = MakeMem();
+  auto buffer = mem->buffer();
+  std::fill(buffer->begin(), buffer->end(), 0xEE);
+  auto store = BlockStore::Format(std::move(mem));
+  ASSERT_TRUE(store.ok()) << store.status();
+  const auto blocks = MakeBlocks(1, 0, 2, 3, 100);
+  ASSERT_TRUE((*store)->StageFile(blocks).ok());
+  ASSERT_TRUE((*store)->Commit().ok());
+  const CatalogEntry* entry = (*store)->FindEntry(1, 0);
+  ASSERT_NE(entry, nullptr);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const std::uint8_t* extent =
+        buffer->data() + entry->blocks[i].first_block * kBlockSize;
+    EXPECT_TRUE(std::equal(extent, extent + 100,
+                           blocks[i].payload.begin()))
+        << "block " << i;
+    for (std::size_t b = 100; b < 2 * kBlockSize; ++b) {
+      ASSERT_EQ(extent[b], 0) << "block " << i << " byte " << b;
+    }
+    const auto read = (*store)->ReadCodedBlock(1, 0, i);
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, blocks[i]);
+  }
+}
+
 TEST(BlockStoreTest, StageFileValidatesIdentityAndStamps) {
   auto store = BlockStore::Format(MakeMem());
   ASSERT_TRUE(store.ok()) << store.status();
@@ -490,6 +590,40 @@ TEST(BlockStoreTest, TornSuperblockRecoversToOlderGeneration) {
   EXPECT_EQ((*reopened)->generation(), 2u);
   EXPECT_NE((*reopened)->FindEntry(0, 0), nullptr);
   EXPECT_EQ((*reopened)->FindEntry(1, 0), nullptr);
+}
+
+TEST(BlockStoreTest, CatalogExtentPastTheDeviceIsRejectedNotFatal) {
+  // A catalog whose CRCs validate but whose first extent starts past the
+  // end of the device lies about allocation: recovery must fall back to
+  // the older generation rather than abort on an out-of-range bit.
+  auto mem = MakeMem();
+  auto buffer = mem->buffer();
+  {
+    auto store = BlockStore::Format(std::move(mem));
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_TRUE((*store)->StageFile(MakeBlocks(0, 0, 2, 3, 30)).ok());
+    ASSERT_TRUE((*store)->Commit().ok());  // Generation 2, slot 0.
+  }
+  const auto get64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = v << 8 | (*buffer)[at + i];
+    return v;
+  };
+  const auto put = [&](std::size_t at, std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) (*buffer)[at + i] = (v >> (8 * i)) & 0xFF;
+  };
+  const std::size_t catalog = get64(32) * kBlockSize;
+  const std::size_t catalog_bytes = get64(40);
+  // Entry 0's first block reference sits after the count and the entry's
+  // fixed fields; point it past the device and re-seal both CRCs.
+  put(catalog + 8 + 28, kBlockCount + 1000, 8);
+  put(48, Crc32c(buffer->data() + catalog, catalog_bytes), 4);
+  put(52, Crc32c(buffer->data(), 52), 4);
+  auto reopened =
+      BlockStore::Open(MemBlockDevice::Attach(buffer, kBlockSize));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->generation(), 1u);
+  EXPECT_TRUE((*reopened)->catalog().empty());
 }
 
 TEST(BlockStoreTest, BothSuperblocksDamagedIsDataLoss) {
