@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -63,17 +64,17 @@ TEST(Crc32cTest, EmptyInputLeavesTheCrcUnchanged) {
   EXPECT_EQ(Crc32cExtendPortable(0x12345678u, nullptr, 0), 0x12345678u);
 }
 
-// Every length across the 8-byte word loop and its tail, at every start
-// offset within 16 bytes (so every word-load misalignment), with the three
-// kinds of incoming CRC.
-TEST(Crc32cTest, SelectedKernelEqualsPortableAtEveryLengthAndOffset) {
-  constexpr std::size_t kMaxLen = 1100;
+// Checks the selected kernel against the portable one at every length in
+// `lengths`, at every start offset within 16 bytes (so every word-load
+// misalignment), with the three kinds of incoming CRC. Stops at the first
+// mismatch.
+void ExpectSelectedEqualsPortable(const std::vector<std::size_t>& lengths) {
   constexpr std::size_t kOffsets = 16;
-  const auto buf = RandomBytes(kMaxLen + kOffsets, 0xC3C3);
+  const auto buf = RandomBytes(std::ranges::max(lengths) + kOffsets, 0xC3C3);
   const std::uint32_t seeded = static_cast<std::uint32_t>(Rng(0x5EED)());
   for (const std::uint32_t crc : {0u, 0xFFFFFFFFu, seeded}) {
     for (std::size_t offset = 0; offset < kOffsets; ++offset) {
-      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      for (const std::size_t len : lengths) {
         const std::uint8_t* p = buf.data() + offset;
         const std::uint32_t want = Crc32cExtendPortable(crc, p, len);
         const std::uint32_t got = Crc32cExtend(crc, p, len);
@@ -86,28 +87,48 @@ TEST(Crc32cTest, SelectedKernelEqualsPortableAtEveryLengthAndOffset) {
   }
 }
 
-// The stamped span of a 32 KiB block (payload plus 24 identity bytes) and a
-// 64 KiB buffer.
+// Every length in [first, last].
+std::vector<std::size_t> Lengths(std::size_t first, std::size_t last) {
+  std::vector<std::size_t> out;
+  for (std::size_t len = first; len <= last; ++len) out.push_back(len);
+  return out;
+}
+
+constexpr std::size_t kLane = internal::kCrc32cLaneBytes;
+
+// Every length across the 8-byte word loop and its tail.
+TEST(Crc32cTest, SelectedKernelEqualsPortableAtEveryLengthAndOffset) {
+  ExpectSelectedEqualsPortable(Lengths(0, 1100));
+}
+
+// Both sides of three and six lanes, where the kernel starts its first and
+// second three-lane run: below, one chain (after one run, below six); at
+// and above, the runs and then a one-chain tail.
+TEST(Crc32cTest, SelectedKernelEqualsPortableAroundTheLaneRuns) {
+  ExpectSelectedEqualsPortable(Lengths(3 * kLane - 64, 3 * kLane + 64));
+  ExpectSelectedEqualsPortable(Lengths(6 * kLane - 16, 6 * kLane + 16));
+}
+
+// A 32 KiB payload, its stamped span (payload plus 24 identity bytes), a
+// 64 KiB buffer and an odd length past them.
 TEST(Crc32cTest, SelectedKernelEqualsPortableOnLargeSpans) {
-  const auto buf = RandomBytes(65536 + 1, 0xB10C);
-  for (const std::size_t len : {std::size_t{32792}, std::size_t{65536}}) {
-    for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
-      const std::uint8_t* p = buf.data() + offset;
-      EXPECT_EQ(Crc32cExtend(0, p, len), Crc32cExtendPortable(0, p, len))
-          << "len=" << len << " offset=" << offset;
-    }
-  }
+  ExpectSelectedEqualsPortable({32768, 32792, 65536, 100003});
 }
 
 TEST(Crc32cTest, ChainingAtEverySplitEqualsOneShot) {
-  const auto buf = RandomBytes(1048, 0xC4A1);
-  const std::uint32_t whole = Crc32c(buf.data(), buf.size());
-  ASSERT_EQ(whole, Crc32cExtendPortable(0, buf.data(), buf.size()));
-  for (std::size_t split = 0; split <= buf.size(); ++split) {
-    const std::uint32_t head = Crc32cExtend(0, buf.data(), split);
-    EXPECT_EQ(Crc32cExtend(head, buf.data() + split, buf.size() - split),
-              whole)
-        << "split=" << split;
+  for (const std::size_t size : {std::size_t{1048}, 3 * kLane + 100}) {
+    const auto buf = RandomBytes(size, 0xC4A1);
+    const std::uint32_t whole = Crc32c(buf.data(), buf.size());
+    ASSERT_EQ(whole, Crc32cExtendPortable(0, buf.data(), buf.size()));
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+      const std::uint32_t head = Crc32cExtend(0, buf.data(), split);
+      const std::uint32_t got =
+          Crc32cExtend(head, buf.data() + split, buf.size() - split);
+      if (got != whole) {
+        FAIL() << "size=" << size << " split=" << split << ": got " << got
+               << ", one-shot " << whole;
+      }
+    }
   }
 }
 

@@ -30,30 +30,37 @@ TEST(BlockHeaderTest, ToStringIncludesAllFields) {
 }
 
 // Pins the stamp format: stores and --serve streams written by earlier
-// binaries carry this value, so it must never change. The constant was
-// computed by the table-only CRC-32C kernel before the hardware one existed.
+// binaries carry these values, so they must never change. The 1 KiB stamp
+// was computed by the table-only CRC-32C kernel before the hardware one
+// existed, the 32 KiB one (a span the hardware kernel splits into
+// interleaved lanes) by the single-chain hardware kernel before the lanes.
 TEST(BlockChecksumTest, StampOfAFixedBlockIsPinned) {
-  constexpr std::uint32_t kPinned = 0xD411F21Bu;
-  Block block;
-  block.header = {.file_id = 7,
-                  .block_index = 3,
-                  .reconstruct_threshold = 5,
-                  .total_blocks = 8,
-                  .version = 42};
-  block.payload.resize(1024);
-  for (std::size_t i = 0; i < block.payload.size(); ++i) {
-    block.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
-  }
-  EXPECT_EQ(BlockChecksum(block), kPinned);
+  struct Pin {
+    std::size_t payload_bytes;
+    std::uint32_t stamp;
+  };
+  for (const Pin pin : {Pin{1024, 0xD411F21Bu}, Pin{32768, 0x96937D49u}}) {
+    Block block;
+    block.header = {.file_id = 7,
+                    .block_index = 3,
+                    .reconstruct_threshold = 5,
+                    .total_blocks = 8,
+                    .version = 42};
+    block.payload.resize(pin.payload_bytes);
+    for (std::size_t i = 0; i < block.payload.size(); ++i) {
+      block.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    }
+    EXPECT_EQ(BlockChecksum(block), pin.stamp) << pin.payload_bytes;
 
-  // The same coverage (identity bytes, then payload) through the portable
-  // reference kernel, so the pin holds on both kernels.
-  const auto identity = SerializeIdentity(block.header);
-  std::uint32_t crc = bdisk::internal::Crc32cExtendPortable(
-      0, identity.data(), identity.size());
-  crc = bdisk::internal::Crc32cExtendPortable(crc, block.payload.data(),
-                                              block.payload.size());
-  EXPECT_EQ(crc, kPinned);
+    // The same coverage (identity bytes, then payload) through the portable
+    // reference kernel, so the pin holds on both kernels.
+    const auto identity = SerializeIdentity(block.header);
+    std::uint32_t crc = bdisk::internal::Crc32cExtendPortable(
+        0, identity.data(), identity.size());
+    crc = bdisk::internal::Crc32cExtendPortable(crc, block.payload.data(),
+                                                block.payload.size());
+    EXPECT_EQ(crc, pin.stamp) << pin.payload_bytes;
+  }
 }
 
 TEST(DispersalTest, CreateValidation) {
