@@ -1,10 +1,14 @@
 // Fleet-scale event-engine bench: 1M clients over a 10k-slot trace on one
 // box, inside a 2 GB peak-RSS budget.
 //
-// The discrete-event engine (sim/event_engine.h) exists to make this run
-// routine: per-client state is ~tens of bytes and per-retrieval cost is
-// O(transmissions heard), so a million concurrent clients fit where the
-// slot-by-slot walk would thrash. The bench
+// The discrete-event engine (sim/event_engine.h) pays O(transmissions
+// heard) per retrieval in ~96 bytes of state per client; the slot walk pays
+// O(slots spanned) in constant memory. The event engine wins when a
+// retrieval spans many slots of other files. On pipebench fleet's
+// 16-file, period-32 program the two run about even on 4 threads, and the
+// slot walk wins at 1M clients on one thread (docs/ARCHITECTURE.md, "The
+// event engine").
+// The bench
 //
 //   * generates clients on demand — Zipf file choice + Poisson arrivals,
 //     both pure functions of the client index (no materialized request

@@ -1,15 +1,13 @@
 #include "sim/event_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/registry.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "runtime/parallel_for.h"
-#include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 #include "sim/trace_walk.h"
 
@@ -236,29 +234,9 @@ void EventShardRunner::Drain() {
   }
 }
 
-void EventEngine::RecordRetrievalTrace(obs::TraceSink* sink,
-                                       std::uint64_t request_id,
-                                       const ClientState& st) const {
-  // Derive the outcome with the slot engine's exact semantics so the
-  // trigger decision and the span metadata agree byte for byte.
-  RetrievalOutcome outcome;
-  outcome.completed = (st.flags & ClientState::kCompleted) != 0;
-  outcome.errors_observed = st.errors_observed;
-  outcome.corrupt_detected = st.corrupt_detected;
-  if (outcome.completed) {
-    outcome.completion_slot = st.completion_slot;
-    outcome.latency = st.completion_slot - st.start_slot + 1;
-    outcome.met_deadline =
-        st.deadline_slots == 0 || outcome.latency <= st.deadline_slots;
-    const std::uint64_t period = PeriodAt(st.start_slot);
-    outcome.periods_to_recovery = (outcome.latency + period - 1) / period;
-    if (st.errors_observed > 0) {
-      BDISK_DCHECK((st.flags & ClientState::kBaselineDone) != 0);
-      outcome.stall_slots = st.completion_slot - st.baseline_slot;
-    }
-  } else {
-    outcome.met_deadline = st.deadline_slots == 0;
-  }
+void EventEngine::RecordRetrievalTrace(
+    obs::TraceSink* sink, std::uint64_t request_id, const ClientState& st,
+    const RetrievalOutcome& outcome) const {
   const std::uint8_t trigger =
       sink->TriggerFor(request_id, outcome.completed, outcome.met_deadline,
                        outcome.stall_slots);
@@ -285,49 +263,35 @@ void EventEngine::RecordRetrievalTrace(obs::TraceSink* sink,
                                   trigger));
 }
 
+RetrievalOutcome EventShardRunner::OutcomeOf(const ClientState& st) const {
+  RetrievalOutcome walk;
+  walk.completed = (st.flags & ClientState::kCompleted) != 0;
+  walk.completion_slot = st.completion_slot;
+  walk.errors_observed = st.errors_observed;
+  walk.corrupt_detected = st.corrupt_detected;
+  return FinishOutcome(walk, st.start_slot, st.deadline_slots,
+                       engine_->PeriodAt(st.start_slot), [&st] {
+                         // The baseline completes no later than the actual
+                         // walk (its distinct set is a superset at every
+                         // slot).
+                         BDISK_CHECK((st.flags &
+                                      ClientState::kBaselineDone) != 0);
+                         return st.baseline_slot;
+                       });
+}
+
 void EventShardRunner::Collect(SimulationMetrics* local,
                                obs::Timeline* timeline,
                                std::uint64_t global_begin,
                                obs::TraceSink* trace) const {
-  if (timeline != nullptr) timeline->Reserve(states_.size());
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const ClientState& st = states_[i];
     BDISK_DCHECK((st.flags & ClientState::kDone) != 0);
+    const RetrievalOutcome outcome = OutcomeOf(st);
     if (trace != nullptr) {
-      engine_->RecordRetrievalTrace(trace, global_begin + i, st);
+      engine_->RecordRetrievalTrace(trace, global_begin + i, st, outcome);
     }
-    FileMetrics& fm = local->per_file[st.file];
-    if ((st.flags & ClientState::kCompleted) != 0) {
-      const std::uint64_t latency = st.completion_slot - st.start_slot + 1;
-      bool met_deadline = true;
-      if (st.deadline_slots > 0) met_deadline = latency <= st.deadline_slots;
-      const std::uint64_t period = engine_->PeriodAt(st.start_slot);
-      const std::uint64_t periods = (latency + period - 1) / period;
-      std::uint64_t stall = 0;
-      if (st.errors_observed > 0) {
-        // The baseline completes no later than the actual walk (its
-        // distinct set is a superset at every slot).
-        BDISK_CHECK((st.flags & ClientState::kBaselineDone) != 0);
-        stall = st.completion_slot - st.baseline_slot;
-      }
-      ++fm.completed;
-      fm.latency.Add(static_cast<double>(latency));
-      fm.stall.Add(static_cast<double>(stall));
-      fm.periods_to_recovery.Add(static_cast<double>(periods));
-      if (!met_deadline) ++fm.missed_deadline;
-      if (timeline != nullptr) {
-        timeline->RecordCompleted(st.completion_slot, latency, stall,
-                                  met_deadline, st.errors_observed,
-                                  st.corrupt_detected);
-      }
-    } else {
-      ++fm.incomplete;
-      if (timeline != nullptr) {
-        timeline->RecordIncomplete(st.errors_observed, st.corrupt_detected);
-      }
-    }
-    fm.errors_observed += st.errors_observed;
-    fm.corrupt_detected += st.corrupt_detected;
+    AccumulateOutcome(outcome, &local->per_file[st.file], timeline);
   }
 }
 
@@ -336,56 +300,22 @@ SimulationMetrics EventEngine::Run(
     const std::function<EventClient(std::uint64_t)>& client_at,
     runtime::ThreadPool* pool, EventEngineStats* stats,
     obs::Timeline* timeline, obs::TraceSink* trace) const {
-  const std::size_t file_count = files().size();
-  const unsigned shards = runtime::ShardCountFor(pool, count);
-  std::vector<SimulationMetrics> shard_metrics(shards);
-  std::vector<std::uint64_t> shard_events(shards, 0);
-  // Shard-local timelines: recording is non-atomic, merging is exact, so
-  // the stream stays deterministic at any shard count.
-  std::vector<obs::Timeline> shard_timelines;
-  if (timeline != nullptr) {
-    shard_timelines.assign(
-        shards, obs::Timeline(timeline->interval_slots(),
-                              timeline->horizon()));
-  }
-  std::vector<obs::TraceSink> shard_traces;
-  if (trace != nullptr) {
-    shard_traces.assign(shards, obs::TraceSink(trace->options()));
-  }
+  std::atomic<std::uint64_t> total_events{0};
   obs::HistogramMetric* drain_us = obs::GlobalRegistry().GetHistogram(
       "phase.event_drain_us", obs::PhaseTimerBoundsUs());
-  runtime::ParallelFor(
-      pool, count, shards, [&](unsigned shard, runtime::ShardRange range) {
-        SimulationMetrics& local = shard_metrics[shard];
-        local.per_file.resize(file_count);
+  SimulationMetrics metrics = RunSharded(
+      files(), count, pool, timeline, trace, [&](const Shard& shard) {
         EventShardRunner runner(*this);
-        runner.Prepare(range.begin, range.end, client_at);
+        runner.Prepare(shard.begin, shard.end, client_at);
         {
           // One timer per shard drain — never per event.
           obs::ScopedPhaseTimer timer(drain_us);
           runner.Drain();
         }
-        runner.Collect(&local,
-                       timeline != nullptr ? &shard_timelines[shard] : nullptr,
-                       range.begin,
-                       trace != nullptr ? &shard_traces[shard] : nullptr);
-        shard_events[shard] = runner.events_processed();
+        runner.Collect(shard.metrics, shard.timeline, shard.begin,
+                       shard.trace);
+        total_events += runner.events_processed();
       });
-
-  SimulationMetrics metrics;
-  metrics.per_file.resize(file_count);
-  for (broadcast::FileIndex f = 0; f < file_count; ++f) {
-    metrics.per_file[f].file_name = files()[f].name;
-  }
-  for (const SimulationMetrics& sm : shard_metrics) metrics.Merge(sm);
-  if (timeline != nullptr) {
-    for (const obs::Timeline& tl : shard_timelines) timeline->Merge(tl);
-  }
-  if (trace != nullptr) {
-    for (obs::TraceSink& tr : shard_traces) trace->Merge(std::move(tr));
-  }
-  std::uint64_t total_events = 0;
-  for (const std::uint64_t e : shard_events) total_events += e;
   obs::GlobalRegistry().GetCounter("sim.events")->Add(total_events);
   obs::GlobalRegistry().GetCounter("sim.clients")->Add(count);
   if (stats != nullptr) {

@@ -60,6 +60,8 @@ class ThreadPool;
 
 namespace bdisk::sim {
 
+struct RetrievalOutcome;
+
 /// \brief One simulated client: which file it wants, when it tunes in,
 /// and its latency budget (0 = no deadline). Generated on demand by a
 /// pure function of the global client index, so fleets never need a
@@ -206,11 +208,11 @@ class EventEngine {
   std::size_t EpochIndexAt(std::uint64_t t) const;
 
   /// Captures the finished client's causal span into `sink` when its
-  /// options trigger; no-op otherwise. Derives the outcome fields with
-  /// the slot engine's exact semantics, then replays via the shared
+  /// options trigger on `outcome`; no-op otherwise. Replays via the shared
   /// walker with NextTransmissionOf as the jump source.
   void RecordRetrievalTrace(obs::TraceSink* sink, std::uint64_t request_id,
-                            const ClientState& st) const;
+                            const ClientState& st,
+                            const RetrievalOutcome& outcome) const;
 
   std::vector<EpochRef> epochs_;
   const std::vector<faults::FaultType>* faults_;
@@ -252,6 +254,10 @@ class EventShardRunner {
   std::uint64_t events_processed() const { return events_; }
 
  private:
+  /// The finished client's outcome under the rule both engines share
+  /// (FinishOutcome).
+  RetrievalOutcome OutcomeOf(const ClientState& st) const;
+
   /// Marks `block` in the actual / baseline distinct set; returns true iff
   /// it was already present.
   bool TestSetHave(ClientState* st, std::uint32_t block, std::uint32_t n);

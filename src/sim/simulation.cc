@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/check.h"
 #include "obs/registry.h"
@@ -23,7 +24,90 @@ std::vector<faults::FaultType> RealizeChannel(
   return trace;
 }
 
+Status CheckClientModel(const broadcast::ProgramFile& pf,
+                        broadcast::ClientModel model) {
+  if (model == broadcast::ClientModel::kFlat && pf.n != pf.m) {
+    return Status::InvalidArgument(
+        "Simulator: flat client model requires n == m for file '" + pf.name +
+        "'");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+void AccumulateOutcome(const RetrievalOutcome& outcome, OutcomeStats* stats,
+                       obs::Timeline* timeline) {
+  if (outcome.completed) {
+    ++stats->completed;
+    stats->latency.Add(static_cast<double>(outcome.latency));
+    stats->stall.Add(static_cast<double>(outcome.stall_slots));
+    stats->periods_to_recovery.Add(
+        static_cast<double>(outcome.periods_to_recovery));
+    if (!outcome.met_deadline) ++stats->missed_deadline;
+    if (timeline != nullptr) {
+      timeline->RecordCompleted(outcome.completion_slot, outcome.latency,
+                                outcome.stall_slots, outcome.met_deadline,
+                                outcome.errors_observed,
+                                outcome.corrupt_detected);
+    }
+  } else {
+    ++stats->incomplete;
+    if (timeline != nullptr) {
+      timeline->RecordIncomplete(outcome.errors_observed,
+                                 outcome.corrupt_detected);
+    }
+  }
+  stats->errors_observed += outcome.errors_observed;
+  stats->corrupt_detected += outcome.corrupt_detected;
+}
+
+SimulationMetrics RunSharded(const std::vector<broadcast::ProgramFile>& files,
+                             std::uint64_t count, runtime::ThreadPool* pool,
+                             obs::Timeline* timeline, obs::TraceSink* trace,
+                             const std::function<void(const Shard&)>&
+                                 fold_shard) {
+  const unsigned shards = runtime::ShardCountFor(pool, count);
+  std::vector<SimulationMetrics> shard_metrics(shards);
+  // Shard-local timelines and sinks: recording is unsynchronized and the
+  // in-order merges below are exact, so the output is deterministic at
+  // any shard count.
+  std::vector<obs::Timeline> shard_timelines;
+  if (timeline != nullptr) {
+    shard_timelines.assign(
+        shards, obs::Timeline(timeline->interval_slots(),
+                              timeline->horizon()));
+  }
+  std::vector<obs::TraceSink> shard_traces;
+  if (trace != nullptr) {
+    shard_traces.assign(shards, obs::TraceSink(trace->options()));
+  }
+  runtime::ParallelFor(
+      pool, count, shards, [&](unsigned s, runtime::ShardRange range) {
+        Shard shard{range.begin, range.end, &shard_metrics[s],
+                    timeline != nullptr ? &shard_timelines[s] : nullptr,
+                    trace != nullptr ? &shard_traces[s] : nullptr};
+        shard.metrics->per_file.resize(files.size());
+        if (shard.timeline != nullptr) {
+          shard.timeline->Reserve(static_cast<std::size_t>(range.size()));
+        }
+        fold_shard(shard);
+      });
+
+  SimulationMetrics metrics;
+  metrics.per_file.resize(files.size());
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    metrics.per_file[f].file_name = files[f].name;
+  }
+  for (const SimulationMetrics& sm : shard_metrics) metrics.Merge(sm);
+  if (timeline != nullptr) {
+    for (const obs::Timeline& tl : shard_timelines) timeline->Merge(tl);
+  }
+  if (trace != nullptr) {
+    for (obs::TraceSink& tr : shard_traces) trace->Merge(std::move(tr));
+  }
+  return metrics;
+}
 
 Simulator::Simulator(const broadcast::BroadcastProgram& program,
                      const faults::ChannelModel& channel,
@@ -50,8 +134,7 @@ std::uint64_t Simulator::MaxDataCycle() const {
                               : program_->DataCycleLength();
 }
 
-Result<RetrievalOutcome> Simulator::Retrieve(
-    const ClientRequest& request) const {
+Status Simulator::CheckRequest(const ClientRequest& request) const {
   if (request.file >= files().size()) {
     return Status::InvalidArgument("Simulator: unknown file index " +
                                    std::to_string(request.file));
@@ -59,26 +142,25 @@ Result<RetrievalOutcome> Simulator::Retrieve(
   if (request.start_slot >= faults_.size()) {
     return Status::InvalidArgument("Simulator: start beyond horizon");
   }
-  const broadcast::ProgramFile& pf = files()[request.file];
-  if (request.model == broadcast::ClientModel::kFlat && pf.n != pf.m) {
-    return Status::InvalidArgument(
-        "Simulator: flat client model requires n == m for file '" + pf.name +
-        "'");
-  }
+  return CheckClientModel(files()[request.file], request.model);
+}
 
-  RetrievalOutcome outcome;
-  // Distinct-block tracker; n can exceed 64, so use a byte vector.
+RetrievalOutcome Simulator::SlotWalk(broadcast::FileIndex file,
+                                     std::uint64_t start) const {
+  const broadcast::ProgramFile& pf = files()[file];
+  RetrievalOutcome walk;
+  // Distinct-block tracker; n can exceed 64, so not a single word.
   std::vector<bool> have(pf.n, false);
   std::uint32_t distinct = 0;
-  for (std::uint64_t t = request.start_slot; t < faults_.size(); ++t) {
+  for (std::uint64_t t = start; t < faults_.size(); ++t) {
     const auto tx = TxAt(t);
-    if (!tx.has_value() || tx->file != request.file) continue;
+    if (!tx.has_value() || tx->file != file) continue;
     const faults::FaultType fault = faults_[t];
     if (fault != faults::FaultType::kNone) {
       // Lost, or corrupted-and-discarded after checksum detection: either
       // way the client makes no progress on this transmission.
-      ++outcome.errors_observed;
-      if (fault == faults::FaultType::kCorrupted) ++outcome.corrupt_detected;
+      ++walk.errors_observed;
+      if (fault == faults::FaultType::kCorrupted) ++walk.corrupt_detected;
       continue;
     }
     if (!have[tx->block_index]) {
@@ -86,31 +168,25 @@ Result<RetrievalOutcome> Simulator::Retrieve(
       ++distinct;
     }
     if (distinct >= pf.m) {
-      outcome.completed = true;
-      outcome.completion_slot = t;
-      outcome.latency = t - request.start_slot + 1;
+      walk.completed = true;
+      walk.completion_slot = t;
       break;
     }
   }
-  if (outcome.completed && request.deadline_slots > 0) {
-    outcome.met_deadline = outcome.latency <= request.deadline_slots;
-  } else if (!outcome.completed) {
-    outcome.met_deadline = request.deadline_slots == 0;
-  }
-  if (outcome.completed) {
-    const std::uint64_t period = PeriodAt(request.start_slot);
-    outcome.periods_to_recovery = (outcome.latency + period - 1) / period;
-    // Stall: slots the faults cost versus the lossless channel. A fault on
-    // the file's slots is a necessary condition for stall, so the baseline
-    // pass is skipped on the (common) clean-retrieval path.
-    if (outcome.errors_observed > 0) {
-      const auto baseline =
-          LosslessCompletionSlot(request.file, request.start_slot);
-      BDISK_CHECK(baseline.has_value());  // Completes by outcome's slot.
-      outcome.stall_slots = outcome.completion_slot - *baseline;
-    }
-  }
-  return outcome;
+  return walk;
+}
+
+Result<RetrievalOutcome> Simulator::Retrieve(
+    const ClientRequest& request) const {
+  BDISK_RETURN_NOT_OK(CheckRequest(request));
+  return FinishOutcome(
+      SlotWalk(request.file, request.start_slot), request.start_slot,
+      request.deadline_slots, PeriodAt(request.start_slot), [&] {
+        const auto baseline =
+            LosslessCompletionSlot(request.file, request.start_slot);
+        BDISK_CHECK(baseline.has_value());  // Completes by the walk's slot.
+        return *baseline;
+      });
 }
 
 std::optional<std::uint64_t> LosslessCompletionWalk(
@@ -186,81 +262,120 @@ Result<RetrievalOutcome> Simulator::RetrieveTransaction(
   if (request.files.empty()) {
     return Status::InvalidArgument("RetrieveTransaction: no files");
   }
-  RetrievalOutcome combined;
-  combined.completed = true;
-  combined.completion_slot = 0;
+  // The transaction completes when its slowest item does, and hears the
+  // faults of all its items.
+  RetrievalOutcome walk;
+  walk.completed = true;
   for (broadcast::FileIndex f : request.files) {
-    ClientRequest single;
-    single.file = f;
-    single.start_slot = request.start_slot;
-    single.deadline_slots = 0;  // Judged jointly below.
-    single.model = request.model;
-    BDISK_ASSIGN_OR_RETURN(RetrievalOutcome outcome, Retrieve(single));
-    combined.errors_observed += outcome.errors_observed;
-    combined.corrupt_detected += outcome.corrupt_detected;
-    if (!outcome.completed) {
-      combined.completed = false;
-    } else if (outcome.completion_slot > combined.completion_slot) {
-      combined.completion_slot = outcome.completion_slot;
-    }
+    BDISK_RETURN_NOT_OK(
+        CheckRequest({f, request.start_slot, 0, request.model}));
+    const RetrievalOutcome item = SlotWalk(f, request.start_slot);
+    walk.completed = walk.completed && item.completed;
+    walk.completion_slot = std::max(walk.completion_slot, item.completion_slot);
+    walk.errors_observed += item.errors_observed;
+    walk.corrupt_detected += item.corrupt_detected;
   }
-  if (combined.completed) {
-    combined.latency = combined.completion_slot - request.start_slot + 1;
-    combined.met_deadline = request.deadline_slots == 0 ||
-                            combined.latency <= request.deadline_slots;
-    const std::uint64_t period = PeriodAt(request.start_slot);
-    combined.periods_to_recovery = (combined.latency + period - 1) / period;
-    if (combined.errors_observed > 0) {
-      // Joint stall: against the lossless channel the transaction also
-      // completes when its slowest item does.
-      std::uint64_t baseline = 0;
-      for (broadcast::FileIndex f : request.files) {
-        const auto item = LosslessCompletionSlot(f, request.start_slot);
-        BDISK_CHECK(item.has_value());
-        baseline = std::max(baseline, *item);
-      }
-      combined.stall_slots = combined.completion_slot - baseline;
-    }
-  } else {
-    combined.completion_slot = 0;
-    combined.met_deadline = request.deadline_slots == 0;
-  }
-  return combined;
+  return FinishOutcome(
+      walk, request.start_slot, request.deadline_slots,
+      PeriodAt(request.start_slot), [&] {
+        // Joint stall: against the lossless channel the transaction also
+        // completes when its slowest item does.
+        std::uint64_t baseline = 0;
+        for (broadcast::FileIndex f : request.files) {
+          const auto item = LosslessCompletionSlot(f, request.start_slot);
+          BDISK_CHECK(item.has_value());
+          baseline = std::max(baseline, *item);
+        }
+        return baseline;
+      });
 }
 
-Status Simulator::ValidateWorkload(
-    const WorkloadConfig& config, std::vector<std::uint64_t>* deadlines,
-    std::vector<std::uint64_t>* start_ranges) const {
+Result<std::uint64_t> Simulator::StartRange(std::uint64_t deadline) const {
+  const std::uint64_t tail =
+      std::max<std::uint64_t>(deadline, 4 * MaxDataCycle());
+  if (faults_.size() <= tail) {
+    return Status::InvalidArgument(
+        "Simulator: horizon too small for workload (need > " +
+        std::to_string(tail) + " slots)");
+  }
+  return faults_.size() - tail;
+}
+
+struct Simulator::WorkloadDraws {
+  const WorkloadConfig* config = nullptr;
+  /// files x requests_per_file, checked not to wrap.
+  std::uint64_t total = 0;
+  /// Per file: the resolved deadline and the bound of the start draw.
+  std::vector<std::uint64_t> deadlines;
+  std::vector<std::uint64_t> start_ranges;
+
+  /// Request g: file g / requests_per_file, a start drawn from RNG stream
+  /// g of the seed, and the file's deadline. One global index drives both
+  /// the shard split and the draw, so any shard count replays the same
+  /// requests.
+  ClientRequest At(std::uint64_t g) const {
+    const auto f =
+        static_cast<broadcast::FileIndex>(g / config->requests_per_file);
+    Rng rng = runtime::StreamRng(config->seed, g);
+    return ClientRequest{f, rng.Uniform(start_ranges[f]), deadlines[f],
+                         config->model};
+  }
+};
+
+Result<Simulator::WorkloadDraws> Simulator::ValidateWorkload(
+    const WorkloadConfig& config) const {
   const std::size_t file_count = files().size();
-  deadlines->assign(file_count, 0);
-  start_ranges->assign(file_count, 0);
+  WorkloadDraws draws;
+  draws.config = &config;
+  if (config.requests_per_file != 0 &&
+      file_count > std::numeric_limits<std::uint64_t>::max() /
+                       config.requests_per_file) {
+    return Status::InvalidArgument(
+        "Simulator: " + std::to_string(file_count) +
+        " files x requests_per_file " +
+        std::to_string(config.requests_per_file) +
+        " overflows the 64-bit request index");
+  }
+  draws.total = file_count * config.requests_per_file;
   for (broadcast::FileIndex f = 0; f < file_count; ++f) {
     const broadcast::ProgramFile& pf = files()[f];
-    if (config.model == broadcast::ClientModel::kFlat && pf.n != pf.m) {
-      return Status::InvalidArgument(
-          "Simulator: flat client model requires n == m for file '" +
-          pf.name + "'");
-    }
+    BDISK_RETURN_NOT_OK(CheckClientModel(pf, config.model));
     std::uint64_t deadline = 0;
     if (f < config.deadline_slots.size() && config.deadline_slots[f] != 0) {
       deadline = config.deadline_slots[f];
     } else if (!pf.latency_slots.empty()) {
       deadline = pf.latency_slots.front();
     }
-    (*deadlines)[f] = deadline;
-
-    // Leave room at the end of the horizon so retrievals are not cut off
-    // artificially: a generous tail of several periods plus the deadline.
-    const std::uint64_t tail =
-        std::max<std::uint64_t>(deadline, 4 * MaxDataCycle());
-    if (faults_.size() <= tail) {
-      return Status::InvalidArgument(
-          "Simulator: horizon too small for workload (need > " +
-          std::to_string(tail) + " slots)");
-    }
-    (*start_ranges)[f] = faults_.size() - tail;
+    draws.deadlines.push_back(deadline);
+    BDISK_ASSIGN_OR_RETURN(const std::uint64_t range, StartRange(deadline));
+    draws.start_ranges.push_back(range);
   }
-  return Status::OK();
+  return draws;
+}
+
+template <typename RequestAt>
+SimulationMetrics Simulator::FoldRequests(std::uint64_t count,
+                                          const RequestAt& request_at,
+                                          runtime::ThreadPool* pool,
+                                          obs::Timeline* timeline,
+                                          obs::TraceSink* trace) const {
+  obs::HistogramMetric* dispatch_us = obs::GlobalRegistry().GetHistogram(
+      "phase.slot_dispatch_us", obs::PhaseTimerBoundsUs());
+  return RunSharded(
+      files(), count, pool, timeline, trace, [&](const Shard& shard) {
+        // One timer per shard of slot-walked retrievals — never per request.
+        obs::ScopedPhaseTimer timer(dispatch_us);
+        for (std::uint64_t g = shard.begin; g < shard.end; ++g) {
+          const ClientRequest request = request_at(g);
+          auto outcome = Retrieve(request);
+          BDISK_CHECK(outcome.ok());  // Inputs were validated up front.
+          if (shard.trace != nullptr) {
+            RecordTraceSpan(shard.trace, g, request, *outcome);
+          }
+          AccumulateOutcome(*outcome, &shard.metrics->per_file[request.file],
+                            shard.timeline);
+        }
+      });
 }
 
 Result<SimulationMetrics> Simulator::RunWorkload(const WorkloadConfig& config,
@@ -268,126 +383,27 @@ Result<SimulationMetrics> Simulator::RunWorkload(const WorkloadConfig& config,
                                                  obs::Timeline* timeline,
                                                  obs::TraceSink* trace)
     const {
-  const std::size_t file_count = files().size();
-  // Validate everything up front (per-file deadline and admissible start
-  // range) so shard workers cannot fail mid-flight.
-  std::vector<std::uint64_t> deadlines;
-  std::vector<std::uint64_t> start_ranges;
-  BDISK_RETURN_NOT_OK(ValidateWorkload(config, &deadlines, &start_ranges));
-
-  // One global request index g = f * requests_per_file + k drives both the
-  // shard split and the RNG stream, so any shard count replays the exact
-  // same per-request draws.
-  const std::uint64_t total = file_count * config.requests_per_file;
-  const unsigned shards = runtime::ShardCountFor(pool, total);
-  std::vector<SimulationMetrics> shard_metrics(shards);
-  std::vector<obs::Timeline> shard_timelines;
-  if (timeline != nullptr) {
-    shard_timelines.assign(
-        shards, obs::Timeline(timeline->interval_slots(),
-                              timeline->horizon()));
-  }
-  std::vector<obs::TraceSink> shard_traces;
-  if (trace != nullptr) {
-    shard_traces.assign(shards, obs::TraceSink(trace->options()));
-  }
-  obs::HistogramMetric* dispatch_us = obs::GlobalRegistry().GetHistogram(
-      "phase.slot_dispatch_us", obs::PhaseTimerBoundsUs());
-  runtime::ParallelFor(
-      pool, total, shards,
-      [&](unsigned shard, runtime::ShardRange range) {
-        // One timer per shard of slot-walked retrievals — never per request.
-        obs::ScopedPhaseTimer timer(dispatch_us);
-        SimulationMetrics& local = shard_metrics[shard];
-        obs::Timeline* local_tl =
-            timeline != nullptr ? &shard_timelines[shard] : nullptr;
-        obs::TraceSink* local_tr =
-            trace != nullptr ? &shard_traces[shard] : nullptr;
-        if (local_tl != nullptr) {
-          local_tl->Reserve(static_cast<std::size_t>(range.end - range.begin));
-        }
-        local.per_file.resize(file_count);
-        for (std::uint64_t g = range.begin; g < range.end; ++g) {
-          const auto f = static_cast<broadcast::FileIndex>(
-              g / config.requests_per_file);
-          Rng rng = runtime::StreamRng(config.seed, g);
-          ClientRequest req;
-          req.file = f;
-          req.start_slot = rng.Uniform(start_ranges[f]);
-          req.deadline_slots = deadlines[f];
-          req.model = config.model;
-          auto outcome = Retrieve(req);
-          BDISK_CHECK(outcome.ok());  // Inputs were validated above.
-          if (local_tr != nullptr) RecordTraceSpan(local_tr, g, req, *outcome);
-          FileMetrics& fm = local.per_file[f];
-          if (outcome->completed) {
-            ++fm.completed;
-            fm.latency.Add(static_cast<double>(outcome->latency));
-            fm.stall.Add(static_cast<double>(outcome->stall_slots));
-            fm.periods_to_recovery.Add(
-                static_cast<double>(outcome->periods_to_recovery));
-            if (!outcome->met_deadline) ++fm.missed_deadline;
-            if (local_tl != nullptr) {
-              local_tl->RecordCompleted(outcome->completion_slot,
-                                        outcome->latency,
-                                        outcome->stall_slots,
-                                        outcome->met_deadline,
-                                        outcome->errors_observed,
-                                        outcome->corrupt_detected);
-            }
-          } else {
-            ++fm.incomplete;
-            if (local_tl != nullptr) {
-              local_tl->RecordIncomplete(outcome->errors_observed,
-                                         outcome->corrupt_detected);
-            }
-          }
-          fm.errors_observed += outcome->errors_observed;
-          fm.corrupt_detected += outcome->corrupt_detected;
-        }
-      });
-
-  SimulationMetrics metrics;
-  metrics.per_file.resize(file_count);
-  for (broadcast::FileIndex f = 0; f < file_count; ++f) {
-    metrics.per_file[f].file_name = files()[f].name;
-  }
-  for (const SimulationMetrics& sm : shard_metrics) metrics.Merge(sm);
-  if (timeline != nullptr) {
-    for (const obs::Timeline& tl : shard_timelines) timeline->Merge(tl);
-  }
-  if (trace != nullptr) {
-    for (obs::TraceSink& tr : shard_traces) trace->Merge(std::move(tr));
-  }
-  return metrics;
+  BDISK_ASSIGN_OR_RETURN(const WorkloadDraws draws, ValidateWorkload(config));
+  return FoldRequests(
+      draws.total, [&draws](std::uint64_t g) { return draws.At(g); }, pool,
+      timeline, trace);
 }
 
 Result<SimulationMetrics> Simulator::RunWorkloadEvented(
     const WorkloadConfig& config, runtime::ThreadPool* pool,
     obs::Timeline* timeline, obs::TraceSink* trace) const {
-  // Identical validation, request generation, and sharding to RunWorkload:
-  // the two paths differ only in how each retrieval is walked, so the
-  // resulting metrics snapshots are byte-identical.
-  std::vector<std::uint64_t> deadlines;
-  std::vector<std::uint64_t> start_ranges;
-  BDISK_RETURN_NOT_OK(ValidateWorkload(config, &deadlines, &start_ranges));
-  const std::uint64_t total = files().size() * config.requests_per_file;
-  const auto client_at = [&](std::uint64_t g) {
-    const auto f =
-        static_cast<broadcast::FileIndex>(g / config.requests_per_file);
-    Rng rng = runtime::StreamRng(config.seed, g);
-    EventClient client;
-    client.file = f;
-    client.start_slot = rng.Uniform(start_ranges[f]);
-    client.deadline_slots = deadlines[f];
-    return client;
+  // Identical validation and request draws to RunWorkload: the two paths
+  // differ only in how each retrieval is walked.
+  BDISK_ASSIGN_OR_RETURN(const WorkloadDraws draws, ValidateWorkload(config));
+  const auto client_at = [&draws](std::uint64_t g) {
+    const ClientRequest request = draws.At(g);
+    return EventClient{request.file, request.start_slot,
+                       request.deadline_slots};
   };
-  if (schedule_ != nullptr) {
-    const EventEngine engine(*schedule_, faults_);
-    return engine.Run(total, client_at, pool, nullptr, timeline, trace);
-  }
-  const EventEngine engine(*program_, faults_);
-  return engine.Run(total, client_at, pool, nullptr, timeline, trace);
+  const EventEngine engine = schedule_ != nullptr
+                                 ? EventEngine(*schedule_, faults_)
+                                 : EventEngine(*program_, faults_);
+  return engine.Run(draws.total, client_at, pool, nullptr, timeline, trace);
 }
 
 Result<TransactionMetrics> Simulator::RunTransactionWorkload(
@@ -400,29 +416,17 @@ Result<TransactionMetrics> Simulator::RunTransactionWorkload(
         std::to_string(file_count) + "], got " +
         std::to_string(config.files_per_transaction));
   }
-  for (broadcast::FileIndex f = 0; f < file_count; ++f) {
-    const broadcast::ProgramFile& pf = files()[f];
-    if (config.model == broadcast::ClientModel::kFlat && pf.n != pf.m) {
-      return Status::InvalidArgument(
-          "Simulator: flat client model requires n == m for file '" +
-          pf.name + "'");
-    }
+  for (const broadcast::ProgramFile& pf : files()) {
+    BDISK_RETURN_NOT_OK(CheckClientModel(pf, config.model));
   }
-  const std::uint64_t tail = std::max<std::uint64_t>(
-      config.deadline_slots, 4 * MaxDataCycle());
-  if (faults_.size() <= tail) {
-    return Status::InvalidArgument(
-        "Simulator: horizon too small for workload (need > " +
-        std::to_string(tail) + " slots)");
-  }
-  const std::uint64_t start_range = faults_.size() - tail;
+  BDISK_ASSIGN_OR_RETURN(const std::uint64_t start_range,
+                         StartRange(config.deadline_slots));
 
   const unsigned shards = runtime::ShardCountFor(pool, config.transactions);
   std::vector<TransactionMetrics> shard_metrics(shards);
   runtime::ParallelFor(
       pool, config.transactions, shards,
       [&](unsigned shard, runtime::ShardRange range) {
-        TransactionMetrics& local = shard_metrics[shard];
         for (std::uint64_t t = range.begin; t < range.end; ++t) {
           Rng rng = runtime::StreamRng(config.seed, t);
           TransactionRequest req;
@@ -435,18 +439,7 @@ Result<TransactionMetrics> Simulator::RunTransactionWorkload(
           }
           auto outcome = RetrieveTransaction(req);
           BDISK_CHECK(outcome.ok());  // Inputs were validated above.
-          if (outcome->completed) {
-            ++local.completed;
-            local.latency.Add(static_cast<double>(outcome->latency));
-            local.stall.Add(static_cast<double>(outcome->stall_slots));
-            local.periods_to_recovery.Add(
-                static_cast<double>(outcome->periods_to_recovery));
-            if (!outcome->met_deadline) ++local.missed_deadline;
-          } else {
-            ++local.incomplete;
-          }
-          local.errors_observed += outcome->errors_observed;
-          local.corrupt_detected += outcome->corrupt_detected;
+          AccumulateOutcome(*outcome, &shard_metrics[shard]);
         }
       });
 
@@ -459,11 +452,10 @@ Result<SimulationMetrics> Simulator::RunRequests(
     const std::vector<ClientRequest>& requests,
     runtime::ThreadPool* pool, obs::Timeline* timeline,
     obs::TraceSink* trace) const {
-  const std::size_t file_count = files().size();
   // Validate up front so shard workers cannot fail mid-flight.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ClientRequest& req = requests[i];
-    if (req.file >= file_count) {
+    if (req.file >= files().size()) {
       return Status::InvalidArgument("RunRequests: request " +
                                      std::to_string(i) +
                                      " names unknown file index " +
@@ -474,88 +466,11 @@ Result<SimulationMetrics> Simulator::RunRequests(
                                      std::to_string(i) +
                                      " starts beyond the horizon");
     }
-    const broadcast::ProgramFile& pf = files()[req.file];
-    if (req.model == broadcast::ClientModel::kFlat && pf.n != pf.m) {
-      return Status::InvalidArgument(
-          "Simulator: flat client model requires n == m for file '" +
-          pf.name + "'");
-    }
+    BDISK_RETURN_NOT_OK(CheckClientModel(files()[req.file], req.model));
   }
-
-  const unsigned shards = runtime::ShardCountFor(pool, requests.size());
-  std::vector<SimulationMetrics> shard_metrics(shards);
-  std::vector<obs::Timeline> shard_timelines;
-  if (timeline != nullptr) {
-    shard_timelines.assign(
-        shards, obs::Timeline(timeline->interval_slots(),
-                              timeline->horizon()));
-  }
-  std::vector<obs::TraceSink> shard_traces;
-  if (trace != nullptr) {
-    shard_traces.assign(shards, obs::TraceSink(trace->options()));
-  }
-  obs::HistogramMetric* dispatch_us = obs::GlobalRegistry().GetHistogram(
-      "phase.slot_dispatch_us", obs::PhaseTimerBoundsUs());
-  runtime::ParallelFor(
-      pool, requests.size(), shards,
-      [&](unsigned shard, runtime::ShardRange range) {
-        obs::ScopedPhaseTimer timer(dispatch_us);
-        SimulationMetrics& local = shard_metrics[shard];
-        obs::Timeline* local_tl =
-            timeline != nullptr ? &shard_timelines[shard] : nullptr;
-        obs::TraceSink* local_tr =
-            trace != nullptr ? &shard_traces[shard] : nullptr;
-        if (local_tl != nullptr) {
-          local_tl->Reserve(static_cast<std::size_t>(range.end - range.begin));
-        }
-        local.per_file.resize(file_count);
-        for (std::uint64_t g = range.begin; g < range.end; ++g) {
-          auto outcome = Retrieve(requests[g]);
-          BDISK_CHECK(outcome.ok());  // Inputs were validated above.
-          if (local_tr != nullptr) {
-            RecordTraceSpan(local_tr, g, requests[g], *outcome);
-          }
-          FileMetrics& fm = local.per_file[requests[g].file];
-          if (outcome->completed) {
-            ++fm.completed;
-            fm.latency.Add(static_cast<double>(outcome->latency));
-            fm.stall.Add(static_cast<double>(outcome->stall_slots));
-            fm.periods_to_recovery.Add(
-                static_cast<double>(outcome->periods_to_recovery));
-            if (!outcome->met_deadline) ++fm.missed_deadline;
-            if (local_tl != nullptr) {
-              local_tl->RecordCompleted(outcome->completion_slot,
-                                        outcome->latency,
-                                        outcome->stall_slots,
-                                        outcome->met_deadline,
-                                        outcome->errors_observed,
-                                        outcome->corrupt_detected);
-            }
-          } else {
-            ++fm.incomplete;
-            if (local_tl != nullptr) {
-              local_tl->RecordIncomplete(outcome->errors_observed,
-                                         outcome->corrupt_detected);
-            }
-          }
-          fm.errors_observed += outcome->errors_observed;
-          fm.corrupt_detected += outcome->corrupt_detected;
-        }
-      });
-
-  SimulationMetrics metrics;
-  metrics.per_file.resize(file_count);
-  for (broadcast::FileIndex f = 0; f < file_count; ++f) {
-    metrics.per_file[f].file_name = files()[f].name;
-  }
-  for (const SimulationMetrics& sm : shard_metrics) metrics.Merge(sm);
-  if (timeline != nullptr) {
-    for (const obs::Timeline& tl : shard_timelines) timeline->Merge(tl);
-  }
-  if (trace != nullptr) {
-    for (obs::TraceSink& tr : shard_traces) trace->Merge(std::move(tr));
-  }
-  return metrics;
+  return FoldRequests(
+      requests.size(), [&requests](std::uint64_t g) { return requests[g]; },
+      pool, timeline, trace);
 }
 
 std::uint64_t Simulator::CorruptedSlotCount() const {

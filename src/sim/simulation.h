@@ -71,6 +71,66 @@ struct RetrievalOutcome {
   std::uint64_t periods_to_recovery = 0;
 };
 
+/// \brief The outcome rule of both engines. A walk sets `completed`,
+/// `completion_slot`, `errors_observed` and `corrupt_detected`; this
+/// derives the rest. Latency counts start to completion inclusive. An
+/// incomplete retrieval meets its deadline iff it has none. Periods to
+/// recovery is ceil(latency / `period`), the period of the program
+/// governing the start. Stall is the completion slot minus the lossless
+/// baseline `lossless_completion()`, which is called only for a completed
+/// retrieval that heard a fault: the slot engine's baseline is a second
+/// walk.
+template <typename LosslessCompletion>
+RetrievalOutcome FinishOutcome(RetrievalOutcome walk, std::uint64_t start_slot,
+                               std::uint64_t deadline_slots,
+                               std::uint64_t period,
+                               const LosslessCompletion& lossless_completion) {
+  if (!walk.completed) {
+    walk.completion_slot = 0;
+    walk.met_deadline = deadline_slots == 0;
+    return walk;
+  }
+  walk.latency = walk.completion_slot - start_slot + 1;
+  walk.met_deadline = deadline_slots == 0 || walk.latency <= deadline_slots;
+  walk.periods_to_recovery = (walk.latency + period - 1) / period;
+  if (walk.errors_observed > 0) {
+    walk.stall_slots = walk.completion_slot - lossless_completion();
+  }
+  return walk;
+}
+
+/// \brief Folds one outcome into `stats` and, when non-null, into
+/// `timeline` (bucketed by completion slot). Every simulator metric is
+/// accumulated here.
+void AccumulateOutcome(const RetrievalOutcome& outcome, OutcomeStats* stats,
+                       obs::Timeline* timeline = nullptr);
+
+/// \brief One shard of RunSharded: a contiguous range of global request
+/// indices and the shard's own outputs.
+struct Shard {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  /// Per-file metrics, sized to the run's file table.
+  SimulationMetrics* metrics = nullptr;
+  /// Null unless the run records a timeline (reserved for the range).
+  obs::Timeline* timeline = nullptr;
+  /// Null unless the run traces.
+  obs::TraceSink* trace = nullptr;
+};
+
+/// \brief The sharded fold behind both engines: splits requests [0, count)
+/// across `pool` (null = serial) by runtime::ShardOf, calls `fold_shard`
+/// once per non-empty shard, then merges the shards' metrics, timelines
+/// and trace sinks in shard order into the returned metrics (named after
+/// `files`), `timeline` and `trace`. The merges are exact and in order, so
+/// a fold that visits its range in ascending order gives output
+/// bit-identical at any thread count.
+SimulationMetrics RunSharded(const std::vector<broadcast::ProgramFile>& files,
+                             std::uint64_t count, runtime::ThreadPool* pool,
+                             obs::Timeline* timeline, obs::TraceSink* trace,
+                             const std::function<void(const Shard&)>&
+                                 fold_shard);
+
 /// \brief Workload description: independent clients with random start slots.
 struct WorkloadConfig {
   /// Retrieval attempts per file.
@@ -163,7 +223,8 @@ class Simulator {
       const TransactionRequest& request) const;
 
   /// Runs `config.requests_per_file` random-start retrievals per file and
-  /// aggregates the outcomes.
+  /// aggregates the outcomes. Fails up front on an invalid config,
+  /// including a request count (files x requests_per_file) past 64 bits.
   ///
   /// With a non-null `pool`, requests are sharded across its workers and
   /// per-shard metrics are merged; because draws are indexed by request
@@ -193,7 +254,7 @@ class Simulator {
   /// the identical validation, and a *byte-identical* SimulationMetrics
   /// snapshot (MetricsToJson) at any thread count — but each retrieval
   /// costs O(transmissions of its file heard) instead of O(slots spanned),
-  /// which is what scales the simulator to million-client fleets.
+  /// with every client's state (~96 bytes) held for the run.
   Result<SimulationMetrics> RunWorkloadEvented(const WorkloadConfig& config,
                                                runtime::ThreadPool* pool =
                                                    nullptr,
@@ -241,12 +302,31 @@ class Simulator {
       broadcast::FileIndex file, std::uint64_t start) const;
   /// Period of the program governing slot `t`.
   std::uint64_t PeriodAt(std::uint64_t t) const;
-  /// Shared up-front validation of RunWorkload / RunWorkloadEvented:
-  /// resolves the per-file deadline and admissible start range (identical
-  /// status messages on both paths, so the engines agree on errors too).
-  Status ValidateWorkload(const WorkloadConfig& config,
-                          std::vector<std::uint64_t>* deadlines,
-                          std::vector<std::uint64_t>* start_ranges) const;
+  /// Validates one request: a known file, a start before the horizon and
+  /// an admissible client model.
+  Status CheckRequest(const ClientRequest& request) const;
+  /// Bound of the start draw for a deadline: the horizon minus a tail of
+  /// max(deadline, 4 data cycles), so retrievals are not cut off.
+  Result<std::uint64_t> StartRange(std::uint64_t deadline) const;
+  /// The slot walk of `file` from `start`: fills `completed`,
+  /// `completion_slot`, `errors_observed` and `corrupt_detected`.
+  RetrievalOutcome SlotWalk(broadcast::FileIndex file,
+                            std::uint64_t start) const;
+  /// A validated WorkloadConfig's request generator (simulation.cc).
+  struct WorkloadDraws;
+  /// Shared up-front validation of RunWorkload / RunWorkloadEvented
+  /// (identical status messages on both paths, so the engines agree on
+  /// errors too).
+  Result<WorkloadDraws> ValidateWorkload(const WorkloadConfig& config) const;
+  /// The slot engine's fold: retrieves `request_at(g)` for g in
+  /// [0, count), which must all be valid. A template (defined in
+  /// simulation.cc) so the per-request draw inlines into the walk loop.
+  template <typename RequestAt>
+  SimulationMetrics FoldRequests(std::uint64_t count,
+                                 const RequestAt& request_at,
+                                 runtime::ThreadPool* pool,
+                                 obs::Timeline* timeline,
+                                 obs::TraceSink* trace) const;
   /// Captures `request`'s causal span into `sink` when its options
   /// trigger on the (request_id, outcome) pair; no-op otherwise.
   void RecordTraceSpan(obs::TraceSink* sink, std::uint64_t request_id,

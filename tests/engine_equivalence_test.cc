@@ -2,7 +2,7 @@
 //
 // The discrete-event engine (sim/event_engine.h) claims byte-identity with
 // the slot-by-slot engine, not statistical agreement. This suite enforces
-// the claim three ways:
+// the claim four ways:
 //
 //  1. For every committed tests/fixtures/*.scenario, RunWorkloadEvented's
 //     MetricsToJson snapshot — serial AND sharded across a thread pool —
@@ -20,6 +20,11 @@
 //     engine's epoch-crossing jump arithmetic under the same byte-identity
 //     bar.
 //
+//  4. Explicit request lists: RunRequests against EventEngine::Run fed the
+//     same list and the same channel realization, on a program and on a
+//     two-epoch schedule. Metrics, the rendered timeline stream and the
+//     Chrome trace must all match, serial and sharded.
+//
 // The pool width defaults to 3 and can be overridden with
 // BDISK_EQUIV_THREADS (the CI engine-matrix job runs {1, 3}); byte-identity
 // must hold at every width.
@@ -32,10 +37,14 @@
 #include <vector>
 
 #include "bdisk/flat_builder.h"
+#include "common/random.h"
 #include "faults/channel_spec.h"
+#include "obs/snapshot.h"
+#include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "scenario_util.h"
 #include "sim/epoch.h"
+#include "sim/event_engine.h"
 #include "sim/metrics.h"
 #include "sim/simulation.h"
 
@@ -196,6 +205,167 @@ TEST(EngineEquivalenceGrid, EpochScheduleHotSwap) {
   config.requests_per_file = 80;
   config.seed = 99;
   AssertEnginesAgree(simulator, config, "epoch-hot-swap");
+}
+
+// Request list over the engine's files: seeded random starts (some late
+// enough to run out of horizon) and deadlines (some too tight to meet),
+// plus, per file, starts just past its last transmission before the
+// horizon, with and without a deadline.
+std::vector<ClientRequest> RequestList(const EventEngine& engine,
+                                       std::uint64_t period) {
+  const std::uint64_t horizon = engine.horizon();
+  const std::size_t file_count = engine.files().size();
+  const std::uint64_t deadlines[] = {0, 1, 3, period, 4 * period};
+  Rng rng(20261017);
+  std::vector<ClientRequest> requests;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    ClientRequest request;
+    request.file = static_cast<broadcast::FileIndex>(k % file_count);
+    request.start_slot = rng.Uniform(horizon);
+    request.deadline_slots = deadlines[rng.Uniform(5)];
+    requests.push_back(request);
+  }
+  for (broadcast::FileIndex f = 0; f < file_count; ++f) {
+    std::uint64_t after_last = horizon;
+    for (std::uint64_t t = horizon; t-- > 0;) {
+      if (const auto tx = engine.NextTransmissionOf(f, t)) {
+        after_last = tx->slot + 1;
+        break;
+      }
+    }
+    if (after_last >= horizon) continue;
+    for (const std::uint64_t deadline : {std::uint64_t{0}, period}) {
+      requests.push_back(ClientRequest{f, after_last, deadline});
+    }
+  }
+  return requests;
+}
+
+struct RunOutput {
+  std::string metrics;
+  std::string timeline;
+  std::string trace;
+};
+
+RunOutput Render(const SimulationMetrics& metrics,
+                 const obs::Timeline& timeline, const obs::TraceSink& trace) {
+  return {MetricsToJson(metrics), obs::RenderSnapshotStream(timeline, nullptr),
+          obs::RenderChromeTrace({{&trace, "requests"}})};
+}
+
+void ExpectSameOutput(const RunOutput& expected, const RunOutput& actual,
+                      const std::string& label) {
+  EXPECT_EQ(expected.metrics, actual.metrics) << label << ": metrics differ";
+  EXPECT_EQ(expected.timeline, actual.timeline)
+      << label << ": timeline stream differs";
+  EXPECT_EQ(expected.trace, actual.trace) << label << ": trace differs";
+}
+
+// Replays one request list through RunRequests and EventEngine::Run, each
+// serial and at PoolWidth(), and asserts all four outputs are identical.
+// Also checks that the list reaches the corners it is built for.
+void ExpectRequestListsAgree(const Simulator& simulator,
+                             const EventEngine& engine, std::uint64_t period,
+                             const std::string& label) {
+  ASSERT_EQ(simulator.horizon(), engine.horizon());
+  const std::vector<ClientRequest> requests = RequestList(engine, period);
+
+  std::uint64_t clean_incomplete = 0, missed = 0, corrupted = 0, stalled = 0;
+  for (const ClientRequest& request : requests) {
+    auto outcome = simulator.Retrieve(request);
+    ASSERT_TRUE(outcome.ok()) << label << ": " << outcome.status();
+    if (!outcome->completed && outcome->errors_observed == 0) {
+      ++clean_incomplete;
+    }
+    if (!outcome->met_deadline) ++missed;
+    corrupted += outcome->corrupt_detected;
+    if (outcome->stall_slots > 0) ++stalled;
+  }
+  EXPECT_GT(clean_incomplete, 0u) << label;
+  EXPECT_GT(missed, 0u) << label;
+  EXPECT_GT(corrupted, 0u) << label;
+  EXPECT_GT(stalled, 0u) << label;
+
+  obs::TraceOptions trace_options;
+  trace_options.sample_every = 5;
+  trace_options.stall_threshold = 1;
+  const auto slot_run = [&](runtime::ThreadPool* pool) {
+    obs::Timeline timeline(period, simulator.horizon());
+    obs::TraceSink trace(trace_options);
+    auto metrics = simulator.RunRequests(requests, pool, &timeline, &trace);
+    EXPECT_TRUE(metrics.ok()) << label << ": " << metrics.status();
+    EXPECT_FALSE(trace.spans().empty()) << label;
+    return Render(metrics.ok() ? *metrics : SimulationMetrics{}, timeline,
+                  trace);
+  };
+  const auto event_run = [&](runtime::ThreadPool* pool) {
+    obs::Timeline timeline(period, engine.horizon());
+    obs::TraceSink trace(trace_options);
+    const SimulationMetrics metrics = engine.Run(
+        requests.size(),
+        [&requests](std::uint64_t g) {
+          return EventClient{requests[g].file, requests[g].start_slot,
+                             requests[g].deadline_slots};
+        },
+        pool, nullptr, &timeline, &trace);
+    return Render(metrics, timeline, trace);
+  };
+
+  runtime::ThreadPool pool(PoolWidth());
+  const RunOutput expected = slot_run(nullptr);
+  ExpectSameOutput(expected, slot_run(&pool), label + " / slot, pooled");
+  ExpectSameOutput(expected, event_run(nullptr), label + " / event, serial");
+  ExpectSameOutput(expected, event_run(&pool), label + " / event, pooled");
+}
+
+std::vector<faults::FaultType> Realize(const faults::ChannelModel& channel,
+                                       std::uint64_t horizon) {
+  std::vector<faults::FaultType> faults(horizon);
+  channel.FillFaults(0, horizon, faults.data());
+  return faults;
+}
+
+constexpr char kLossyCorrupting[] =
+    "gilbert:pgb=0.05,pbg=0.3,seed=21+corrupt:p=0.05,seed=22";
+
+TEST(EngineEquivalenceRequests, ProgramRequestList) {
+  const fs::path fixtures(BDISK_FIXTURES_DIR);
+  const broadcast::BroadcastProgram program =
+      BuildProgram(ReadFileOrDie(fixtures / "smallmix.spec"));
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  auto channel = faults::ParseChannelSpec(kLossyCorrupting);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+
+  const std::uint64_t horizon = 2000;
+  const Simulator simulator(program, **channel, horizon);
+  const std::vector<faults::FaultType> faults = Realize(**channel, horizon);
+  const EventEngine engine(program, faults);
+  ExpectRequestListsAgree(simulator, engine, program.period(), "smallmix");
+}
+
+TEST(EngineEquivalenceRequests, EpochScheduleRequestList) {
+  auto before = broadcast::BuildFlatProgram(
+      {{"a", 2, 4, {}}, {"b", 3, 5, {}}, {"c", 4, 6, {}}},
+      broadcast::FlatLayout::kContiguous);
+  ASSERT_TRUE(before.ok()) << before.status();
+  auto after = broadcast::BuildFlatProgram(
+      {{"a", 2, 4, {}}, {"b", 3, 5, {}}, {"c", 4, 6, {}}},
+      broadcast::FlatLayout::kSpread);
+  ASSERT_TRUE(after.ok()) << after.status();
+  const std::uint64_t period = before->period();
+  std::vector<ProgramEpoch> epochs;
+  epochs.push_back(ProgramEpoch{0, *before});
+  epochs.push_back(ProgramEpoch{20 * period, *after});
+  auto schedule = EpochSchedule::Create(std::move(epochs));
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  auto channel = faults::ParseChannelSpec(kLossyCorrupting);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+
+  const std::uint64_t horizon = 40 * period;
+  const Simulator simulator(*schedule, **channel, horizon);
+  const std::vector<faults::FaultType> faults = Realize(**channel, horizon);
+  const EventEngine engine(*schedule, faults);
+  ExpectRequestListsAgree(simulator, engine, period, "two-epoch schedule");
 }
 
 }  // namespace

@@ -104,6 +104,17 @@ TEST(ParallelWorkloadTest, ValidationStillFailsUpFront) {
   WorkloadConfig flat;
   flat.model = broadcast::ClientModel::kFlat;
   EXPECT_FALSE(sim2.RunWorkload(flat, &pool).ok());
+  // 6 files x 3074457345618258603 requests wraps to 2 in 64 bits; both
+  // engines reject the count instead of running the wrapped total.
+  WorkloadConfig wrapping;
+  wrapping.requests_per_file = 3074457345618258603ull;
+  for (const auto& result : {sim2.RunWorkload(wrapping, &pool),
+                             sim2.RunWorkloadEvented(wrapping, &pool)}) {
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("requests_per_file"),
+              std::string::npos)
+        << result.status();
+  }
 }
 
 TEST(ParallelTransactionTest, MatchesSerialBitwise) {

@@ -92,5 +92,6 @@ reject --threads --threads 0 "$spec"
 reject --threads --threads abc "$spec"
 reject --chanel --chanel bernoulli:p=0.1,seed=1 "$spec"
 reject --seed "$spec" --seed
+reject --engine --engine event "$spec"
 
 exit "$failed"

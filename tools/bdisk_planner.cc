@@ -9,8 +9,7 @@
 //
 // Usage:
 //   bdisk_planner [--threads N] [--adaptive] [--channel SPEC]
-//                 [--engine slot|event] [--requests N] [--seed S]
-//                 workload.spec
+//                 [--requests N] [--seed S] workload.spec
 //   bdisk_planner [...] - < workload.spec
 //
 // Every flag takes `--flag V` or `--flag=V` (runtime/flags.h). A flag given
@@ -37,16 +36,10 @@
 // adaptive replay; --adaptive without --channel replays over
 // bernoulli:p=0.02,seed=99.
 //
-// --engine selects the simulation core for the channel replay: `slot` (the
-// default) walks every slot; `event` runs the discrete-event engine
-// (src/sim/event_engine.h), which produces byte-identical metrics but
-// scales to million-client fleets.
-//
 // --metrics-out PATH streams periodic JSON-line snapshots of the replay
 // (obs/snapshot.h; "-" = stdout) every --metrics-interval N slots
 // (default: one program period). The stream is deterministic — identical
-// at any thread count and across both engines — and is what `bdisk_top`
-// tails. With --adaptive, the static and adaptive replays append their
+// at any thread count — and is what `bdisk_top` tails. With --adaptive, the static and adaptive replays append their
 // own streams to the same file; the global metric registry is reset
 // between the two, so each stream's registry line covers only its own
 // replay.
@@ -60,8 +53,7 @@
 // shard, dumped when an anomaly fires. The trace covers the --channel
 // replay and, with --adaptive, both adaptive-experiment replays plus the
 // controller's per-interval swap decisions. Deterministic: byte-identical
-// at any thread count and across both engines. `bdisk_trace` filters and
-// summarizes the file.
+// at any thread count. `bdisk_trace` filters and summarizes the file.
 //
 // --store PATH materializes the planned program into a crash-safe
 // persistent block store (src/store/) at PATH: deterministic per-file
@@ -147,7 +139,6 @@ struct Options {
   std::unique_ptr<const bdisk::faults::ChannelModel> channel;
   std::uint64_t requests_per_file = 200;
   std::uint64_t workload_seed = 42;
-  bool evented_engine = false;
   const char* metrics_out = nullptr;
   std::uint64_t metrics_interval = 0;  // Absent: one program period.
   const char* store_path = nullptr;
@@ -201,14 +192,6 @@ Options ParseOptions(int argc, char** argv) {
       ConsumePositiveFlag(&argc, argv, "requests", o.requests_per_file);
   o.workload_seed =
       OrExit(ConsumeUintFlagOnce(&argc, argv, "seed", o.workload_seed));
-  const char* engine =
-      OrExit(ConsumeStringFlagOnce(&argc, argv, "engine", "slot"));
-  o.evented_engine = std::strcmp(engine, "event") == 0;
-  if (!o.evented_engine && std::strcmp(engine, "slot") != 0) {
-    OrExit(Status::InvalidArgument(
-        std::string("--engine must be 'slot' or 'event', got '") + engine +
-        "'"));
-  }
   o.metrics_out = OrExit(ConsumeStringFlagOnce(&argc, argv, "metrics-out"));
   o.metrics_interval = ConsumePositiveFlag(&argc, argv, "metrics-interval", 0);
   o.store_path = OrExit(ConsumeStringFlagOnce(&argc, argv, "store"));
@@ -239,7 +222,7 @@ Options ParseOptions(int argc, char** argv) {
       OrExit(ConsumeUintFlagOnce(&argc, argv, "serve-horizon", 0));
   OrExit(ExpectPositionals(argc, argv, 1),
          "usage: bdisk_planner [--threads N] [--adaptive] [--channel SPEC] "
-         "[--engine slot|event] [--requests N] [--seed S] "
+         "[--requests N] [--seed S] "
          "[--metrics-out PATH] [--metrics-interval N] "
          "[--store PATH] [--store-bytes SIZE] "
          "[--trace-out PATH] [--trace-sample 1/N] [--trace-stall S] "
@@ -422,8 +405,9 @@ Status Planner::EmitTrace(const Plan&) {
   for (const auto& [label, sink] : trace_tracks_) {
     tracks.push_back({sink.get(), label});
   }
+  // The replays run on the slot engine (sim/simulation.h), the oracle.
   std::vector<std::pair<std::string, std::string>> metadata;
-  metadata.emplace_back("engine", options_.evented_engine ? "event" : "slot");
+  metadata.emplace_back("engine", "slot");
   if (options_.channel != nullptr) {
     metadata.emplace_back("channel", options_.channel->Describe());
   }
@@ -566,18 +550,13 @@ Status Planner::ReplayChannel(const Plan& plan) {
   }
   BDISK_ASSIGN_OR_RETURN(
       const auto metrics,
-      options_.evented_engine
-          ? simulator.RunWorkloadEvented(config, pool_.get(), timeline.get(),
-                                         trace.get())
-          : simulator.RunWorkload(config, pool_.get(), timeline.get(),
-                                  trace.get()));
+      simulator.RunWorkload(config, pool_.get(), timeline.get(), trace.get()));
   if (timeline != nullptr) BDISK_RETURN_NOT_OK(EmitMetricsStream(*timeline));
   if (trace != nullptr) {
     trace_tracks_.emplace_back("channel replay", std::move(trace));
   }
-  std::printf("\nchannel replay (%s engine): %s over %llu slots "
+  std::printf("\nchannel replay (slot engine): %s over %llu slots "
               "(%llu faulty), %llu requests/file, workload seed %llu\n",
-              options_.evented_engine ? "event" : "slot",
               options_.channel->Describe().c_str(),
               static_cast<unsigned long long>(horizon),
               static_cast<unsigned long long>(simulator.CorruptedSlotCount()),
