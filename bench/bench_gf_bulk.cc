@@ -15,10 +15,10 @@
 // geometry of the acceptance bar (n=8 outputs, m=5 inputs, 64 KiB blocks).
 //
 // The other per-block data-plane kernel is the CRC-32C every stamp and
-// verify runs: BM_Crc32cPortable (the bytewise table) vs BM_Crc32c (the
-// kernel Crc32cExtend selects on this host, named in the run's label), over
-// the stamped span of a 1 KiB and a 32 KiB block — payload plus the 24
-// identity bytes.
+// verify runs, over the stamped span of a 1 KiB and a 32 KiB block —
+// payload plus the 24 identity bytes: one BM_Crc32c<name> per kernel the
+// host can run (internal::Crc32cKernels(), portable first), and BM_Crc32c,
+// Crc32cExtend itself, labelled with the kernel it selects.
 
 #include <benchmark/benchmark.h>
 
@@ -92,14 +92,9 @@ void RunCrc32c(benchmark::State& state, CrcExtend extend) {
                           static_cast<std::int64_t>(n));
 }
 
-void BM_Crc32cPortable(benchmark::State& state) {
-  RunCrc32c(state, bdisk::internal::Crc32cExtendPortable);
-}
-BENCHMARK(BM_Crc32cPortable)->Arg(kStampedSpans[0])->Arg(kStampedSpans[1]);
-
 void BM_Crc32c(benchmark::State& state) {
   RunCrc32c(state, bdisk::Crc32cExtend);
-  state.SetLabel(bdisk::internal::Crc32cKernelName());
+  state.SetLabel(bdisk::internal::Crc32cKernels().back().name);
 }
 BENCHMARK(BM_Crc32c)->Arg(kStampedSpans[0])->Arg(kStampedSpans[1]);
 
@@ -198,6 +193,16 @@ void RunMatrixUnfused(benchmark::State& state, const KernelTable* k) {
 }
 
 void RegisterPerImplementationBenchmarks() {
+  for (const bdisk::internal::Crc32cKernel& k :
+       bdisk::internal::Crc32cKernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Crc32c<") + k.name + ">").c_str(),
+        [extend = k.extend](benchmark::State& state) {
+          RunCrc32c(state, extend);
+        })
+        ->Arg(kStampedSpans[0])
+        ->Arg(kStampedSpans[1]);
+  }
   for (const KernelTable* k : Dispatch::Supported()) {
     const std::string tag = std::string("<") + k->name + ">";
     benchmark::RegisterBenchmark(

@@ -32,8 +32,9 @@ TEST(BlockHeaderTest, ToStringIncludesAllFields) {
 // Pins the stamp format: stores and --serve streams written by earlier
 // binaries carry these values, so they must never change. The 1 KiB stamp
 // was computed by the table-only CRC-32C kernel before the hardware one
-// existed, the 32 KiB one (a span the hardware kernel splits into
-// interleaved lanes) by the single-chain hardware kernel before the lanes.
+// existed, the 32 KiB one (a span the SSE4.2 kernel splits into
+// interleaved lanes) by the single-chain SSE4.2 kernel before the lanes;
+// both predate the carry-less multiply fold.
 TEST(BlockChecksumTest, StampOfAFixedBlockIsPinned) {
   struct Pin {
     std::size_t payload_bytes;
@@ -52,14 +53,14 @@ TEST(BlockChecksumTest, StampOfAFixedBlockIsPinned) {
     }
     EXPECT_EQ(BlockChecksum(block), pin.stamp) << pin.payload_bytes;
 
-    // The same coverage (identity bytes, then payload) through the portable
-    // reference kernel, so the pin holds on both kernels.
+    // The same coverage (identity bytes, then payload) through every kernel
+    // this host can run, so the pin holds on each of them.
     const auto identity = SerializeIdentity(block.header);
-    std::uint32_t crc = bdisk::internal::Crc32cExtendPortable(
-        0, identity.data(), identity.size());
-    crc = bdisk::internal::Crc32cExtendPortable(crc, block.payload.data(),
-                                                block.payload.size());
-    EXPECT_EQ(crc, pin.stamp) << pin.payload_bytes;
+    for (const auto& kernel : bdisk::internal::Crc32cKernels()) {
+      std::uint32_t crc = kernel.extend(0, identity.data(), identity.size());
+      crc = kernel.extend(crc, block.payload.data(), block.payload.size());
+      EXPECT_EQ(crc, pin.stamp) << pin.payload_bytes << " on " << kernel.name;
+    }
   }
 }
 
