@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/json.h"
@@ -42,34 +43,31 @@ Timeline::Timeline(std::uint64_t interval_slots, std::uint64_t horizon)
   BDISK_CHECK(horizon_ <= std::numeric_limits<std::uint32_t>::max());
 }
 
-void Timeline::RecordCompleted(std::uint64_t completion_slot,
-                               std::uint64_t latency, std::uint64_t stall,
-                               bool met_deadline, std::uint32_t errors,
-                               std::uint32_t corrupt) {
-  BDISK_DCHECK(completion_slot < horizon_);
-  BDISK_DCHECK(latency <= horizon_);
-  BDISK_DCHECK(stall <= horizon_);
-  completed_.push_back(Outcome{static_cast<std::uint32_t>(completion_slot),
-                               static_cast<std::uint32_t>(latency),
-                               static_cast<std::uint32_t>(stall), errors,
-                               corrupt, met_deadline ? std::uint8_t{1}
-                                                     : std::uint8_t{0}});
-}
-
 void Timeline::RecordIncomplete(std::uint32_t errors, std::uint32_t corrupt) {
   ++incomplete_;
   incomplete_errors_ += errors;
   incomplete_corrupt_ += corrupt;
 }
 
-void Timeline::Merge(const Timeline& other) {
+std::size_t Timeline::completed_count() const {
+  std::size_t count = completed_.size();
+  for (const std::vector<Outcome>& chunk : merged_) count += chunk.size();
+  return count;
+}
+
+void Timeline::Merge(Timeline&& other) {
   BDISK_CHECK(interval_slots_ == other.interval_slots_);
   BDISK_CHECK(horizon_ == other.horizon_);
-  completed_.insert(completed_.end(), other.completed_.begin(),
-                    other.completed_.end());
+  if (!other.completed_.empty()) {
+    merged_.push_back(std::move(other.completed_));
+  }
+  for (std::vector<Outcome>& chunk : other.merged_) {
+    merged_.push_back(std::move(chunk));
+  }
   incomplete_ += other.incomplete_;
   incomplete_errors_ += other.incomplete_errors_;
   incomplete_corrupt_ += other.incomplete_corrupt_;
+  other = Timeline(interval_slots_, horizon_);
 }
 
 namespace {
@@ -128,27 +126,30 @@ std::string RenderSnapshotStream(const Timeline& timeline,
     out += '\n';
   }
 
-  // Bucketize the outcome log. One pass in stored order, which — shards
-  // being contiguous index ranges merged in shard order — is ascending
-  // global client order; and since every folded quantity is an integer
-  // whose double sum is exact, the result is identical for any shard
-  // count anyway.
+  // Bucketize the outcome log, chunk by chunk. Every folded quantity is
+  // an integer sum, a count, a min or a max — exact in doubles — so the
+  // result does not depend on the order of the chunks or of the outcomes
+  // within them.
   const std::size_t bins = BinCount();
   const std::size_t bucket_count = timeline.bucket_count();
   std::vector<Bucket> buckets(bucket_count);
   std::vector<std::uint64_t> hist(bucket_count * bins, 0);
-  for (const Timeline::Outcome& o : timeline.completed_) {
-    const auto b = static_cast<std::size_t>(o.completion_slot /
-                                            timeline.interval_slots_);
-    Bucket& bucket = buckets[b];
-    ++bucket.completed;
-    bucket.latency.Add(static_cast<double>(o.latency));
-    bucket.stall.Add(static_cast<double>(o.stall));
-    if (o.met_deadline == 0) ++bucket.missed_deadline;
-    bucket.errors_observed += o.errors;
-    bucket.corrupt_detected += o.corrupt;
-    ++hist[b * bins + LatencyBin(o.latency)];
-  }
+  const auto fold = [&](const std::vector<Timeline::Outcome>& log) {
+    for (const Timeline::Outcome& o : log) {
+      const auto b = static_cast<std::size_t>(o.completion_slot /
+                                              timeline.interval_slots_);
+      Bucket& bucket = buckets[b];
+      ++bucket.completed;
+      bucket.latency.Add(static_cast<double>(o.latency));
+      bucket.stall.Add(static_cast<double>(o.stall));
+      if (o.met_deadline == 0) ++bucket.missed_deadline;
+      bucket.errors_observed += o.errors;
+      bucket.corrupt_detected += o.corrupt;
+      ++hist[b * bins + LatencyBin(o.latency)];
+    }
+  };
+  fold(timeline.completed_);
+  for (const auto& chunk : timeline.merged_) fold(chunk);
 
   // Cumulative walk: exact (integer-valued sums), fixed fold order.
   RunningStats latency;

@@ -10,13 +10,14 @@
 ///    100k-client fleet run in zeroing, cache-missing, and merging
 ///    megabytes of bucket arrays). Bucketization into fixed sim-clock
 ///    intervals (`interval_slots` wide, keyed by *completion slot*)
-///    happens once at render time, off the hot path. Shard-local
-///    timelines merge by concatenation in shard order, which preserves
-///    ascending global client order for any shard count; all aggregated
-///    quantities are small integers whose double sums are exact, so the
-///    rendered stream is byte-identical at any thread count and across
-///    the slot and event engines. The clock is the *simulated* clock,
-///    never wall time, which is what makes snapshots reproducible.
+///    happens once at render time, off the hot path. A shard-local
+///    timeline merges by handing its log over as one more chunk, with no
+///    copy; rendering folds every chunk. All aggregated quantities are
+///    integer sums, counts, minima and maxima — exact in doubles and
+///    independent of fold order — so the rendered stream is
+///    byte-identical at any thread count and across the slot and event
+///    engines. The clock is the *simulated* clock, never wall time, which
+///    is what makes snapshots reproducible.
 ///
 ///  * **RenderSnapshotStream / WriteSnapshotStream** — the emission side.
 ///    One JSON object per line: a header (geometry + histogram bounds),
@@ -39,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/stats.h"
 #include "common/status.h"
 
@@ -51,8 +53,8 @@ class MetricRegistry;
 const std::vector<std::uint64_t>& SnapshotLatencyBounds();
 
 /// \brief Outcome log of one run, rendered as sim-clock snapshots.
-/// Shard-local recording (plain appends), concatenating Merge,
-/// deterministic rendering.
+/// Shard-local recording (plain appends), copy-free Merge, deterministic
+/// rendering.
 class Timeline {
  public:
   /// \param interval_slots  snapshot interval (>= 1).
@@ -66,26 +68,35 @@ class Timeline {
     return static_cast<std::size_t>(
         (horizon_ + interval_slots_ - 1) / interval_slots_);
   }
-  std::size_t completed_count() const { return completed_.size(); }
+  std::size_t completed_count() const;
 
   /// Preallocates room for `outcomes` completed records (engines know the
   /// shard's client count up front).
   void Reserve(std::size_t outcomes) { completed_.reserve(outcomes); }
 
   /// Records a completed retrieval (one append; bucketed at render time).
+  /// Inline: engines call it once per retrieval.
   void RecordCompleted(std::uint64_t completion_slot, std::uint64_t latency,
                        std::uint64_t stall, bool met_deadline,
-                       std::uint32_t errors, std::uint32_t corrupt);
+                       std::uint32_t errors, std::uint32_t corrupt) {
+    BDISK_DCHECK(completion_slot < horizon_);
+    BDISK_DCHECK(latency <= horizon_);
+    BDISK_DCHECK(stall <= horizon_);
+    completed_.push_back(Outcome{static_cast<std::uint32_t>(completion_slot),
+                                 static_cast<std::uint32_t>(latency),
+                                 static_cast<std::uint32_t>(stall), errors,
+                                 corrupt, met_deadline ? std::uint8_t{1}
+                                                       : std::uint8_t{0}});
+  }
 
   /// Records a retrieval that never completed within the horizon (only
   /// knowable at the end, so it lands in the final snapshot).
   void RecordIncomplete(std::uint32_t errors, std::uint32_t corrupt);
 
-  /// Appends `other`'s log; `other` must have identical geometry. Merging
-  /// shard timelines in shard order preserves ascending global client
-  /// order (shards are contiguous index ranges), so downstream folds are
-  /// shard-count-invariant.
-  void Merge(const Timeline& other);
+  /// Takes over `other`'s logs as chunks of this one, without copying an
+  /// outcome; `other` must have identical geometry and is emptied. The
+  /// rendered stream does not depend on merge order (see file comment).
+  void Merge(Timeline&& other);
 
  private:
   friend std::string RenderSnapshotStream(const Timeline& timeline,
@@ -104,7 +115,10 @@ class Timeline {
 
   std::uint64_t interval_slots_;
   std::uint64_t horizon_;
+  /// This timeline's own appends.
   std::vector<Outcome> completed_;
+  /// Logs taken over by Merge, folded with completed_ at render time.
+  std::vector<std::vector<Outcome>> merged_;
   /// End-of-horizon incompletes (never bucketed mid-run).
   std::uint64_t incomplete_ = 0;
   std::uint64_t incomplete_errors_ = 0;

@@ -35,25 +35,6 @@ std::string TraceTriggerName(std::uint8_t trigger) {
   return out.empty() ? "none" : out;
 }
 
-std::uint8_t TraceSink::TriggerFor(std::uint64_t request_id, bool completed,
-                                   bool met_deadline,
-                                   std::uint64_t stall_slots) const {
-  std::uint8_t trigger = 0;
-  if (options_.sample_every != 0 &&
-      request_id % options_.sample_every == 0) {
-    trigger |= kTraceSampled;
-  }
-  if (options_.trace_anomalies) {
-    if (!completed) trigger |= kTraceUndecodable;
-    if (!met_deadline) trigger |= kTraceDeadlineMiss;
-    if (options_.stall_threshold != 0 &&
-        stall_slots >= options_.stall_threshold) {
-      trigger |= kTraceStall;
-    }
-  }
-  return trigger;
-}
-
 void TraceSink::Record(TraceSpan span) {
   BDISK_DCHECK(span.trigger != 0);
   ++recorded_;

@@ -136,9 +136,26 @@ class TraceSink {
 
   /// Trigger bitmask for a finished retrieval (0 = do not trace). A pure
   /// function of the global request index and the outcome, so the traced
-  /// set is shard-, thread-, and engine-invariant.
+  /// set is shard-, thread-, and engine-invariant. Inline: engines call it
+  /// once per retrieval.
   std::uint8_t TriggerFor(std::uint64_t request_id, bool completed,
-                          bool met_deadline, std::uint64_t stall_slots) const;
+                          bool met_deadline,
+                          std::uint64_t stall_slots) const {
+    std::uint8_t trigger = 0;
+    if (options_.sample_every != 0 &&
+        request_id % options_.sample_every == 0) {
+      trigger |= kTraceSampled;
+    }
+    if (options_.trace_anomalies) {
+      if (!completed) trigger |= kTraceUndecodable;
+      if (!met_deadline) trigger |= kTraceDeadlineMiss;
+      if (options_.stall_threshold != 0 &&
+          stall_slots >= options_.stall_threshold) {
+        trigger |= kTraceStall;
+      }
+    }
+    return trigger;
+  }
 
   /// Captures one span (span.trigger must be nonzero). In flight-recorder
   /// mode an anomaly span dumps the ring ahead of itself; a non-anomaly

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -12,38 +13,6 @@
 #include "sim/trace_walk.h"
 
 namespace bdisk::sim {
-
-void EventHeap::Push(const Event& e) {
-  heap_.push_back(e);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!Before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-EventHeap::Event EventHeap::Pop() {
-  BDISK_DCHECK(!heap_.empty());
-  const Event top = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t left = 2 * i + 1;
-    std::size_t smallest = i;
-    if (left < n && Before(heap_[left], heap_[smallest])) smallest = left;
-    if (left + 1 < n && Before(heap_[left + 1], heap_[smallest])) {
-      smallest = left + 1;
-    }
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-  return top;
-}
 
 EventEngine::EventEngine(const broadcast::BroadcastProgram& program,
                          const std::vector<faults::FaultType>& faults)
@@ -170,77 +139,65 @@ void EventShardRunner::Prepare(
   arena_.assign(static_cast<std::size_t>(spill_words), 0);
   BDISK_CHECK(spill_words <= ClientState::kNoSpill);
 
-  // Pass 2: assign spill offsets and seed each client's first event.
-  heap_ = EventHeap();
-  heap_.Reserve(states_.size());
+  // Pass 2: assign spill offsets.
   std::uint32_t offset = 0;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    ClientState& st = states_[i];
+  for (ClientState& st : states_) {
     const std::uint32_t n = files[st.file].n;
     if (n > 64) {
       st.spill_offset = offset;
       offset += 2 * ((n + 63) / 64);
     }
-    const auto next = engine_->NextTransmissionOf(st.file, st.start_slot);
-    if (!next.has_value()) {
-      // No transmission of this file before the horizon: the slot walk
-      // would observe nothing — incomplete with zero errors.
-      st.flags |= ClientState::kDone;
-      continue;
-    }
-    heap_.Push(EventHeap::Event{next->slot, static_cast<std::uint32_t>(i),
-                                next->block});
   }
 }
 
 void EventShardRunner::Drain() {
   const auto& files = engine_->files();
-  while (!heap_.Empty()) {
-    const EventHeap::Event event = heap_.Pop();
-    ClientState& st = states_[event.client];
-    ++events_;
+  for (ClientState& st : states_) {
+    // Clients only listen, so each chain runs to its end on its own. A
+    // client whose file has no transmission left before the horizon ends
+    // at once: the slot walk would observe nothing — incomplete with zero
+    // errors.
     const broadcast::ProgramFile& pf = files[st.file];
-    // Lossless-baseline walk (stall metric): counts every transmission's
-    // block regardless of faults, until it reaches m distinct blocks.
-    if ((st.flags & ClientState::kBaselineDone) == 0) {
-      if (!TestSetBase(&st, event.block, pf.n)) {
-        ++st.base_distinct;
-        if (st.base_distinct >= pf.m) {
-          st.flags |= ClientState::kBaselineDone;
-          st.baseline_slot = event.slot;
+    for (auto next = engine_->NextTransmissionOf(st.file, st.start_slot);;
+         next = engine_->NextTransmissionOf(st.file, next->slot + 1)) {
+      if (!next.has_value()) {
+        st.flags |= ClientState::kDone;  // Horizon exhausted: incomplete.
+        break;
+      }
+      const EventEngine::NextTx event = *next;
+      ++events_;
+      // Lossless-baseline walk (stall metric): counts every transmission's
+      // block regardless of faults, until it reaches m distinct blocks.
+      if ((st.flags & ClientState::kBaselineDone) == 0) {
+        if (!TestSetBase(&st, event.block, pf.n)) {
+          ++st.base_distinct;
+          if (st.base_distinct >= pf.m) {
+            st.flags |= ClientState::kBaselineDone;
+            st.baseline_slot = event.slot;
+          }
+        }
+      }
+      const faults::FaultType fault = engine_->FaultAt(event.slot);
+      if (fault != faults::FaultType::kNone) {
+        // Lost, or corrupted-and-discarded after checksum detection: no
+        // progress on this transmission (same accounting as the slot walk).
+        ++st.errors_observed;
+        if (fault == faults::FaultType::kCorrupted) ++st.corrupt_detected;
+      } else if (!TestSetHave(&st, event.block, pf.n)) {
+        ++st.distinct;
+        if (st.distinct >= pf.m) {
+          st.flags |= ClientState::kCompleted | ClientState::kDone;
+          st.completion_slot = event.slot;
+          break;  // Finished: no re-arm.
         }
       }
     }
-    const faults::FaultType fault = engine_->FaultAt(event.slot);
-    if (fault != faults::FaultType::kNone) {
-      // Lost, or corrupted-and-discarded after checksum detection: no
-      // progress on this transmission (same accounting as the slot walk).
-      ++st.errors_observed;
-      if (fault == faults::FaultType::kCorrupted) ++st.corrupt_detected;
-    } else if (!TestSetHave(&st, event.block, pf.n)) {
-      ++st.distinct;
-      if (st.distinct >= pf.m) {
-        st.flags |= ClientState::kCompleted | ClientState::kDone;
-        st.completion_slot = event.slot;
-        continue;  // Finished: no re-arm.
-      }
-    }
-    const auto next = engine_->NextTransmissionOf(st.file, event.slot + 1);
-    if (!next.has_value()) {
-      st.flags |= ClientState::kDone;  // Horizon exhausted: incomplete.
-      continue;
-    }
-    heap_.Push(EventHeap::Event{next->slot, event.client, next->block});
   }
 }
 
 void EventEngine::RecordRetrievalTrace(
     obs::TraceSink* sink, std::uint64_t request_id, const ClientState& st,
-    const RetrievalOutcome& outcome) const {
-  const std::uint8_t trigger =
-      sink->TriggerFor(request_id, outcome.completed, outcome.met_deadline,
-                       outcome.stall_slots);
-  if (trigger == 0) return;
+    const RetrievalOutcome& outcome, std::uint8_t trigger) const {
   const broadcast::ProgramFile& pf = files()[st.file];
   TraceWalkContext ctx;
   // The event engine finds the next transmission by jump arithmetic — the
@@ -288,8 +245,16 @@ void EventShardRunner::Collect(SimulationMetrics* local,
     const ClientState& st = states_[i];
     BDISK_DCHECK((st.flags & ClientState::kDone) != 0);
     const RetrievalOutcome outcome = OutcomeOf(st);
-    if (trace != nullptr) {
-      engine_->RecordRetrievalTrace(trace, global_begin + i, st, outcome);
+    // The trigger check runs inline for every client; only a triggered
+    // client pays for the out-of-line span replay.
+    const std::uint8_t trigger =
+        trace != nullptr
+            ? trace->TriggerFor(global_begin + i, outcome.completed,
+                                outcome.met_deadline, outcome.stall_slots)
+            : 0;
+    if (trigger != 0) {
+      engine_->RecordRetrievalTrace(trace, global_begin + i, st, outcome,
+                                    trigger);
     }
     AccumulateOutcome(outcome, &local->per_file[st.file], timeline);
   }
@@ -306,15 +271,24 @@ SimulationMetrics EventEngine::Run(
   SimulationMetrics metrics = RunSharded(
       files(), count, pool, timeline, trace, [&](const Shard& shard) {
         EventShardRunner runner(*this);
-        runner.Prepare(shard.begin, shard.end, client_at);
-        {
-          // One timer per shard drain — never per event.
-          obs::ScopedPhaseTimer timer(drain_us);
+        std::uint64_t events = 0;
+        std::chrono::steady_clock::duration drain{};
+        for (std::uint64_t begin = shard.begin; begin < shard.end;) {
+          const std::uint64_t end =
+              begin + std::min(kBlockClients, shard.end - begin);
+          runner.Prepare(begin, end, client_at);
+          const auto t0 = std::chrono::steady_clock::now();
           runner.Drain();
+          drain += std::chrono::steady_clock::now() - t0;
+          runner.Collect(shard.metrics, shard.timeline, begin, shard.trace);
+          events += runner.events_processed();
+          begin = end;
         }
-        runner.Collect(shard.metrics, shard.timeline, shard.begin,
-                       shard.trace);
-        total_events += runner.events_processed();
+        // One sample per shard, its blocks' Drain time summed: the phase
+        // timer times Drain alone, never per block or per event.
+        drain_us->Record(
+            std::chrono::duration<double, std::micro>(drain).count());
+        total_events += events;
       });
   obs::GlobalRegistry().GetCounter("sim.events")->Add(total_events);
   obs::GlobalRegistry().GetCounter("sim.clients")->Add(count);

@@ -6,14 +6,15 @@
 /// only *does* anything on the slots carrying its own file. The event
 /// engine removes the dead time: each client is a compact state record
 /// (~80 bytes), and the only events are "client c hears a transmission of
-/// its file at slot s". Events live in a binary min-heap keyed by
-/// (slot, client index) — the client tie-break makes the processing order
-/// fully deterministic — and a client is re-armed after each event with
-/// the *next* transmission of its file, found by O(log occurrences) jump
-/// arithmetic over the program's occurrence lists (epoch hot-swaps
-/// included). Cost per retrieval drops from O(slots spanned) to
-/// O(transmissions of the file heard), which is what lets one box carry
-/// 1M+ concurrent clients over a multi-hour trace.
+/// its file at slot s". Clients only listen, so no client's events depend
+/// on another's: the engine needs no event queue. It walks one client's
+/// chain of transmissions to completion, then the next client's, in
+/// ascending client index. Each step finds the *next* transmission of the
+/// file by O(log occurrences) jump arithmetic over the program's occurrence
+/// lists (epoch hot-swaps included). Cost per retrieval drops from
+/// O(slots spanned) to O(transmissions of the file heard), and Run() walks
+/// each shard in fixed blocks of kBlockClients clients, so engine memory is
+/// O(block) per thread however large the fleet.
 ///
 /// **Determinism contract (extends docs/ARCHITECTURE.md).** The engine is
 /// proven output-*identical* to the slot-by-slot engine, not merely
@@ -23,18 +24,19 @@
 /// (tests/engine_equivalence_test.cc). The ingredients:
 ///
 ///  * clients are sharded by global index with the same ShardOf split as
-///    the slot engine, one event heap per shard — no cross-shard state;
+///    the slot engine, and each shard walks its clients in index order, in
+///    contiguous blocks — no cross-shard or cross-client state;
 ///  * every per-client quantity (completion slot, errors, stall baseline)
-///    is a pure function of the shared fault trace and the schedule, so
-///    heap processing order cannot change it;
-///  * after the event loop drains, outcomes are folded into the metrics
-///    in ascending client order — the exact accumulation order of the
-///    slot engine — and shards merge with the exact RunningStats merge.
+///    is a pure function of the shared fault trace and the schedule, so the
+///    order in which clients are walked cannot change it;
+///  * after each block drains, outcomes are folded into the metrics in
+///    ascending client order — the exact accumulation order of the slot
+///    engine — and shards merge with the exact RunningStats merge.
 ///
-/// Steady-state event processing performs no heap allocation: the event
-/// heap and all client state (including distinct-block spill bitmaps for
-/// files with n > 64) are preallocated in Prepare()
-/// (tests/event_engine_test.cc counts allocations to enforce this).
+/// Steady-state event processing performs no heap allocation: all client
+/// state (including distinct-block spill bitmaps for files with n > 64) is
+/// preallocated in Prepare() (tests/event_engine_test.cc counts
+/// allocations to enforce this).
 
 #ifndef BDISK_SIM_EVENT_ENGINE_H_
 #define BDISK_SIM_EVENT_ENGINE_H_
@@ -70,37 +72,6 @@ struct EventClient {
   broadcast::FileIndex file = 0;
   std::uint64_t start_slot = 0;
   std::uint64_t deadline_slots = 0;
-};
-
-/// \brief Binary min-heap of pending client events, keyed by slot with
-/// ties broken by client index (deterministic processing order). Push is
-/// allocation-free once Reserve()d.
-class EventHeap {
- public:
-  struct Event {
-    /// Absolute slot of the transmission this client hears next.
-    std::uint64_t slot = 0;
-    /// Shard-local client index (the tie-break key).
-    std::uint32_t client = 0;
-    /// Rotated block index carried by that transmission.
-    std::uint32_t block = 0;
-  };
-
-  /// Strict (slot, client) ordering; block is payload, never a key.
-  static bool Before(const Event& a, const Event& b) {
-    return a.slot != b.slot ? a.slot < b.slot : a.client < b.client;
-  }
-
-  void Reserve(std::size_t capacity) { heap_.reserve(capacity); }
-  bool Empty() const { return heap_.empty(); }
-  std::size_t Size() const { return heap_.size(); }
-  const Event& Top() const { return heap_.front(); }
-
-  void Push(const Event& e);
-  Event Pop();
-
- private:
-  std::vector<Event> heap_;
 };
 
 /// \brief Compact per-client simulation state (~80 bytes). Files with
@@ -143,6 +114,12 @@ struct EventEngineStats {
 /// trace length = horizon). Safe for concurrent const use.
 class EventEngine {
  public:
+  /// Clients per block of Run()'s walk: each shard prepares, drains and
+  /// collects this many clients at a time, so a shard holds O(block) state
+  /// however many clients it has. Chosen from a 1024/4096/16384 probe
+  /// (docs/ARCHITECTURE.md, "Event taxonomy and state layout").
+  static constexpr std::uint64_t kBlockClients = 4096;
+
   EventEngine(const broadcast::BroadcastProgram& program,
               const std::vector<faults::FaultType>& faults);
   EventEngine(const EpochSchedule& schedule,
@@ -176,7 +153,8 @@ class EventEngine {
 
   /// Simulates clients [0, count), where client g is `client_at(g)` — a
   /// pure, thread-safe function of g. Clients are sharded by global index
-  /// across `pool` (null = serial) with one event heap per shard; the
+  /// across `pool` (null = serial), and each shard runs the three
+  /// EventShardRunner phases over consecutive blocks of kBlockClients; the
   /// result is bit-identical to the slot-by-slot engine and to any other
   /// thread count. Every client must name a known file and start before
   /// the horizon (checked). Fills `stats` when non-null. A non-null
@@ -207,33 +185,38 @@ class EventEngine {
 
   std::size_t EpochIndexAt(std::uint64_t t) const;
 
-  /// Captures the finished client's causal span into `sink` when its
-  /// options trigger on `outcome`; no-op otherwise. Replays via the shared
+  /// Captures the finished client's causal span into `sink`; `trigger` is
+  /// the sink's nonzero TriggerFor on `outcome`. Replays via the shared
   /// walker with NextTransmissionOf as the jump source.
   void RecordRetrievalTrace(obs::TraceSink* sink, std::uint64_t request_id,
                             const ClientState& st,
-                            const RetrievalOutcome& outcome) const;
+                            const RetrievalOutcome& outcome,
+                            std::uint8_t trigger) const;
 
   std::vector<EpochRef> epochs_;
   const std::vector<faults::FaultType>* faults_;
 };
 
-/// \brief One shard's event loop: client states, spill arena, and event
-/// heap for a contiguous range of global client indices. Exposed (rather
-/// than hidden inside EventEngine::Run) so the unit tests can drive the
-/// phases separately — in particular the allocation-count check around
-/// Drain() and direct state inspection.
+/// \brief The event loop over a contiguous range of global client indices:
+/// client states and the spill arena. EventEngine::Run drives it one block
+/// at a time, reusing its storage. Exposed (rather than hidden inside
+/// EventEngine::Run) so pipebench can time the phases and the unit tests
+/// can drive them separately — in particular the allocation-count check
+/// around Drain() and direct state inspection.
 class EventShardRunner {
  public:
   explicit EventShardRunner(const EventEngine& engine) : engine_(&engine) {}
 
-  /// Materializes states for clients [begin, end) of `client_at`, assigns
-  /// spill bitmaps, and seeds each client's first event. Allocates; checks
-  /// every client's validity (known file, start before horizon).
+  /// Materializes states for clients [begin, end) of `client_at` and
+  /// assigns spill bitmaps. Allocates only past the capacity of an earlier
+  /// range; checks every client's validity (known file, start before
+  /// horizon).
   void Prepare(std::uint64_t begin, std::uint64_t end,
                const std::function<EventClient(std::uint64_t)>& client_at);
 
-  /// Processes events to exhaustion. Performs no heap allocation.
+  /// Walks each client's transmissions from its start slot, in ascending
+  /// client order, until it completes or the horizon runs out. Call once
+  /// per Prepare. Performs no heap allocation.
   void Drain();
 
   /// Folds the finished clients' outcomes into `local` in ascending client
@@ -268,7 +251,6 @@ class EventShardRunner {
   /// Spill bitmap arena for files with n > 64: per spilled client,
   /// ceil(n/64) words of `have` followed by ceil(n/64) words of `base`.
   std::vector<std::uint64_t> arena_;
-  EventHeap heap_;
   std::uint64_t events_ = 0;
 };
 

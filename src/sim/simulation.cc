@@ -101,7 +101,7 @@ SimulationMetrics RunSharded(const std::vector<broadcast::ProgramFile>& files,
   }
   for (const SimulationMetrics& sm : shard_metrics) metrics.Merge(sm);
   if (timeline != nullptr) {
-    for (const obs::Timeline& tl : shard_timelines) timeline->Merge(tl);
+    for (obs::Timeline& tl : shard_timelines) timeline->Merge(std::move(tl));
   }
   if (trace != nullptr) {
     for (obs::TraceSink& tr : shard_traces) trace->Merge(std::move(tr));

@@ -254,7 +254,7 @@ class Simulator {
   /// the identical validation, and a *byte-identical* SimulationMetrics
   /// snapshot (MetricsToJson) at any thread count — but each retrieval
   /// costs O(transmissions of its file heard) instead of O(slots spanned),
-  /// with every client's state (~96 bytes) held for the run.
+  /// in client state for one block of clients per thread.
   Result<SimulationMetrics> RunWorkloadEvented(const WorkloadConfig& config,
                                                runtime::ThreadPool* pool =
                                                    nullptr,

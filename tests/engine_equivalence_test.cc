@@ -22,8 +22,9 @@
 //
 //  4. Explicit request lists: RunRequests against EventEngine::Run fed the
 //     same list and the same channel realization, on a program and on a
-//     two-epoch schedule. Metrics, the rendered timeline stream and the
-//     Chrome trace must all match, serial and sharded.
+//     two-epoch schedule, and on a list long enough to cross the engine's
+//     client blocks. Metrics, the rendered timeline stream and the Chrome
+//     trace must all match, serial and sharded.
 //
 // The pool width defaults to 3 and can be overridden with
 // BDISK_EQUIV_THREADS (the CI engine-matrix job runs {1, 3}); byte-identity
@@ -207,18 +208,19 @@ TEST(EngineEquivalenceGrid, EpochScheduleHotSwap) {
   AssertEnginesAgree(simulator, config, "epoch-hot-swap");
 }
 
-// Request list over the engine's files: seeded random starts (some late
-// enough to run out of horizon) and deadlines (some too tight to meet),
-// plus, per file, starts just past its last transmission before the
-// horizon, with and without a deadline.
+// Request list over the engine's files: `random_count` seeded random
+// starts (some late enough to run out of horizon) and deadlines (some too
+// tight to meet), plus, per file, starts just past its last transmission
+// before the horizon, with and without a deadline.
 std::vector<ClientRequest> RequestList(const EventEngine& engine,
-                                       std::uint64_t period) {
+                                       std::uint64_t period,
+                                       std::uint64_t random_count) {
   const std::uint64_t horizon = engine.horizon();
   const std::size_t file_count = engine.files().size();
   const std::uint64_t deadlines[] = {0, 1, 3, period, 4 * period};
   Rng rng(20261017);
   std::vector<ClientRequest> requests;
-  for (std::uint64_t k = 0; k < 300; ++k) {
+  for (std::uint64_t k = 0; k < random_count; ++k) {
     ClientRequest request;
     request.file = static_cast<broadcast::FileIndex>(k % file_count);
     request.start_slot = rng.Uniform(horizon);
@@ -261,14 +263,29 @@ void ExpectSameOutput(const RunOutput& expected, const RunOutput& actual,
   EXPECT_EQ(expected.trace, actual.trace) << label << ": trace differs";
 }
 
+// Tracing of the 300-request lists: every 5th request, and every anomaly
+// down to a one-slot stall.
+obs::TraceOptions DenseTracing() {
+  obs::TraceOptions options;
+  options.sample_every = 5;
+  options.stall_threshold = 1;
+  return options;
+}
+
 // Replays one request list through RunRequests and EventEngine::Run, each
 // serial and at PoolWidth(), and asserts all four outputs are identical.
-// Also checks that the list reaches the corners it is built for.
-void ExpectRequestListsAgree(const Simulator& simulator,
-                             const EventEngine& engine, std::uint64_t period,
-                             const std::string& label) {
+// Also checks that the list reaches the corners it is built for. The list
+// holds `size` requests, or 300 random ones and the corners when `size` is
+// 0.
+void ExpectRequestListsAgree(
+    const Simulator& simulator, const EventEngine& engine,
+    std::uint64_t period, const std::string& label, std::uint64_t size = 0,
+    const obs::TraceOptions& trace_options = DenseTracing()) {
   ASSERT_EQ(simulator.horizon(), engine.horizon());
-  const std::vector<ClientRequest> requests = RequestList(engine, period);
+  const std::uint64_t corners = RequestList(engine, period, 0).size();
+  ASSERT_TRUE(size == 0 || size >= corners) << label;
+  const std::vector<ClientRequest> requests =
+      RequestList(engine, period, size == 0 ? 300 : size - corners);
 
   std::uint64_t clean_incomplete = 0, missed = 0, corrupted = 0, stalled = 0;
   for (const ClientRequest& request : requests) {
@@ -286,9 +303,6 @@ void ExpectRequestListsAgree(const Simulator& simulator,
   EXPECT_GT(corrupted, 0u) << label;
   EXPECT_GT(stalled, 0u) << label;
 
-  obs::TraceOptions trace_options;
-  trace_options.sample_every = 5;
-  trace_options.stall_threshold = 1;
   const auto slot_run = [&](runtime::ThreadPool* pool) {
     obs::Timeline timeline(period, simulator.horizon());
     obs::TraceSink trace(trace_options);
@@ -366,6 +380,42 @@ TEST(EngineEquivalenceRequests, EpochScheduleRequestList) {
   const std::vector<faults::FaultType> faults = Realize(**channel, horizon);
   const EventEngine engine(*schedule, faults);
   ExpectRequestListsAgree(simulator, engine, period, "two-epoch schedule");
+}
+
+// EventEngine::Run walks each shard in blocks of kBlockClients clients.
+// Three full blocks and 17 more put a partial last block in the serial run
+// and in every pooled shard, and the pooled shards' blocks start off the
+// serial run's block boundaries. The schedule's wide file (n > 64) keeps
+// its distinct sets in the spill arena. The trace samples alone, so it
+// stays small: 257 does not divide the block size, so a block folded
+// under the wrong global index traces other requests.
+TEST(EngineEquivalenceRequests, RequestListAcrossClientBlocks) {
+  const std::vector<broadcast::FlatFileSpec> files = {
+      {"a", 2, 4, {}}, {"b", 3, 5, {}}, {"wide", 66, 72, {}}};
+  auto before =
+      broadcast::BuildFlatProgram(files, broadcast::FlatLayout::kContiguous);
+  ASSERT_TRUE(before.ok()) << before.status();
+  auto after =
+      broadcast::BuildFlatProgram(files, broadcast::FlatLayout::kSpread);
+  ASSERT_TRUE(after.ok()) << after.status();
+  const std::uint64_t period = before->period();
+  std::vector<ProgramEpoch> epochs;
+  epochs.push_back(ProgramEpoch{0, *before});
+  epochs.push_back(ProgramEpoch{20 * period, *after});
+  auto schedule = EpochSchedule::Create(std::move(epochs));
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  auto channel = faults::ParseChannelSpec(kLossyCorrupting);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+
+  const std::uint64_t horizon = 40 * period;
+  const Simulator simulator(*schedule, **channel, horizon);
+  const std::vector<faults::FaultType> faults = Realize(**channel, horizon);
+  const EventEngine engine(*schedule, faults);
+  obs::TraceOptions sampled;
+  sampled.sample_every = 257;
+  sampled.trace_anomalies = false;
+  ExpectRequestListsAgree(simulator, engine, period, "client blocks",
+                          3 * EventEngine::kBlockClients + 17, sampled);
 }
 
 }  // namespace

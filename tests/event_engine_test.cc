@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event engine internals (sim/event_engine.h):
-// heap ordering, jump arithmetic vs the slot-walk ground truth, per-client
-// state transitions against Simulator::Retrieve, and the allocation-free
+// jump arithmetic vs the slot-walk ground truth, per-client state
+// transitions against Simulator::Retrieve, and the allocation-free
 // steady-state guarantee (checked by counting global operator new calls
 // across Drain()).
 
@@ -16,7 +16,6 @@
 
 #include "bdisk/flat_builder.h"
 #include "faults/channel_model.h"
-#include "runtime/rng_stream.h"
 #include "sim/epoch.h"
 #include "sim/simulation.h"
 
@@ -74,57 +73,6 @@ BroadcastProgram SmallProgram() {
       FlatLayout::kSpread);
   EXPECT_TRUE(p.ok()) << p.status();
   return *p;
-}
-
-// ---------------------------------------------------------------------------
-// EventHeap ordering.
-
-TEST(EventHeapTest, PopsBySlotWithClientTieBreak) {
-  EventHeap heap;
-  heap.Reserve(8);
-  // Scrambled insertion; blocks are payload and must ride along untouched.
-  heap.Push({5, 2, 20});
-  heap.Push({5, 0, 21});
-  heap.Push({3, 9, 22});
-  heap.Push({5, 1, 23});
-  heap.Push({3, 1, 24});
-  heap.Push({7, 0, 25});
-
-  const std::vector<EventHeap::Event> expected = {
-      {3, 1, 24}, {3, 9, 22}, {5, 0, 21}, {5, 1, 23}, {5, 2, 20}, {7, 0, 25},
-  };
-  for (const EventHeap::Event& want : expected) {
-    ASSERT_FALSE(heap.Empty());
-    const EventHeap::Event got = heap.Pop();
-    EXPECT_EQ(got.slot, want.slot);
-    EXPECT_EQ(got.client, want.client);
-    EXPECT_EQ(got.block, want.block);
-  }
-  EXPECT_TRUE(heap.Empty());
-}
-
-TEST(EventHeapTest, RandomWorkoutDrainsInTotalOrder) {
-  EventHeap heap;
-  heap.Reserve(500);
-  // Deterministic pseudo-random workout via a counter-based stream; many
-  // (slot, client) collisions to stress the tie-break.
-  Rng rng = runtime::StreamRng(17, 0);
-  for (int i = 0; i < 500; ++i) {
-    heap.Push({rng.Uniform(50), static_cast<std::uint32_t>(rng.Uniform(10)),
-               static_cast<std::uint32_t>(i)});
-  }
-  ASSERT_EQ(heap.Size(), 500u);
-  EventHeap::Event prev = heap.Pop();
-  std::size_t popped = 1;
-  while (!heap.Empty()) {
-    const EventHeap::Event e = heap.Pop();
-    EXPECT_FALSE(EventHeap::Before(e, prev))
-        << "(" << e.slot << "," << e.client << ") popped after ("
-        << prev.slot << "," << prev.client << ")";
-    prev = e;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 500u);
 }
 
 // ---------------------------------------------------------------------------

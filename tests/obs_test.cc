@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdisk/flat_builder.h"
@@ -474,7 +475,7 @@ TEST(SnapshotTest, MergeConcatenatesShardLogs) {
   a.RecordCompleted(3, 4, 0, true, 0, 0);
   b.RecordCompleted(9, 10, 2, false, 1, 0);
   b.RecordIncomplete(0, 0);
-  a.Merge(b);
+  a.Merge(std::move(b));
   EXPECT_EQ(a.completed_count(), 2u);
   const JsonValue final_line = FinalLineOf(RenderSnapshotStream(a, nullptr));
   EXPECT_EQ(NumField(final_line, "completed"), 2.0);

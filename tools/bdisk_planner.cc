@@ -405,9 +405,7 @@ Status Planner::EmitTrace(const Plan&) {
   for (const auto& [label, sink] : trace_tracks_) {
     tracks.push_back({sink.get(), label});
   }
-  // The replays run on the slot engine (sim/simulation.h), the oracle.
   std::vector<std::pair<std::string, std::string>> metadata;
-  metadata.emplace_back("engine", "slot");
   if (options_.channel != nullptr) {
     metadata.emplace_back("channel", options_.channel->Describe());
   }
@@ -550,12 +548,13 @@ Status Planner::ReplayChannel(const Plan& plan) {
   }
   BDISK_ASSIGN_OR_RETURN(
       const auto metrics,
-      simulator.RunWorkload(config, pool_.get(), timeline.get(), trace.get()));
+      simulator.RunWorkloadEvented(config, pool_.get(), timeline.get(),
+                                   trace.get()));
   if (timeline != nullptr) BDISK_RETURN_NOT_OK(EmitMetricsStream(*timeline));
   if (trace != nullptr) {
     trace_tracks_.emplace_back("channel replay", std::move(trace));
   }
-  std::printf("\nchannel replay (slot engine): %s over %llu slots "
+  std::printf("\nchannel replay (event engine): %s over %llu slots "
               "(%llu faulty), %llu requests/file, workload seed %llu\n",
               options_.channel->Describe().c_str(),
               static_cast<unsigned long long>(horizon),
