@@ -24,7 +24,8 @@
 //     spans at 1/1024 with anomaly triggers armed (obs/trace.h) — and
 //     FAILS if either enabled side's total time exceeds the obs-off
 //     side's by more than 1% (plus a 5 ms absolute floor for timer
-//     noise, under 0.4% of a side's total).
+//     noise, under 0.4% of a side's total); each side's overhead is also
+//     printed in ns per client.
 //
 // Flags: --clients N (1000000), --slots N (10000), --threads N (1),
 //        --seed N (42).
@@ -265,6 +266,14 @@ int main(int argc, char** argv) {
               run_seconds[kOff].size(), off, on, overhead_pct, traced,
               trace_overhead_pct,
               static_cast<unsigned long long>(traced_spans));
+  // The same overheads in absolute terms: a relative budget tightens every
+  // time the engine gets faster, a cost per client does not.
+  const double runs_clients = static_cast<double>(run_seconds[kOff].size()) *
+                              static_cast<double>(clients);
+  std::printf("obs cost         : snapshots %+.2f ns per client (%+.2f%%), "
+              "tracing %+.2f ns per client (%+.2f%%)\n",
+              (on - off) * 1e9 / runs_clients, overhead_pct,
+              (traced - off) * 1e9 / runs_clients, trace_overhead_pct);
   std::printf("mean delay       : %.1f slots\n", mean_delay);
   std::printf("undecodable rate : %.6f\n", metrics.OverallUndecodableRate());
   std::printf("peak RSS         : %.1f MB\n", peak_mb);

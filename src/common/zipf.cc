@@ -26,11 +26,22 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double theta) {
 }
 
 std::size_t ZipfDistribution::Sample(double u) const {
-  const auto it =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-  return static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                               static_cast<std::ptrdiff_t>(probs_.size()) - 1));
+  // std::upper_bound over the cumulative table, with std::upper_bound's own
+  // comparison (u < c[i]), but each halving picks its half with a
+  // conditional select instead of a data-dependent branch. The answer stays
+  // in [first, first + len] throughout; NaN compares false everywhere and
+  // lands past the end, as in std::upper_bound.
+  const double* first = cumulative_.data();
+  std::size_t len = cumulative_.size();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    first = u < first[half] ? first : first + half;
+    len -= half;
+  }
+  const std::size_t index =
+      static_cast<std::size_t>(first - cumulative_.data()) +
+      (u < *first ? 0 : 1);
+  return std::min(index, probs_.size() - 1);
 }
 
 }  // namespace bdisk

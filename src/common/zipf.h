@@ -22,7 +22,10 @@ class ZipfDistribution {
   /// All item probabilities, by item index.
   const std::vector<double>& Probabilities() const { return probs_; }
 
-  /// Samples an item given a uniform double u in [0, 1).
+  /// Samples an item given a uniform double u in [0, 1): the first item
+  /// whose cumulative probability exceeds u (std::upper_bound's answer),
+  /// capped at the last item. Any double is accepted; NaN and u >= 1 map to
+  /// the last item. A branch-free binary search, O(log n).
   std::size_t Sample(double u) const;
 
  private:

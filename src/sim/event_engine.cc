@@ -72,11 +72,23 @@ std::optional<EventEngine::NextTx> EventEngine::NextTransmissionOf(
       ++q;
       j = 0;
     }
-    const std::uint64_t abs_slot = epoch.start + q * period + occ[j];
+    const std::uint64_t period_base = epoch.start + q * period;
+    const std::uint64_t abs_slot = period_base + occ[j];
     if (abs_slot < end) {
       const std::uint64_t ordinal = q * count + j;
       const std::uint32_t n = program.files()[file].n;
-      return NextTx{abs_slot, static_cast<std::uint32_t>(ordinal % n)};
+      NextTx tx;
+      tx.slot = abs_slot;
+      tx.block = static_cast<std::uint32_t>(ordinal % n);
+      tx.file = file;
+      tx.occurrence = j;
+      tx.period_base = period_base;
+      tx.epoch_end = end;
+      tx.occurrences = occ.data();
+      tx.count = count;
+      tx.period = period;
+      tx.n = n;
+      return tx;
     }
     // The next occurrence falls past this epoch's end: resume the search
     // at the next epoch's start (its rotation restarts there).
@@ -84,36 +96,108 @@ std::optional<EventEngine::NextTx> EventEngine::NextTransmissionOf(
   return std::nullopt;
 }
 
-bool EventShardRunner::TestSetHave(ClientState* st, std::uint32_t block,
-                                   std::uint32_t n) {
-  if (n <= 64) {
+namespace {
+
+// The distinct-block set of a file with n <= 64: one word, held in a
+// register for the whole walk.
+struct WordSet {
+  std::uint64_t bits = 0;
+
+  /// Adds `block`; true iff it was not yet present.
+  bool Insert(std::uint32_t block) {
     const std::uint64_t bit = 1ULL << block;
-    const bool present = (st->have_bits & bit) != 0;
-    st->have_bits |= bit;
-    return present;
+    const bool fresh = (bits & bit) == 0;
+    bits |= bit;
+    return fresh;
   }
-  std::uint64_t& word = arena_[st->spill_offset + block / 64];
-  const std::uint64_t bit = 1ULL << (block % 64);
-  const bool present = (word & bit) != 0;
-  word |= bit;
-  return present;
+  void CopyFrom(const WordSet& other) { bits = other.bits; }
+};
+
+// The distinct-block set of a file with n > 64: `words` words of the
+// runner's scratch.
+struct SpillSet {
+  std::uint64_t* bits = nullptr;
+  std::size_t words = 0;
+
+  bool Insert(std::uint32_t block) {
+    std::uint64_t& word = bits[block / 64];
+    const std::uint64_t bit = 1ULL << (block % 64);
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  }
+  void CopyFrom(const SpillSet& other) {
+    std::copy_n(other.bits, words, bits);
+  }
+};
+
+// Walks one client's chain from its start slot until it collects m
+// distinct blocks or the horizon runs out, and records the outcome in
+// `st`. `trace` is the fault trace; `have` must be empty, and `base` is
+// overwritten at the first fault. Returns the events the client heard.
+//
+// Two walks run side by side: the actual one, which progresses only on
+// fault-free transmissions, and the lossless baseline (stall metric),
+// which counts every transmission's block. Until the client's first fault
+// both have heard exactly the same blocks, so `have` serves both; at that
+// event the baseline forks into `base` and continues alone. A fault-free
+// completion is therefore the baseline's completion too.
+template <typename Set>
+std::uint64_t WalkClient(const EventEngine& engine,
+                         const faults::FaultType* trace, std::uint32_t m,
+                         Set have, Set base, ClientState* st) {
+  auto next = engine.NextTransmissionOf(st->file, st->start_slot);
+  // A client whose file has no transmission left before the horizon ends
+  // at once: the slot walk would observe nothing — incomplete with zero
+  // errors.
+  st->flags = ClientState::kDone;
+  if (!next.has_value()) return 0;
+  EventEngine::NextTx tx = *next;
+  std::uint64_t events = 0;
+  std::uint32_t distinct = 0;
+  std::uint32_t base_distinct = 0;
+  std::uint32_t errors = 0;
+  std::uint32_t corrupt = 0;
+  bool forked = false;
+  bool baseline_done = false;
+  for (;;) {
+    ++events;
+    const faults::FaultType fault = trace[tx.slot];
+    if (fault != faults::FaultType::kNone) {
+      if (!forked) {
+        base.CopyFrom(have);
+        base_distinct = distinct;
+        forked = true;
+      }
+      // Lost, or corrupted-and-discarded after checksum detection: no
+      // progress on this transmission (same accounting as the slot walk).
+      ++errors;
+      if (fault == faults::FaultType::kCorrupted) ++corrupt;
+    }
+    if (forked && !baseline_done && base.Insert(tx.block) &&
+        ++base_distinct >= m) {
+      baseline_done = true;
+      st->baseline_slot = tx.slot;
+    }
+    if (fault == faults::FaultType::kNone && have.Insert(tx.block) &&
+        ++distinct >= m) {
+      st->flags |= ClientState::kCompleted;
+      st->completion_slot = tx.slot;
+      if (!forked) {
+        baseline_done = true;
+        st->baseline_slot = tx.slot;
+      }
+      break;  // Finished: no more events.
+    }
+    if (!engine.Advance(&tx)) break;  // Horizon exhausted: incomplete.
+  }
+  if (baseline_done) st->flags |= ClientState::kBaselineDone;
+  st->errors_observed = errors;
+  st->corrupt_detected = corrupt;
+  return events;
 }
 
-bool EventShardRunner::TestSetBase(ClientState* st, std::uint32_t block,
-                                   std::uint32_t n) {
-  if (n <= 64) {
-    const std::uint64_t bit = 1ULL << block;
-    const bool present = (st->base_bits & bit) != 0;
-    st->base_bits |= bit;
-    return present;
-  }
-  const std::uint32_t words = (n + 63) / 64;
-  std::uint64_t& word = arena_[st->spill_offset + words + block / 64];
-  const std::uint64_t bit = 1ULL << (block % 64);
-  const bool present = (word & bit) != 0;
-  word |= bit;
-  return present;
-}
+}  // namespace
 
 void EventShardRunner::Prepare(
     std::uint64_t begin, std::uint64_t end,
@@ -122,9 +206,6 @@ void EventShardRunner::Prepare(
   const std::uint64_t horizon = engine_->horizon();
   states_.assign(static_cast<std::size_t>(end - begin), ClientState{});
   events_ = 0;
-
-  // Pass 1: materialize the client specs and size the spill arena.
-  std::uint64_t spill_words = 0;
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const EventClient client = client_at(begin + i);
     BDISK_CHECK(client.file < files.size());
@@ -133,66 +214,33 @@ void EventShardRunner::Prepare(
     st.file = client.file;
     st.start_slot = client.start_slot;
     st.deadline_slots = client.deadline_slots;
-    const std::uint32_t n = files[client.file].n;
-    if (n > 64) spill_words += 2ULL * ((n + 63) / 64);
   }
-  arena_.assign(static_cast<std::size_t>(spill_words), 0);
-  BDISK_CHECK(spill_words <= ClientState::kNoSpill);
-
-  // Pass 2: assign spill offsets.
-  std::uint32_t offset = 0;
-  for (ClientState& st : states_) {
-    const std::uint32_t n = files[st.file].n;
-    if (n > 64) {
-      st.spill_offset = offset;
-      offset += 2 * ((n + 63) / 64);
-    }
+  std::size_t max_n = 0;
+  for (const broadcast::ProgramFile& pf : files) {
+    max_n = std::max<std::size_t>(max_n, pf.n);
   }
+  const std::size_t scratch_words = 2 * ((max_n + 63) / 64);
+  if (scratch_.size() < scratch_words) scratch_.resize(scratch_words);
 }
 
 void EventShardRunner::Drain() {
   const auto& files = engine_->files();
+  const faults::FaultType* trace = engine_->faults_->data();
+  std::uint64_t events = 0;
   for (ClientState& st : states_) {
-    // Clients only listen, so each chain runs to its end on its own. A
-    // client whose file has no transmission left before the horizon ends
-    // at once: the slot walk would observe nothing — incomplete with zero
-    // errors.
+    // Clients only listen, so each chain runs to its end on its own.
     const broadcast::ProgramFile& pf = files[st.file];
-    for (auto next = engine_->NextTransmissionOf(st.file, st.start_slot);;
-         next = engine_->NextTransmissionOf(st.file, next->slot + 1)) {
-      if (!next.has_value()) {
-        st.flags |= ClientState::kDone;  // Horizon exhausted: incomplete.
-        break;
-      }
-      const EventEngine::NextTx event = *next;
-      ++events_;
-      // Lossless-baseline walk (stall metric): counts every transmission's
-      // block regardless of faults, until it reaches m distinct blocks.
-      if ((st.flags & ClientState::kBaselineDone) == 0) {
-        if (!TestSetBase(&st, event.block, pf.n)) {
-          ++st.base_distinct;
-          if (st.base_distinct >= pf.m) {
-            st.flags |= ClientState::kBaselineDone;
-            st.baseline_slot = event.slot;
-          }
-        }
-      }
-      const faults::FaultType fault = engine_->FaultAt(event.slot);
-      if (fault != faults::FaultType::kNone) {
-        // Lost, or corrupted-and-discarded after checksum detection: no
-        // progress on this transmission (same accounting as the slot walk).
-        ++st.errors_observed;
-        if (fault == faults::FaultType::kCorrupted) ++st.corrupt_detected;
-      } else if (!TestSetHave(&st, event.block, pf.n)) {
-        ++st.distinct;
-        if (st.distinct >= pf.m) {
-          st.flags |= ClientState::kCompleted | ClientState::kDone;
-          st.completion_slot = event.slot;
-          break;  // Finished: no re-arm.
-        }
-      }
+    if (pf.n <= 64) {
+      events += WalkClient(*engine_, trace, pf.m, WordSet{}, WordSet{}, &st);
+    } else {
+      const std::size_t words = (pf.n + 63) / 64;
+      SpillSet have{scratch_.data(), words};
+      std::fill_n(have.bits, words, 0);
+      events += WalkClient(*engine_, trace, pf.m, have,
+                           SpillSet{scratch_.data() + words, words}, &st);
     }
   }
+  events_ += events;
 }
 
 void EventEngine::RecordRetrievalTrace(
@@ -200,8 +248,8 @@ void EventEngine::RecordRetrievalTrace(
     const RetrievalOutcome& outcome, std::uint8_t trigger) const {
   const broadcast::ProgramFile& pf = files()[st.file];
   TraceWalkContext ctx;
-  // The event engine finds the next transmission by jump arithmetic — the
-  // same O(log occurrences) step its event loop uses.
+  // The replay finds each next transmission with the seek its event loop
+  // starts every chain with. Only triggered clients pay for it.
   ctx.next_tx = [this, file = st.file](std::uint64_t from)
       -> std::optional<std::pair<std::uint64_t, std::uint32_t>> {
     const auto next = NextTransmissionOf(file, from);

@@ -5,16 +5,19 @@
 /// retrieval, paying O(latency in slots) per client even though a client
 /// only *does* anything on the slots carrying its own file. The event
 /// engine removes the dead time: each client is a compact state record
-/// (~80 bytes), and the only events are "client c hears a transmission of
+/// (48 bytes), and the only events are "client c hears a transmission of
 /// its file at slot s". Clients only listen, so no client's events depend
 /// on another's: the engine needs no event queue. It walks one client's
 /// chain of transmissions to completion, then the next client's, in
-/// ascending client index. Each step finds the *next* transmission of the
-/// file by O(log occurrences) jump arithmetic over the program's occurrence
-/// lists (epoch hot-swaps included). Cost per retrieval drops from
-/// O(slots spanned) to O(transmissions of the file heard), and Run() walks
-/// each shard in fixed blocks of kBlockClients clients, so engine memory is
-/// O(block) per thread however large the fleet.
+/// ascending client index. A chain starts with one seek — jump arithmetic
+/// over the program's occurrence lists, O(log occurrences) — and then
+/// steps a transmission cursor in O(1): the file's next occurrence is the
+/// next entry of its list, and its block the next in the rotation. The
+/// cursor seeks again only where an epoch hot-swap ends its program. Cost
+/// per retrieval drops from O(slots spanned) to O(transmissions of the
+/// file heard), and Run() walks each shard in fixed blocks of
+/// kBlockClients clients, so engine memory is O(block) per thread however
+/// large the fleet.
 ///
 /// **Determinism contract (extends docs/ARCHITECTURE.md).** The engine is
 /// proven output-*identical* to the slot-by-slot engine, not merely
@@ -33,10 +36,10 @@
 ///    ascending client order — the exact accumulation order of the slot
 ///    engine — and shards merge with the exact RunningStats merge.
 ///
-/// Steady-state event processing performs no heap allocation: all client
-/// state (including distinct-block spill bitmaps for files with n > 64) is
-/// preallocated in Prepare() (tests/event_engine_test.cc counts
-/// allocations to enforce this).
+/// Steady-state event processing performs no heap allocation: a client's
+/// walk keeps its distinct-block sets in locals (files with n > 64 in the
+/// runner's scratch, sized in Prepare()), and tests/event_engine_test.cc
+/// counts allocations to enforce this.
 
 #ifndef BDISK_SIM_EVENT_ENGINE_H_
 #define BDISK_SIM_EVENT_ENGINE_H_
@@ -74,30 +77,23 @@ struct EventClient {
   std::uint64_t deadline_slots = 0;
 };
 
-/// \brief Compact per-client simulation state (~80 bytes). Files with
-/// n <= 64 track their distinct-block sets in the two inline bitmap words;
-/// larger n spills into the shard's preallocated bitmap arena.
+/// \brief Compact per-client simulation state (48 bytes): the client's
+/// request and the outcome of its walk. The distinct-block sets live only
+/// in the walk (EventShardRunner::Drain), so none is kept here.
 struct ClientState {
-  static constexpr std::uint32_t kNoSpill = 0xFFFFFFFFu;
   static constexpr std::uint8_t kCompleted = 1;     // Collected m blocks.
   static constexpr std::uint8_t kBaselineDone = 2;  // Lossless walk done.
   static constexpr std::uint8_t kDone = 4;          // No more events.
 
   std::uint64_t start_slot = 0;
-  /// Distinct-block bitmap of the actual (fault-respecting) walk.
-  std::uint64_t have_bits = 0;
-  /// Distinct-block bitmap of the lossless-baseline walk (stall metric).
-  std::uint64_t base_bits = 0;
   std::uint64_t completion_slot = 0;
+  /// Slot at which the lossless-baseline walk (stall metric) collected m
+  /// distinct blocks; valid when kBaselineDone is set.
   std::uint64_t baseline_slot = 0;
   std::uint64_t deadline_slots = 0;
   broadcast::FileIndex file = 0;
-  /// Word offset into the shard's spill arena, kNoSpill when inline.
-  std::uint32_t spill_offset = kNoSpill;
   std::uint32_t errors_observed = 0;
   std::uint32_t corrupt_detected = 0;
-  std::uint32_t distinct = 0;
-  std::uint32_t base_distinct = 0;
   std::uint8_t flags = 0;
 };
 
@@ -140,16 +136,40 @@ class EventEngine {
   /// Period of the program governing slot `t` (periods_to_recovery).
   std::uint64_t PeriodAt(std::uint64_t t) const;
 
+  /// \brief A transmission cursor: one transmission of a file (its slot
+  /// and rotated block) plus its place in the occurrence list of the epoch
+  /// that sends it, so Advance() can step to the file's next transmission.
   struct NextTx {
     std::uint64_t slot = 0;
     std::uint32_t block = 0;
+    broadcast::FileIndex file = 0;
+    /// Index of `slot` in the epoch program's OccurrencesOf(file).
+    std::uint64_t occurrence = 0;
+    /// Absolute slot at which `slot`'s period starts.
+    std::uint64_t period_base = 0;
+    /// First slot past the epoch, capped at the horizon.
+    std::uint64_t epoch_end = 0;
+    /// The epoch program's occurrence list of `file`, its length, its
+    /// period, and the file's n (the rotation's modulus).
+    const std::uint64_t* occurrences = nullptr;
+    std::uint64_t count = 0;
+    std::uint64_t period = 0;
+    std::uint32_t n = 0;
   };
 
-  /// First transmission of `file` at slot >= `from` (epoch-aware, with the
-  /// epoch-local block rotation of sim/epoch.h), or nullopt when none
-  /// remains before the horizon. O(log occurrences + epochs crossed).
+  /// The seek: a cursor at the first transmission of `file` at slot >=
+  /// `from` (epoch-aware, with the epoch-local block rotation of
+  /// sim/epoch.h), or nullopt when none remains before the horizon.
+  /// O(log occurrences + epochs crossed).
   std::optional<NextTx> NextTransmissionOf(broadcast::FileIndex file,
                                            std::uint64_t from) const;
+
+  /// Steps `tx` to the file's next transmission in O(1): the next
+  /// occurrence (wrapping into the next period) and the next block of the
+  /// rotation. Seeks again only past the cursor's epoch. Returns false,
+  /// leaving `tx` unspecified, when no transmission remains before the
+  /// horizon.
+  bool Advance(NextTx* tx) const;
 
   /// Simulates clients [0, count), where client g is `client_at(g)` — a
   /// pure, thread-safe function of g. Clients are sharded by global index
@@ -197,9 +217,26 @@ class EventEngine {
   const std::vector<faults::FaultType>* faults_;
 };
 
+inline bool EventEngine::Advance(NextTx* tx) const {
+  if (++tx->occurrence == tx->count) {
+    tx->occurrence = 0;
+    tx->period_base += tx->period;
+  }
+  tx->slot = tx->period_base + tx->occurrences[tx->occurrence];
+  if (++tx->block == tx->n) tx->block = 0;
+  if (tx->slot < tx->epoch_end) return true;
+  // Past the epoch: seek from the next epoch's start, where the rotation
+  // restarts. At the horizon the seek finds nothing and the chain ends.
+  const std::optional<NextTx> next = NextTransmissionOf(tx->file,
+                                                        tx->epoch_end);
+  if (!next.has_value()) return false;
+  *tx = *next;
+  return true;
+}
+
 /// \brief The event loop over a contiguous range of global client indices:
-/// client states and the spill arena. EventEngine::Run drives it one block
-/// at a time, reusing its storage. Exposed (rather than hidden inside
+/// client states and the spill scratch. EventEngine::Run drives it one
+/// block at a time, reusing its storage. Exposed (rather than hidden inside
 /// EventEngine::Run) so pipebench can time the phases and the unit tests
 /// can drive them separately — in particular the allocation-count check
 /// around Drain() and direct state inspection.
@@ -207,10 +244,10 @@ class EventShardRunner {
  public:
   explicit EventShardRunner(const EventEngine& engine) : engine_(&engine) {}
 
-  /// Materializes states for clients [begin, end) of `client_at` and
-  /// assigns spill bitmaps. Allocates only past the capacity of an earlier
-  /// range; checks every client's validity (known file, start before
-  /// horizon).
+  /// Materializes states for clients [begin, end) of `client_at` and sizes
+  /// the spill scratch for the engine's widest file. Allocates only past
+  /// the capacity of an earlier range; checks every client's validity
+  /// (known file, start before horizon).
   void Prepare(std::uint64_t begin, std::uint64_t end,
                const std::function<EventClient(std::uint64_t)>& client_at);
 
@@ -241,16 +278,12 @@ class EventShardRunner {
   /// (FinishOutcome).
   RetrievalOutcome OutcomeOf(const ClientState& st) const;
 
-  /// Marks `block` in the actual / baseline distinct set; returns true iff
-  /// it was already present.
-  bool TestSetHave(ClientState* st, std::uint32_t block, std::uint32_t n);
-  bool TestSetBase(ClientState* st, std::uint32_t block, std::uint32_t n);
-
   const EventEngine* engine_;
   std::vector<ClientState> states_;
-  /// Spill bitmap arena for files with n > 64: per spilled client,
-  /// ceil(n/64) words of `have` followed by ceil(n/64) words of `base`.
-  std::vector<std::uint64_t> arena_;
+  /// Distinct-block sets of the client being walked when its file has
+  /// n > 64: ceil(n/64) words of the actual walk's set, then as many of the
+  /// baseline's. Holds 2 * ceil(max n / 64) words.
+  std::vector<std::uint64_t> scratch_;
   std::uint64_t events_ = 0;
 };
 

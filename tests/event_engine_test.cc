@@ -1,8 +1,8 @@
 // Unit tests for the discrete-event engine internals (sim/event_engine.h):
-// jump arithmetic vs the slot-walk ground truth, per-client state
-// transitions against Simulator::Retrieve, and the allocation-free
-// steady-state guarantee (checked by counting global operator new calls
-// across Drain()).
+// the seek and the cursor's steps vs the slot-walk ground truth, per-client
+// state transitions against Simulator::Retrieve (single faults included),
+// and the allocation-free steady-state guarantee (checked by counting
+// global operator new calls across Drain()).
 
 #include "sim/event_engine.h"
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "bdisk/flat_builder.h"
@@ -76,36 +77,67 @@ BroadcastProgram SmallProgram() {
 }
 
 // ---------------------------------------------------------------------------
-// Jump arithmetic vs brute-force slot walk.
+// Jump arithmetic and cursor steps vs brute-force slot walk.
+
+// Every transmission of `file` before `horizon`, as (slot, block) in slot
+// order: the ground truth for both the seek and the cursor. `schedule` is
+// a BroadcastProgram or an EpochSchedule.
+template <typename Schedule>
+std::vector<std::pair<std::uint64_t, std::uint32_t>> SlotWalk(
+    const Schedule& schedule, broadcast::FileIndex file,
+    std::uint64_t horizon) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> walk;
+  for (std::uint64_t t = 0; t < horizon; ++t) {
+    const auto tx = schedule.TransmissionAt(t);
+    if (tx.has_value() && tx->file == file) {
+      walk.emplace_back(t, tx->block_index);
+    }
+  }
+  return walk;
+}
+
+// Seeks `file` from every slot in [0, horizon] and checks the cursor
+// against the slot walk, then steps it with Advance to the horizon,
+// checking every transmission it lands on and that the chain ends there.
+template <typename Schedule>
+void ExpectSeekAndStepsMatchSlotWalk(const EventEngine& engine,
+                                     const Schedule& schedule,
+                                     std::uint64_t horizon) {
+  for (broadcast::FileIndex f = 0; f < engine.files().size(); ++f) {
+    const auto walk = SlotWalk(schedule, f, horizon);
+    ASSERT_FALSE(walk.empty()) << "file " << f;
+    for (std::uint64_t from = 0; from <= horizon; ++from) {
+      std::size_t i = 0;
+      while (i < walk.size() && walk[i].first < from) ++i;
+      auto got = engine.NextTransmissionOf(f, from);
+      ASSERT_EQ(got.has_value(), i < walk.size())
+          << "file " << f << " from " << from;
+      if (!got.has_value()) continue;
+      for (;; ++i) {
+        ASSERT_EQ(got->slot, walk[i].first)
+            << "file " << f << " from " << from << " step " << i;
+        ASSERT_EQ(got->block, walk[i].second)
+            << "file " << f << " from " << from << " slot " << got->slot;
+        if (!engine.Advance(&*got)) break;
+        ASSERT_LT(i + 1, walk.size())
+            << "file " << f << " from " << from << ": stepped past slot "
+            << walk.back().first << " to " << got->slot;
+      }
+      EXPECT_EQ(i + 1, walk.size())
+          << "file " << f << " from " << from << ": chain ended early";
+    }
+  }
+}
 
 TEST(EventEngineTest, NextTransmissionMatchesSlotWalk) {
+  // Files send 2, 3 and 4 slots per period with n = 4, 5 and 6, so the
+  // rotation wraps mid-period; the horizon ends mid-period.
   const BroadcastProgram program = SmallProgram();
   const std::uint64_t horizon = 10 * program.period() + 7;
   const std::vector<faults::FaultType> trace(horizon,
                                              faults::FaultType::kNone);
   const EventEngine engine(program, trace);
-
-  for (broadcast::FileIndex f = 0; f < program.files().size(); ++f) {
-    for (std::uint64_t from = 0; from <= horizon; ++from) {
-      // Ground truth: first slot >= from carrying file f.
-      std::optional<EventEngine::NextTx> want;
-      for (std::uint64_t t = from; t < horizon; ++t) {
-        const auto tx = program.TransmissionAt(t);
-        if (tx.has_value() && tx->file == f) {
-          want = EventEngine::NextTx{t, tx->block_index};
-          break;
-        }
-      }
-      const auto got = engine.NextTransmissionOf(f, from);
-      ASSERT_EQ(got.has_value(), want.has_value())
-          << "file " << f << " from " << from;
-      if (want.has_value()) {
-        EXPECT_EQ(got->slot, want->slot) << "file " << f << " from " << from;
-        EXPECT_EQ(got->block, want->block)
-            << "file " << f << " from " << from;
-      }
-    }
-  }
+  ExpectSeekAndStepsMatchSlotWalk(engine, program, horizon);
 }
 
 TEST(EventEngineTest, NextTransmissionCrossesEpochBoundary) {
@@ -127,27 +159,7 @@ TEST(EventEngineTest, NextTransmissionCrossesEpochBoundary) {
   const std::vector<faults::FaultType> trace(horizon,
                                              faults::FaultType::kNone);
   const EventEngine engine(*schedule, trace);
-
-  for (broadcast::FileIndex f = 0; f < schedule->file_count(); ++f) {
-    for (std::uint64_t from = 0; from <= horizon; ++from) {
-      std::optional<EventEngine::NextTx> want;
-      for (std::uint64_t t = from; t < horizon; ++t) {
-        const auto tx = schedule->TransmissionAt(t);
-        if (tx.has_value() && tx->file == f) {
-          want = EventEngine::NextTx{t, tx->block_index};
-          break;
-        }
-      }
-      const auto got = engine.NextTransmissionOf(f, from);
-      ASSERT_EQ(got.has_value(), want.has_value())
-          << "file " << f << " from " << from;
-      if (want.has_value()) {
-        EXPECT_EQ(got->slot, want->slot) << "file " << f << " from " << from;
-        EXPECT_EQ(got->block, want->block)
-            << "file " << f << " from " << from;
-      }
-    }
-  }
+  ExpectSeekAndStepsMatchSlotWalk(engine, *schedule, horizon);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +300,7 @@ TEST(EventEngineTest, EpochSpanningReconstructionMatchesRetrieve) {
 }
 
 TEST(EventEngineTest, WideFileSpillBitmapMatchesRetrieve) {
-  // n = 96 > 64 forces the spill-arena bitmap path.
+  // n = 96 > 64 keeps the distinct sets in the runner's scratch.
   auto p = broadcast::BuildFlatProgram({{"wide", 80, 96, {}}},
                                        FlatLayout::kContiguous);
   ASSERT_TRUE(p.ok()) << p.status();
@@ -308,6 +320,58 @@ TEST(EventEngineTest, WideFileSpillBitmapMatchesRetrieve) {
     client.start_slot = start;
     ExpectStateMatchesRetrieve(simulator, engine, client, "wide-file");
   }
+}
+
+// A client's walk shares one distinct set with its lossless baseline
+// until its first fault, then forks the baseline off. One fault, swept over
+// every slot of a window and met from every start in it, lands before the
+// client's first block, between blocks, on its would-be m-th block, and
+// after completion.
+void ExpectSingleFaultSweepMatchesRetrieve(const BroadcastProgram& program,
+                                           std::uint64_t window) {
+  const std::uint64_t horizon = window + 20 * program.period();
+  std::uint64_t stalled = 0;
+  for (const faults::FaultType fault :
+       {faults::FaultType::kLost, faults::FaultType::kCorrupted}) {
+    for (std::uint64_t at = 0; at < window; ++at) {
+      std::vector<faults::FaultType> trace(horizon, faults::FaultType::kNone);
+      trace[at] = fault;
+      VectorChannel channel(trace);
+      const Simulator simulator(program, channel, horizon);
+      const EventEngine engine(program, channel.trace());
+      for (broadcast::FileIndex f = 0; f < program.files().size(); ++f) {
+        for (std::uint64_t start = 0; start < window; ++start) {
+          EventClient client;
+          client.file = f;
+          client.start_slot = start;
+          ExpectStateMatchesRetrieve(simulator, engine, client,
+                                     "single fault");
+          EventShardRunner runner(engine);
+          runner.Prepare(0, 1, [&](std::uint64_t) { return client; });
+          runner.Drain();
+          const ClientState& st = runner.state(0);
+          if (st.errors_observed > 0 && st.completion_slot > st.baseline_slot) {
+            ++stalled;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stalled, 0u) << "no fault ever stalled a client — vacuous";
+}
+
+TEST(EventEngineTest, SingleFaultForksBaselineMatchesRetrieve) {
+  // Inline sets (n <= 64).
+  const BroadcastProgram program = SmallProgram();
+  ExpectSingleFaultSweepMatchesRetrieve(program, 3 * program.period());
+}
+
+TEST(EventEngineTest, SingleFaultForksSpillBaselineMatchesRetrieve) {
+  // Scratch sets: n = 96 > 64, as in WideFileSpillBitmapMatchesRetrieve.
+  auto p = broadcast::BuildFlatProgram({{"wide", 80, 96, {}}},
+                                       FlatLayout::kContiguous);
+  ASSERT_TRUE(p.ok()) << p.status();
+  ExpectSingleFaultSweepMatchesRetrieve(*p, 2 * p->period());
 }
 
 TEST(EventEngineTest, NoTransmissionBeforeHorizonIsIncomplete) {

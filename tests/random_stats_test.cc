@@ -1,14 +1,17 @@
-// Unit tests for the common RNG and statistics helpers.
+// Unit tests for the common RNG, Zipf and statistics helpers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
+#include "common/zipf.h"
 
 namespace bdisk {
 namespace {
@@ -120,6 +123,49 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(&v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, original);
+}
+
+// Sample is std::upper_bound over the cumulative table, capped at the last
+// item. The test rebuilds the table the way the constructor does — an
+// in-order sum of the probabilities with the last entry set to 1.0 — and
+// compares on every entry and its neighbours, the edges of the domain, and
+// seeded uniform draws.
+TEST(ZipfTest, SampleMatchesUpperBoundOfCumulativeTable) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::uint64_t seed = 1;
+  for (const std::size_t n : {1, 2, 3, 5, 16, 17, 64, 1000}) {
+    for (const double theta : {0.0, 0.95, 2.5}) {
+      const ZipfDistribution zipf(n, theta);
+      std::vector<double> cumulative;
+      double running = 0.0;
+      for (const double p : zipf.Probabilities()) {
+        running += p;
+        cumulative.push_back(running);
+      }
+      cumulative.back() = 1.0;
+      ASSERT_TRUE(std::is_sorted(cumulative.begin(), cumulative.end()));
+
+      std::vector<double> inputs = {
+          0.0, -0.0, std::nextafter(1.0, 0.0), 1.0, 2.0, kInf, -kInf,
+          std::numeric_limits<double>::quiet_NaN()};
+      for (const double c : cumulative) {
+        inputs.push_back(std::nextafter(c, -kInf));
+        inputs.push_back(c);
+        inputs.push_back(std::nextafter(c, kInf));
+      }
+      Rng rng(seed++);
+      for (int i = 0; i < 100000; ++i) inputs.push_back(rng.UniformDouble());
+
+      for (const double u : inputs) {
+        const auto upper =
+            std::upper_bound(cumulative.begin(), cumulative.end(), u);
+        const std::size_t want = std::min<std::size_t>(
+            static_cast<std::size_t>(upper - cumulative.begin()), n - 1);
+        ASSERT_EQ(zipf.Sample(u), want)
+            << "n " << n << " theta " << theta << " u " << u;
+      }
+    }
+  }
 }
 
 TEST(RunningStatsTest, EmptyDefaults) {
