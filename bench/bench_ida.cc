@@ -78,6 +78,37 @@ void BM_ReconstructVsM(benchmark::State& state) {
 }
 BENCHMARK(BM_ReconstructVsM)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
+// m = 8, n = 10 at 32 KiB, with k erased data rows: k = 0 copies the
+// systematic rows and solves nothing; each erased row adds its row of the
+// inverse times the m received blocks.
+void BM_ReconstructErasures(benchmark::State& state) {
+  const std::uint32_t m = 8;
+  const std::uint32_t erased = static_cast<std::uint32_t>(state.range(0));
+  const std::size_t block_size = 32 * 1024;
+  auto engine = Dispersal::Create(m, 10, block_size);
+  if (!engine.ok()) {
+    state.SkipWithError("engine creation failed");
+    return;
+  }
+  const auto file = RandomFile(m * block_size);
+  auto blocks = engine->Disperse(0, file);
+  if (!blocks.ok()) {
+    state.SkipWithError("dispersal failed");
+    return;
+  }
+  // Data rows erased..m-1, then parity rows m..m+erased-1.
+  std::vector<Block> received(blocks->begin() + erased,
+                              blocks->begin() + m + erased);
+  for (auto _ : state) {
+    auto rec = engine->Reconstruct(received);
+    benchmark::DoNotOptimize(rec);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(file.size()));
+  state.counters["erased"] = erased;
+}
+BENCHMARK(BM_ReconstructErasures)->Arg(0)->Arg(1)->Arg(2);
+
 // Fixed m = 8, varying block size: the cost per byte is flat (the O(m^2)
 // matrix work amortizes over the block).
 void BM_DisperseVsBlockSize(benchmark::State& state) {

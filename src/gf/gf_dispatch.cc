@@ -13,9 +13,15 @@ using internal::KernelTable;
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 bool CpuHasSsse3() { return __builtin_cpu_supports("ssse3") != 0; }
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
+bool CpuHasGfni() {
+  return __builtin_cpu_supports("gfni") != 0 &&
+         __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512bw") != 0;
+}
 #else
 bool CpuHasSsse3() { return false; }
 bool CpuHasAvx2() { return false; }
+bool CpuHasGfni() { return false; }
 #endif
 
 std::vector<const KernelTable*> BuildSupported() {
@@ -27,6 +33,10 @@ std::vector<const KernelTable*> BuildSupported() {
   }
   if (const KernelTable* k = internal::Avx2Kernels();
       k != nullptr && CpuHasAvx2()) {
+    out.push_back(k);
+  }
+  if (const KernelTable* k = internal::GfniKernels();
+      k != nullptr && CpuHasGfni()) {
     out.push_back(k);
   }
   // NEON is architecturally guaranteed on AArch64; the getter is non-null

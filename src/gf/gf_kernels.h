@@ -1,9 +1,11 @@
 /// \file gf_kernels.h
 /// \brief Internal registry of GF(2^8) bulk-kernel implementations.
 ///
-/// Each implementation (generic table-driven, SSSE3, AVX2, NEON) fills one
-/// KernelTable with the four bulk entry points. The vectorized variants all
-/// use the split-nibble technique (gf-complete / ISA-L): a byte product
+/// Each implementation (generic table-driven, SSSE3, AVX2, GFNI, NEON) fills
+/// one KernelTable with the four bulk entry points. GFNI multiplies in the
+/// field directly (VGF2P8MULB reduces by this field's polynomial, 0x11B);
+/// the other vectorized variants use the split-nibble technique
+/// (gf-complete / ISA-L): a byte product
 /// c * b factors through the low and high nibbles of b,
 ///
 ///   c * b  =  c * (b & 0x0F)  ^  c * ((b >> 4) << 4)
@@ -29,8 +31,8 @@ namespace bdisk::gf::internal {
 /// registered table is non-null; the semantics match gf::GFBulk exactly
 /// (same coeff==0 / coeff==1 degenerate cases, byte-identical outputs).
 struct KernelTable {
-  /// Stable lowercase identifier ("generic", "ssse3", "avx2", "neon") —
-  /// the values BDISK_GF_IMPL accepts.
+  /// Stable lowercase identifier ("generic", "ssse3", "avx2", "gfni",
+  /// "neon") — the values BDISK_GF_IMPL accepts.
   const char* name;
 
   /// dst[i] ^= src[i] for i in [0, n).
@@ -78,6 +80,7 @@ inline constexpr std::size_t kMatrixTileBytes = 4096;
 const KernelTable* GenericKernels();
 const KernelTable* Ssse3Kernels();
 const KernelTable* Avx2Kernels();
+const KernelTable* GfniKernels();
 const KernelTable* NeonKernels();
 
 }  // namespace bdisk::gf::internal

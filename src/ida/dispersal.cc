@@ -1,18 +1,11 @@
 #include "ida/dispersal.h"
 
-#include <algorithm>
 #include <array>
+#include <cstring>
 #include <mutex>
 
 #include "common/check.h"
 #include "gf/gf_bulk.h"
-
-namespace {
-// Pointer-array capacity for the fused kernel calls: n <= 256 by geometry
-// (Dispersal::Create enforces it), so fixed stack arrays avoid per-stripe
-// heap allocation on the hot path.
-constexpr std::size_t kMaxBlocks = 256;
-}  // namespace
 
 namespace bdisk::ida {
 
@@ -31,7 +24,7 @@ Result<Dispersal> Dispersal::Create(std::uint32_t m, std::uint32_t n,
   }
   // SystematicCauchy needs (n - m) parity x-points and m + (n - m) y/x values
   // within GF(2^8): (n - m) + m <= 256.
-  if (n > 256) {
+  if (n > kMaxBlocks) {
     return Status::InvalidArgument(
         "Dispersal: at most 256 dispersed blocks over GF(2^8)");
   }
@@ -58,25 +51,34 @@ void Dispersal::DisperseStripe(FileId file_id, const std::uint8_t* stripe,
                                std::uint64_t version,
                                std::vector<Block>* out) const {
   out->resize(n_);
+  // The systematic rows are the stripe's own blocks; only the n - m parity
+  // payloads start zeroed for the product below.
   for (std::uint32_t i = 0; i < n_; ++i) {
     (*out)[i].header = BlockHeader{file_id, i, m_, n_, version};
-    (*out)[i].payload.assign(block_size_, 0);
+    if (i < m_) {
+      const std::uint8_t* const data =
+          stripe + static_cast<std::size_t>(i) * block_size_;
+      (*out)[i].payload.assign(data, data + block_size_);
+    } else {
+      (*out)[i].payload.assign(block_size_, 0);
+    }
   }
-  // Dispersed block i, byte k = sum_j M[i][j] * stripe_block_j[k] — one
-  // fused matrix-block product instead of n * m independent row passes, so
-  // each stripe block streams through cache once per tile (gf/gf_bulk.h).
+  // Parity block i, byte k = sum_j M[m + i][j] * stripe_block_j[k] — one
+  // fused matrix-block product instead of (n - m) * m independent row
+  // passes, so each stripe block streams through cache once per tile
+  // (gf/gf_bulk.h).
   std::array<std::uint8_t*, kMaxBlocks> dsts;
   std::array<const std::uint8_t*, kMaxBlocks> srcs;
   std::array<const std::uint8_t*, kMaxBlocks> rows;
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    dsts[i] = (*out)[i].payload.data();
-    rows[i] = dispersal_matrix_.RowData(i);
+  for (std::uint32_t i = m_; i < n_; ++i) {
+    dsts[i - m_] = (*out)[i].payload.data();
+    rows[i - m_] = dispersal_matrix_.RowData(i);
   }
   for (std::uint32_t j = 0; j < m_; ++j) {
     srcs[j] = stripe + static_cast<std::size_t>(j) * block_size_;
   }
-  gf::GFBulk::MatrixMulAccumulate(dsts.data(), srcs.data(), rows.data(), n_,
-                                  m_, block_size_);
+  gf::GFBulk::MatrixMulAccumulate(dsts.data(), srcs.data(), rows.data(),
+                                  n_ - m_, m_, block_size_);
 }
 
 Result<std::vector<std::uint8_t>> Dispersal::Reconstruct(
@@ -89,12 +91,10 @@ Result<std::vector<std::uint8_t>> Dispersal::Reconstruct(
 
 Status Dispersal::ReconstructInto(const std::vector<Block>& blocks,
                                   std::uint8_t* dst) const {
-  // Collect the first m distinct, valid blocks.
-  std::vector<const Block*> chosen;
-  std::vector<std::size_t> rows;
-  chosen.reserve(m_);
-  rows.reserve(m_);
-  std::vector<bool> seen(n_, false);
+  // The first m distinct, valid blocks, by block index: walking the index
+  // lists them in ascending order, as SolveErasures takes them.
+  std::array<const Block*, kMaxBlocks> by_index{};
+  std::uint32_t distinct = 0;
   std::optional<std::uint64_t> version;
   for (const Block& b : blocks) {
     if (b.header.reconstruct_threshold != m_ || b.header.total_blocks != n_) {
@@ -116,73 +116,102 @@ Status Dispersal::ReconstructInto(const std::vector<Block>& blocks,
     if (b.payload.size() != block_size_) {
       return Status::InvalidArgument("Reconstruct: payload size mismatch");
     }
-    if (seen[b.header.block_index]) continue;
-    seen[b.header.block_index] = true;
-    chosen.push_back(&b);
-    rows.push_back(b.header.block_index);
-    if (chosen.size() == m_) break;
+    if (by_index[b.header.block_index] != nullptr) continue;
+    by_index[b.header.block_index] = &b;
+    if (++distinct == m_) break;
   }
-  if (chosen.size() < m_) {
+  if (distinct < m_) {
     return Status::DataLoss("Reconstruct: need " + std::to_string(m_) +
                             " distinct blocks, have " +
-                            std::to_string(chosen.size()));
+                            std::to_string(distinct));
   }
+  // Received data blocks are their rows of the file; parity blocks stay
+  // where they are for the solve to read.
+  std::array<std::size_t, kMaxBlocks> received;
+  std::array<const std::uint8_t*, kMaxBlocks> parity;
+  std::size_t held = 0;
+  std::size_t parity_held = 0;
+  for (std::uint32_t i = 0; i < n_; ++i) {
+    const Block* const b = by_index[i];
+    if (b == nullptr) continue;
+    received[held++] = i;
+    if (i < m_) {
+      std::memcpy(dst + static_cast<std::size_t>(i) * block_size_,
+                  b->payload.data(), block_size_);
+    } else {
+      parity[parity_held++] = b->payload.data();
+    }
+  }
+  return SolveErasures(received.data(), parity.data(), dst);
+}
 
-  // Look up or compute the inverse of the selected rows (sorted key so the
-  // cache is independent of arrival order; we sort the blocks to match).
-  std::vector<std::size_t> order(m_);
-  for (std::size_t i = 0; i < m_; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&rows](std::size_t a, std::size_t b) {
-    return rows[a] < rows[b];
-  });
-  std::vector<std::size_t> sorted_rows(m_);
-  std::vector<const Block*> sorted_blocks(m_);
+Status Dispersal::SolveErasures(const std::size_t* received,
+                                const std::uint8_t* const* parity,
+                                std::uint8_t* file) const {
+  // Ascending (the inverse cache's key order), so the received data rows
+  // come first.
+  std::size_t data_held = 0;
   for (std::size_t i = 0; i < m_; ++i) {
-    sorted_rows[i] = rows[order[i]];
-    sorted_blocks[i] = chosen[order[i]];
+    if (received[i] >= n_ || (i > 0 && received[i] <= received[i - 1])) {
+      return Status::InvalidArgument(
+          "SolveErasures: received block indices must be ascending, "
+          "distinct and below n");
+    }
+    if (received[i] < m_) ++data_held;
   }
+  if (data_held == m_) return Status::OK();  // Nothing erased.
+  BDISK_ASSIGN_OR_RETURN(const gf::Matrix* inverse, InverseOf(received));
 
+  // Erased row j, byte k = sum_i Inv[j][i] * received_i[k] — only the
+  // inverse's rows for the erased data rows, fused across them
+  // (gf/gf_bulk.h). Received data rows are read in place.
+  std::array<std::uint8_t*, kMaxBlocks> dsts;
+  std::array<const std::uint8_t*, kMaxBlocks> coeffs;
+  std::array<const std::uint8_t*, kMaxBlocks> srcs;
+  std::size_t erased = 0;
+  for (std::size_t j = 0, i = 0; j < m_; ++j) {
+    std::uint8_t* const row = file + j * block_size_;
+    if (i < data_held && received[i] == j) {
+      srcs[i++] = row;
+    } else {
+      dsts[erased] = row;
+      coeffs[erased++] = inverse->RowData(j);
+    }
+  }
+  for (std::size_t i = data_held; i < m_; ++i) {
+    srcs[i] = parity[i - data_held];
+  }
+  gf::GFBulk::MatrixMulAccumulate(dsts.data(), srcs.data(), coeffs.data(),
+                                  erased, m_, block_size_);
+  return Status::OK();
+}
+
+Result<const gf::Matrix*> Dispersal::InverseOf(
+    const std::size_t* received) const {
   // The cache is read-mostly after warmup (there are only C(n, m) subsets,
   // and workloads revisit few of them), so hits take the lock shared and
-  // batch reconstruction no longer serializes here.
-  const gf::Matrix* inverse = nullptr;
+  // batch reconstruction does not serialize here.
+  std::vector<std::size_t> key(received, received + m_);
   {
     std::shared_lock<std::shared_mutex> lock(inverse_cache_->mu);
-    auto it = inverse_cache_->entries.find(sorted_rows);
-    if (it != inverse_cache_->entries.end()) inverse = &it->second;
+    auto it = inverse_cache_->entries.find(key);
+    if (it != inverse_cache_->entries.end()) return &it->second;
   }
-  if (inverse == nullptr) {
-    // Invert outside the lock; a concurrent reconstruction of the same
-    // subset may win the emplace race, in which case its (identical)
-    // matrix is used.
-    BDISK_ASSIGN_OR_RETURN(gf::Matrix square,
-                           dispersal_matrix_.SelectRows(sorted_rows));
-    auto inv_result = square.Inverse();
-    if (!inv_result.ok()) {
-      // Cannot happen with a SystematicCauchy matrix; report as internal.
-      return Status::Internal("Reconstruct: dispersal submatrix singular: " +
-                              inv_result.status().message());
-    }
-    std::unique_lock<std::shared_mutex> lock(inverse_cache_->mu);
-    auto [pos, inserted] = inverse_cache_->entries.emplace(
-        sorted_rows, std::move(inv_result).value());
-    (void)inserted;
-    inverse = &pos->second;
+  // Invert outside the lock; a concurrent reconstruction of the same
+  // subset may win the emplace race, in which case its (identical) matrix
+  // is used.
+  BDISK_ASSIGN_OR_RETURN(gf::Matrix square, dispersal_matrix_.SelectRows(key));
+  auto inv_result = square.Inverse();
+  if (!inv_result.ok()) {
+    // Cannot happen with a SystematicCauchy matrix; report as internal.
+    return Status::Internal("Reconstruct: dispersal submatrix singular: " +
+                            inv_result.status().message());
   }
-
-  // Original block j, byte k = sum_i Inv[j][i] * received_i[k] — fused
-  // across all m output blocks (gf/gf_bulk.h).
-  std::array<std::uint8_t*, kMaxBlocks> dsts;
-  std::array<const std::uint8_t*, kMaxBlocks> srcs;
-  std::array<const std::uint8_t*, kMaxBlocks> rows_ptrs;
-  for (std::uint32_t j = 0; j < m_; ++j) {
-    dsts[j] = dst + static_cast<std::size_t>(j) * block_size_;
-    rows_ptrs[j] = inverse->RowData(j);
-    srcs[j] = sorted_blocks[j]->payload.data();
-  }
-  gf::GFBulk::MatrixMulAccumulate(dsts.data(), srcs.data(), rows_ptrs.data(),
-                                  m_, m_, block_size_);
-  return Status::OK();
+  std::unique_lock<std::shared_mutex> lock(inverse_cache_->mu);
+  auto [pos, inserted] = inverse_cache_->entries.emplace(
+      std::move(key), std::move(inv_result).value());
+  (void)inserted;
+  return &pos->second;
 }
 
 }  // namespace bdisk::ida

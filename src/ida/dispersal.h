@@ -14,11 +14,19 @@
 /// convenient for incremental reads and matches the paper's Figure 6 example
 /// (blocks A'_1..A'_10 where any 5 reconstruct A).
 ///
-/// The per-byte matrix product runs as one fused matrix-block kernel call
+/// Because a received data block already is its row of the file, a
+/// reconstruction costs only its erased rows: received data rows are copied
+/// (or, in sim::ReconstructingClient, collected) in place, and each erased
+/// row is the product of its row of the cached inverse with the m received
+/// blocks (SolveErasures). A retrieval that receives every data block does
+/// no field arithmetic at all.
+///
+/// The products run as one fused matrix-block kernel call
 /// (GFBulk::MatrixMulAccumulate, gf/gf_bulk.h), dispatched at runtime to
-/// the fastest GF(2^8) implementation the CPU supports (SSSE3/AVX2/NEON
-/// nibble-table shuffles, or the portable product-table fallback), with the
-/// systematic identity rows lowered to vector-wide XOR/skip.
+/// the fastest GF(2^8) implementation the CPU supports (GFNI's
+/// VGF2P8MULB, SSSE3/AVX2/NEON nibble-table shuffles, or the portable
+/// product-table fallback), with coefficient-1 terms lowered to
+/// vector-wide XOR.
 
 #ifndef BDISK_IDA_DISPERSAL_H_
 #define BDISK_IDA_DISPERSAL_H_
@@ -50,6 +58,10 @@ namespace bdisk::ida {
 /// subsets of m rows"); the cache is internally synchronized.
 class Dispersal {
  public:
+  /// Most dispersed blocks a geometry can have over GF(2^8), n <= 256; the
+  /// codec's per-stripe pointer arrays live on the stack at this size.
+  static constexpr std::size_t kMaxBlocks = 256;
+
   /// Creates an engine. Requirements: 1 <= m <= n <= 255 + ... (n - m
   /// parity rows + m <= 256), block_size >= 1.
   static Result<Dispersal> Create(std::uint32_t m, std::uint32_t n,
@@ -73,13 +85,31 @@ class Dispersal {
 
   /// \brief Reconstructs the original file from any >= m distinct blocks.
   ///
-  /// Blocks with duplicate indices are ignored after the first occurrence;
-  /// blocks whose header does not match this geometry are rejected, and so
-  /// are mixed versions (a linear combination only inverts against one
-  /// consistent snapshot). Fails with DataLoss if fewer than m distinct
-  /// valid blocks are supplied.
+  /// The first m distinct valid blocks are used: blocks with duplicate
+  /// indices are ignored after the first occurrence; blocks whose header
+  /// does not match this geometry are rejected, and so are mixed versions
+  /// (a linear combination only inverts against one consistent snapshot).
+  /// Fails with DataLoss if fewer than m distinct valid blocks are
+  /// supplied. The received data blocks are copied to their offsets and
+  /// only the erased data rows are solved (SolveErasures).
   Result<std::vector<std::uint8_t>> Reconstruct(
       const std::vector<Block>& blocks) const;
+
+  /// \brief The erasure solve behind every reconstruction: writes the
+  /// erased data rows of one stripe in place.
+  ///
+  /// `received` lists the m distinct block indices held, in ascending
+  /// order; `parity[i]` is the payload of the i-th received parity block
+  /// (index >= m), in that same order. `file` is the stripe, m *
+  /// block_size bytes: each received data row j < m already holds data
+  /// block j, and each erased data row is zero. Each erased row becomes
+  /// the product of its row of the inverse for `received` (cached per
+  /// subset) with the received blocks; received rows are only read. With
+  /// no erased row this returns at once and allocates nothing. Fails with
+  /// InvalidArgument unless `received` is strictly ascending and below n.
+  Status SolveErasures(const std::size_t* received,
+                       const std::uint8_t* const* parity,
+                       std::uint8_t* file) const;
 
   /// \brief Batched dispersal of a large file.
   ///
@@ -131,9 +161,15 @@ class Dispersal {
   void DisperseStripe(FileId file_id, const std::uint8_t* stripe,
                       std::uint64_t version, std::vector<Block>* out) const;
 
-  /// Reconstructs one stripe into `dst` (m * block_size bytes, zeroed).
+  /// Reconstructs one stripe into `dst` (m * block_size bytes, zeroed):
+  /// selects the blocks, copies the received data rows in place and solves
+  /// the rest.
   Status ReconstructInto(const std::vector<Block>& blocks,
                          std::uint8_t* dst) const;
+
+  /// The inverse of the dispersal rows `received` (m ascending indices),
+  /// from the cache or computed and cached.
+  Result<const gf::Matrix*> InverseOf(const std::size_t* received) const;
 
   std::uint32_t m_;
   std::uint32_t n_;

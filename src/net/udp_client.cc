@@ -86,7 +86,7 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
   }
   std::vector<WireSessionResult> results;
   results.reserve(sessions_.size());
-  for (const sim::RetrievalSession& s : sessions_) {
+  for (sim::RetrievalSession& s : sessions_) {
     BDISK_ASSIGN_OR_RETURN(sim::SessionResult session, s.Finish());
     results.push_back(WireSessionResult{std::move(session), s.start_slot()});
   }

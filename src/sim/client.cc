@@ -1,5 +1,10 @@
 #include "sim/client.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <numeric>
+
 #include "common/check.h"
 #include "sim/simulation.h"
 
@@ -15,7 +20,8 @@ ReconstructingClient::ReconstructingClient(ida::FileId file, std::uint32_t m,
         return std::move(*e);
       }()),
       have_(n, false) {
-  buffer_.reserve(m);
+  spare_rows_.reserve(std::min(n - m, m));
+  block_epochs_.reserve(m);
 }
 
 OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
@@ -34,7 +40,7 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
     return OfferOutcome::kChecksumMismatch;
   }
   // A checksum covers whatever payload arrived, so a short or long one
-  // can verify; it must not reach the buffer, where Reconstruct would fail.
+  // can verify; it must not reach the arena.
   if (block.header.reconstruct_threshold != m_ ||
       block.header.total_blocks != n_ || block.header.block_index >= n_ ||
       block.payload.size() != engine_.block_size()) {
@@ -45,13 +51,13 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
     if (block.header.version < *version_) {
       // An older snapshot's block: IDA's linear combination only inverts
       // against one consistent snapshot, so it can never be combined with
-      // the buffered ones. Reject explicitly instead of letting
-      // Reconstruct() fail later (or worse, silently overwriting).
+      // the collected ones. Reject explicitly instead of silently
+      // reconstructing a mix of snapshots.
       ++stale_rejected_;
       return OfferOutcome::kStaleVersion;
     }
-    // A newer snapshot appeared: the buffered partial collection is the
-    // stale one now. Discard and restart on the new version.
+    // A newer snapshot appeared: the partial collection is the stale one
+    // now. Discard and restart on the new version.
     Clear();
     ++restarts_;
   }
@@ -59,10 +65,25 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
     ++duplicates_rejected_;
     return OfferOutcome::kDuplicate;
   }
+  const std::uint32_t index = block.header.block_index;
+  const std::size_t block_size = engine_.block_size();
+  if (arena_.empty()) arena_.resize(std::size_t{m_} * block_size);
+  std::uint8_t* row;
+  if (index < m_) {
+    row = arena_.data() + std::size_t{index} * block_size;
+  } else {
+    if (spares_ == nullptr) {
+      // At most m blocks are collected, so at most min(n - m, m) spares.
+      spares_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+          std::size_t{std::min(n_ - m_, m_)} * block_size);
+    }
+    row = spares_.get() + spare_rows_.size() * block_size;
+    spare_rows_.push_back(index);
+  }
+  std::memcpy(row, block.payload.data(), block_size);
   version_ = block.header.version;
-  have_[block.header.block_index] = true;
+  have_[index] = true;
   ++distinct_;
-  buffer_.push_back(block);
   block_epochs_.push_back(epoch);
   return CanReconstruct() ? OfferOutcome::kCompleted
                           : OfferOutcome::kAccepted;
@@ -83,19 +104,50 @@ std::uint32_t ReconstructingClient::EpochsSpanned() const {
   return distinct_epochs;
 }
 
-Result<std::vector<std::uint8_t>> ReconstructingClient::Reconstruct() const {
+Result<std::vector<std::uint8_t>> ReconstructingClient::Reconstruct() {
   if (!CanReconstruct()) {
     return Status::DataLoss("ReconstructingClient: only " +
                             std::to_string(distinct_) + " of " +
                             std::to_string(m_) + " blocks collected");
   }
-  return engine_.Reconstruct(buffer_);
+  const std::size_t block_size = engine_.block_size();
+  // The solve takes the received rows ascending: the data rows, then the
+  // spares sorted by block index (they arrive in any order).
+  std::array<std::size_t, ida::Dispersal::kMaxBlocks> received;
+  std::array<const std::uint8_t*, ida::Dispersal::kMaxBlocks> parity;
+  std::size_t held = 0;
+  for (std::uint32_t j = 0; j < m_; ++j) {
+    if (have_[j]) {
+      received[held++] = j;
+    } else if (arena_stale_) {
+      std::memset(arena_.data() + std::size_t{j} * block_size, 0, block_size);
+    }
+  }
+  std::array<std::uint32_t, ida::Dispersal::kMaxBlocks> slots;
+  std::iota(slots.begin(), slots.begin() + spare_rows_.size(), 0u);
+  std::sort(slots.begin(), slots.begin() + spare_rows_.size(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return spare_rows_[a] < spare_rows_[b];
+            });
+  for (std::size_t i = 0; i < spare_rows_.size(); ++i) {
+    received[held + i] = spare_rows_[slots[i]];
+    parity[i] = spares_.get() + std::size_t{slots[i]} * block_size;
+  }
+  BDISK_RETURN_NOT_OK(
+      engine_.SolveErasures(received.data(), parity.data(), arena_.data()));
+  std::vector<std::uint8_t> file = std::move(arena_);
+  spares_.reset();
+  Clear();
+  return file;
 }
 
 void ReconstructingClient::Clear() {
   have_.assign(n_, false);
+  // Rows a dropped collection wrote stay behind in the arena until a
+  // hand-over takes the arena away.
+  arena_stale_ = !arena_.empty() && (arena_stale_ || distinct_ > 0);
   distinct_ = 0;
-  buffer_.clear();
+  spare_rows_.clear();
   block_epochs_.clear();
   version_.reset();
 }
@@ -129,8 +181,9 @@ OfferOutcome RetrievalSession::Offer(std::uint64_t slot,
   return outcome;
 }
 
-Result<SessionResult> RetrievalSession::Finish() const {
+Result<SessionResult> RetrievalSession::Finish() {
   SessionResult result = result_;
+  // Read before the hand-over empties the client.
   result.epochs_spanned = client_.EpochsSpanned();
   if (result.completed) {
     BDISK_ASSIGN_OR_RETURN(result.data, client_.Reconstruct());

@@ -5,12 +5,20 @@
 /// Mirrors the paper's client model: no uplink, bounded buffer (it keeps at
 /// most m blocks — IDA needs no more), blocks identified purely by their
 /// headers ("this is block 4 out of 10 of object Z").
+///
+/// The collection is assembled in place. A client owns one m × block_size
+/// arena, allocated at the first admitted block: a data block (index < m)
+/// is its slice of the file, so it is copied straight to its offset, and a
+/// parity block goes to a spare area of at most min(n − m, m) rows.
+/// Reconstruct() then solves only the erased data rows
+/// (ida::Dispersal::SolveErasures) and hands the arena over as the file.
 
 #ifndef BDISK_SIM_CLIENT_H_
 #define BDISK_SIM_CLIENT_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -94,9 +102,16 @@ class ReconstructingClient {
   std::uint32_t EpochsSpanned() const;
 
   /// Reconstructs the file. Fails with DataLoss before CanReconstruct().
-  Result<std::vector<std::uint8_t>> Reconstruct() const;
+  ///
+  /// Solves the erased data rows in the arena and moves the arena out as
+  /// the result, with no copy, releasing the spares too. The client is
+  /// then empty, as after Clear(): a second call fails with DataLoss, the
+  /// counters persist, and the client may collect (into a fresh arena) and
+  /// reconstruct another file.
+  Result<std::vector<std::uint8_t>> Reconstruct();
 
   /// Drops all collected blocks (for reuse; rejection counters persist).
+  /// The arena and spare area keep their capacity.
   void Clear();
 
   /// Duplicate-index blocks rejected so far.
@@ -117,12 +132,22 @@ class ReconstructingClient {
   ida::Dispersal engine_;
   std::vector<bool> have_;
   std::uint32_t distinct_ = 0;
-  std::vector<ida::Block> buffer_;
-  // Epoch under which each buffered block was collected (parallel to
-  // buffer_).
+  // The file being assembled: m rows of block_size bytes, empty until the
+  // first admitted block. Received data rows hold their blocks; the other
+  // rows are zero while `arena_stale_` is false.
+  std::vector<std::uint8_t> arena_;
+  // Set once the arena has held a discarded collection: its erased rows
+  // may then hold stale bytes, which Reconstruct zeroes.
+  bool arena_stale_ = false;
+  // Parity blocks, one block_size row each in arrival order (never
+  // zero-filled; allocated at the first admitted parity block and released
+  // at the hand-over), and the block index of each row.
+  std::unique_ptr<std::uint8_t[]> spares_;
+  std::vector<std::uint32_t> spare_rows_;
+  // Epoch under which each collected block was heard.
   std::vector<std::uint64_t> block_epochs_;
   // Version pinned by the first admitted block (collection invariant:
-  // every buffered block carries this version).
+  // every collected block carries this version).
   std::optional<std::uint64_t> version_;
   bool require_checksums_ = false;
   std::uint64_t duplicates_rejected_ = 0;
@@ -177,8 +202,10 @@ class RetrievalSession {
   /// The slot latency counts from (a joiner's is 0 until it tunes in).
   std::uint64_t start_slot() const { return start_slot_.value_or(0); }
   const ReconstructingClient& client() const { return client_; }
-  /// The result, with the data reconstructed when complete.
-  Result<SessionResult> Finish() const;
+  /// The result, with the data reconstructed when complete. Hands the
+  /// client's file over (ReconstructingClient::Reconstruct), so call it
+  /// once.
+  Result<SessionResult> Finish();
 
  private:
   ReconstructingClient client_;

@@ -181,6 +181,84 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The erased-rows-only solve, swept from a one-block file to the widest
+// dispersal over GF(2^8) at every block size (32 KiB only up to n = 10):
+// seeded m-subsets in arrival order with duplicates mixed in, parity-only
+// wherever m <= n - m, all byte-exact; a straggler of another version is
+// rejected.
+TEST(DispersalTest, ReconstructSweepIsByteExact) {
+  struct Geometry {
+    std::uint32_t m;
+    std::uint32_t n;
+  };
+  for (const Geometry g : {Geometry{1, 1}, Geometry{1, 3}, Geometry{2, 2},
+                           Geometry{2, 6}, Geometry{4, 6}, Geometry{6, 8},
+                           Geometry{8, 10}, Geometry{32, 35},
+                           Geometry{128, 256}}) {
+    for (const std::size_t block_size : {1, 7, 1024, 32768}) {
+      if (block_size == 32768 && g.n > 10) continue;
+      SCOPED_TRACE("m=" + std::to_string(g.m) + " n=" + std::to_string(g.n) +
+                   " block_size=" + std::to_string(block_size));
+      auto d = Dispersal::Create(g.m, g.n, block_size);
+      ASSERT_TRUE(d.ok());
+      Rng rng(g.m * 1009 + g.n * 31 + block_size);
+      const auto file = RandomFile(g.m * block_size, &rng);
+      auto blocks = d->Disperse(3, file, /*version=*/5);
+      ASSERT_TRUE(blocks.ok());
+      auto other = d->Disperse(3, RandomFile(g.m * block_size, &rng), 6);
+      ASSERT_TRUE(other.ok());
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<std::size_t> idx;
+        if (trial == 0 && g.m <= g.n - g.m) {
+          idx = rng.SampleWithoutReplacement(g.n - g.m, g.m);
+          for (std::size_t& i : idx) i += g.m;
+        } else {
+          idx = rng.SampleWithoutReplacement(g.n, g.m);
+        }
+        rng.Shuffle(&idx);
+        std::vector<Block> offered;
+        for (const std::size_t i : idx) offered.push_back((*blocks)[i]);
+        for (std::size_t dup = 0; dup <= idx.size() / 2; ++dup) {
+          offered.insert(offered.begin() + rng.Uniform(offered.size() + 1),
+                         (*blocks)[idx[rng.Uniform(idx.size())]]);
+        }
+        auto rec = d->Reconstruct(offered);
+        ASSERT_TRUE(rec.ok()) << "trial " << trial << ": " << rec.status();
+        ASSERT_EQ(*rec, file) << "trial " << trial;
+
+        offered.insert(offered.begin(), (*other)[rng.Uniform(g.n)]);
+        if (g.m > 1) {
+          EXPECT_TRUE(d->Reconstruct(offered).status().IsInvalidArgument());
+        }
+      }
+    }
+  }
+}
+
+// SolveErasures keys the inverse cache by the received set in ascending
+// order, and says so instead of solving a permuted subset.
+TEST(DispersalTest, SolveErasuresTakesAscendingDistinctRows) {
+  auto d = Dispersal::Create(2, 5, 8);
+  ASSERT_TRUE(d.ok());
+  Rng rng(12);
+  const auto file = RandomFile(16, &rng);
+  auto blocks = d->Disperse(0, file);
+  ASSERT_TRUE(blocks.ok());
+  const std::uint8_t* parity[] = {(*blocks)[3].payload.data(),
+                                  (*blocks)[4].payload.data()};
+  std::vector<std::uint8_t> out(16, 0);
+  for (const auto& received : {std::vector<std::size_t>{4, 3},
+                               std::vector<std::size_t>{3, 3},
+                               std::vector<std::size_t>{3, 5}}) {
+    EXPECT_TRUE(d->SolveErasures(received.data(), parity, out.data())
+                    .IsInvalidArgument());
+  }
+  const std::vector<std::size_t> received{3, 4};
+  ASSERT_TRUE(d->SolveErasures(received.data(), parity, out.data()).ok());
+  EXPECT_EQ(out, file);
+  EXPECT_EQ(d->cached_inverse_count(), 1u);
+}
+
 TEST(DispersalTest, DuplicateBlocksIgnored) {
   auto d = Dispersal::Create(2, 4, 8);
   ASSERT_TRUE(d.ok());
