@@ -1,19 +1,21 @@
 // Fleet-scale event-engine bench: 1M clients over a 10k-slot trace on one
 // box, inside a 2 GB peak-RSS budget.
 //
-// The discrete-event engine (sim/event_engine.h) pays O(transmissions
-// heard) per retrieval, walking one 4096-client block at a time per
-// thread; the slot walk pays O(slots spanned). On pipebench fleet's
-// 16-file, period-32 program the event engine wins at 100k and 1M clients,
-// on one thread and on four (docs/ARCHITECTURE.md, "The event engine").
-// The bench
+// The discrete-event engine (sim/event_engine.h) pays O(1) per retrieval
+// that loses at most n - m transmissions of its file inside one epoch
+// before the horizon, closing it from its file's transmission lane, and
+// O(transmissions heard) per retrieval it walks; it handles one
+// 4096-client block at a time per thread. The slot walk pays O(slots
+// spanned). On pipebench fleet's 16-file, period-32 program the event
+// engine wins at 100k and 1M clients, on one thread and on four
+// (docs/ARCHITECTURE.md, "The event engine"). The bench
 //
 //   * generates clients on demand — Zipf file choice + Poisson arrivals,
 //     both pure functions of the client index (no materialized request
 //     list), so the fleet itself costs no memory;
-//   * runs the evented fleet, reports events/sec, mean delay, and peak RSS
-//     (VmHWM from /proc/self/status), and FAILS (exit 1) if peak RSS
-//     exceeds 2 GB;
+//   * runs the evented fleet, reports events/sec, the share of clients
+//     walked rather than closed, mean delay, and peak RSS (VmHWM from
+//     /proc/self/status), and FAILS (exit 1) if peak RSS exceeds 2 GB;
 //   * cross-checks the engine in-process on a small configuration:
 //     RunWorkloadEvented's MetricsToJson must equal RunWorkload's byte for
 //     byte before any number is reported;
@@ -85,8 +87,8 @@ std::uint64_t PeakRssKb() {
 }
 
 // A 16-file AIDA program (8-of-16 dispersal, spread layout): period 128,
-// realistic block redundancy, and per-file occurrence lists long enough to
-// exercise the jump arithmetic.
+// realistic block redundancy, and per-file lanes of hundreds of
+// transmissions.
 BroadcastProgram BuildFleetProgram() {
   std::vector<FlatFileSpec> files;
   for (int i = 0; i < 16; ++i) {
@@ -256,6 +258,14 @@ int main(int argc, char** argv) {
   std::printf("events processed : %llu (%.2fM events/s)\n",
               static_cast<unsigned long long>(stats.events),
               events_per_sec / 1e6);
+  const double walked_pct =
+      stats.clients > 0 ? 100.0 * static_cast<double>(stats.clients_walked) /
+                              static_cast<double>(stats.clients)
+                        : 0.0;
+  std::printf("clients walked   : %llu of %llu (%.2f%%; the rest closed "
+              "from their lanes)\n",
+              static_cast<unsigned long long>(stats.clients_walked),
+              static_cast<unsigned long long>(stats.clients), walked_pct);
   std::printf("wall time        : %.3f s per run (lower quartile; fastest "
               "%.3f s); %zu runs per side, obs off %.3f s in total, "
               "snapshots on %.3f s (%+.2f%%), tracing 1/1024 %.3f s "

@@ -19,6 +19,7 @@ EventEngine::EventEngine(const broadcast::BroadcastProgram& program,
     : faults_(&faults) {
   epochs_.push_back(
       EpochRef{0, std::numeric_limits<std::uint64_t>::max(), &program});
+  BuildLanes();
 }
 
 EventEngine::EventEngine(const EpochSchedule& schedule,
@@ -30,6 +31,84 @@ EventEngine::EventEngine(const EpochSchedule& schedule,
                                   ? epochs[e + 1].start_slot
                                   : std::numeric_limits<std::uint64_t>::max();
     epochs_.push_back(EpochRef{epochs[e].start_slot, end, &epochs[e].program});
+  }
+  BuildLanes();
+}
+
+void EventEngine::BuildLanes() {
+  // Lane slots, ordinals and fault counts are 32-bit; the sentinel's slot
+  // stays above every slot of the horizon.
+  const std::uint64_t horizon = faults_->size();
+  BDISK_CHECK(horizon <= std::numeric_limits<std::uint32_t>::max());
+  const std::size_t file_count = files().size();
+  file_count_ = file_count;
+  std::size_t live = 0;
+  while (live < epochs_.size() && epochs_[live].start < horizon) ++live;
+
+  // First pass: each lane's extent, transmission count and bucket width,
+  // so both arrays are allocated once at their exact size.
+  lanes_.resize(live * file_count);
+  std::size_t tx_total = 0;
+  std::size_t seek_total = 0;
+  for (std::size_t e = 0; e < live; ++e) {
+    const EpochRef& epoch = epochs_[e];
+    const broadcast::BroadcastProgram& program = *epoch.program;
+    const std::uint64_t end = std::min(epoch.end, horizon);
+    const std::uint64_t span = end - epoch.start;
+    const std::uint64_t period = program.period();
+    for (broadcast::FileIndex f = 0; f < file_count; ++f) {
+      const auto& occ = program.OccurrencesOf(f);
+      Lane& lane = lanes_[e * file_count + f];
+      lane.base = epoch.start;
+      lane.end = end;
+      lane.m = program.files()[f].m;
+      lane.n = program.files()[f].n;
+      lane.count = static_cast<std::uint32_t>(
+          span / period * occ.size() +
+          static_cast<std::uint64_t>(
+              std::lower_bound(occ.begin(), occ.end(), span % period) -
+              occ.begin()));
+      // The narrowest power-of-two bucket that needs no more buckets than
+      // the lane has transmissions.
+      const std::uint64_t most = std::max<std::uint64_t>(lane.count, 1);
+      while (((span - 1) >> lane.shift) + 1 > most) ++lane.shift;
+      lane.first = tx_total;
+      lane.seek = seek_total;
+      tx_total += lane.count + 1;
+      seek_total += ((span - 1) >> lane.shift) + 1;
+    }
+  }
+
+  // Second pass: fill each lane in slot order, counting faults as it goes,
+  // then point each bucket at its first transmission.
+  lane_tx_.resize(tx_total);
+  seek_.resize(seek_total);
+  const faults::FaultType* trace = faults_->data();
+  for (std::size_t e = 0; e < live; ++e) {
+    const broadcast::BroadcastProgram& program = *epochs_[e].program;
+    for (broadcast::FileIndex f = 0; f < file_count; ++f) {
+      const Lane& lane = lanes_[e * file_count + f];
+      const auto& occ = program.OccurrencesOf(f);
+      LaneTransmission* tx = lane_tx_.data() + lane.first;
+      std::uint32_t faults = 0;
+      for (std::uint32_t k = 0; k < lane.count; ++k) {
+        const std::uint64_t slot = lane.base +
+                                   k / occ.size() * program.period() +
+                                   occ[k % occ.size()];
+        tx[k] = {static_cast<std::uint32_t>(slot), faults};
+        if (trace[slot] != faults::FaultType::kNone) ++faults;
+      }
+      tx[lane.count] = {std::numeric_limits<std::uint32_t>::max(), faults};
+      const std::uint64_t buckets =
+          ((lane.end - lane.base - 1) >> lane.shift) + 1;
+      std::uint32_t k = 0;
+      for (std::uint64_t b = 0; b < buckets; ++b) {
+        while (k < lane.count && tx[k].slot < lane.base + (b << lane.shift)) {
+          ++k;
+        }
+        seek_[lane.seek + b] = k;
+      }
+    }
   }
 }
 
@@ -46,54 +125,37 @@ std::uint64_t EventEngine::PeriodAt(std::uint64_t t) const {
   return epochs_[EpochIndexAt(t)].program->period();
 }
 
-std::optional<EventEngine::NextTx> EventEngine::NextTransmissionOf(
-    broadcast::FileIndex file, std::uint64_t from) const {
-  const std::uint64_t horizon = faults_->size();
-  if (from >= horizon) return std::nullopt;
-  for (std::size_t e = EpochIndexAt(from); e < epochs_.size(); ++e) {
-    const EpochRef& epoch = epochs_[e];
-    if (epoch.start >= horizon) break;
-    const std::uint64_t begin = std::max(from, epoch.start);
-    const std::uint64_t end = std::min(epoch.end, horizon);
-    if (begin >= end) continue;
-    // Jump arithmetic within the epoch: occurrences are ascending slots of
-    // one period; the k-th transmission of the file *within the epoch*
-    // carries block k mod n (epoch-local rotation, sim/epoch.h).
-    const broadcast::BroadcastProgram& program = *epoch.program;
-    const auto& occ = program.OccurrencesOf(file);
-    const std::uint64_t period = program.period();
-    const std::uint64_t count = occ.size();
-    const std::uint64_t local = begin - epoch.start;
-    std::uint64_t q = local / period;
-    const std::uint64_t r = local % period;
-    std::uint64_t j = static_cast<std::uint64_t>(
-        std::lower_bound(occ.begin(), occ.end(), r) - occ.begin());
-    if (j == count) {
-      ++q;
-      j = 0;
+inline const EventEngine::Lane* EventEngine::Seek(broadcast::FileIndex file,
+                                                 std::uint64_t from,
+                                                 std::uint32_t* k) const {
+  if (from >= faults_->size()) return nullptr;
+  for (std::size_t e = lanes_.size() == file_count_ ? 0 : EpochIndexAt(from);
+       e * file_count_ < lanes_.size(); ++e) {
+    const Lane& lane = lanes_[e * file_count_ + file];
+    // A later epoch's lane is searched from its start.
+    const std::uint64_t at = std::max(from, lane.base);
+    if (at >= lane.end) continue;
+    const LaneTransmission* tx = lane_tx_.data() + lane.first;
+    std::uint32_t i = seek_[lane.seek + ((at - lane.base) >> lane.shift)];
+    // A bucket holds about one transmission; the sentinel stops the step.
+    i += tx[i].slot < at;
+    while (tx[i].slot < at) ++i;
+    if (i < lane.count) {
+      *k = i;
+      return &lane;
     }
-    const std::uint64_t period_base = epoch.start + q * period;
-    const std::uint64_t abs_slot = period_base + occ[j];
-    if (abs_slot < end) {
-      const std::uint64_t ordinal = q * count + j;
-      const std::uint32_t n = program.files()[file].n;
-      NextTx tx;
-      tx.slot = abs_slot;
-      tx.block = static_cast<std::uint32_t>(ordinal % n);
-      tx.file = file;
-      tx.occurrence = j;
-      tx.period_base = period_base;
-      tx.epoch_end = end;
-      tx.occurrences = occ.data();
-      tx.count = count;
-      tx.period = period;
-      tx.n = n;
-      return tx;
-    }
-    // The next occurrence falls past this epoch's end: resume the search
-    // at the next epoch's start (its rotation restarts there).
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+std::optional<EventEngine::LaneCursor> EventEngine::NextTransmissionOf(
+    broadcast::FileIndex file, std::uint64_t from) const {
+  std::uint32_t k = 0;
+  const Lane* lane = Seek(file, from, &k);
+  if (lane == nullptr) return std::nullopt;
+  LaneCursor tx = CursorAt(*lane, file, k);
+  tx.block = k % tx.n;
+  return tx;
 }
 
 namespace {
@@ -131,10 +193,52 @@ struct SpillSet {
   }
 };
 
-// Walks one client's chain from its start slot until it collects m
-// distinct blocks or the horizon runs out, and records the outcome in
-// `st`. `trace` is the fault trace; `have` must be empty, and `base` is
-// overwritten at the first fault. Returns the events the client heard.
+// Closes a retrieval whose first transmission is ordinal `k0` of the lane
+// `tx` (`count` transmissions, then the sentinel) of a file of geometry
+// (m, n), from the lane's fault counts: with at most r = n - m faults among
+// ordinals k0..K, K - k0 < n, so every clean transmission there carries a
+// new block and the client completes at its m-th clean one. That K is the
+// least fixed point of K = k0 + m - 1 + faults(k0..K), reached from below
+// in at most faults + 1 rounds. The lossless baseline completes at ordinal
+// k0 + m - 1. Records the outcome in `st` and returns the events heard, or
+// 0, leaving `st` untouched, when the retrieval needs the walk: more than
+// r faults, or a window that runs past the lane.
+std::uint64_t CloseClient(const LaneTransmission* tx, std::uint64_t k0,
+                          std::uint64_t count, std::uint32_t m,
+                          std::uint32_t n, const faults::FaultType* trace,
+                          ClientState* st) {
+  const std::uint64_t lossless = k0 + m - 1;
+  if (lossless >= count) return 0;
+  const std::uint32_t faults_before = tx[k0].faults_before;
+  std::uint64_t k = lossless;
+  for (;;) {
+    const std::uint64_t next =
+        lossless + (tx[k + 1].faults_before - faults_before);
+    if (next == k) break;
+    if (next - k0 >= n || next >= count) return 0;
+    k = next;
+  }
+  // Only a faulty transmission can be corrupted; K itself is clean.
+  std::uint32_t corrupt = 0;
+  if (k > lossless) {
+    for (std::uint64_t j = k0; j < k; ++j) {
+      corrupt += trace[tx[j].slot] == faults::FaultType::kCorrupted;
+    }
+  }
+  st->completion_slot = tx[k].slot;
+  st->baseline_slot = tx[lossless].slot;
+  st->errors_observed = static_cast<std::uint32_t>(k - lossless);
+  st->corrupt_detected = corrupt;
+  st->flags =
+      ClientState::kCompleted | ClientState::kBaselineDone | ClientState::kDone;
+  return k - k0 + 1;
+}
+
+// Walks one client's chain from its first transmission `tx` until it
+// collects m distinct blocks or the horizon runs out, and records the
+// outcome in `st`. `trace` is the fault trace; `have` must be empty, and
+// `base` is overwritten at the first fault. Returns the events the client
+// heard.
 //
 // Two walks run side by side: the actual one, which progresses only on
 // fault-free transmissions, and the lossless baseline (stall metric),
@@ -143,16 +247,11 @@ struct SpillSet {
 // event the baseline forks into `base` and continues alone. A fault-free
 // completion is therefore the baseline's completion too.
 template <typename Set>
-std::uint64_t WalkClient(const EventEngine& engine,
+std::uint64_t WalkClient(const EventEngine& engine, EventEngine::LaneCursor tx,
                          const faults::FaultType* trace, std::uint32_t m,
                          Set have, Set base, ClientState* st) {
-  auto next = engine.NextTransmissionOf(st->file, st->start_slot);
-  // A client whose file has no transmission left before the horizon ends
-  // at once: the slot walk would observe nothing — incomplete with zero
-  // errors.
+  tx.block = tx.ordinal % tx.n;  // The seek leaves the rotation to the walk.
   st->flags = ClientState::kDone;
-  if (!next.has_value()) return 0;
-  EventEngine::NextTx tx = *next;
   std::uint64_t events = 0;
   std::uint32_t distinct = 0;
   std::uint32_t base_distinct = 0;
@@ -206,6 +305,7 @@ void EventShardRunner::Prepare(
   const std::uint64_t horizon = engine_->horizon();
   states_.assign(static_cast<std::size_t>(end - begin), ClientState{});
   events_ = 0;
+  walked_ = 0;
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const EventClient client = client_at(begin + i);
     BDISK_CHECK(client.file < files.size());
@@ -224,23 +324,42 @@ void EventShardRunner::Prepare(
 }
 
 void EventShardRunner::Drain() {
-  const auto& files = engine_->files();
-  const faults::FaultType* trace = engine_->faults_->data();
+  const EventEngine& engine = *engine_;
+  const faults::FaultType* trace = engine.faults_->data();
+  const LaneTransmission* lane_tx = engine.lane_tx_.data();
   std::uint64_t events = 0;
+  std::uint64_t walked = 0;
   for (ClientState& st : states_) {
-    // Clients only listen, so each chain runs to its end on its own.
-    const broadcast::ProgramFile& pf = files[st.file];
-    if (pf.n <= 64) {
-      events += WalkClient(*engine_, trace, pf.m, WordSet{}, WordSet{}, &st);
+    // Clients only listen, so each retrieval finishes on its own. A client
+    // whose file has no transmission left before the horizon ends at once:
+    // the slot walk would observe nothing — incomplete with zero errors.
+    std::uint32_t k0 = 0;
+    const EventEngine::Lane* lane = engine.Seek(st.file, st.start_slot, &k0);
+    if (lane == nullptr) {
+      st.flags = ClientState::kDone;
+      continue;
+    }
+    const std::uint64_t closed = CloseClient(
+        lane_tx + lane->first, k0, lane->count, lane->m, lane->n, trace, &st);
+    if (closed > 0) {
+      events += closed;
+      continue;
+    }
+    ++walked;
+    const EventEngine::LaneCursor first = engine.CursorAt(*lane, st.file, k0);
+    if (lane->n <= 64) {
+      events += WalkClient(engine, first, trace, lane->m, WordSet{},
+                           WordSet{}, &st);
     } else {
-      const std::size_t words = (pf.n + 63) / 64;
+      const std::size_t words = (lane->n + 63) / 64;
       SpillSet have{scratch_.data(), words};
       std::fill_n(have.bits, words, 0);
-      events += WalkClient(*engine_, trace, pf.m, have,
+      events += WalkClient(engine, first, trace, lane->m, have,
                            SpillSet{scratch_.data() + words, words}, &st);
     }
   }
   events_ += events;
+  walked_ += walked;
 }
 
 void EventEngine::RecordRetrievalTrace(
@@ -248,13 +367,19 @@ void EventEngine::RecordRetrievalTrace(
     const RetrievalOutcome& outcome, std::uint8_t trigger) const {
   const broadcast::ProgramFile& pf = files()[st.file];
   TraceWalkContext ctx;
-  // The replay finds each next transmission with the seek its event loop
-  // starts every chain with. Only triggered clients pay for it.
-  ctx.next_tx = [this, file = st.file](std::uint64_t from)
+  // The replay seeks the client's first transmission, then steps the
+  // cursor one lane ordinal per event, as the walk does. Only triggered
+  // clients pay for it.
+  ctx.next_tx = [this, file = st.file, tx = std::optional<LaneCursor>()](
+                    std::uint64_t from) mutable
       -> std::optional<std::pair<std::uint64_t, std::uint32_t>> {
-    const auto next = NextTransmissionOf(file, from);
-    if (!next.has_value()) return std::nullopt;
-    return std::make_pair(next->slot, next->block);
+    if (!tx.has_value() || from != tx->slot + 1) {
+      tx = NextTransmissionOf(file, from);
+    } else if (!Advance(&*tx)) {
+      tx.reset();
+    }
+    if (!tx.has_value()) return std::nullopt;
+    return std::make_pair(tx->slot, tx->block);
   };
   ctx.faults = faults_;
   for (std::size_t e = 1; e < epochs_.size(); ++e) {
@@ -314,12 +439,14 @@ SimulationMetrics EventEngine::Run(
     runtime::ThreadPool* pool, EventEngineStats* stats,
     obs::Timeline* timeline, obs::TraceSink* trace) const {
   std::atomic<std::uint64_t> total_events{0};
+  std::atomic<std::uint64_t> total_walked{0};
   obs::HistogramMetric* drain_us = obs::GlobalRegistry().GetHistogram(
       "phase.event_drain_us", obs::PhaseTimerBoundsUs());
   SimulationMetrics metrics = RunSharded(
       files(), count, pool, timeline, trace, [&](const Shard& shard) {
         EventShardRunner runner(*this);
         std::uint64_t events = 0;
+        std::uint64_t walked = 0;
         std::chrono::steady_clock::duration drain{};
         for (std::uint64_t begin = shard.begin; begin < shard.end;) {
           const std::uint64_t end =
@@ -330,6 +457,7 @@ SimulationMetrics EventEngine::Run(
           drain += std::chrono::steady_clock::now() - t0;
           runner.Collect(shard.metrics, shard.timeline, begin, shard.trace);
           events += runner.events_processed();
+          walked += runner.clients_walked();
           begin = end;
         }
         // One sample per shard, its blocks' Drain time summed: the phase
@@ -337,12 +465,15 @@ SimulationMetrics EventEngine::Run(
         drain_us->Record(
             std::chrono::duration<double, std::micro>(drain).count());
         total_events += events;
+        total_walked += walked;
       });
   obs::GlobalRegistry().GetCounter("sim.events")->Add(total_events);
   obs::GlobalRegistry().GetCounter("sim.clients")->Add(count);
+  obs::GlobalRegistry().GetCounter("sim.clients_walked")->Add(total_walked);
   if (stats != nullptr) {
     stats->clients = count;
     stats->events = total_events;
+    stats->clients_walked = total_walked;
   }
   return metrics;
 }

@@ -7,17 +7,27 @@
 /// engine removes the dead time: each client is a compact state record
 /// (48 bytes), and the only events are "client c hears a transmission of
 /// its file at slot s". Clients only listen, so no client's events depend
-/// on another's: the engine needs no event queue. It walks one client's
-/// chain of transmissions to completion, then the next client's, in
-/// ascending client index. A chain starts with one seek — jump arithmetic
-/// over the program's occurrence lists, O(log occurrences) — and then
-/// steps a transmission cursor in O(1): the file's next occurrence is the
-/// next entry of its list, and its block the next in the rotation. The
-/// cursor seeks again only where an epoch hot-swap ends its program. Cost
-/// per retrieval drops from O(slots spanned) to O(transmissions of the
-/// file heard), and Run() walks each shard in fixed blocks of
-/// kBlockClients clients, so engine memory is O(block) per thread however
-/// large the fleet.
+/// on another's: the engine needs no event queue. It finishes one client,
+/// then the next, in ascending client index.
+///
+/// **Transmission lanes.** The constructor lays out one lane per (epoch,
+/// file): the file's transmissions in that epoch before the horizon, each
+/// as its slot and the number of faulty transmissions before it in the
+/// lane, plus a seek index of at most one entry per transmission — at most
+/// 12 bytes per transmission, O(transmissions in the horizon) in all. A
+/// lane's ordinal k carries block k mod n (the epoch-local rotation of
+/// sim/epoch.h). A client's first transmission k0 is an index lookup, and
+/// the fault counts close most retrievals in O(1): IDA needs any m of the
+/// n blocks and n consecutive ordinals carry n distinct blocks, so a
+/// client that loses at most r = n - m transmissions inside its lane
+/// completes at its m-th clean transmission, the ordinal K with
+/// K = k0 + m - 1 + (faults among k0..K) and K - k0 < n. Only a client
+/// that loses more than r, or whose retrieval runs past its lane's end (an
+/// epoch hot-swap or the horizon), walks its chain, one lane ordinal per
+/// event.
+/// Run() handles each shard in fixed blocks of kBlockClients clients, so
+/// engine memory beyond the lanes is O(block) per thread however large the
+/// fleet.
 ///
 /// **Determinism contract (extends docs/ARCHITECTURE.md).** The engine is
 /// proven output-*identical* to the slot-by-slot engine, not merely
@@ -27,19 +37,21 @@
 /// (tests/engine_equivalence_test.cc). The ingredients:
 ///
 ///  * clients are sharded by global index with the same ShardOf split as
-///    the slot engine, and each shard walks its clients in index order, in
-///    contiguous blocks — no cross-shard or cross-client state;
+///    the slot engine, and each shard handles its clients in index order,
+///    in contiguous blocks — no cross-shard or cross-client state;
 ///  * every per-client quantity (completion slot, errors, stall baseline)
 ///    is a pure function of the shared fault trace and the schedule, so the
-///    order in which clients are walked cannot change it;
+///    order in which clients are handled, and whether a client is closed
+///    or walked, cannot change it;
 ///  * after each block drains, outcomes are folded into the metrics in
 ///    ascending client order — the exact accumulation order of the slot
 ///    engine — and shards merge with the exact RunningStats merge.
 ///
-/// Steady-state event processing performs no heap allocation: a client's
-/// walk keeps its distinct-block sets in locals (files with n > 64 in the
-/// runner's scratch, sized in Prepare()), and tests/event_engine_test.cc
-/// counts allocations to enforce this.
+/// Steady-state event processing performs no heap allocation: lanes are
+/// built once in the constructor, and a walk keeps its distinct-block sets
+/// in locals (files with n > 64 in the runner's scratch, sized in
+/// Prepare()); tests/event_engine_test.cc counts allocations to enforce
+/// this.
 
 #ifndef BDISK_SIM_EVENT_ENGINE_H_
 #define BDISK_SIM_EVENT_ENGINE_H_
@@ -78,8 +90,9 @@ struct EventClient {
 };
 
 /// \brief Compact per-client simulation state (48 bytes): the client's
-/// request and the outcome of its walk. The distinct-block sets live only
-/// in the walk (EventShardRunner::Drain), so none is kept here.
+/// request and the outcome of its retrieval, closed or walked. The
+/// distinct-block sets live only in the walk (EventShardRunner::Drain), so
+/// none is kept here.
 struct ClientState {
   static constexpr std::uint8_t kCompleted = 1;     // Collected m blocks.
   static constexpr std::uint8_t kBaselineDone = 2;  // Lossless walk done.
@@ -103,11 +116,24 @@ struct EventEngineStats {
   std::uint64_t events = 0;
   /// Clients simulated.
   std::uint64_t clients = 0;
+  /// Clients whose retrieval was walked event by event rather than closed
+  /// from their lane's fault counts.
+  std::uint64_t clients_walked = 0;
+};
+
+/// \brief One transmission of a lane: its absolute slot and the number of
+/// faulty (lost or corrupted) transmissions before it in the lane. A lane
+/// of c transmissions holds c + 1 of these; the last, a sentinel, has slot
+/// UINT32_MAX and the lane's fault total.
+struct LaneTransmission {
+  std::uint32_t slot = 0;
+  std::uint32_t faults_before = 0;
 };
 
 /// \brief Discrete-event broadcast-disk engine over a program or epoch
 /// schedule plus a realized fault trace (borrowed; one FaultType per slot,
-/// trace length = horizon). Safe for concurrent const use.
+/// trace length = horizon, at most UINT32_MAX slots). Safe for concurrent
+/// const use.
 class EventEngine {
  public:
   /// Clients per block of Run()'s walk: each shard prepares, drains and
@@ -116,6 +142,8 @@ class EventEngine {
   /// (docs/ARCHITECTURE.md, "Event taxonomy and state layout").
   static constexpr std::uint64_t kBlockClients = 4096;
 
+  /// Both build the lanes, in time and memory linear in the transmissions
+  /// before the horizon; the horizon must fit 32 bits (checked).
   EventEngine(const broadcast::BroadcastProgram& program,
               const std::vector<faults::FaultType>& faults);
   EventEngine(const EpochSchedule& schedule,
@@ -137,39 +165,37 @@ class EventEngine {
   std::uint64_t PeriodAt(std::uint64_t t) const;
 
   /// \brief A transmission cursor: one transmission of a file (its slot
-  /// and rotated block) plus its place in the occurrence list of the epoch
-  /// that sends it, so Advance() can step to the file's next transmission.
-  struct NextTx {
+  /// and rotated block) and its place in the lane of the epoch that sends
+  /// it, so Advance() can step to the file's next transmission.
+  struct LaneCursor {
     std::uint64_t slot = 0;
     std::uint32_t block = 0;
     broadcast::FileIndex file = 0;
-    /// Index of `slot` in the epoch program's OccurrencesOf(file).
-    std::uint64_t occurrence = 0;
-    /// Absolute slot at which `slot`'s period starts.
-    std::uint64_t period_base = 0;
-    /// First slot past the epoch, capped at the horizon.
-    std::uint64_t epoch_end = 0;
-    /// The epoch program's occurrence list of `file`, its length, its
-    /// period, and the file's n (the rotation's modulus).
-    const std::uint64_t* occurrences = nullptr;
-    std::uint64_t count = 0;
-    std::uint64_t period = 0;
+    /// The lane's transmissions (count + 1 entries), the cursor's ordinal
+    /// among them, and the file's n (the rotation's modulus).
+    const LaneTransmission* lane = nullptr;
+    std::uint32_t ordinal = 0;
+    std::uint32_t count = 0;
     std::uint32_t n = 0;
+    /// Epoch whose lane the cursor is on.
+    std::uint32_t epoch = 0;
   };
 
   /// The seek: a cursor at the first transmission of `file` at slot >=
   /// `from` (epoch-aware, with the epoch-local block rotation of
-  /// sim/epoch.h), or nullopt when none remains before the horizon.
-  /// O(log occurrences + epochs crossed).
-  std::optional<NextTx> NextTransmissionOf(broadcast::FileIndex file,
-                                           std::uint64_t from) const;
+  /// sim/epoch.h), or nullopt when none remains before the horizon. One
+  /// lookup in the lane's seek index, then a step over the transmissions
+  /// that share its bucket; a lane with none left moves on to the next
+  /// epoch's.
+  std::optional<LaneCursor> NextTransmissionOf(broadcast::FileIndex file,
+                                               std::uint64_t from) const;
 
-  /// Steps `tx` to the file's next transmission in O(1): the next
-  /// occurrence (wrapping into the next period) and the next block of the
-  /// rotation. Seeks again only past the cursor's epoch. Returns false,
+  /// Steps `tx` to the file's next transmission: in O(1) the next ordinal
+  /// of its lane and the next block of the rotation, or past the lane's
+  /// end the first transmission of a later epoch's lane. Returns false,
   /// leaving `tx` unspecified, when no transmission remains before the
   /// horizon.
-  bool Advance(NextTx* tx) const;
+  bool Advance(LaneCursor* tx) const;
 
   /// Simulates clients [0, count), where client g is `client_at(g)` — a
   /// pure, thread-safe function of g. Clients are sharded by global index
@@ -203,11 +229,50 @@ class EventEngine {
     const broadcast::BroadcastProgram* program = nullptr;
   };
 
+  /// One (epoch, file)'s transmissions in [base, end). Its seek index
+  /// splits [base, end) into buckets of 2^shift slots, no more of them
+  /// than the lane has transmissions (one for an empty lane), each holding
+  /// the ordinal of the first transmission at or after the bucket's start.
+  struct Lane {
+    std::uint64_t base = 0;  // The epoch's start slot.
+    std::uint64_t end = 0;   // min(epoch end, horizon).
+    std::size_t first = 0;   // Offset of the lane in lane_tx_.
+    std::size_t seek = 0;    // Offset of its buckets in seek_.
+    std::uint32_t count = 0;
+    std::uint32_t shift = 0;
+    // The file's geometry; n is also the rotation's modulus.
+    std::uint32_t m = 0;
+    std::uint32_t n = 0;
+  };
+
   std::size_t EpochIndexAt(std::uint64_t t) const;
+  void BuildLanes();
+  /// A cursor at ordinal `k` (< count) of `lane`, one of `file`'s, with
+  /// block 0: right for k = 0, and the caller's to set to k mod n
+  /// otherwise.
+  LaneCursor CursorAt(const Lane& lane, broadcast::FileIndex file,
+                      std::uint32_t k) const {
+    LaneCursor tx;
+    tx.lane = lane_tx_.data() + lane.first;
+    tx.slot = tx.lane[k].slot;
+    tx.file = file;
+    tx.ordinal = k;
+    tx.count = lane.count;
+    tx.n = lane.n;
+    tx.epoch = static_cast<std::uint32_t>(
+        static_cast<std::size_t>(&lane - lanes_.data()) / file_count_);
+    return tx;
+  }
+  /// The seek: the lane holding the first transmission of `file` at slot
+  /// >= `from` and, in `*k`, its ordinal there; null when none remains
+  /// before the horizon.
+  const Lane* Seek(broadcast::FileIndex file, std::uint64_t from,
+                   std::uint32_t* k) const;
 
   /// Captures the finished client's causal span into `sink`; `trigger` is
   /// the sink's nonzero TriggerFor on `outcome`. Replays via the shared
-  /// walker with NextTransmissionOf as the jump source.
+  /// walker, with a lane cursor stepped from the client's start as the
+  /// jump source.
   void RecordRetrievalTrace(obs::TraceSink* sink, std::uint64_t request_id,
                             const ClientState& st,
                             const RetrievalOutcome& outcome,
@@ -215,23 +280,31 @@ class EventEngine {
 
   std::vector<EpochRef> epochs_;
   const std::vector<faults::FaultType>* faults_;
+  /// Lanes of the epochs that start before the horizon, epoch-major:
+  /// lanes_[e * file count + f]. Their transmissions and seek buckets,
+  /// each sized exactly.
+  std::vector<Lane> lanes_;
+  std::size_t file_count_ = 0;
+  std::vector<LaneTransmission> lane_tx_;
+  std::vector<std::uint32_t> seek_;
 };
 
-inline bool EventEngine::Advance(NextTx* tx) const {
-  if (++tx->occurrence == tx->count) {
-    tx->occurrence = 0;
-    tx->period_base += tx->period;
+inline bool EventEngine::Advance(LaneCursor* tx) const {
+  if (++tx->ordinal < tx->count) {
+    tx->slot = tx->lane[tx->ordinal].slot;
+    if (++tx->block == tx->n) tx->block = 0;
+    return true;
   }
-  tx->slot = tx->period_base + tx->occurrences[tx->occurrence];
-  if (++tx->block == tx->n) tx->block = 0;
-  if (tx->slot < tx->epoch_end) return true;
-  // Past the epoch: seek from the next epoch's start, where the rotation
-  // restarts. At the horizon the seek finds nothing and the chain ends.
-  const std::optional<NextTx> next = NextTransmissionOf(tx->file,
-                                                        tx->epoch_end);
-  if (!next.has_value()) return false;
-  *tx = *next;
-  return true;
+  // Past the lane: the next epoch's first transmission, where the rotation
+  // restarts. At the horizon no lane is left and the chain ends.
+  for (std::size_t e = tx->epoch + 1; e * file_count_ < lanes_.size(); ++e) {
+    const Lane& lane = lanes_[e * file_count_ + tx->file];
+    if (lane.count > 0) {
+      *tx = CursorAt(lane, tx->file, 0);
+      return true;
+    }
+  }
+  return false;
 }
 
 /// \brief The event loop over a contiguous range of global client indices:
@@ -251,9 +324,11 @@ class EventShardRunner {
   void Prepare(std::uint64_t begin, std::uint64_t end,
                const std::function<EventClient(std::uint64_t)>& client_at);
 
-  /// Walks each client's transmissions from its start slot, in ascending
-  /// client order, until it completes or the horizon runs out. Call once
-  /// per Prepare. Performs no heap allocation.
+  /// Finishes each client, in ascending client order: from its lane's fault
+  /// counts when it loses at most n - m transmissions inside its first
+  /// transmission's lane, otherwise by walking its transmissions until it
+  /// completes or the horizon runs out. Call once per Prepare. Performs no
+  /// heap allocation.
   void Drain();
 
   /// Folds the finished clients' outcomes into `local` in ascending client
@@ -271,7 +346,10 @@ class EventShardRunner {
   const ClientState& state(std::size_t local_index) const {
     return states_[local_index];
   }
+  /// Transmissions the drained clients heard, closed or walked.
   std::uint64_t events_processed() const { return events_; }
+  /// Drained clients that were walked rather than closed.
+  std::uint64_t clients_walked() const { return walked_; }
 
  private:
   /// The finished client's outcome under the rule both engines share
@@ -285,6 +363,7 @@ class EventShardRunner {
   /// baseline's. Holds 2 * ceil(max n / 64) words.
   std::vector<std::uint64_t> scratch_;
   std::uint64_t events_ = 0;
+  std::uint64_t walked_ = 0;
 };
 
 }  // namespace bdisk::sim

@@ -252,9 +252,11 @@ class Simulator {
   /// Discrete-event equivalent of RunWorkload (sim/event_engine.h): the
   /// identical request generation (same counter-based per-request draws),
   /// the identical validation, and a *byte-identical* SimulationMetrics
-  /// snapshot (MetricsToJson) at any thread count — but each retrieval
-  /// costs O(transmissions of its file heard) instead of O(slots spanned),
-  /// in client state for one block of clients per thread.
+  /// snapshot (MetricsToJson) at any thread count — but a retrieval that
+  /// loses at most n - m of its file's transmissions in one epoch costs
+  /// O(1), any other O(transmissions of its file heard), instead of
+  /// O(slots spanned), in client state for one block of clients per
+  /// thread.
   Result<SimulationMetrics> RunWorkloadEvented(const WorkloadConfig& config,
                                                runtime::ThreadPool* pool =
                                                    nullptr,

@@ -6,10 +6,10 @@
 /// which is what makes anomaly-triggered tracing free on the hot path
 /// (obs/trace.h). Both engines call this one walker; they differ only in
 /// how the next transmission of the traced file is found (the slot engine
-/// scans, the event engine jumps), and the walker consumes that through a
-/// callback — so the emitted event chain, and therefore the rendered
-/// trace, is byte-identical across engines by construction. The walker
-/// cross-checks its replayed completion against the engine-computed
+/// scans, the event engine steps a lane cursor), and the walker consumes
+/// that through a callback — so the emitted event chain, and therefore the
+/// rendered trace, is byte-identical across engines by construction. The
+/// walker cross-checks its replayed completion against the engine-computed
 /// outcome, making any engine/walker drift a hard failure.
 
 #ifndef BDISK_SIM_TRACE_WALK_H_

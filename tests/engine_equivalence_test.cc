@@ -22,9 +22,12 @@
 //
 //  4. Explicit request lists: RunRequests against EventEngine::Run fed the
 //     same list and the same channel realization, on a program and on a
-//     two-epoch schedule, and on a list long enough to cross the engine's
-//     client blocks. Metrics, the rendered timeline stream and the Chrome
-//     trace must all match, serial and sharded.
+//     two-epoch schedule, on a list long enough to cross the engine's
+//     client blocks, and under bursty loss of about 0.3 across a hot-swap,
+//     where many retrievals lose more than n - m transmissions and are
+//     walked rather than closed from their lanes. Metrics, the rendered
+//     timeline stream and the Chrome trace must all match, serial and
+//     sharded.
 //
 // The pool width defaults to 3 and can be overridden with
 // BDISK_EQUIV_THREADS (the CI engine-matrix job runs {1, 3}); byte-identity
@@ -380,6 +383,49 @@ TEST(EngineEquivalenceRequests, EpochScheduleRequestList) {
   const std::vector<faults::FaultType> faults = Realize(**channel, horizon);
   const EventEngine engine(*schedule, faults);
   ExpectRequestListsAgree(simulator, engine, period, "two-epoch schedule");
+}
+
+// Bursty loss at a stationary rate of 0.15 / (0.15 + 0.35) = 0.3, plus a
+// little corruption, across a hot-swap: retrievals that lose at most n - m
+// transmissions in their lane are closed from its fault counts, the rest
+// are walked, and both must render exactly what the slot walk renders.
+TEST(EngineEquivalenceRequests, LossyEpochScheduleRequestList) {
+  auto before = broadcast::BuildFlatProgram(
+      {{"a", 2, 4, {}}, {"b", 3, 5, {}}, {"c", 4, 6, {}}},
+      broadcast::FlatLayout::kContiguous);
+  ASSERT_TRUE(before.ok()) << before.status();
+  auto after = broadcast::BuildFlatProgram(
+      {{"a", 2, 4, {}}, {"b", 3, 5, {}}, {"c", 4, 6, {}}},
+      broadcast::FlatLayout::kSpread);
+  ASSERT_TRUE(after.ok()) << after.status();
+  const std::uint64_t period = before->period();
+  std::vector<ProgramEpoch> epochs;
+  epochs.push_back(ProgramEpoch{0, *before});
+  epochs.push_back(ProgramEpoch{20 * period, *after});
+  auto schedule = EpochSchedule::Create(std::move(epochs));
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  auto channel = faults::ParseChannelSpec(
+      "gilbert:pgb=0.15,pbg=0.35,seed=31+corrupt:p=0.02,seed=32");
+  ASSERT_TRUE(channel.ok()) << channel.status();
+
+  const std::uint64_t horizon = 40 * period;
+  const Simulator simulator(*schedule, **channel, horizon);
+  const std::vector<faults::FaultType> faults = Realize(**channel, horizon);
+  const EventEngine engine(*schedule, faults);
+  ExpectRequestListsAgree(simulator, engine, period, "lossy two-epoch");
+
+  // The list exercised both paths.
+  const std::vector<ClientRequest> requests = RequestList(engine, period, 300);
+  EventEngineStats stats;
+  engine.Run(
+      requests.size(),
+      [&requests](std::uint64_t g) {
+        return EventClient{requests[g].file, requests[g].start_slot,
+                           requests[g].deadline_slots};
+      },
+      nullptr, &stats);
+  EXPECT_GT(stats.clients_walked, 0u);
+  EXPECT_LT(stats.clients_walked, requests.size() / 2);
 }
 
 // EventEngine::Run walks each shard in blocks of kBlockClients clients.

@@ -1,8 +1,10 @@
 // Unit tests for the discrete-event engine internals (sim/event_engine.h):
-// the seek and the cursor's steps vs the slot-walk ground truth, per-client
-// state transitions against Simulator::Retrieve (single faults included),
-// and the allocation-free steady-state guarantee (checked by counting
-// global operator new calls across Drain()).
+// the lane seek and the cursor's steps vs the slot-walk ground truth,
+// per-client state transitions against Simulator::Retrieve — through the
+// closed form and through the walk, at every completion offset, at lane
+// edges, under single faults and under seeded channels — and the
+// allocation-free steady-state guarantee (checked by counting global
+// operator new calls across Drain()).
 
 #include "sim/event_engine.h"
 
@@ -12,11 +14,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bdisk/flat_builder.h"
 #include "faults/channel_model.h"
+#include "faults/channel_spec.h"
 #include "sim/epoch.h"
 #include "sim/simulation.h"
 
@@ -76,8 +80,16 @@ BroadcastProgram SmallProgram() {
   return *p;
 }
 
+BroadcastProgram WideProgram() {
+  // n = 96 > 64 keeps a walk's distinct sets in the runner's scratch.
+  auto p = broadcast::BuildFlatProgram({{"wide", 80, 96, {}}},
+                                       FlatLayout::kContiguous);
+  EXPECT_TRUE(p.ok()) << p.status();
+  return *p;
+}
+
 // ---------------------------------------------------------------------------
-// Jump arithmetic and cursor steps vs brute-force slot walk.
+// Lane seek and cursor steps vs brute-force slot walk.
 
 // Every transmission of `file` before `horizon`, as (slot, block) in slot
 // order: the ground truth for both the seek and the cursor. `schedule` is
@@ -165,15 +177,24 @@ TEST(EventEngineTest, NextTransmissionCrossesEpochBoundary) {
 // ---------------------------------------------------------------------------
 // Per-client state transitions vs Simulator::Retrieve ground truth.
 
-// Runs one client through an EventShardRunner and checks its final state
-// against the slot engine's RetrievalOutcome on the same realization.
-void ExpectStateMatchesRetrieve(const Simulator& simulator,
-                                const EventEngine& engine,
-                                const EventClient& client,
-                                const char* label) {
+// Runs `client` alone through an EventShardRunner.
+EventShardRunner DrainOne(const EventEngine& engine,
+                          const EventClient& client) {
   EventShardRunner runner(engine);
   runner.Prepare(0, 1, [&](std::uint64_t) { return client; });
   runner.Drain();
+  return runner;
+}
+
+// Runs one client through an EventShardRunner and checks its final state
+// against the slot engine's RetrievalOutcome on the same realization, and
+// its event count against the transmissions of its file from its start
+// through its completion (or to the horizon).
+void ExpectStateMatchesRetrieve(const Simulator& simulator,
+                                const EventEngine& engine,
+                                const EventClient& client,
+                                const std::string& label) {
+  const EventShardRunner runner = DrainOne(engine, client);
   ASSERT_EQ(runner.client_count(), 1u) << label;
   const ClientState& st = runner.state(0);
 
@@ -196,6 +217,15 @@ void ExpectStateMatchesRetrieve(const Simulator& simulator,
         st.errors_observed > 0 ? st.completion_slot - st.baseline_slot : 0;
     EXPECT_EQ(stall, outcome->stall_slots) << label;
   }
+  const std::uint64_t last =
+      outcome->completed ? st.completion_slot : engine.horizon() - 1;
+  std::uint64_t heard = 0;
+  auto tx = engine.NextTransmissionOf(client.file, client.start_slot);
+  for (bool more = tx.has_value(); more && tx->slot <= last;
+       more = engine.Advance(&*tx)) {
+    ++heard;
+  }
+  EXPECT_EQ(runner.events_processed(), heard) << label;
 }
 
 TEST(EventEngineTest, TuneInMidPeriodMatchesRetrieve) {
@@ -242,10 +272,9 @@ TEST(EventEngineTest, FaultStallMatchesRetrieve) {
       client.file = f;
       client.start_slot = start;
       ExpectStateMatchesRetrieve(simulator, engine, client, "faulted");
-      EventShardRunner runner(engine);
-      runner.Prepare(0, 1, [&](std::uint64_t) { return client; });
-      runner.Drain();
-      if (runner.state(0).errors_observed > 0) saw_errors = true;
+      if (DrainOne(engine, client).state(0).errors_observed > 0) {
+        saw_errors = true;
+      }
     }
   }
   EXPECT_TRUE(saw_errors) << "fault window never hit — test is vacuous";
@@ -285,9 +314,7 @@ TEST(EventEngineTest, EpochSpanningReconstructionMatchesRetrieve) {
       client.file = f;
       client.start_slot = start;
       ExpectStateMatchesRetrieve(simulator, engine, client, "epoch-span");
-      EventShardRunner runner(engine);
-      runner.Prepare(0, 1, [&](std::uint64_t) { return client; });
-      runner.Drain();
+      const EventShardRunner runner = DrainOne(engine, client);
       const ClientState& st = runner.state(0);
       if ((st.flags & ClientState::kCompleted) != 0 &&
           st.completion_slot >= swap) {
@@ -300,21 +327,18 @@ TEST(EventEngineTest, EpochSpanningReconstructionMatchesRetrieve) {
 }
 
 TEST(EventEngineTest, WideFileSpillBitmapMatchesRetrieve) {
-  // n = 96 > 64 keeps the distinct sets in the runner's scratch.
-  auto p = broadcast::BuildFlatProgram({{"wide", 80, 96, {}}},
-                                       FlatLayout::kContiguous);
-  ASSERT_TRUE(p.ok()) << p.status();
-  const std::uint64_t horizon = 12 * p->period();
+  const BroadcastProgram p = WideProgram();
+  const std::uint64_t horizon = 12 * p.period();
   std::vector<faults::FaultType> trace(horizon, faults::FaultType::kNone);
   // Scatter losses so the distinct-set bookkeeping really works for it.
   for (std::uint64_t t = 0; t < horizon; t += 5) {
     trace[t] = faults::FaultType::kLost;
   }
   VectorChannel channel(trace);
-  const Simulator simulator(*p, channel, horizon);
-  const EventEngine engine(*p, channel.trace());
+  const Simulator simulator(p, channel, horizon);
+  const EventEngine engine(p, channel.trace());
 
-  for (std::uint64_t start = 0; start < 2 * p->period(); ++start) {
+  for (std::uint64_t start = 0; start < 2 * p.period(); ++start) {
     EventClient client;
     client.file = 0;
     client.start_slot = start;
@@ -346,9 +370,7 @@ void ExpectSingleFaultSweepMatchesRetrieve(const BroadcastProgram& program,
           client.start_slot = start;
           ExpectStateMatchesRetrieve(simulator, engine, client,
                                      "single fault");
-          EventShardRunner runner(engine);
-          runner.Prepare(0, 1, [&](std::uint64_t) { return client; });
-          runner.Drain();
+          const EventShardRunner runner = DrainOne(engine, client);
           const ClientState& st = runner.state(0);
           if (st.errors_observed > 0 && st.completion_slot > st.baseline_slot) {
             ++stalled;
@@ -368,10 +390,8 @@ TEST(EventEngineTest, SingleFaultForksBaselineMatchesRetrieve) {
 
 TEST(EventEngineTest, SingleFaultForksSpillBaselineMatchesRetrieve) {
   // Scratch sets: n = 96 > 64, as in WideFileSpillBitmapMatchesRetrieve.
-  auto p = broadcast::BuildFlatProgram({{"wide", 80, 96, {}}},
-                                       FlatLayout::kContiguous);
-  ASSERT_TRUE(p.ok()) << p.status();
-  ExpectSingleFaultSweepMatchesRetrieve(*p, 2 * p->period());
+  const BroadcastProgram p = WideProgram();
+  ExpectSingleFaultSweepMatchesRetrieve(p, 2 * p.period());
 }
 
 TEST(EventEngineTest, NoTransmissionBeforeHorizonIsIncomplete) {
@@ -385,14 +405,179 @@ TEST(EventEngineTest, NoTransmissionBeforeHorizonIsIncomplete) {
   EventClient client;
   client.file = 0;
   client.start_slot = horizon - 1;
-  EventShardRunner runner(engine);
-  runner.Prepare(0, 1, [&](std::uint64_t) { return client; });
-  runner.Drain();
+  const EventShardRunner runner = DrainOne(engine, client);
   const ClientState& st = runner.state(0);
   // Whether the last slot carries file 0 decides completion progress, but
   // a client can never complete m=2 blocks in one slot.
   EXPECT_EQ(st.flags & ClientState::kCompleted, 0);
   EXPECT_NE(st.flags & ClientState::kDone, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The closed form and the walk: which one finishes a client, and where.
+
+// Faults the first j = 0 … r + 1 transmissions of `file` from `start`,
+// alternating lost and corrupted, so its m-th clean transmission lands at
+// offset m - 1 + j: every offset from m - 1 to n - 1 is closed from the
+// lane (r = n - m), and at j = r + 1 the walk completes at offset n, where
+// the block lost first comes round again.
+void ExpectEveryCompletionOffsetMatchesRetrieve(
+    const BroadcastProgram& program, broadcast::FileIndex file,
+    std::uint64_t start, std::uint64_t horizon) {
+  const broadcast::ProgramFile& pf = program.files()[file];
+  const std::uint32_t r = pf.n - pf.m;
+  // The file's first n + 1 transmissions from the start.
+  std::vector<std::uint64_t> slots;
+  for (const auto& [slot, block] : SlotWalk(program, file, horizon)) {
+    if (slot >= start && slots.size() <= pf.n) slots.push_back(slot);
+  }
+  ASSERT_EQ(slots.size(), pf.n + 1u) << "horizon too short";
+  for (std::uint32_t j = 0; j <= r + 1; ++j) {
+    std::vector<faults::FaultType> trace(horizon, faults::FaultType::kNone);
+    for (std::uint32_t i = 0; i < j; ++i) {
+      trace[slots[i]] = i % 2 == 0 ? faults::FaultType::kLost
+                                   : faults::FaultType::kCorrupted;
+    }
+    VectorChannel channel(trace);
+    const Simulator simulator(program, channel, horizon);
+    const EventEngine engine(program, channel.trace());
+    const EventClient client{file, start, 0};
+    const std::string label = "file " + std::to_string(file) + " start " +
+                              std::to_string(start) + " faults " +
+                              std::to_string(j);
+    ExpectStateMatchesRetrieve(simulator, engine, client, label);
+    const EventShardRunner runner = DrainOne(engine, client);
+    const ClientState& st = runner.state(0);
+    EXPECT_NE(st.flags & ClientState::kCompleted, 0) << label;
+    EXPECT_EQ(st.completion_slot, slots[pf.m - 1 + j]) << label;
+    EXPECT_EQ(st.errors_observed, j) << label;
+    EXPECT_EQ(st.corrupt_detected, j / 2) << label;
+    EXPECT_EQ(runner.events_processed(), pf.m + j) << label;
+    EXPECT_EQ(runner.clients_walked(), j > r ? 1u : 0u) << label;
+  }
+}
+
+TEST(EventEngineTest, EveryCompletionOffsetMatchesRetrieve) {
+  const BroadcastProgram program = SmallProgram();
+  const std::uint64_t horizon = 20 * program.period();
+  for (broadcast::FileIndex f = 0; f < program.files().size(); ++f) {
+    for (std::uint64_t start = program.period();
+         start < 2 * program.period(); ++start) {
+      ExpectEveryCompletionOffsetMatchesRetrieve(program, f, start, horizon);
+    }
+  }
+}
+
+TEST(EventEngineTest, EveryCompletionOffsetOfWideFileMatchesRetrieve) {
+  const BroadcastProgram program = WideProgram();
+  const std::uint64_t horizon = 6 * program.period();
+  for (const std::uint64_t start :
+       {std::uint64_t{0}, std::uint64_t{1}, program.period() / 2 + 1,
+        2 * program.period() - 1}) {
+    ExpectEveryCompletionOffsetMatchesRetrieve(program, 0, start, horizon);
+  }
+}
+
+// A two-epoch schedule on a lossless channel, at the ends of each file's
+// lanes: a retrieval that completes on its epoch's last transmission is
+// closed; one that needs the next epoch, and one the horizon cuts, are
+// walked; a start past its epoch's last transmission is closed in the
+// next epoch's lane.
+TEST(EventEngineTest, LaneEdgesMatchRetrieve) {
+  auto a = broadcast::BuildFlatProgram(
+      {{"a", 2, 4, {}}, {"b", 3, 5, {}}, {"c", 4, 6, {}}},
+      FlatLayout::kContiguous);
+  ASSERT_TRUE(a.ok()) << a.status();
+  auto b = broadcast::BuildFlatProgram(
+      {{"a", 2, 4, {}}, {"b", 3, 5, {}}, {"c", 4, 6, {}}},
+      FlatLayout::kSpread);
+  ASSERT_TRUE(b.ok()) << b.status();
+  const std::uint64_t swap = 3 * a->period();
+  std::vector<ProgramEpoch> epochs;
+  epochs.push_back(ProgramEpoch{0, *a});
+  epochs.push_back(ProgramEpoch{swap, *b});
+  auto schedule = EpochSchedule::Create(std::move(epochs));
+  ASSERT_TRUE(schedule.ok()) << schedule.status();
+  const std::uint64_t horizon = swap + 4 * b->period() + 3;
+  VectorChannel channel(
+      std::vector<faults::FaultType>(horizon, faults::FaultType::kNone));
+  const Simulator simulator(*schedule, channel, horizon);
+  const EventEngine engine(*schedule, channel.trace());
+
+  std::uint64_t next_lane_starts = 0;
+  for (broadcast::FileIndex f = 0; f < schedule->file_count(); ++f) {
+    const std::uint32_t m = schedule->files()[f].m;
+    std::vector<std::uint64_t> before, after;
+    for (const auto& [slot, block] : SlotWalk(*schedule, f, horizon)) {
+      (slot < swap ? before : after).push_back(slot);
+    }
+    ASSERT_GE(before.size(), m + 1u);
+    ASSERT_GE(after.size(), m);
+    const auto check = [&](std::uint64_t start, bool completed,
+                           std::uint64_t walked, const std::string& what) {
+      const EventClient client{f, start, 0};
+      const std::string label = "file " + std::to_string(f) + ": " + what;
+      ExpectStateMatchesRetrieve(simulator, engine, client, label);
+      const EventShardRunner runner = DrainOne(engine, client);
+      EXPECT_EQ((runner.state(0).flags & ClientState::kCompleted) != 0,
+                completed)
+          << label;
+      EXPECT_EQ(runner.clients_walked(), walked) << label;
+      return runner.state(0).completion_slot;
+    };
+    EXPECT_EQ(check(before[before.size() - m], true, 0, "epoch's last"),
+              before.back());
+    EXPECT_GE(check(before[before.size() - m + 1], true, 1, "next epoch"),
+              swap);
+    check(after[after.size() - m + 1], false, 1, "cut by the horizon");
+    if (before.back() + 1 < swap) {
+      ++next_lane_starts;
+      EXPECT_EQ(check(before.back() + 1, true, 0, "no transmission left"),
+                after[m - 1]);
+    }
+  }
+  EXPECT_GT(next_lane_starts, 0u) << "every file ends its epoch — vacuous";
+}
+
+// Seeded channels from lossless to half the slots lost, and one bursty
+// trace: every file, every start of two periods, checked one by one and
+// then drained as one block, which closes every client on the lossless
+// channel and walks some on the lossiest.
+TEST(EventEngineTest, SeededChannelSweepMatchesRetrieve) {
+  const BroadcastProgram program = SmallProgram();
+  const std::uint64_t horizon = 30 * program.period();
+  const std::uint64_t starts = 2 * program.period();
+  const std::uint64_t clients = program.files().size() * starts;
+  const auto client_at = [&](std::uint64_t g) {
+    return EventClient{static_cast<broadcast::FileIndex>(g / starts),
+                       g % starts, 0};
+  };
+  std::vector<std::uint64_t> walked;
+  for (const char* spec :
+       {"bernoulli:p=0,seed=3", "bernoulli:p=0.01,seed=3",
+        "bernoulli:p=0.2,seed=3", "bernoulli:p=0.5,seed=3",
+        "gilbert:pgb=0.1,pbg=0.2,seed=3+corrupt:p=0.05,seed=4"}) {
+    auto channel = faults::ParseChannelSpec(spec);
+    ASSERT_TRUE(channel.ok()) << channel.status();
+    const Simulator simulator(program, **channel, horizon);
+    std::vector<faults::FaultType> trace(horizon);
+    (*channel)->FillFaults(0, horizon, trace.data());
+    const EventEngine engine(program, trace);
+    for (std::uint64_t g = 0; g < clients; ++g) {
+      ExpectStateMatchesRetrieve(simulator, engine, client_at(g), spec);
+    }
+    EventShardRunner runner(engine);
+    runner.Prepare(0, clients, client_at);
+    runner.Drain();
+    walked.push_back(runner.clients_walked());
+    if (walked.size() == 1) {  // Lossless: every client completes.
+      for (std::uint64_t g = 0; g < clients; ++g) {
+        ASSERT_NE(runner.state(g).flags & ClientState::kCompleted, 0) << g;
+      }
+    }
+  }
+  EXPECT_EQ(walked[0], 0u);  // Lossless, one epoch: all closed.
+  EXPECT_GT(walked[3], 0u);  // p = 0.5: some lose more than n - m.
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +643,34 @@ TEST(EventEngineTest, DrainWithSpillBitmapsPerformsNoHeapAllocation) {
   runner.Drain();
   g_count_allocations.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
+}
+
+// The two tests above now close nearly every client from its lane; heavy
+// loss walks most clients, through inline (n <= 64) and scratch sets.
+TEST(EventEngineTest, DrainWalkingClientsPerformsNoHeapAllocation) {
+  for (const BroadcastProgram& program : {SmallProgram(), WideProgram()}) {
+    const std::uint64_t horizon = 40 * program.period();
+    std::vector<faults::FaultType> trace(horizon, faults::FaultType::kNone);
+    for (std::uint64_t t = 0; t < horizon; ++t) {
+      if (t % 3 != 0) trace[t] = faults::FaultType::kLost;
+    }
+    const EventEngine engine(program, trace);
+    EventShardRunner runner(engine);
+    runner.Prepare(0, 500, [&](std::uint64_t g) {
+      EventClient client;
+      client.file = static_cast<broadcast::FileIndex>(
+          g % program.files().size());
+      client.start_slot = (g * 13) % (horizon / 2);
+      return client;
+    });
+
+    g_allocation_count.store(0, std::memory_order_relaxed);
+    g_count_allocations.store(true, std::memory_order_relaxed);
+    runner.Drain();
+    g_count_allocations.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
+    EXPECT_GT(runner.clients_walked(), 250u);
+  }
 }
 
 }  // namespace
