@@ -15,6 +15,7 @@
 #include "pinwheel/chain_schedulers.h"
 #include "pinwheel/exact_scheduler.h"
 #include "pinwheel/greedy_scheduler.h"
+#include "runtime/flags.h"
 
 namespace {
 
@@ -46,7 +47,8 @@ Instance RandomInstance(Rng* rng, double target) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bdisk::runtime::OrExit(bdisk::runtime::ExpectPositionals(argc, argv, 0));
   std::printf("E6 / scheduler ablation: success rate vs density "
               "(200 random single-unit instances per bin)\n\n");
   Rng rng(7777);

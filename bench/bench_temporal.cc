@@ -16,6 +16,7 @@
 #include "bench_util.h"
 #include "common/stats.h"
 #include "faults/channel_model.h"
+#include "runtime/flags.h"
 #include "sim/versioned.h"
 
 namespace {
@@ -26,7 +27,8 @@ using namespace bdisk::sim;        // NOLINT
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  runtime::OrExit(runtime::ExpectPositionals(argc, argv, 0));
   std::vector<FlatFileSpec> files{
       {"track", 4, 8, {}},   // The updated item under study.
       {"other", 8, 10, {}},  // Background load.

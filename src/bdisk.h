@@ -48,14 +48,12 @@
 #include "bdisk/delay_analysis.h"   // IWYU pragma: export
 #include "bdisk/file_spec.h"        // IWYU pragma: export
 #include "bdisk/flat_builder.h"     // IWYU pragma: export
-#include "bdisk/indexing.h"         // IWYU pragma: export
 #include "bdisk/multi_disk.h"       // IWYU pragma: export
 #include "bdisk/pinwheel_builder.h" // IWYU pragma: export
 #include "bdisk/program.h"          // IWYU pragma: export
 #include "bdisk/spec_parser.h"      // IWYU pragma: export
 
 // Simulation and the byte-level data plane.
-#include "sim/cache.h"        // IWYU pragma: export
 #include "sim/client.h"       // IWYU pragma: export
 #include "sim/epoch.h"        // IWYU pragma: export
 #include "sim/metrics.h"      // IWYU pragma: export

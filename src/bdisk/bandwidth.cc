@@ -34,9 +34,8 @@ Result<pinwheel::Instance> BandwidthPlanner::ToPinwheelInstance(
   for (std::size_t i = 0; i < files.size(); ++i) {
     const FileSpec& f = files[i];
     BDISK_RETURN_NOT_OK(f.Validate());
-    const auto window = static_cast<std::uint64_t>(
-        std::floor(static_cast<double>(bandwidth_blocks_per_second) *
-                   f.latency_seconds));
+    BDISK_ASSIGN_OR_RETURN(const std::uint64_t window,
+                           f.WindowSlots(bandwidth_blocks_per_second));
     const std::uint64_t need = f.size_blocks + f.fault_tolerance;
     if (window < need) {
       return Status::Infeasible(

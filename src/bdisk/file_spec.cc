@@ -20,15 +20,30 @@ double FileSpec::DemandBlocksPerSecond() const {
   return static_cast<double>(size_blocks + fault_tolerance) / latency_seconds;
 }
 
+Result<std::uint64_t> FileSpec::WindowSlots(
+    std::uint64_t bandwidth_blocks_per_second) const {
+  const double window =
+      std::floor(static_cast<double>(bandwidth_blocks_per_second) *
+                 latency_seconds);
+  // Converting a double at or past 2^64 to an integer is undefined; the
+  // negated test also rejects NaN.
+  if (!(window >= 0.0 && window < 0x1p64)) {
+    return Status::InvalidArgument(
+        "FileSpec '" + name + "': latency window at " +
+        std::to_string(bandwidth_blocks_per_second) +
+        " blocks/sec is not a finite 64-bit slot count");
+  }
+  return static_cast<std::uint64_t>(window);
+}
+
 Result<algebra::BroadcastCondition> FileSpec::ToBroadcastCondition(
     std::uint64_t bandwidth_blocks_per_second) const {
   BDISK_RETURN_NOT_OK(Validate());
   if (bandwidth_blocks_per_second == 0) {
     return Status::InvalidArgument("bandwidth must be positive");
   }
-  const auto window = static_cast<std::uint64_t>(
-      std::floor(static_cast<double>(bandwidth_blocks_per_second) *
-                 latency_seconds));
+  BDISK_ASSIGN_OR_RETURN(const std::uint64_t window,
+                         WindowSlots(bandwidth_blocks_per_second));
   algebra::BroadcastCondition bc;
   bc.m = size_blocks;
   bc.d.assign(fault_tolerance + 1, window);

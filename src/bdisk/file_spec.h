@@ -40,6 +40,12 @@ struct FileSpec {
   /// (m_i + r_i) / T_i.
   double DemandBlocksPerSecond() const;
 
+  /// The latency window floor(B * T_i) in slots at bandwidth B blocks/sec.
+  /// InvalidArgument, naming the file, when the window is not finite or
+  /// does not fit 64 bits.
+  Result<std::uint64_t> WindowSlots(
+      std::uint64_t bandwidth_blocks_per_second) const;
+
   /// The broadcast condition at integer bandwidth B blocks/sec: all
   /// latencies equal floor(B * T_i). Fails if that window cannot hold
   /// m_i + r_i blocks.

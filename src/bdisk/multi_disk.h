@@ -13,10 +13,10 @@
 ///
 /// This module exists as the baseline the paper positions itself against:
 /// frequency assignment optimizes the average, while the pinwheel builders
-/// of pinwheel_builder.h guarantee worst-case deadlines. The bench
-/// bench_multidisk quantifies the contrast. AIDA rotation composes with it
-/// (files may set n > m), since rotation is a property of BroadcastProgram
-/// itself.
+/// of pinwheel_builder.h guarantee worst-case deadlines. The adaptive
+/// optimizer (adaptive/program_optimizer.h) uses it to lay out its
+/// frequency classes. AIDA rotation composes with it (files may set
+/// n > m), since rotation is a property of BroadcastProgram itself.
 
 #ifndef BDISK_BDISK_MULTI_DISK_H_
 #define BDISK_BDISK_MULTI_DISK_H_

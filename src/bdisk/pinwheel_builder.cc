@@ -1,7 +1,5 @@
 #include "bdisk/pinwheel_builder.h"
 
-#include <cmath>
-
 #include "bdisk/bandwidth.h"
 #include "common/check.h"
 
@@ -56,9 +54,8 @@ Result<BuildResult> BuildProgram(const std::vector<FileSpec>& files,
   program_files.reserve(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
     const FileSpec& f = files[i];
-    const auto window = static_cast<std::uint64_t>(
-        std::floor(static_cast<double>(bandwidth_blocks_per_second) *
-                   f.latency_seconds));
+    BDISK_ASSIGN_OR_RETURN(const std::uint64_t window,
+                           f.WindowSlots(bandwidth_blocks_per_second));
     ProgramFile pf;
     pf.name = f.name;
     pf.m = static_cast<std::uint32_t>(f.size_blocks);

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "runtime/flags.h"
+
 namespace bdisk::broadcast {
 
 namespace {
@@ -46,14 +48,12 @@ Result<std::uint64_t> ParseUint(const std::string& s, int line_no) {
 }
 
 Result<double> ParseDouble(const std::string& s, int line_no) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return value;
-  } catch (...) {
-    return LineError(line_no, "expected a number, got '" + s + "'");
+  double value = 0.0;
+  if (!runtime::ParseDoubleToken(s.c_str(), &value)) {
+    return LineError(line_no, "expected a finite decimal number, got '" + s +
+                                  "'");
   }
+  return value;
 }
 
 Result<std::vector<std::uint64_t>> ParseUintList(const std::string& s,

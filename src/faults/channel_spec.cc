@@ -1,6 +1,5 @@
 #include "faults/channel_spec.h"
 
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -51,12 +50,9 @@ class ModelArgs {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     consumed_.push_back(key);
-    char* end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    // The negated range form also rejects NaN, which would otherwise
-    // slide through both comparisons and silently disable the model.
-    if (end == it->second.c_str() || *end != '\0' ||
-        !(value >= 0.0 && value <= 1.0)) {
+    double value = 0.0;
+    if (!runtime::ParseDoubleToken(it->second.c_str(), &value) ||
+        value < 0.0 || value > 1.0) {
       return Status::InvalidArgument("channel spec: '" + key + "=" +
                                      it->second + "' in '" + model_ +
                                      "' is not a probability in [0, 1]");

@@ -16,8 +16,8 @@ constexpr std::uint64_t kDefaultBurstFloorBytes = 64 * 1024;
 }  // namespace
 
 TokenBucket::TokenBucket(std::uint64_t rate_bytes_per_sec,
-                         std::uint64_t burst_bytes, TokenBucket* parent)
-    : rate_(rate_bytes_per_sec), burst_(burst_bytes), parent_(parent) {
+                         std::uint64_t burst_bytes)
+    : rate_(rate_bytes_per_sec), burst_(burst_bytes) {
   BDISK_CHECK(rate_ > 0);  // A zero-rate bucket can never grant a send.
   if (burst_ == 0) {
     burst_ = std::max(rate_ / 64, kDefaultBurstFloorBytes);
@@ -52,9 +52,6 @@ std::uint64_t TokenBucket::ReserveAt(std::uint64_t now_ns,
     last_ns_ = send_at;
   } else {
     credit_ns_ -= cost;
-  }
-  if (parent_ != nullptr) {
-    send_at = std::max(send_at, parent_->ReserveAt(now_ns, bytes));
   }
   return send_at;
 }

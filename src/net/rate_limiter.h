@@ -1,15 +1,12 @@
 /// \file rate_limiter.h
-/// \brief Hierarchical token-bucket pacing for the broadcast wire.
+/// \brief Token-bucket pacing for the broadcast wire.
 ///
 /// The paper's channel has a fixed bandwidth; the wire server must honor
 /// it instead of blasting datagrams as fast as the loopback accepts them.
-/// The design follows the classic hierarchical token bucket (as in
-/// libfilezilla's rate_limiter): a bucket holds up to `burst` bytes of
-/// credit, refilled continuously at `rate` bytes/second, and a send of B
-/// bytes may go out at the earliest instant the bucket holds B tokens.
-/// Buckets form a tree — a child's reservation must also clear its parent,
-/// so several flows (e.g. the block stream and a metrics side-channel) can
-/// share one channel budget while keeping their own per-flow caps.
+/// The design follows the classic token bucket (as in libfilezilla's
+/// rate_limiter): a bucket holds up to `burst` bytes of credit, refilled
+/// continuously at `rate` bytes/second, and a send of B bytes may go out
+/// at the earliest instant the bucket holds B tokens.
 ///
 /// **Deterministic core.** The arithmetic lives in `ReserveAt(now_ns,
 /// bytes)`: a pure state transition on an explicit clock, so tests drive a
@@ -36,20 +33,15 @@
 
 namespace bdisk::net {
 
-/// \brief One token bucket, optionally chained to a parent whose budget
-/// every reservation must also clear. Not thread-safe: the broadcast
-/// server is a single send loop (shard the bucket per flow, not per
-/// thread).
+/// \brief One token bucket. Not thread-safe: the broadcast server is a
+/// single send loop (shard the bucket per flow, not per thread).
 class TokenBucket {
  public:
   /// \param rate_bytes_per_sec  sustained budget; must be positive.
   /// \param burst_bytes         bucket capacity; 0 picks the default
   ///                            max(rate / 64, 64 KiB).
-  /// \param parent              optional shared budget; not owned, must
-  ///                            outlive this bucket.
   explicit TokenBucket(std::uint64_t rate_bytes_per_sec,
-                       std::uint64_t burst_bytes = 0,
-                       TokenBucket* parent = nullptr);
+                       std::uint64_t burst_bytes = 0);
 
   /// Reserves `bytes` of budget as of clock reading `now_ns` and returns
   /// the earliest instant (>= now_ns) the send may go out. The
@@ -74,7 +66,6 @@ class TokenBucket {
 
   std::uint64_t rate_;
   std::uint64_t burst_;
-  TokenBucket* parent_;
   /// Accrued credit in nanoseconds of transmission time, in [0, burst_ns_].
   std::uint64_t credit_ns_ = 0;
   std::uint64_t burst_ns_ = 0;

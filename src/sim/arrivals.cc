@@ -1,8 +1,5 @@
 #include "sim/arrivals.h"
 
-#include <cmath>
-#include <cstdio>
-
 #include "common/check.h"
 #include "common/random.h"
 #include "runtime/rng_stream.h"
@@ -11,24 +8,9 @@ namespace bdisk::sim {
 
 namespace {
 
-// Family tags keep same-seed processes of different kinds independent,
-// mirroring the channel models' family-tagged streams.
-constexpr std::uint64_t kPoissonTag = 0x506f6973736f6e41ULL;     // "PoissonA"
-constexpr std::uint64_t kFlashCrowdTag = 0x466c617368437241ULL;  // "FlashCrA"
-constexpr std::uint64_t kDiurnalTag = 0x446975726e616c41ULL;     // "DiurnalA"
-
-// Per-client generator: stream `client` of the family-tagged base seed.
-Rng ClientRng(std::uint64_t tag, std::uint64_t seed, std::uint64_t client) {
-  return runtime::StreamRng(runtime::Mix64(seed ^ tag), client);
-}
-
-std::string U64(std::uint64_t v) { return std::to_string(v); }
-
-std::string Dbl(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
+// The family tag keeps arrival streams apart from other consumers of the
+// same seed, mirroring the channel models' family-tagged streams.
+constexpr std::uint64_t kPoissonTag = 0x506f6973736f6e41ULL;  // "PoissonA"
 
 }  // namespace
 
@@ -39,87 +21,15 @@ PoissonArrivals::PoissonArrivals(std::uint64_t window_slots,
 }
 
 double PoissonArrivals::ArrivalTimeOf(std::uint64_t client) const {
-  Rng rng = ClientRng(kPoissonTag, seed_, client);
+  // Stream `client` of the family-tagged base seed.
+  Rng rng = runtime::StreamRng(runtime::Mix64(seed_ ^ kPoissonTag), client);
   // UniformDouble is in [0, 1), so the time stays strictly below the window.
   return rng.UniformDouble() * static_cast<double>(window_);
 }
 
 std::string PoissonArrivals::Describe() const {
-  return "poisson:window=" + U64(window_) + ",seed=" + U64(seed_);
-}
-
-FlashCrowdArrivals::FlashCrowdArrivals(const Params& params,
-                                       std::uint64_t seed)
-    : params_(params), seed_(seed) {
-  BDISK_CHECK(params_.window_slots > 0);
-  BDISK_CHECK(params_.burst_length > 0);
-  BDISK_CHECK(params_.burst_start < params_.window_slots);
-  BDISK_CHECK(params_.burst_start + params_.burst_length <=
-              params_.window_slots);
-  BDISK_CHECK(params_.burst_fraction >= 0.0 && params_.burst_fraction <= 1.0);
-}
-
-double FlashCrowdArrivals::ArrivalTimeOf(std::uint64_t client) const {
-  Rng rng = ClientRng(kFlashCrowdTag, seed_, client);
-  // First draw selects burst membership, second the position; both come
-  // from the client's own stream, so the pair is one pure draw.
-  const bool burst = rng.UniformDouble() < params_.burst_fraction;
-  const double u = rng.UniformDouble();
-  if (burst) {
-    return static_cast<double>(params_.burst_start) +
-           u * static_cast<double>(params_.burst_length);
-  }
-  return u * static_cast<double>(params_.window_slots);
-}
-
-std::string FlashCrowdArrivals::Describe() const {
-  return "flashcrowd:window=" + U64(params_.window_slots) +
-         ",burst_start=" + U64(params_.burst_start) +
-         ",burst_length=" + U64(params_.burst_length) +
-         ",burst_fraction=" + Dbl(params_.burst_fraction) +
-         ",seed=" + U64(seed_);
-}
-
-DiurnalArrivals::DiurnalArrivals(const Params& params, std::uint64_t seed)
-    : params_(params), seed_(seed) {
-  BDISK_CHECK(params_.window_slots > 0);
-  BDISK_CHECK(params_.cycles >= 1);
-  BDISK_CHECK(params_.amplitude >= 0.0 && params_.amplitude < 1.0);
-}
-
-double DiurnalArrivals::CumulativeRate(double t) const {
-  constexpr double kTwoPi = 6.283185307179586476925286766559;
-  const double period = static_cast<double>(params_.window_slots) /
-                        static_cast<double>(params_.cycles);
-  return t + params_.amplitude * period / kTwoPi *
-                 (1.0 - std::cos(kTwoPi * t / period));
-}
-
-double DiurnalArrivals::ArrivalTimeOf(std::uint64_t client) const {
-  Rng rng = ClientRng(kDiurnalTag, seed_, client);
-  const double window = static_cast<double>(params_.window_slots);
-  const double target = rng.UniformDouble() * window;
-  // Lambda is strictly increasing (amplitude < 1 keeps lambda(t) > 0), so
-  // a fixed-depth bisection inverts it deterministically; 64 halvings take
-  // the bracket below one ulp of the window.
-  double lo = 0.0;
-  double hi = window;
-  for (int i = 0; i < 64; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (CumulativeRate(mid) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // lo < window always (target < Lambda(window) = window).
-  return lo;
-}
-
-std::string DiurnalArrivals::Describe() const {
-  return "diurnal:window=" + U64(params_.window_slots) +
-         ",cycles=" + std::to_string(params_.cycles) +
-         ",amplitude=" + Dbl(params_.amplitude) + ",seed=" + U64(seed_);
+  return "poisson:window=" + std::to_string(window_) +
+         ",seed=" + std::to_string(seed_);
 }
 
 }  // namespace bdisk::sim

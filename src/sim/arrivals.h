@@ -1,10 +1,10 @@
 /// \file arrivals.h
-/// \brief Pluggable client arrival processes for fleet-scale simulation.
+/// \brief Client arrivals for fleet-scale simulation.
 ///
-/// An arrival process assigns every client of a fleet a start time on the
+/// `PoissonArrivals` assigns every client of a fleet a start time on the
 /// broadcast timeline. Like the channel models (faults/channel_model.h),
 /// arrivals obey the **determinism contract**: `ArrivalTimeOf(i)` is a
-/// *pure* function of (process parameters, seed, client index i), computed
+/// *pure* function of (window, seed, client index i), computed
 /// from the counter-based RNG streams of runtime/rng_stream.h — never from
 /// mutable sequential state. Consequently an arrival trace is
 ///
@@ -26,12 +26,7 @@
 /// Poisson spacing statistics (exchangeable near-exponential gaps of mean
 /// W/(N+1)), which is what tests/arrivals_test.cc checks.
 ///
-/// The inhomogeneous processes (flash crowd, diurnal) use the same device
-/// with a non-uniform per-client density: client i's time is an i.i.d.
-/// draw from lambda(t) / Lambda(W) via inverse-CDF, so the empirical rate
-/// integrates to the configured profile.
-///
-/// Processes are safe for concurrent const use.
+/// `PoissonArrivals` is safe for concurrent const use.
 
 #ifndef BDISK_SIM_ARRIVALS_H_
 #define BDISK_SIM_ARRIVALS_H_
@@ -41,15 +36,17 @@
 
 namespace bdisk::sim {
 
-/// \brief A deterministic, random-access assignment of arrival times to
-/// client indices.
-class ArrivalProcess {
+/// \brief Stationary (homogeneous Poisson) arrivals: each client's time is
+/// i.i.d. uniform on [0, window); for a fleet of N clients this is the
+/// rate-(N / window) Poisson process conditioned on its count.
+class PoissonArrivals {
  public:
-  virtual ~ArrivalProcess() = default;
+  /// `window_slots` must be positive.
+  PoissonArrivals(std::uint64_t window_slots, std::uint64_t seed);
 
   /// Continuous arrival time of client `i`, in [0, window_slots). Pure:
-  /// depends only on the process configuration and `i`.
-  virtual double ArrivalTimeOf(std::uint64_t client) const = 0;
+  /// depends only on the window, the seed and `i`.
+  double ArrivalTimeOf(std::uint64_t client) const;
 
   /// Arrival time of client `i` quantized to a broadcast slot
   /// (floor of ArrivalTimeOf, so always < window_slots).
@@ -58,92 +55,13 @@ class ArrivalProcess {
   }
 
   /// Width of the arrival window in slots (arrivals land in [0, window)).
-  virtual std::uint64_t window_slots() const = 0;
+  std::uint64_t window_slots() const { return window_; }
 
-  /// Canonical human-readable description,
-  /// e.g. "poisson:window=10000,seed=7".
-  virtual std::string Describe() const = 0;
-};
-
-/// \brief Stationary (homogeneous Poisson) arrivals: each client's time is
-/// i.i.d. uniform on [0, window); for a fleet of N clients this is the
-/// rate-(N / window) Poisson process conditioned on its count.
-class PoissonArrivals final : public ArrivalProcess {
- public:
-  /// `window_slots` must be positive.
-  PoissonArrivals(std::uint64_t window_slots, std::uint64_t seed);
-
-  double ArrivalTimeOf(std::uint64_t client) const override;
-  std::uint64_t window_slots() const override { return window_; }
-  std::string Describe() const override;
+  /// Canonical human-readable description, e.g. "poisson:window=10000,seed=7".
+  std::string Describe() const;
 
  private:
   std::uint64_t window_;
-  std::uint64_t seed_;
-};
-
-/// \brief Flash-crowd arrivals: a baseline uniform trickle plus a burst —
-/// each client independently joins the burst with probability
-/// `burst_fraction` and then lands uniformly inside the burst window
-/// [burst_start, burst_start + burst_length); otherwise it lands uniformly
-/// in [0, window).
-class FlashCrowdArrivals final : public ArrivalProcess {
- public:
-  struct Params {
-    std::uint64_t window_slots = 0;
-    std::uint64_t burst_start = 0;
-    std::uint64_t burst_length = 0;
-    /// Fraction of the fleet that belongs to the burst, in [0, 1].
-    double burst_fraction = 0.5;
-  };
-
-  /// Requires a positive window, a non-empty burst window contained in
-  /// [0, window), and burst_fraction in [0, 1].
-  FlashCrowdArrivals(const Params& params, std::uint64_t seed);
-
-  double ArrivalTimeOf(std::uint64_t client) const override;
-  std::uint64_t window_slots() const override { return params_.window_slots; }
-  std::string Describe() const override;
-
- private:
-  Params params_;
-  std::uint64_t seed_;
-};
-
-/// \brief Diurnal arrivals: sinusoidally modulated rate
-///
-///   lambda(t) proportional to 1 + amplitude * sin(2 pi t / P),
-///   P = window / cycles,
-///
-/// sampled per client by inverting the cumulative rate
-///
-///   Lambda(t) = t + (amplitude * P / 2 pi) * (1 - cos(2 pi t / P)),
-///
-/// which integrates to exactly `window` over the window, so a fleet of N
-/// clients realizes the full configured total N.
-class DiurnalArrivals final : public ArrivalProcess {
- public:
-  struct Params {
-    std::uint64_t window_slots = 0;
-    /// Number of full day/night cycles inside the window (>= 1).
-    std::uint32_t cycles = 1;
-    /// Peak-to-mean rate modulation, in [0, 1).
-    double amplitude = 0.8;
-  };
-
-  DiurnalArrivals(const Params& params, std::uint64_t seed);
-
-  double ArrivalTimeOf(std::uint64_t client) const override;
-  std::uint64_t window_slots() const override { return params_.window_slots; }
-  std::string Describe() const override;
-
-  /// Cumulative rate Lambda(t) in [0, window] for t in [0, window] — the
-  /// expected arrival mass of [0, t) is fleet_size * Lambda(t) / window
-  /// (exposed for the property tests).
-  double CumulativeRate(double t) const;
-
- private:
-  Params params_;
   std::uint64_t seed_;
 };
 

@@ -1,4 +1,4 @@
-// Property tests for the arrival processes (sim/arrivals.h).
+// Property tests for the Poisson arrival process (sim/arrivals.h).
 //
 // Statistical checks run at fixed seeds with tolerances sized for the
 // sample counts used, so they are deterministic — a failure means the
@@ -18,7 +18,7 @@
 namespace bdisk::sim {
 namespace {
 
-std::vector<double> SampleTimes(const ArrivalProcess& process,
+std::vector<double> SampleTimes(const PoissonArrivals& process,
                                 std::uint64_t count) {
   std::vector<double> times(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -81,107 +81,18 @@ TEST(PoissonArrivalsTest, InterArrivalGapsAreExponential) {
 }
 
 // ---------------------------------------------------------------------------
-// Flash crowd: the burst window carries the configured extra mass.
-
-TEST(FlashCrowdArrivalsTest, BurstWindowCarriesConfiguredMass) {
-  constexpr std::uint64_t kClients = 50000;
-  FlashCrowdArrivals::Params params;
-  params.window_slots = 10000;
-  params.burst_start = 4000;
-  params.burst_length = 500;
-  params.burst_fraction = 0.4;
-  const FlashCrowdArrivals process(params, /*seed=*/21);
-
-  std::uint64_t in_burst = 0;
-  for (std::uint64_t i = 0; i < kClients; ++i) {
-    const double t = process.ArrivalTimeOf(i);
-    ASSERT_GE(t, 0.0);
-    ASSERT_LT(t, static_cast<double>(params.window_slots));
-    if (t >= static_cast<double>(params.burst_start) &&
-        t < static_cast<double>(params.burst_start + params.burst_length)) {
-      ++in_burst;
-    }
-  }
-
-  // Burst members land inside by construction; baseline clients hit the
-  // window with probability burst_length / window.
-  const double baseline_hit = static_cast<double>(params.burst_length) /
-                              static_cast<double>(params.window_slots);
-  const double expected =
-      static_cast<double>(kClients) *
-      (params.burst_fraction + (1.0 - params.burst_fraction) * baseline_hit);
-  EXPECT_NEAR(static_cast<double>(in_burst) / expected, 1.0, 0.03);
-}
-
-// ---------------------------------------------------------------------------
-// Diurnal: empirical per-bucket mass follows Lambda, total is exact.
-
-TEST(DiurnalArrivalsTest, RateIntegratesToConfiguredTotal) {
-  constexpr std::uint64_t kClients = 100000;
-  DiurnalArrivals::Params params;
-  params.window_slots = 20000;
-  params.cycles = 2;
-  params.amplitude = 0.8;
-  const DiurnalArrivals process(params, /*seed=*/5);
-
-  // Lambda spans [0, window]: the density normalizes exactly, so *every*
-  // client lands in the window — the realized total is the configured
-  // total, exactly.
-  EXPECT_NEAR(process.CumulativeRate(0.0), 0.0, 1e-9);
-  EXPECT_NEAR(process.CumulativeRate(static_cast<double>(params.window_slots)),
-              static_cast<double>(params.window_slots), 1e-6);
-
-  constexpr std::size_t kBuckets = 20;
-  std::vector<std::uint64_t> counts(kBuckets, 0);
-  const double bucket_width =
-      static_cast<double>(params.window_slots) / kBuckets;
-  for (std::uint64_t i = 0; i < kClients; ++i) {
-    const double t = process.ArrivalTimeOf(i);
-    ASSERT_GE(t, 0.0);
-    ASSERT_LT(t, static_cast<double>(params.window_slots));
-    ++counts[std::min(kBuckets - 1,
-                      static_cast<std::size_t>(t / bucket_width))];
-  }
-
-  // Each bucket's mass tracks N * (Lambda(b+1) - Lambda(b)) / window. With
-  // amplitude 0.8 the trough bucket still expects ~1000 clients, so a 10%
-  // relative tolerance is comfortable at this seed.
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const double lo = process.CumulativeRate(b * bucket_width);
-    const double hi = process.CumulativeRate((b + 1) * bucket_width);
-    const double expected = static_cast<double>(kClients) * (hi - lo) /
-                            static_cast<double>(params.window_slots);
-    EXPECT_NEAR(static_cast<double>(counts[b]) / expected, 1.0, 0.10)
-        << "bucket " << b;
-  }
-
-  // The modulation is real: peak bucket clearly above trough bucket.
-  const auto [min_it, max_it] =
-      std::minmax_element(counts.begin(), counts.end());
-  EXPECT_GT(static_cast<double>(*max_it), 2.0 * static_cast<double>(*min_it));
-}
-
-// ---------------------------------------------------------------------------
 // Determinism contract: random access, shard invariance, seed identity.
 
 TEST(ArrivalDeterminismTest, RandomAccessEqualsSequentialAccess) {
-  const PoissonArrivals poisson(5000, 11);
-  FlashCrowdArrivals::Params fc{5000, 1000, 200, 0.3};
-  const FlashCrowdArrivals flash(fc, 11);
-  DiurnalArrivals::Params di{5000, 1, 0.5};
-  const DiurnalArrivals diurnal(di, 11);
-  const ArrivalProcess* processes[] = {&poisson, &flash, &diurnal};
-
-  for (const ArrivalProcess* process : processes) {
-    // Sequential pass...
-    std::vector<double> sequential = SampleTimes(*process, 1000);
-    // ...must match isolated random-access draws, in any order.
-    for (const std::uint64_t i :
-         {std::uint64_t{999}, std::uint64_t{0}, std::uint64_t{500},
-          std::uint64_t{7}, std::uint64_t{123}}) {
-      EXPECT_EQ(process->ArrivalTimeOf(i), sequential[i])
-          << process->Describe() << " client " << i;
-    }
+  const PoissonArrivals process(5000, 11);
+  // Sequential pass...
+  std::vector<double> sequential = SampleTimes(process, 1000);
+  // ...must match isolated random-access draws, in any order.
+  for (const std::uint64_t i :
+       {std::uint64_t{999}, std::uint64_t{0}, std::uint64_t{500},
+        std::uint64_t{7}, std::uint64_t{123}}) {
+    EXPECT_EQ(process.ArrivalTimeOf(i), sequential[i])
+        << process.Describe() << " client " << i;
   }
 }
 
@@ -210,19 +121,6 @@ TEST(ArrivalDeterminismTest, SeedsSeparateAndReproduce) {
     if (a1.ArrivalTimeOf(i) != b.ArrivalTimeOf(i)) ++diverged;
   }
   // Different seeds give an (essentially) disjoint trace.
-  EXPECT_GT(diverged, 990u);
-}
-
-// Family separation: the three processes with the same seed must not alias
-// each other's streams (the family tag enters the seed mix).
-TEST(ArrivalDeterminismTest, ProcessFamiliesDoNotAlias) {
-  const PoissonArrivals poisson(5000, 11);
-  FlashCrowdArrivals::Params fc{5000, 0, 5000, 0.0};
-  const FlashCrowdArrivals flash(fc, 11);
-  std::uint64_t diverged = 0;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    if (poisson.ArrivalTimeOf(i) != flash.ArrivalTimeOf(i)) ++diverged;
-  }
   EXPECT_GT(diverged, 990u);
 }
 

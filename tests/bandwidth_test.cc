@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "pinwheel/composite_scheduler.h"
 #include "pinwheel/verifier.h"
 
@@ -86,6 +90,25 @@ TEST(BandwidthPlannerTest, ToPinwheelInstanceShape) {
   EXPECT_EQ(inst->tasks()[1].b, 10u);
 }
 
+// A latency so long that B * T passes 2^64 slots (or is infinite) has no
+// integer window: a typed error naming the file, not an undefined
+// float-to-integer conversion.
+TEST(BandwidthPlannerTest, WindowPastSixtyFourBitsRejected) {
+  const std::vector<FileSpec> files{{"nav", 257, 1e300, 1}};
+  auto inst = BandwidthPlanner::ToPinwheelInstance(files, 3072);
+  ASSERT_FALSE(inst.ok());
+  EXPECT_TRUE(inst.status().IsInvalidArgument()) << inst.status();
+  EXPECT_NE(inst.status().message().find("'nav'"), std::string::npos);
+  EXPECT_TRUE(
+      files[0].ToBroadcastCondition(3072).status().IsInvalidArgument());
+  const FileSpec forever{"nav", 1, std::numeric_limits<double>::infinity(),
+                         0};
+  EXPECT_TRUE(forever.WindowSlots(3072).status().IsInvalidArgument());
+  auto window = FileSpec{"nav", 1, 0.5, 0}.WindowSlots(3072);
+  ASSERT_TRUE(window.ok());
+  EXPECT_EQ(*window, 1536u);
+}
+
 TEST(BandwidthPlannerTest, InsufficientBandwidthInfeasible) {
   const std::vector<FileSpec> files{{"a", 5, 1.0, 0}};
   EXPECT_TRUE(
@@ -93,18 +116,41 @@ TEST(BandwidthPlannerTest, InsufficientBandwidthInfeasible) {
 }
 
 // The paper's core claim, end to end: the Eq. (2) bandwidth suffices for
-// the pinwheel schedulers to produce a verified program.
+// the pinwheel schedulers to produce a verified program, on the AWACS
+// files and on 20 seeded random workloads of 2-7 files, so the smallest
+// bandwidth they schedule at never exceeds it.
 TEST(BandwidthPlannerTest, SufficientBandwidthActuallySchedules) {
-  const auto files = AwacsFiles();
-  auto sufficient = BandwidthPlanner::SufficientBandwidth(files);
-  ASSERT_TRUE(sufficient.ok());
-  auto inst = BandwidthPlanner::ToPinwheelInstance(files, *sufficient);
-  ASSERT_TRUE(inst.ok());
-  EXPECT_LE(inst->density(), BandwidthPlanner::kSchedulableDensity + 0.05);
+  std::vector<std::vector<FileSpec>> workloads{AwacsFiles()};
+  Rng rng(2024);
+  for (int c = 0; c < 20; ++c) {
+    const std::size_t n_files = 2 + rng.Uniform(6);
+    std::vector<FileSpec> files;
+    for (std::size_t i = 0; i < n_files; ++i) {
+      FileSpec f;
+      f.name = "f" + std::to_string(i);
+      f.size_blocks = 1 + rng.Uniform(16);
+      f.latency_seconds = 0.25 * static_cast<double>(1 + rng.Uniform(16));
+      f.fault_tolerance = rng.Uniform(3);
+      files.push_back(std::move(f));
+    }
+    workloads.push_back(std::move(files));
+  }
   pinwheel::CompositeScheduler scheduler;
-  auto schedule = scheduler.BuildSchedule(*inst);
-  ASSERT_TRUE(schedule.ok()) << schedule.status();
-  EXPECT_TRUE(pinwheel::Verifier::Verify(*schedule, *inst).ok());
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    const std::vector<FileSpec>& files = workloads[w];
+    auto sufficient = BandwidthPlanner::SufficientBandwidth(files);
+    ASSERT_TRUE(sufficient.ok());
+    auto inst = BandwidthPlanner::ToPinwheelInstance(files, *sufficient);
+    ASSERT_TRUE(inst.ok());
+    EXPECT_LE(inst->density(), BandwidthPlanner::kSchedulableDensity + 0.05)
+        << "workload " << w;
+    auto schedule = scheduler.BuildSchedule(*inst);
+    ASSERT_TRUE(schedule.ok()) << "workload " << w << ": " << schedule.status();
+    EXPECT_TRUE(pinwheel::Verifier::Verify(*schedule, *inst).ok());
+    auto minimal = BandwidthPlanner::FindMinimalBandwidth(files, scheduler);
+    ASSERT_TRUE(minimal.ok()) << "workload " << w << ": " << minimal.status();
+    EXPECT_LE(minimal->bandwidth, *sufficient) << "workload " << w;
+  }
 }
 
 TEST(BandwidthPlannerTest, FindMinimalBandwidth) {

@@ -317,7 +317,9 @@ TEST(ChannelSpecTest, RejectsMalformedSpecs) {
        {"", "warp", "bernoulli:p=1.5", "bernoulli:p=-0.1", "bernoulli:p=x",
         "bernoulli:q=0.1", "bernoulli:p", "bernoulli:p=",
         "gilbert:pgb=0.1,pgb=0.2", "outage:len=-3", "outage:len=2x",
-        "bernoulli+warp"}) {
+        "bernoulli+warp", "bernoulli:p=nan", "bernoulli:p=inf",
+        "bernoulli:p=0x1p-1,seed=1", "bernoulli:p= 0.5", "bernoulli:p=+0.5",
+        "gilbert:pgb=0.5junk"}) {
     auto parsed = ParseChannelSpec(spec);
     EXPECT_FALSE(parsed.ok()) << "accepted: '" << spec << "'";
     if (!parsed.ok()) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "bdisk/flat_builder.h"
 
 namespace bdisk::broadcast {
@@ -16,6 +20,29 @@ BroadcastProgram ToyProgram(bool ida, FlatLayout layout) {
       {"B", 3, ida ? 6u : 3u, {}},
   };
   auto p = BuildFlatProgram(files, layout);
+  EXPECT_TRUE(p.ok());
+  return *p;
+}
+
+// Flat (n = m) systems beyond the toy one for the Lemma 1 and 2 checks: a
+// uniform system, the Section 2.3 sizing example (10 files x 20 blocks)
+// and a skewed one.
+std::vector<std::vector<FlatFileSpec>> LemmaSystems() {
+  std::vector<FlatFileSpec> paper200;
+  for (int i = 0; i < 10; ++i) {
+    paper200.push_back({"F" + std::to_string(i), 20, 20, {}});
+  }
+  return {
+      {{"F0", 8, 8, {}}, {"F1", 8, 8, {}}, {"F2", 8, 8, {}}, {"F3", 8, 8, {}}},
+      paper200,
+      {{"big", 24, 24, {}}, {"mid", 6, 6, {}}, {"sm", 2, 2, {}}},
+  };
+}
+
+// The AIDA variant of a flat system: every file dispersed to n = m + r.
+BroadcastProgram Dispersed(std::vector<FlatFileSpec> files, std::uint32_t r) {
+  for (FlatFileSpec& f : files) f.n = f.m + r;
+  auto p = BuildFlatProgram(files, FlatLayout::kSpread);
   EXPECT_TRUE(p.ok());
   return *p;
 }
@@ -50,15 +77,22 @@ TEST(DelayAnalyzerTest, ZeroErrorsZeroDelay) {
 // Lemma 1: for a flat (non-IDA) program, the worst-case delay with r errors
 // is exactly r * tau when each block is transmitted once per period.
 TEST(DelayAnalyzerTest, Lemma1ExactForFlatPrograms) {
-  for (FlatLayout layout : {FlatLayout::kContiguous, FlatLayout::kSpread}) {
-    const BroadcastProgram p = ToyProgram(false, layout);
+  std::vector<BroadcastProgram> programs{
+      ToyProgram(false, FlatLayout::kContiguous),
+      ToyProgram(false, FlatLayout::kSpread)};
+  for (const std::vector<FlatFileSpec>& files : LemmaSystems()) {
+    auto p = BuildFlatProgram(files, FlatLayout::kSpread);
+    ASSERT_TRUE(p.ok()) << p.status();
+    programs.push_back(*p);
+  }
+  for (const BroadcastProgram& p : programs) {
     DelayAnalyzer analyzer(p);
-    for (FileIndex f = 0; f < 2; ++f) {
+    for (FileIndex f = 0; f < p.file_count(); ++f) {
       for (std::uint32_t r = 1; r <= 5; ++r) {
         auto d = analyzer.WorstCaseDelay(f, r, ClientModel::kFlat);
         ASSERT_TRUE(d.ok()) << d.status();
         EXPECT_EQ(*d, analyzer.Lemma1Bound(r))
-            << "file " << f << " r " << r;
+            << "period " << p.period() << " file " << f << " r " << r;
       }
     }
   }
@@ -88,23 +122,71 @@ TEST(DelayAnalyzerTest, Lemma2BoundHolds) {
       }
     }
   }
+  // The other systems, dispersed to n = m + 4 so that the premise holds
+  // for every r <= 4, at the fewest and the most errors that masks (each
+  // r costs the skewed system ~0.3 s). The delay also stays within the
+  // flat program's r * tau, its exact delay by Lemma 1.
+  for (const std::vector<FlatFileSpec>& files : LemmaSystems()) {
+    auto flat = BuildFlatProgram(files, FlatLayout::kSpread);
+    ASSERT_TRUE(flat.ok()) << flat.status();
+    const BroadcastProgram p = Dispersed(files, 4);
+    DelayAnalyzer analyzer(p);
+    for (FileIndex f = 0; f < p.file_count(); ++f) {
+      for (const std::uint32_t r : {1u, 4u}) {
+        auto d = analyzer.WorstCaseDelay(f, r, ClientModel::kIda);
+        ASSERT_TRUE(d.ok()) << d.status();
+        EXPECT_LE(*d, analyzer.Lemma2Bound(f, r))
+            << "period " << p.period() << " file " << f << " r " << r;
+        EXPECT_LE(*d, r * flat->period()) << "file " << f << " r " << r;
+      }
+    }
+  }
 }
 
-// The headline comparison behind Figure 7: with IDA the delay grows by at
-// most Delta per error; without IDA by tau per error — IDA strictly wins
-// for every r >= 1 on the toy system.
+// Section 2.3's sizing: 10 files x 20 blocks make a 200-slot flat period,
+// and dispersing each file to 24 blocks spreads same-file transmissions at
+// most Delta = 10 apart, a tau / Delta = 20x faster recovery per error.
+TEST(DelayAnalyzerTest, PaperSizingExample) {
+  const std::vector<FlatFileSpec> files = LemmaSystems()[1];
+  auto flat = BuildFlatProgram(files, FlatLayout::kSpread);
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(flat->period(), 200u);
+  const BroadcastProgram aida = Dispersed(files, 4);
+  std::uint64_t max_delta = 0;
+  for (FileIndex f = 0; f < aida.file_count(); ++f) {
+    max_delta = std::max(max_delta, aida.MaxGapOf(f));
+  }
+  EXPECT_EQ(max_delta, 10u);
+}
+
+// Figure 7 on the toy system, A (m = 5, n = 10) and B (m = 3, n = 6) in a
+// period of 8, computed exactly under the adversarial model (worst start,
+// worst placement of r lost transmissions of the retrieved file). Without
+// IDA the delay is r * tau = 8r (Lemma 1, tight); with IDA it grows by at
+// most Delta per error, so IDA strictly wins for every r >= 1. The paper's
+// with-IDA column for A is labelled an estimate; the exact figures never
+// exceed it.
 TEST(DelayAnalyzerTest, IdaBeatsFlatForEveryErrorCount) {
   const BroadcastProgram ida = ToyProgram(true, FlatLayout::kSpread);
   const BroadcastProgram flat = ToyProgram(false, FlatLayout::kSpread);
+  ASSERT_EQ(ida.period(), 8u);
+  ASSERT_EQ(ida.DataCycleLength(), 16u);
   DelayAnalyzer ida_analyzer(ida);
   DelayAnalyzer flat_analyzer(flat);
+  const std::uint64_t with_ida[2][6] = {{0, 2, 4, 5, 7, 8},
+                                        {0, 3, 6, 8, 16, 19}};
+  const std::uint64_t paper_estimate_a[6] = {0, 3, 4, 6, 7, 8};
   for (FileIndex f = 0; f < 2; ++f) {
-    for (std::uint32_t r = 1; r <= 5; ++r) {
-      auto with_ida = ida_analyzer.WorstCaseDelay(f, r, ClientModel::kIda);
+    for (std::uint32_t r = 0; r <= 5; ++r) {
+      auto d = ida_analyzer.WorstCaseDelay(f, r, ClientModel::kIda);
       auto without = flat_analyzer.WorstCaseDelay(f, r, ClientModel::kFlat);
-      ASSERT_TRUE(with_ida.ok());
-      ASSERT_TRUE(without.ok());
-      EXPECT_LT(*with_ida, *without) << "file " << f << " r " << r;
+      ASSERT_TRUE(d.ok()) << d.status();
+      ASSERT_TRUE(without.ok()) << without.status();
+      EXPECT_EQ(*d, with_ida[f][r]) << "file " << f << " r " << r;
+      EXPECT_EQ(*without, 8u * r) << "file " << f << " r " << r;
+      if (f == 0) {
+        EXPECT_LE(*d, paper_estimate_a[r]) << "r " << r;
+      }
     }
   }
 }

@@ -197,19 +197,6 @@ TEST(TokenBucketTest, GrantedBytesMatchRateOverAnyBusyWindow) {
   EXPECT_NEAR(static_cast<double>(now), expect_ns, 1e9 * 1000.0 / 123456.0);
 }
 
-TEST(TokenBucketTest, ParentBudgetGovernsChildren) {
-  // Two children, each alone allowed 1000 B/s, sharing a 1000 B/s parent:
-  // together they cannot exceed the parent's budget.
-  TokenBucket parent(1000, 100);
-  TokenBucket a(1000, 100, &parent);
-  TokenBucket b(1000, 100, &parent);
-  const std::uint64_t t0 = 1'000'000'000ull;
-  EXPECT_EQ(a.ReserveAt(t0, 100), t0);  // Parent burst covers this...
-  // ...but b's own bucket is full while the parent's is drained: the
-  // parent defers b even though b has local credit.
-  EXPECT_EQ(b.ReserveAt(t0, 100), t0 + 100'000'000ull);
-}
-
 TEST(TokenBucketTest, DefaultBurstIsBounded) {
   TokenBucket small(1000);
   EXPECT_EQ(small.burst_bytes(), 64u * 1024u);  // Floor.

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/random.h"
+#include "common/stats.h"
 #include "pinwheel/composite_scheduler.h"
 #include "pinwheel/verifier.h"
 
@@ -73,6 +77,7 @@ TEST(OptimizerTest, PaperExample5) {
 // optimal, beating TR2's 0.8333.
 TEST(OptimizerTest, PaperExample6) {
   const Conversion conv = MustConvert({1, {2, 3}});
+  EXPECT_NEAR(conv.density_lower_bound, 2.0 / 3, 1e-9);
   EXPECT_NEAR(conv.best().density(), 2.0 / 3, 1e-9);
   // TR2's direct candidate is strictly worse, as the paper notes.
   for (const ConversionCandidate& c : conv.candidates) {
@@ -158,6 +163,28 @@ TEST(OptimizerTest, ConvertedSystemSchedulesAndSatisfiesBc) {
           << "file " << f << " level " << j;
     }
   }
+}
+
+// Over 400 seeded random generalized conditions (m in 1..8, up to 3 fault
+// levels, first deadline between m and 8m), the portfolio's chosen density
+// stays on average within 25% of the density lower bound.
+TEST(OptimizerTest, PortfolioMeanOverheadIsSmall) {
+  Rng rng(31337);
+  RunningStats overhead;
+  for (int t = 0; t < 400; ++t) {
+    BroadcastCondition bc;
+    bc.m = 1 + rng.Uniform(8);
+    const std::uint64_t r = rng.Uniform(4);
+    std::uint64_t d = bc.m + rng.Uniform(7 * bc.m + 1);
+    bc.d.push_back(d);
+    for (std::uint64_t j = 1; j <= r; ++j) {
+      d += rng.Uniform(2 * bc.m + 2);
+      bc.d.push_back(std::max(d, bc.m + j));
+    }
+    ASSERT_TRUE(bc.Validate().ok()) << bc.ToString();
+    overhead.Add(MustConvert(bc).OverheadRatio());
+  }
+  EXPECT_LT(overhead.mean(), 1.25);
 }
 
 TEST(OptimizerTest, SystemTotalDensity) {

@@ -121,7 +121,7 @@ TEST(SxSchedulerTest, TwoTaskCompleteness) {
 // The exact solver must prove it (single-unit => complete).
 TEST(ExactSchedulerTest, ProvesExample1ThirdSystemInfeasible) {
   ExactScheduler exact;
-  for (std::uint64_t n : {4ULL, 5ULL, 7ULL, 12ULL, 20ULL}) {
+  for (std::uint64_t n = 4; n <= 24; ++n) {
     const Instance inst = MakeInstance({{1, 1, 2}, {2, 1, 3}, {3, 1, n}});
     auto feasible = exact.IsFeasible(inst);
     ASSERT_TRUE(feasible.ok()) << feasible.status();

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bdisk/flat_builder.h"
 #include "faults/channel_model.h"
 
@@ -254,6 +257,47 @@ TEST(TransactionTest, IncompleteFilePropagates) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->completed);
   EXPECT_FALSE(outcome->met_deadline);
+}
+
+// A transaction misses when any of its items is late, so flat misses
+// compound with transaction size while AIDA masks the losses: on 8 files
+// of 6 blocks (AIDA n = 12) at 8% i.i.d. loss under a joint deadline of
+// three periods, AIDA misses no more often than flat at every size, and
+// flat's miss rate does not fall with size by more than sampling noise.
+TEST(TransactionTest, AidaMissesNoMoreThanFlatAtEverySize) {
+  const auto build = [](bool ida) {
+    std::vector<broadcast::FlatFileSpec> files;
+    for (int i = 0; i < 8; ++i) {
+      files.push_back({"F" + std::to_string(i), 6, ida ? 12u : 6u, {}});
+    }
+    auto p = broadcast::BuildFlatProgram(files,
+                                         broadcast::FlatLayout::kSpread);
+    EXPECT_TRUE(p.ok());
+    return *p;
+  };
+  const broadcast::BroadcastProgram aida = build(true);
+  const broadcast::BroadcastProgram flat = build(false);
+  const faults::BernoulliChannel channel(0.08, 777);
+  const Simulator aida_sim(aida, channel, 20000);
+  const Simulator flat_sim(flat, channel, 20000);
+  double prev_flat = 0.0;
+  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+    TransactionWorkloadConfig config;
+    config.transactions = 1000;
+    config.files_per_transaction = k;
+    config.deadline_slots = 3 * aida.period();
+    config.seed = 4096 + k;
+    config.model = broadcast::ClientModel::kIda;
+    auto a = aida_sim.RunTransactionWorkload(config);
+    config.model = broadcast::ClientModel::kFlat;
+    auto f = flat_sim.RunTransactionWorkload(config);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(f.ok()) << f.status();
+    EXPECT_LE(a->MissRate(), f->MissRate()) << k << " items";
+    EXPECT_GE(f->MissRate(), prev_flat - 0.02) << k << " items";
+    prev_flat = f->MissRate();
+  }
+  EXPECT_GT(prev_flat, 0.0);
 }
 
 TEST(MetricsTest, ToStringContainsFileNames) {

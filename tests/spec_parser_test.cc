@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace bdisk::broadcast {
 namespace {
 
@@ -137,6 +139,18 @@ TEST(SpecParserTest, RejectsNonPositiveLatencies) {
   EXPECT_FALSE(
       ParseWorkloadSpec("channel 10\nfile a bytes=8 latency=-1.5\n").ok());
   EXPECT_FALSE(ParseWorkloadSpec("gfile a blocks=2 latencies=8,0\n").ok());
+  // Not finite, or not plain decimal: a line error, never a window
+  // computed from infinity.
+  for (const char* latency : {"inf", "-inf", "nan", "infinity", "1e999",
+                              "0x1p-1", "+0.5"}) {
+    auto spec = ParseWorkloadSpec(std::string("channel 10\n\nfile a bytes=8 "
+                                              "latency=") +
+                                  latency + "\n");
+    ASSERT_FALSE(spec.ok()) << latency;
+    EXPECT_TRUE(spec.status().IsInvalidArgument()) << latency;
+    EXPECT_NE(spec.status().message().find("line 3"), std::string::npos)
+        << spec.status().message();
+  }
 }
 
 TEST(SpecParserTest, RejectsOverflowSizedFields) {
