@@ -189,8 +189,7 @@ double SystemConversion::total_density() const {
   return s;
 }
 
-Result<Conversion> NiceConverter::Convert(const BroadcastCondition& bc,
-                                          const ConverterOptions& options) {
+Result<Conversion> NiceConverter::Convert(const BroadcastCondition& bc) {
   BDISK_RETURN_NOT_OK(bc.Validate());
   Conversion out;
   out.bc = bc;
@@ -203,10 +202,9 @@ Result<Conversion> NiceConverter::Convert(const BroadcastCondition& bc,
   for (ConversionCandidate& c : MakeRChains(levels)) {
     out.candidates.push_back(std::move(c));
   }
-  std::uint64_t max_a = options.max_single_a;
-  if (max_a == 0) {
-    max_a = std::min<std::uint64_t>(4 * (bc.m + bc.fault_tolerance()) + 8, 512);
-  }
+  // Cap on the requirement `a` the single-condition search tries.
+  const std::uint64_t max_a =
+      std::min<std::uint64_t>(4 * (bc.m + bc.fault_tolerance()) + 8, 512);
   if (auto c = MakeSingle(levels, max_a)) out.candidates.push_back(std::move(*c));
 
   if (out.candidates.empty()) {
@@ -230,8 +228,7 @@ Result<Conversion> NiceConverter::Convert(const BroadcastCondition& bc,
 }
 
 Result<SystemConversion> ConvertSystem(
-    const std::vector<BroadcastCondition>& conditions,
-    const ConverterOptions& options) {
+    const std::vector<BroadcastCondition>& conditions) {
   if (conditions.empty()) {
     return Status::InvalidArgument("ConvertSystem: no broadcast conditions");
   }
@@ -240,7 +237,7 @@ Result<SystemConversion> ConvertSystem(
   std::vector<Conversion> conversions;
   for (std::size_t f = 0; f < conditions.size(); ++f) {
     BDISK_ASSIGN_OR_RETURN(Conversion conv,
-                           NiceConverter::Convert(conditions[f], options));
+                           NiceConverter::Convert(conditions[f]));
     for (const MappedCondition& mc : conv.best().conjunct.conditions) {
       const auto vid = static_cast<pinwheel::TaskId>(tasks.size());
       tasks.push_back(

@@ -60,19 +60,11 @@ struct Conversion {
   }
 };
 
-/// \brief Options for the conversion search.
-struct ConverterOptions {
-  /// Cap on the requirement `a` tried by the single-condition search; 0
-  /// derives a default from the condition (4 * (m + r) + 8, at most 512).
-  std::uint64_t max_single_a = 0;
-};
-
 /// \brief The conversion engine.
 class NiceConverter {
  public:
   /// Converts one broadcast condition. Fails only on invalid input.
-  static Result<Conversion> Convert(const BroadcastCondition& bc,
-                                    const ConverterOptions& options = {});
+  static Result<Conversion> Convert(const BroadcastCondition& bc);
 };
 
 /// \brief A whole broadcast-disk system lowered to one nice pinwheel
@@ -91,8 +83,7 @@ struct SystemConversion {
 
 /// \brief Converts a set of broadcast conditions into one nice instance.
 Result<SystemConversion> ConvertSystem(
-    const std::vector<BroadcastCondition>& conditions,
-    const ConverterOptions& options = {});
+    const std::vector<BroadcastCondition>& conditions);
 
 }  // namespace bdisk::algebra
 

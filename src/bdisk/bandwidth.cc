@@ -1,8 +1,25 @@
 #include "bdisk/bandwidth.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 namespace bdisk::broadcast {
+
+namespace {
+
+/// ceil(blocks_per_second) as an integer rate. Converting a double at or
+/// past 2^64 to an integer is undefined; the negated test also rejects NaN.
+Result<std::uint64_t> CeilRate(double blocks_per_second, const char* what) {
+  const double rate = std::ceil(blocks_per_second);
+  if (!(rate >= 0.0 && rate < 0x1p64)) {
+    return Status::InvalidArgument(std::string("BandwidthPlanner: ") + what +
+                                   " is not a finite 64-bit blocks/sec rate");
+  }
+  return static_cast<std::uint64_t>(rate);
+}
+
+}  // namespace
 
 Result<double> BandwidthPlanner::LowerBound(const std::vector<FileSpec>& files) {
   if (files.empty()) {
@@ -19,8 +36,7 @@ Result<double> BandwidthPlanner::LowerBound(const std::vector<FileSpec>& files) 
 Result<std::uint64_t> BandwidthPlanner::SufficientBandwidth(
     const std::vector<FileSpec>& files) {
   BDISK_ASSIGN_OR_RETURN(double lower, LowerBound(files));
-  return static_cast<std::uint64_t>(
-      std::ceil(lower / kSchedulableDensity));
+  return CeilRate(lower / kSchedulableDensity, "sufficient bandwidth");
 }
 
 Result<pinwheel::Instance> BandwidthPlanner::ToPinwheelInstance(
@@ -54,11 +70,17 @@ BandwidthPlanner::FindMinimalBandwidth(const std::vector<FileSpec>& files,
                                        const pinwheel::Scheduler& scheduler,
                                        std::uint64_t hi) {
   BDISK_ASSIGN_OR_RETURN(double lower_d, LowerBound(files));
-  auto lo = static_cast<std::uint64_t>(std::ceil(lower_d));
+  BDISK_ASSIGN_OR_RETURN(std::uint64_t lo,
+                         CeilRate(lower_d, "bandwidth lower bound"));
   if (lo == 0) lo = 1;
   if (hi == 0) {
     BDISK_ASSIGN_OR_RETURN(std::uint64_t sufficient,
                            SufficientBandwidth(files));
+    if (sufficient > std::numeric_limits<std::uint64_t>::max() / 4) {
+      return Status::InvalidArgument(
+          "BandwidthPlanner: four times the sufficient bandwidth " +
+          std::to_string(sufficient) + " blocks/sec passes 2^64");
+    }
     hi = sufficient * 4;
   }
   if (hi < lo) hi = lo;

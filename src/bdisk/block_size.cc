@@ -50,6 +50,10 @@ Result<BlockSizeChoice> ChooseLargestFeasibleBlockSize(
       return BlockSizeChoice{block_size, bandwidth, std::move(levels),
                              std::move(*build)};
     }
+    // A smaller block only raises the bandwidth and the blocks per file, so
+    // a malformed spec (e.g. a window past 2^64 slots) stays malformed at
+    // every remaining candidate: report it as such, not as infeasible.
+    if (build.status().IsInvalidArgument()) return build.status();
     last = build.status();
   }
   return Status::Infeasible(

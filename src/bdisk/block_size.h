@@ -50,7 +50,9 @@ struct BlockSizeChoice {
 };
 
 /// \brief Finds the largest candidate block size whose induced system is
-/// schedulable; fails Infeasible if none is.
+/// schedulable; fails Infeasible if none is, and InvalidArgument as soon
+/// as a candidate finds the files malformed (the remaining, smaller
+/// candidates would too).
 ///
 /// `candidates` may be in any order (searched largest-first); empty means
 /// the default power-of-two ladder 64 B .. 64 KiB.

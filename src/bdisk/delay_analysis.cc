@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/check.h"
 
@@ -11,47 +11,22 @@ namespace bdisk::broadcast {
 
 namespace {
 
-/// One data cycle of a file's transmissions: slots and carried block index.
-struct OccurrenceTable {
-  std::vector<std::uint64_t> slots;         // Within the data cycle.
-  std::vector<std::uint32_t> block_index;   // Parallel to slots.
-  std::uint64_t data_cycle = 0;
-
-  std::uint64_t SlotOf(std::uint64_t stream_index) const {
-    const std::uint64_t c = slots.size();
-    return (stream_index / c) * data_cycle + slots[stream_index % c];
-  }
-  std::uint32_t BlockOf(std::uint64_t stream_index) const {
-    return block_index[stream_index % block_index.size()];
-  }
-};
-
-OccurrenceTable BuildTable(const BroadcastProgram& program, FileIndex file) {
-  OccurrenceTable t;
-  t.data_cycle = program.DataCycleLength();
-  for (std::uint64_t slot = 0; slot < t.data_cycle; ++slot) {
-    const auto tx = program.TransmissionAt(slot);
-    if (tx.has_value() && tx->file == file) {
-      t.slots.push_back(slot);
-      t.block_index.push_back(tx->block_index);
-    }
-  }
-  return t;
-}
-
 /// Exhaustive adversary DP (see header): maximum completion slot for a
-/// client whose stream starts at occurrence `first`, needing `m` distinct
-/// blocks out of `n` rotated ones, against at most `errors` corruptions.
+/// client whose stream starts at the file's `first`-th transmission,
+/// needing m distinct blocks out of n rotated ones, against at most
+/// `errors` corruptions.
 class AdversaryDp {
  public:
   // Horizon: each corruption delays completion by at most n occurrences
   // (after n further transmissions every block index has reappeared), and
   // with no errors left the client completes within n occurrences, so
   // m + (r + 1) * n + 2 transmissions always suffice.
-  AdversaryDp(const OccurrenceTable& table, std::uint32_t m, std::uint32_t n,
+  AdversaryDp(const BroadcastProgram& program, FileIndex file,
               std::uint64_t first, std::uint32_t errors)
-      : table_(&table), m_(m), n_(n), first_(first),
-        horizon_(m + (static_cast<std::uint64_t>(errors) + 1) * n + 2) {}
+      : program_(&program), file_(file),
+        m_(program.files()[file].m), n_(program.files()[file].n),
+        first_(first),
+        horizon_(m_ + (static_cast<std::uint64_t>(errors) + 1) * n_ + 2) {}
 
   std::uint64_t MaxCompletion(std::uint32_t errors) {
     return Solve(0, errors, 0);
@@ -79,12 +54,12 @@ class AdversaryDp {
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
 
-    const std::uint32_t block = table_->BlockOf(first_ + k);
+    const auto block = static_cast<std::uint32_t>((first_ + k) % n_);
     const std::uint32_t received = mask | (1u << block);
     std::uint64_t best;
     if (static_cast<std::uint32_t>(std::popcount(received)) >= m_) {
       // Receiving completes the retrieval now...
-      best = table_->SlotOf(first_ + k);
+      best = program_->SlotOfTransmission(file_, first_ + k);
       // ...unless the adversary can afford to corrupt this transmission.
       if (e > 0) best = std::max(best, Solve(k + 1, e - 1, mask));
     } else {
@@ -97,7 +72,8 @@ class AdversaryDp {
     return best;
   }
 
-  const OccurrenceTable* table_;
+  const BroadcastProgram* program_;
+  FileIndex file_;
   std::uint32_t m_;
   std::uint32_t n_;
   std::uint64_t first_;
@@ -105,41 +81,31 @@ class AdversaryDp {
   std::unordered_map<Key, std::uint64_t, KeyHash> memo_;
 };
 
-}  // namespace
-
-Result<std::uint64_t> DelayAnalyzer::WorstCaseCompletion(
-    FileIndex file, std::uint64_t start, std::uint32_t errors,
-    ClientModel model) const {
-  if (file >= program_->file_count()) {
+Status CheckFile(const BroadcastProgram& program, FileIndex file,
+                 ClientModel model) {
+  if (file >= program.file_count()) {
     return Status::InvalidArgument("DelayAnalyzer: unknown file");
   }
-  const ProgramFile& pf = program_->files()[file];
+  const ProgramFile& pf = program.files()[file];
   if (model == ClientModel::kFlat && pf.n != pf.m) {
     return Status::InvalidArgument(
         "DelayAnalyzer: flat client model requires n == m (file '" + pf.name +
         "' rotates " + std::to_string(pf.n) + " blocks)");
   }
+  return Status::OK();
+}
 
-  const OccurrenceTable table = BuildTable(*program_, file);
-  // First stream occurrence at or after `start`.
-  const std::uint64_t cycle_base = (start / table.data_cycle);
-  std::uint64_t first = cycle_base * table.slots.size();
-  const std::uint64_t offset = start % table.data_cycle;
-  {
-    const auto it =
-        std::lower_bound(table.slots.begin(), table.slots.end(), offset);
-    if (it == table.slots.end()) {
-      first += table.slots.size();  // Wraps into the next data cycle.
-    } else {
-      first += static_cast<std::uint64_t>(it - table.slots.begin());
-    }
-  }
-
+/// Worst-case completion slot of a retrieval of a checked `file` whose
+/// first transmission is the file's `first`-th.
+Result<std::uint64_t> CompletionFrom(const BroadcastProgram& program,
+                                     FileIndex file, std::uint64_t first,
+                                     std::uint32_t errors) {
+  const ProgramFile& pf = program.files()[file];
   // Fast path: with n >= m + r every m + r consecutive transmissions carry
   // distinct blocks, so the adversary's best is to corrupt any r of the
   // first m + r - 1; completion is exactly the (m + r)-th transmission.
   if (pf.n >= pf.m + errors) {
-    return table.SlotOf(first + pf.m + errors - 1);
+    return program.SlotOfTransmission(file, first + pf.m + errors - 1);
   }
 
   // Fast path for the flat regime where each block is transmitted exactly
@@ -147,8 +113,9 @@ Result<std::uint64_t> DelayAnalyzer::WorstCaseCompletion(
   // client finishes at the m-th transmission, and the adversary's optimum
   // is to corrupt the last-needed block on each of its next r appearances
   // — exactly one period each (Lemma 1, tight).
-  if (pf.n == pf.m && program_->CountOf(file) == pf.n) {
-    return table.SlotOf(first + pf.m - 1) + errors * program_->period();
+  if (pf.n == pf.m && program.CountOf(file) == pf.n) {
+    return program.SlotOfTransmission(file, first + pf.m - 1) +
+           errors * program.period();
   }
 
   if (pf.n > 20) {
@@ -156,24 +123,34 @@ Result<std::uint64_t> DelayAnalyzer::WorstCaseCompletion(
         "DelayAnalyzer: adversary DP gated at n <= 20 blocks (file '" +
         pf.name + "' has n = " + std::to_string(pf.n) + ")");
   }
-  AdversaryDp dp(table, pf.m, pf.n, first, errors);
+  AdversaryDp dp(program, file, first, errors);
   return dp.MaxCompletion(errors);
+}
+
+}  // namespace
+
+Result<std::uint64_t> DelayAnalyzer::WorstCaseCompletion(
+    FileIndex file, std::uint64_t start, std::uint32_t errors,
+    ClientModel model) const {
+  BDISK_RETURN_NOT_OK(CheckFile(*program_, file, model));
+  return CompletionFrom(*program_, file,
+                        program_->TransmissionAtOrAfter(file, start), errors);
 }
 
 Result<std::uint64_t> DelayAnalyzer::WorstCaseDelay(FileIndex file,
                                                     std::uint32_t errors,
                                                     ClientModel model) const {
-  if (file >= program_->file_count()) {
-    return Status::InvalidArgument("DelayAnalyzer: unknown file");
-  }
-  const OccurrenceTable table = BuildTable(*program_, file);
+  BDISK_RETURN_NOT_OK(CheckFile(*program_, file, model));
+  // Every start in (slot of j - 1, slot of j] sees transmission j first, and
+  // the figures repeat every c transmissions (see header): one start per
+  // transmission of one period covers every start.
+  const std::uint64_t c = program_->CountOf(file);
   std::uint64_t worst = 0;
-  for (std::size_t j = 0; j < table.slots.size(); ++j) {
-    const std::uint64_t start = table.slots[j];
+  for (std::uint64_t j = 0; j < c; ++j) {
     BDISK_ASSIGN_OR_RETURN(std::uint64_t with_errors,
-                           WorstCaseCompletion(file, start, errors, model));
+                           CompletionFrom(*program_, file, j, errors));
     BDISK_ASSIGN_OR_RETURN(std::uint64_t without_errors,
-                           WorstCaseCompletion(file, start, 0, model));
+                           CompletionFrom(*program_, file, j, 0));
     worst = std::max(worst, with_errors - without_errors);
   }
   return worst;
@@ -182,20 +159,16 @@ Result<std::uint64_t> DelayAnalyzer::WorstCaseDelay(FileIndex file,
 Result<std::uint64_t> DelayAnalyzer::WorstCaseLatency(FileIndex file,
                                                       std::uint32_t errors,
                                                       ClientModel model) const {
-  if (file >= program_->file_count()) {
-    return Status::InvalidArgument("DelayAnalyzer: unknown file");
-  }
-  const OccurrenceTable table = BuildTable(*program_, file);
+  BDISK_RETURN_NOT_OK(CheckFile(*program_, file, model));
+  const std::uint64_t c = program_->CountOf(file);
   std::uint64_t worst = 0;
-  for (std::size_t j = 0; j < table.slots.size(); ++j) {
-    // Worst start aiming at occurrence j: the slot right after the previous
-    // occurrence (the client "just missed" it).
-    const std::uint64_t prev =
-        j == 0 ? table.slots.back() : table.slots[j - 1] + table.data_cycle;
-    // Work one data cycle ahead so starts are non-negative.
-    const std::uint64_t start = prev + 1;
+  for (std::uint64_t j = c; j < 2 * c; ++j) {
+    // Worst start aiming at transmission j: the slot right after the
+    // previous one (the client "just missed" it). Aiming one period ahead
+    // keeps transmission j - 1 at a non-negative ordinal.
+    const std::uint64_t start = program_->SlotOfTransmission(file, j - 1) + 1;
     BDISK_ASSIGN_OR_RETURN(std::uint64_t completion,
-                           WorstCaseCompletion(file, start, errors, model));
+                           CompletionFrom(*program_, file, j, errors));
     worst = std::max(worst, completion - start + 1);
   }
   return worst;

@@ -21,6 +21,16 @@
 /// retrieving the file" of Lemmas 1 and 2. Lemma 1 bounds the flat-client
 /// figure by r * tau (tau = period); Lemma 2 bounds the IDA-client figure
 /// by r * Delta (Delta = max inter-block gap).
+///
+/// Cost. A start's figures depend only on the first transmission of the
+/// file it hears, and repeat every c transmissions (c = transmissions per
+/// period): transmission j + c sits one period after transmission j
+/// (BroadcastProgram::SlotOfTransmission), and the run from it carries the
+/// same blocks shifted by c mod n, which no figure here can tell apart,
+/// since only which blocks are distinct counts. So a row scores c starts,
+/// one period's, never a data cycle's: O(c) on the closed-form paths
+/// (r <= n - m, or the flat n == m == c case), and the adversary DP's own
+/// state space per start otherwise.
 
 #ifndef BDISK_BDISK_DELAY_ANALYSIS_H_
 #define BDISK_BDISK_DELAY_ANALYSIS_H_
@@ -50,8 +60,8 @@ class DelayAnalyzer {
   /// the retrieval) for a client starting at slot `start`, under the worst
   /// adversarial placement of `errors` corrupted transmissions.
   ///
-  /// Fails with ResourceExhausted when the flat/DP path would need a state
-  /// space beyond ~2^20 (m > 20).
+  /// Fails with ResourceExhausted when the DP path would need a state space
+  /// beyond ~2^20 (n > 20).
   Result<std::uint64_t> WorstCaseCompletion(FileIndex file,
                                             std::uint64_t start,
                                             std::uint32_t errors,

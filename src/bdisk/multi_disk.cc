@@ -1,7 +1,5 @@
 #include "bdisk/multi_disk.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/stats.h"
 
@@ -82,30 +80,18 @@ Result<MultiDiskProgram> BuildMultiDiskProgram(
 
 double MeanRetrievalLatency(const BroadcastProgram& program, FileIndex file) {
   BDISK_CHECK(file < program.file_count());
-  const ProgramFile& pf = program.files()[file];
-  const std::uint64_t cycle = program.DataCycleLength();
-  // Occurrence slots across one data cycle (block rotation guarantees any
-  // m consecutive transmissions carry distinct blocks for n >= m).
-  std::vector<std::uint64_t> occ;
-  for (std::uint64_t t = 0; t < cycle; ++t) {
-    const auto tx = program.TransmissionAt(t);
-    if (tx.has_value() && tx->file == file) occ.push_back(t);
-  }
-  BDISK_CHECK(!occ.empty());
-  // For each start slot s, completion = the m-th occurrence at or after s.
-  // Sweep starts in one data cycle; occurrences extend periodically.
+  const std::uint32_t m = program.files()[file].m;
+  // A start's completion is its m-th transmission (any m consecutive ones
+  // carry distinct blocks, as n >= m), and completion - start repeats every
+  // period. The sums are exact integers, so one period's mean is the data
+  // cycle's to the bit.
   double total = 0.0;
-  std::size_t next = 0;  // First occurrence index with slot >= s.
-  for (std::uint64_t s = 0; s < cycle; ++s) {
-    while (next < occ.size() && occ[next] < s) ++next;
-    const std::size_t target = next + pf.m - 1;
-    const std::uint64_t completion =
-        target < occ.size()
-            ? occ[target]
-            : occ[target - occ.size()] + cycle;  // m <= occurrences/cycle.
+  for (std::uint64_t s = 0; s < program.period(); ++s) {
+    const std::uint64_t completion = program.SlotOfTransmission(
+        file, program.TransmissionAtOrAfter(file, s) + m - 1);
     total += static_cast<double>(completion - s + 1);
   }
-  return total / static_cast<double>(cycle);
+  return total / static_cast<double>(program.period());
 }
 
 }  // namespace bdisk::broadcast

@@ -58,8 +58,8 @@ Result<MultiDiskProgram> BuildMultiDiskProgram(
     const std::vector<DiskSpec>& disks);
 
 /// \brief Mean retrieval latency (slots) for a whole-file retrieval of
-/// `file`, averaged over all start slots in one data cycle, assuming a
-/// fault-free channel. Exact (closed form over the occurrence lists).
+/// `file`, averaged over all start slots, assuming a fault-free channel.
+/// Exact: the latency repeats every period, so one period's starts give it.
 double MeanRetrievalLatency(const BroadcastProgram& program, FileIndex file);
 
 }  // namespace bdisk::broadcast

@@ -40,8 +40,7 @@ Result<BroadcastProgram> FinishProgram(std::vector<ProgramFile> files,
 
 Result<BuildResult> BuildProgram(const std::vector<FileSpec>& files,
                                  std::uint64_t bandwidth_blocks_per_second,
-                                 const pinwheel::Scheduler& scheduler,
-                                 const BuilderOptions& options) {
+                                 const pinwheel::Scheduler& scheduler) {
   BDISK_ASSIGN_OR_RETURN(
       pinwheel::Instance instance,
       BandwidthPlanner::ToPinwheelInstance(files,
@@ -59,8 +58,7 @@ Result<BuildResult> BuildProgram(const std::vector<FileSpec>& files,
     ProgramFile pf;
     pf.name = f.name;
     pf.m = static_cast<std::uint32_t>(f.size_blocks);
-    pf.n = static_cast<std::uint32_t>(f.size_blocks + f.fault_tolerance +
-                                      options.extra_rotation);
+    pf.n = static_cast<std::uint32_t>(f.size_blocks + f.fault_tolerance);
     pf.latency_slots.assign(f.fault_tolerance + 1, window);
     program_files.push_back(std::move(pf));
     task_to_file.push_back(static_cast<std::uint32_t>(i));
@@ -78,7 +76,7 @@ Result<BuildResult> BuildProgram(const std::vector<FileSpec>& files,
 
 Result<BuildResult> BuildGeneralizedProgram(
     const std::vector<GeneralizedFileSpec>& files,
-    const pinwheel::Scheduler& scheduler, const BuilderOptions& options) {
+    const pinwheel::Scheduler& scheduler) {
   if (files.empty()) {
     return Status::InvalidArgument("BuildGeneralizedProgram: no files");
   }
@@ -90,7 +88,7 @@ Result<BuildResult> BuildGeneralizedProgram(
   }
   BDISK_ASSIGN_OR_RETURN(
       algebra::SystemConversion conversion,
-      algebra::ConvertSystem(conditions, options.converter));
+      algebra::ConvertSystem(conditions));
   BDISK_ASSIGN_OR_RETURN(pinwheel::Schedule schedule,
                          scheduler.BuildSchedule(conversion.instance));
 
@@ -100,8 +98,7 @@ Result<BuildResult> BuildGeneralizedProgram(
     ProgramFile pf;
     pf.name = f.name;
     pf.m = static_cast<std::uint32_t>(f.size_blocks);
-    pf.n = static_cast<std::uint32_t>(f.size_blocks + f.fault_tolerance() +
-                                      options.extra_rotation);
+    pf.n = static_cast<std::uint32_t>(f.size_blocks + f.fault_tolerance());
     pf.latency_slots = f.latency_slots;
     program_files.push_back(std::move(pf));
   }

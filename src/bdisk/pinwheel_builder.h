@@ -41,15 +41,6 @@ struct BuildResult {
   std::vector<algebra::Conversion> conversions;
 };
 
-/// \brief Builder options.
-struct BuilderOptions {
-  /// Extra dispersed blocks to rotate beyond m_i + r_i (more distinct
-  /// blocks never hurt and help clients that miss more than r_i blocks).
-  std::uint32_t extra_rotation = 0;
-  /// Conversion search options (generalized pipeline).
-  algebra::ConverterOptions converter;
-};
-
 /// \brief Builds a program for regular files at the given bandwidth.
 ///
 /// `bandwidth_blocks_per_second` is typically BandwidthPlanner::
@@ -57,13 +48,12 @@ struct BuilderOptions {
 /// that bandwidth.
 Result<BuildResult> BuildProgram(const std::vector<FileSpec>& files,
                                  std::uint64_t bandwidth_blocks_per_second,
-                                 const pinwheel::Scheduler& scheduler,
-                                 const BuilderOptions& options = {});
+                                 const pinwheel::Scheduler& scheduler);
 
 /// \brief Builds a program for generalized files (latency vectors in slots).
 Result<BuildResult> BuildGeneralizedProgram(
     const std::vector<GeneralizedFileSpec>& files,
-    const pinwheel::Scheduler& scheduler, const BuilderOptions& options = {});
+    const pinwheel::Scheduler& scheduler);
 
 }  // namespace bdisk::broadcast
 

@@ -76,13 +76,8 @@ std::optional<TransmissionRef> BroadcastProgram::TransmissionAt(
     std::uint64_t t) const {
   const std::optional<FileIndex> f = FileAt(t);
   if (!f.has_value()) return std::nullopt;
-  // Transmission ordinal of this file up to and including slot t.
-  const std::uint64_t pos = t % period();
-  const auto& occ = occurrences_[*f];
-  const auto it = std::lower_bound(occ.begin(), occ.end(), pos);
-  BDISK_DCHECK(it != occ.end() && *it == pos);
-  const std::uint64_t rank = static_cast<std::uint64_t>(it - occ.begin());
-  const std::uint64_t ordinal = (t / period()) * occ.size() + rank;
+  const std::uint64_t ordinal = TransmissionAtOrAfter(*f, t);
+  BDISK_DCHECK(SlotOfTransmission(*f, ordinal) == t);
   return TransmissionRef{
       *f, static_cast<std::uint32_t>(ordinal % files_[*f].n)};
 }

@@ -13,11 +13,13 @@
 #ifndef BDISK_BDISK_PROGRAM_H_
 #define BDISK_BDISK_PROGRAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "ida/block.h"
 #include "pinwheel/schedule.h"
@@ -83,6 +85,28 @@ class BroadcastProgram {
 
   /// Slots (within one period) at which `file` is broadcast, ascending.
   const std::vector<std::uint64_t>& OccurrencesOf(FileIndex file) const;
+
+  /// \brief Slot of `file`'s k-th transmission, counted from slot 0:
+  /// floor(k / c) * period + occ[k mod c] with c = CountOf(file). It carries
+  /// block k mod n. With TransmissionAtOrAfter, this is the one place the
+  /// Section 2.3 rotation arithmetic lives; the delay analysis, the mean
+  /// latency, TransmissionAt and the event engine's lanes all use it.
+  std::uint64_t SlotOfTransmission(FileIndex file, std::uint64_t k) const {
+    BDISK_DCHECK(file < occurrences_.size());
+    const std::vector<std::uint64_t>& occ = occurrences_[file];
+    return k / occ.size() * period() + occ[k % occ.size()];
+  }
+
+  /// \brief Ordinal of `file`'s first transmission at or after slot t:
+  /// floor(t / period) * c + the rank of t mod period among the file's
+  /// occurrences (a rank of c is the next period's first transmission).
+  std::uint64_t TransmissionAtOrAfter(FileIndex file, std::uint64_t t) const {
+    BDISK_DCHECK(file < occurrences_.size());
+    const std::vector<std::uint64_t>& occ = occurrences_[file];
+    const auto rank =
+        std::lower_bound(occ.begin(), occ.end(), t % period()) - occ.begin();
+    return t / period() * occ.size() + static_cast<std::uint64_t>(rank);
+  }
 
   /// Transmissions of `file` per period.
   std::uint64_t CountOf(FileIndex file) const;

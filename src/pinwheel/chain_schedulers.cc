@@ -13,6 +13,11 @@ namespace bdisk::pinwheel {
 
 namespace {
 
+/// Upper bound on the emitted schedule's period.
+constexpr std::uint64_t kMaxPeriod = 1ULL << 24;
+/// Candidate bases x that Sx/Sxy attempt, least specialized density first.
+constexpr std::size_t kMaxCandidates = 64;
+
 /// Specialization function: maps a window b to the largest admissible
 /// window <= b in the scheduler's window set, or nullopt if none exists.
 using SpecFn = std::function<std::optional<std::uint64_t>(std::uint64_t)>;
@@ -60,7 +65,7 @@ std::optional<std::pair<std::vector<ClassRequest>, double>> EncodeInstance(
 /// non-chain sets (Sxy) are policy-sensitive, so every variant is tried.
 Result<Schedule> Realize(const Instance& instance,
                          std::vector<ClassRequest> requests,
-                         std::uint64_t max_period, const std::string& name) {
+                         const std::string& name) {
   Status last = Status::Infeasible(name + ": allocation failed");
   for (const AllocationPolicy& policy : AllocationPolicy::AllPolicies()) {
     auto assignments = ChainAllocator::Allocate(requests, policy);
@@ -68,7 +73,7 @@ Result<Schedule> Realize(const Instance& instance,
       last = assignments.status();
       continue;
     }
-    auto schedule = ChainAllocator::ToSchedule(*assignments, max_period);
+    auto schedule = ChainAllocator::ToSchedule(*assignments, kMaxPeriod);
     if (!schedule.ok()) {
       last = schedule.status();
       continue;
@@ -86,7 +91,7 @@ Result<Schedule> Realize(const Instance& instance,
 Result<Schedule> ScheduleWithBases(
     const Instance& instance, const std::vector<std::uint64_t>& bases,
     const std::function<SpecFn(std::uint64_t)>& spec_for_base,
-    const ChainSchedulerOptions& options, const std::string& name) {
+    const std::string& name) {
   if (instance.empty()) {
     return Status::InvalidArgument(name + ": empty instance");
   }
@@ -110,13 +115,10 @@ Result<Schedule> ScheduleWithBases(
                    [](const Candidate& a, const Candidate& b) {
                      return a.density < b.density;
                    });
-  if (candidates.size() > options.max_candidates) {
-    candidates.resize(options.max_candidates);
-  }
+  if (candidates.size() > kMaxCandidates) candidates.resize(kMaxCandidates);
   Status last = Status::Infeasible(name + ": all candidate bases failed");
   for (Candidate& c : candidates) {
-    Result<Schedule> r =
-        Realize(instance, std::move(c.requests), options.max_period, name);
+    Result<Schedule> r = Realize(instance, std::move(c.requests), name);
     if (r.ok()) return r;
     last = r.status();
   }
@@ -133,7 +135,7 @@ Result<Schedule> SaScheduler::BuildSchedule(const Instance& instance) const {
     return LargestPowerOfTwoAtMost(b);
   };
   const auto spec_for_base = [&spec](std::uint64_t) { return SpecFn(spec); };
-  return ScheduleWithBases(instance, {1}, spec_for_base, options_, name());
+  return ScheduleWithBases(instance, {1}, spec_for_base, name());
 }
 
 Result<Schedule> SxScheduler::BuildSchedule(const Instance& instance) const {
@@ -146,7 +148,7 @@ Result<Schedule> SxScheduler::BuildSchedule(const Instance& instance) const {
     return SpecFn([x](std::uint64_t b) { return LargestChainValueAtMost(x, b); });
   };
   return ScheduleWithBases(instance, ChainBaseCandidates(windows),
-                           spec_for_base, options_, name());
+                           spec_for_base, name());
 }
 
 Result<Schedule> SxyScheduler::BuildSchedule(const Instance& instance) const {
@@ -159,7 +161,7 @@ Result<Schedule> SxyScheduler::BuildSchedule(const Instance& instance) const {
     return SpecFn([x](std::uint64_t b) { return LargestSmoothValueAtMost(x, b); });
   };
   return ScheduleWithBases(instance, SmoothBaseCandidates(windows),
-                           spec_for_base, options_, name());
+                           spec_for_base, name());
 }
 
 }  // namespace bdisk::pinwheel

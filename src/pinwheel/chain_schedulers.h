@@ -30,59 +30,32 @@
 
 namespace bdisk::pinwheel {
 
-/// \brief Options shared by the chain-based schedulers.
-struct ChainSchedulerOptions {
-  /// Upper bound on the emitted schedule's period.
-  std::uint64_t max_period = 1ULL << 24;
-  /// Maximum number of candidate bases x to attempt (sorted by specialized
-  /// density, ascending), for Sx/Sxy.
-  std::size_t max_candidates = 64;
-};
-
 /// \brief Sa: power-of-two specialization. Guaranteed density 1/2.
 class SaScheduler : public Scheduler {
  public:
-  explicit SaScheduler(ChainSchedulerOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "Sa"; }
   double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
-
- private:
-  ChainSchedulerOptions options_;
 };
 
 /// \brief Sx: single-chain specialization {x * 2^j} with base search.
 class SxScheduler : public Scheduler {
  public:
-  explicit SxScheduler(ChainSchedulerOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "Sx"; }
   /// Subsumes Sa, so inherits its 1/2 guarantee; empirically schedules most
   /// instances up to ~0.65 (bench_scheduler_density quantifies this).
   double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
-
- private:
-  ChainSchedulerOptions options_;
 };
 
 /// \brief Sxy: 3-smooth specialization {x * 2^j * 3^k} with base search.
 class SxyScheduler : public Scheduler {
  public:
-  explicit SxyScheduler(ChainSchedulerOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "Sxy"; }
   /// Subsumes Sa; empirically schedules most instances up to ~0.7-0.8
   /// (bench_scheduler_density), in line with Chan & Chin's 7/10 analysis.
   double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
-
- private:
-  ChainSchedulerOptions options_;
 };
 
 }  // namespace bdisk::pinwheel

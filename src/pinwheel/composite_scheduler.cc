@@ -6,38 +6,37 @@
 
 namespace bdisk::pinwheel {
 
-CompositeScheduler::CompositeScheduler(CompositeSchedulerOptions options)
-    : options_(options) {
+namespace {
+
+/// The exact search is attempted only if the product of the unit-reduced
+/// windows (a crude state-space bound) is at most this value.
+constexpr double kExactStateBound = 1e6;
+
+}  // namespace
+
+CompositeScheduler::CompositeScheduler() {
   schedulers_.push_back(std::make_unique<SxyScheduler>());
   schedulers_.push_back(std::make_unique<SxScheduler>());
   schedulers_.push_back(std::make_unique<SaScheduler>());
   schedulers_.push_back(std::make_unique<GreedyScheduler>());
-  ExactSchedulerOptions exact_options;
-  exact_options.max_states = options_.exact_max_states;
-  schedulers_.push_back(std::make_unique<ExactScheduler>(exact_options));
-  gate_exact_ = true;
+  schedulers_.push_back(std::make_unique<ExactScheduler>());
 }
-
-CompositeScheduler::CompositeScheduler(
-    std::vector<std::unique_ptr<Scheduler>> schedulers)
-    : schedulers_(std::move(schedulers)) {}
 
 Result<Schedule> CompositeScheduler::BuildSchedule(
     const Instance& instance) const {
   std::string failures;
   for (std::size_t i = 0; i < schedulers_.size(); ++i) {
     const auto& s = schedulers_[i];
-    if (gate_exact_ && i + 1 == schedulers_.size()) {
+    if (i + 1 == schedulers_.size()) {
       // Gate the complete search behind a crude state-space estimate.
       double bound = 1.0;
       for (const Task& t : instance.tasks()) {
-        for (std::uint64_t k = 0; k < t.a && bound <= options_.exact_state_bound;
-             ++k) {
+        for (std::uint64_t k = 0; k < t.a && bound <= kExactStateBound; ++k) {
           bound *= static_cast<double>(t.b);
         }
-        if (bound > options_.exact_state_bound) break;
+        if (bound > kExactStateBound) break;
       }
-      if (bound > options_.exact_state_bound) break;
+      if (bound > kExactStateBound) break;
     }
     Result<Schedule> r = s->BuildSchedule(instance);
     if (r.ok()) return r;

@@ -18,32 +18,17 @@
 
 namespace bdisk::pinwheel {
 
-/// \brief Options for the default portfolio.
-struct CompositeSchedulerOptions {
-  /// Exact search is attempted only if the product of the unit-reduced
-  /// windows (a crude state-space bound) is at most this value.
-  double exact_state_bound = 1e6;
-  /// State budget handed to the exact search when attempted.
-  std::size_t exact_max_states = 1u << 20;
-};
-
 /// \brief Tries Sxy, Sx, Sa, Greedy, then (small instances) Exact.
 class CompositeScheduler : public Scheduler {
  public:
-  explicit CompositeScheduler(CompositeSchedulerOptions options = {});
-
-  /// Builds a portfolio from an explicit scheduler list (takes ownership).
-  explicit CompositeScheduler(
-      std::vector<std::unique_ptr<Scheduler>> schedulers);
+  CompositeScheduler();
 
   std::string name() const override { return "Composite"; }
   double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 
  private:
-  CompositeSchedulerOptions options_;
-  std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  bool gate_exact_ = false;  // True when the last entry is the exact search.
+  std::vector<std::unique_ptr<Scheduler>> schedulers_;  // Exact last.
 };
 
 }  // namespace bdisk::pinwheel

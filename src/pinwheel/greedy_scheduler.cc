@@ -10,6 +10,9 @@ namespace bdisk::pinwheel {
 
 namespace {
 
+/// Simulated slots before giving up on finding a cycle.
+constexpr std::uint64_t kMaxSteps = 1ULL << 20;
+
 struct SubTask {
   TaskId parent;
   std::uint64_t window;
@@ -61,7 +64,7 @@ Result<Schedule> GreedyScheduler::BuildSchedule(const Instance& instance) const 
   std::vector<TaskId> served;  // Slot log, by parent task id.
   served.reserve(1024);
 
-  for (std::uint64_t step = 0; step < options_.max_steps; ++step) {
+  for (std::uint64_t step = 0; step < kMaxSteps; ++step) {
     auto [it, inserted] = seen.emplace(c, step);
     if (!inserted) {
       // Cycle found: slots [it->second, step) repeat forever.
@@ -96,7 +99,7 @@ Result<Schedule> GreedyScheduler::BuildSchedule(const Instance& instance) const 
     }
   }
   return Status::ResourceExhausted("Greedy: no cycle within " +
-                                   std::to_string(options_.max_steps) +
+                                   std::to_string(kMaxSteps) +
                                    " steps");
 }
 

@@ -21,24 +21,12 @@
 
 namespace bdisk::pinwheel {
 
-/// \brief Options for GreedyScheduler.
-struct GreedySchedulerOptions {
-  /// Maximum number of simulated slots before giving up on finding a cycle.
-  std::uint64_t max_steps = 1ULL << 20;
-};
-
 /// \brief Serve-most-urgent-first scheduler (see file comment).
 class GreedyScheduler : public Scheduler {
  public:
-  explicit GreedyScheduler(GreedySchedulerOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "Greedy"; }
   double guaranteed_density() const override { return 0.0; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
-
- private:
-  GreedySchedulerOptions options_;
 };
 
 }  // namespace bdisk::pinwheel

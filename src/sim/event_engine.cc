@@ -55,19 +55,14 @@ void EventEngine::BuildLanes() {
     const broadcast::BroadcastProgram& program = *epoch.program;
     const std::uint64_t end = std::min(epoch.end, horizon);
     const std::uint64_t span = end - epoch.start;
-    const std::uint64_t period = program.period();
     for (broadcast::FileIndex f = 0; f < file_count; ++f) {
-      const auto& occ = program.OccurrencesOf(f);
       Lane& lane = lanes_[e * file_count + f];
       lane.base = epoch.start;
       lane.end = end;
       lane.m = program.files()[f].m;
       lane.n = program.files()[f].n;
-      lane.count = static_cast<std::uint32_t>(
-          span / period * occ.size() +
-          static_cast<std::uint64_t>(
-              std::lower_bound(occ.begin(), occ.end(), span % period) -
-              occ.begin()));
+      lane.count =
+          static_cast<std::uint32_t>(program.TransmissionAtOrAfter(f, span));
       // The narrowest power-of-two bucket that needs no more buckets than
       // the lane has transmissions.
       const std::uint64_t most = std::max<std::uint64_t>(lane.count, 1);
@@ -88,13 +83,10 @@ void EventEngine::BuildLanes() {
     const broadcast::BroadcastProgram& program = *epochs_[e].program;
     for (broadcast::FileIndex f = 0; f < file_count; ++f) {
       const Lane& lane = lanes_[e * file_count + f];
-      const auto& occ = program.OccurrencesOf(f);
       LaneTransmission* tx = lane_tx_.data() + lane.first;
       std::uint32_t faults = 0;
       for (std::uint32_t k = 0; k < lane.count; ++k) {
-        const std::uint64_t slot = lane.base +
-                                   k / occ.size() * program.period() +
-                                   occ[k % occ.size()];
+        const std::uint64_t slot = lane.base + program.SlotOfTransmission(f, k);
         tx[k] = {static_cast<std::uint32_t>(slot), faults};
         if (trace[slot] != faults::FaultType::kNone) ++faults;
       }

@@ -109,6 +109,28 @@ TEST(BandwidthPlannerTest, WindowPastSixtyFourBitsRejected) {
   EXPECT_EQ(*window, 1536u);
 }
 
+// A latency so short that the demand's ceiling passes 2^64 blocks/sec has
+// no integer bandwidth either, and neither has four times a sufficient
+// bandwidth past 2^62 (FindMinimalBandwidth's default upper end).
+TEST(BandwidthPlannerTest, RatePastSixtyFourBitsRejected) {
+  const std::vector<FileSpec> files{{"nav", 4, 1e-300, 1}};
+  EXPECT_TRUE(BandwidthPlanner::SufficientBandwidth(files)
+                  .status()
+                  .IsInvalidArgument());
+  pinwheel::CompositeScheduler scheduler;
+  EXPECT_TRUE(BandwidthPlanner::FindMinimalBandwidth(files, scheduler)
+                  .status()
+                  .IsInvalidArgument());
+  // 1 / (0.7 * 2^63) s: a sufficient bandwidth of ~2^63 blocks/sec.
+  const std::vector<FileSpec> brief{{"nav", 1, 1.0 / (0.7 * 0x1p63), 0}};
+  auto sufficient = BandwidthPlanner::SufficientBandwidth(brief);
+  ASSERT_TRUE(sufficient.ok()) << sufficient.status();
+  EXPECT_GT(*sufficient, std::numeric_limits<std::uint64_t>::max() / 4);
+  EXPECT_TRUE(BandwidthPlanner::FindMinimalBandwidth(brief, scheduler)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST(BandwidthPlannerTest, InsufficientBandwidthInfeasible) {
   const std::vector<FileSpec> files{{"a", 5, 1.0, 0}};
   EXPECT_TRUE(

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pinwheel/composite_scheduler.h"
 
 namespace bdisk::broadcast {
@@ -56,6 +58,17 @@ TEST(BlockSizeTest, InfeasibleEverywhere) {
   pinwheel::CompositeScheduler scheduler;
   auto choice = ChooseLargestFeasibleBlockSize(files, 8 * 1024, scheduler);
   EXPECT_TRUE(choice.status().IsInfeasible());
+}
+
+// A latency whose window passes 2^64 slots at the first candidate passes
+// it at every smaller one: the spec is malformed, not infeasible, and the
+// error names the file.
+TEST(BlockSizeTest, MalformedSpecIsInvalidArgument) {
+  pinwheel::CompositeScheduler scheduler;
+  auto choice = ChooseLargestFeasibleBlockSize(
+      {{"a", 16384, 0.5, 1}, {"nav", 16384, 1e300, 1}}, 196608, scheduler);
+  EXPECT_TRUE(choice.status().IsInvalidArgument()) << choice.status();
+  EXPECT_NE(choice.status().message().find("'nav'"), std::string::npos);
 }
 
 TEST(BlockSizeTest, SmallerBlocksRescueTightSystems) {

@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "bdisk/block_size.h"
 #include "bdisk/flat_builder.h"
+#include "pinwheel/composite_scheduler.h"
+#include "seeded_programs.h"
 
 namespace bdisk::broadcast {
 namespace {
@@ -123,16 +126,15 @@ TEST(DelayAnalyzerTest, Lemma2BoundHolds) {
     }
   }
   // The other systems, dispersed to n = m + 4 so that the premise holds
-  // for every r <= 4, at the fewest and the most errors that masks (each
-  // r costs the skewed system ~0.3 s). The delay also stays within the
-  // flat program's r * tau, its exact delay by Lemma 1.
+  // for every r <= 4. The delay also stays within the flat program's
+  // r * tau, its exact delay by Lemma 1.
   for (const std::vector<FlatFileSpec>& files : LemmaSystems()) {
     auto flat = BuildFlatProgram(files, FlatLayout::kSpread);
     ASSERT_TRUE(flat.ok()) << flat.status();
     const BroadcastProgram p = Dispersed(files, 4);
     DelayAnalyzer analyzer(p);
     for (FileIndex f = 0; f < p.file_count(); ++f) {
-      for (const std::uint32_t r : {1u, 4u}) {
+      for (std::uint32_t r = 1; r <= 4; ++r) {
         auto d = analyzer.WorstCaseDelay(f, r, ClientModel::kIda);
         ASSERT_TRUE(d.ok()) << d.status();
         EXPECT_LE(*d, analyzer.Lemma2Bound(f, r))
@@ -265,6 +267,70 @@ TEST(DelayAnalyzerTest, LatencyMonotoneInErrors) {
     ASSERT_TRUE(lat.ok());
     EXPECT_GE(*lat, prev);
     prev = *lat;
+  }
+}
+
+// The header's definitions by brute force: every start slot of one program
+// data cycle, scored through WorstCaseCompletion. The analyzer scores one
+// start per transmission of one period; the two must agree, on the closed
+// forms and on the DP (n < m + r), where the blocks' rotation matters.
+TEST(DelayAnalyzerTest, OnePeriodRowsMatchDataCycleSweep) {
+  const std::vector<BroadcastProgram> programs =
+      seeded_programs::SeededPrograms(27, 50, 1500);
+  std::size_t longer_cycles = 0;
+  std::size_t dp_rows = 0;
+  for (const BroadcastProgram& p : programs) {
+    if (p.DataCycleLength() > p.period()) ++longer_cycles;
+    DelayAnalyzer analyzer(p);
+    for (FileIndex f = 0; f < p.file_count(); ++f) {
+      const ProgramFile& pf = p.files()[f];
+      for (std::uint32_t r = 0; r <= 2; ++r) {
+        if (pf.n < pf.m + r) ++dp_rows;
+        std::uint64_t delay = 0;
+        std::uint64_t latency = 0;
+        for (std::uint64_t s = 0; s < p.DataCycleLength(); ++s) {
+          auto with_errors =
+              analyzer.WorstCaseCompletion(f, s, r, ClientModel::kIda);
+          auto without_errors =
+              analyzer.WorstCaseCompletion(f, s, 0, ClientModel::kIda);
+          ASSERT_TRUE(with_errors.ok()) << with_errors.status();
+          ASSERT_TRUE(without_errors.ok()) << without_errors.status();
+          delay = std::max(delay, *with_errors - *without_errors);
+          latency = std::max(latency, *with_errors - s + 1);
+        }
+        auto d = analyzer.WorstCaseDelay(f, r, ClientModel::kIda);
+        auto l = analyzer.WorstCaseLatency(f, r, ClientModel::kIda);
+        ASSERT_TRUE(d.ok()) << d.status();
+        ASSERT_TRUE(l.ok()) << l.status();
+        EXPECT_EQ(*d, delay) << p.ToString() << " file " << f << " r " << r;
+        EXPECT_EQ(*l, latency) << p.ToString() << " file " << f << " r " << r;
+      }
+    }
+  }
+  EXPECT_GT(longer_cycles, programs.size() / 2);
+  EXPECT_GT(dp_rows, 0u);
+}
+
+// Two 16 KiB files on a 192 KiB/s channel, `a` within 0.5 s and `nav`
+// within 5000 s, one fault each: period 13824 and data cycle 27648 slots.
+// A data-cycle walk per occurrence scored these rows in about a minute;
+// one period's starts per row score them at once.
+TEST(DelayAnalyzerTest, LongLatencySpecRows) {
+  const pinwheel::CompositeScheduler scheduler;
+  auto choice = ChooseLargestFeasibleBlockSize(
+      {{"a", 16384, 0.5, 1}, {"nav", 16384, 5000.0, 1}}, 196608, scheduler);
+  ASSERT_TRUE(choice.ok()) << choice.status();
+  const BroadcastProgram& p = choice->build.program;
+  ASSERT_EQ(p.period(), 13824u);
+  ASSERT_EQ(p.DataCycleLength(), 27648u);
+  DelayAnalyzer analyzer(p);
+  const std::uint64_t rows[2][2] = {{2, 3}, {13824, 27648}};
+  for (FileIndex f = 0; f < 2; ++f) {
+    for (std::uint32_t r = 0; r <= 1; ++r) {
+      auto latency = analyzer.WorstCaseLatency(f, r, ClientModel::kIda);
+      ASSERT_TRUE(latency.ok()) << latency.status();
+      EXPECT_EQ(*latency, rows[f][r]) << p.files()[f].name << " r " << r;
+    }
   }
 }
 

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bdisk/delay_analysis.h"
 #include "faults/channel_model.h"
+#include "seeded_programs.h"
 #include "sim/simulation.h"
 
 namespace bdisk::broadcast {
@@ -150,6 +153,45 @@ TEST(MeanLatencyTest, ClosedFormMatchesSimulatorExactly) {
     EXPECT_NEAR(MeanRetrievalLatency(p, f), empirical, 1e-9)
         << p.files()[f].name;
   }
+}
+
+// The mean over every start of one program data cycle, sweeping the
+// file's transmissions found by TransmissionAt.
+double DataCycleMeanLatency(const BroadcastProgram& program, FileIndex file) {
+  const std::uint64_t cycle = program.DataCycleLength();
+  std::vector<std::uint64_t> occ;
+  for (std::uint64_t t = 0; t < cycle; ++t) {
+    const auto tx = program.TransmissionAt(t);
+    if (tx.has_value() && tx->file == file) occ.push_back(t);
+  }
+  double total = 0.0;
+  std::size_t next = 0;  // First transmission at or after s.
+  for (std::uint64_t s = 0; s < cycle; ++s) {
+    while (next < occ.size() && occ[next] < s) ++next;
+    const std::size_t target = next + program.files()[file].m - 1;
+    const std::uint64_t completion = target < occ.size()
+                                         ? occ[target]
+                                         : occ[target - occ.size()] + cycle;
+    total += static_cast<double>(completion - s + 1);
+  }
+  return total / static_cast<double>(cycle);
+}
+
+// One period's starts give the data cycle's mean to the bit: every sum is
+// an exact integer and the quotient is correctly rounded, so the adaptive
+// optimizer's choices cannot move.
+TEST(MeanLatencyTest, PeriodMeanEqualsDataCycleMeanExactly) {
+  const std::vector<BroadcastProgram> programs =
+      seeded_programs::SeededPrograms(27, 50, 1500);
+  std::size_t longer_cycles = 0;
+  for (const BroadcastProgram& p : programs) {
+    if (p.DataCycleLength() > p.period()) ++longer_cycles;
+    for (FileIndex f = 0; f < p.file_count(); ++f) {
+      EXPECT_EQ(MeanRetrievalLatency(p, f), DataCycleMeanLatency(p, f))
+          << p.ToString() << " file " << f;
+    }
+  }
+  EXPECT_GT(longer_cycles, programs.size() / 2);
 }
 
 TEST(MeanLatencyTest, MultiDiskBeatsFlatForHotFiles) {

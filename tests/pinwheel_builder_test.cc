@@ -36,16 +36,6 @@ TEST(BuildProgramTest, InsufficientBandwidthFails) {
   EXPECT_FALSE(BuildProgram(files, 4, scheduler).ok());
 }
 
-TEST(BuildProgramTest, ExtraRotationIncreasesN) {
-  const std::vector<FileSpec> files{{"f", 2, 1.0, 0}};
-  pinwheel::CompositeScheduler scheduler;
-  BuilderOptions options;
-  options.extra_rotation = 3;
-  auto result = BuildProgram(files, 10, scheduler, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->program.files()[0].n, 5u);
-}
-
 TEST(BuildGeneralizedProgramTest, PaperStyleLatencyVectors) {
   // Files with degrading latency tolerances under faults.
   const std::vector<GeneralizedFileSpec> files{

@@ -9,7 +9,8 @@
 # shows only what follows it. Each metrics stream and trace a run wrote is
 # recorded as a line count and cksum; the metrics stream's registry line
 # carries wall-clock phase timers, so it is dropped first. Then every
-# usage error below must exit 2 and name the offending flag on stderr.
+# usage error below must exit 2 and name the offending flag, or the
+# malformed spec's file, on stderr.
 #
 # Usage: tests/planner_cli_test.sh PLANNER [--write]
 #   --write rewrites the goldens from PLANNER instead of comparing.
@@ -93,5 +94,10 @@ reject --threads --threads abc "$spec"
 reject --chanel --chanel bernoulli:p=0.1,seed=1 "$spec"
 reject --seed "$spec" --seed
 reject --engine --engine event "$spec"
+# A latency whose window passes 2^64 slots is a malformed spec (exit 2),
+# not an infeasible workload (exit 1).
+printf 'channel 196608\nfile nav bytes=16384 latency=1e300 faults=1\n' \
+  > hostile.spec
+reject nav hostile.spec
 
 exit "$failed"

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 namespace bdisk::broadcast {
 namespace {
@@ -171,6 +173,36 @@ TEST(ProgramTest, ToStringShowsRotatedBlocks) {
   const std::string two = p.ToString(2);
   EXPECT_EQ(two,
             "A0 B0 A1 A2 B1 A3 B2 A4 A5 B3 A6 A7 B4 A8 B5 A9");
+}
+
+// The rotation arithmetic against a walk of the slots: the k-th slot the
+// walk finds for a file is its k-th transmission, and every slot's next
+// transmission is the first the walk finds at or after it.
+TEST(ProgramTest, TransmissionArithmeticMatchesSlotWalk) {
+  auto idle = BroadcastProgram::Create(
+      {{"A", 2, 3, {}}, {"B", 1, 2, {}}},
+      {0, BroadcastProgram::kIdleSlot, 1, 0, BroadcastProgram::kIdleSlot});
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  for (const BroadcastProgram& p :
+       {Figure5Program(), Figure6Program(), *idle}) {
+    for (FileIndex f = 0; f < p.file_count(); ++f) {
+      std::vector<std::uint64_t> walked;
+      for (std::uint64_t t = 0; t < 3 * p.DataCycleLength(); ++t) {
+        if (p.FileAt(t) == f) walked.push_back(t);
+      }
+      for (std::uint64_t k = 0; k < walked.size(); ++k) {
+        EXPECT_EQ(p.SlotOfTransmission(f, k), walked[k]) << "k " << k;
+        const auto tx = p.TransmissionAt(walked[k]);
+        ASSERT_TRUE(tx.has_value());
+        EXPECT_EQ(tx->block_index, k % p.files()[f].n) << "k " << k;
+      }
+      std::uint64_t next = 0;
+      for (std::uint64_t t = 0; t <= walked.back(); ++t) {
+        while (walked[next] < t) ++next;
+        EXPECT_EQ(p.TransmissionAtOrAfter(f, t), next) << "slot " << t;
+      }
+    }
+  }
 }
 
 TEST(ProgramTest, DataCycleWithCoprimeRotation) {

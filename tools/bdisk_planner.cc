@@ -14,11 +14,13 @@
 //
 // Every flag takes `--flag V` or `--flag=V` (runtime/flags.h). A flag given
 // twice, a malformed value, an unknown flag and a stray argument are usage
-// errors: the planner names the flag on stderr and exits 2.
+// errors: the planner names the flag on stderr and exits 2. So is a
+// malformed spec, one that does not parse or holds a value no program can
+// represent (say, a latency window past 2^64 slots); a well-formed workload
+// that no candidate program can carry is infeasible and exits 1.
 //
-// --threads N fans the per-file worst-case delay analysis (the exact
-// adversary computation, the planner's dominant cost on big specs) out
-// across N workers; output is identical at any thread count.
+// --threads N sizes the worker pool of the --channel and --adaptive
+// replays; output is identical at any thread count.
 //
 // --adaptive additionally replays a synthetic drifting-Zipf demand trace
 // (popularity ranking reverses mid-run) against the planned program and
@@ -118,7 +120,6 @@
 #include "obs/trace.h"
 #include "pinwheel/composite_scheduler.h"
 #include "runtime/flags.h"
-#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "sim/server.h"
 #include "sim/simulation.h"
@@ -422,33 +423,20 @@ void Planner::PrintProgram(const BuildResult& result) const {
   DelayAnalyzer analyzer(p);
   std::printf("%-16s %4s %4s %10s %8s  worst-case latency per fault level\n",
               "file", "m", "n", "slots/per", "max gap");
-  // The exact adversary analysis is independent per file: shard it across
-  // the pool (analysis only — the rendered table stays in file order).
-  std::vector<std::string> latency_cols(p.file_count());
-  ParallelFor(
-      pool_.get(), p.file_count(), ShardCountFor(pool_.get(), p.file_count()),
-      [&](unsigned, ShardRange range) {
-        for (std::uint64_t f = range.begin; f < range.end; ++f) {
-          const ProgramFile& pf = p.files()[f];
-          std::string col;
-          for (std::size_t j = 0; j < pf.latency_slots.size(); ++j) {
-            auto latency = analyzer.WorstCaseLatency(
-                static_cast<FileIndex>(f), static_cast<std::uint32_t>(j),
-                ClientModel::kIda);
-            if (latency.ok()) {
-              col += " " + std::to_string(*latency) + "<=" +
-                     std::to_string(pf.latency_slots[j]);
-            }
-          }
-          latency_cols[f] = std::move(col);
-        }
-      });
   for (FileIndex f = 0; f < p.file_count(); ++f) {
     const ProgramFile& pf = p.files()[f];
+    std::string col;
+    for (std::size_t j = 0; j < pf.latency_slots.size(); ++j) {
+      auto latency = analyzer.WorstCaseLatency(
+          f, static_cast<std::uint32_t>(j), ClientModel::kIda);
+      if (latency.ok()) {
+        col += " " + std::to_string(*latency) + "<=" +
+               std::to_string(pf.latency_slots[j]);
+      }
+    }
     std::printf("%-16s %4u %4u %10llu %8llu %s\n", pf.name.c_str(), pf.m,
                 pf.n, static_cast<unsigned long long>(p.CountOf(f)),
-                static_cast<unsigned long long>(p.MaxGapOf(f)),
-                latency_cols[f].c_str());
+                static_cast<unsigned long long>(p.MaxGapOf(f)), col.c_str());
   }
   if (!result.conversions.empty()) {
     std::printf("\npinwheel-algebra conversions:\n");
@@ -780,9 +768,12 @@ int main(int argc, char** argv) {
   }
   auto plan = ResolvePlan(*spec);
   if (!plan.ok()) {
-    std::fprintf(stderr, "infeasible: %s\n",
+    // A malformed spec is a usage error, like a parse error; a well-formed
+    // workload that no program can carry is infeasible.
+    const bool malformed = plan.status().IsInvalidArgument();
+    std::fprintf(stderr, "%s: %s\n", malformed ? "error" : "infeasible",
                  plan.status().ToString().c_str());
-    return 1;
+    return malformed ? 2 : 1;
   }
   return Planner(options).Run(*plan);
 }
