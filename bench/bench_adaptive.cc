@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(interval_slots), threads);
 
   auto result = RunAdaptiveExperiment(Population(files), workload,
-                                      interval_slots, {},
+                                      interval_slots,
                                       faults::BernoulliChannel(0.02, 1337),
                                       pool.get());
   if (!result.ok()) {

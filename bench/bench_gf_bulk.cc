@@ -1,18 +1,19 @@
-// GF(2^8) data-plane kernels: every implementation the host supports vs.
-// the per-byte log/exp baseline (google-benchmark).
+// GF(2^8) data-plane kernel: every implementation the host supports
+// (google-benchmark).
 //
 // The IDA inner loop is dst[k] ^= coeff * src[k] over a whole block column.
-// The baseline pays two log-table lookups and an exp lookup per byte
-// (GF256::Mul); the generic bulk kernel pays one lookup into a precomputed
-// 256-entry product row plus one XOR; the SIMD kernels (SSSE3/AVX2/NEON via
-// gf::Dispatch) multiply 16-32 bytes per nibble-shuffle pair. Benchmarks
-// are registered per supported implementation and sweep block sizes from
-// L1-resident (256 B) to streaming (1 MiB), one JSON line each, so the
-// trajectory shows both cache regimes.
+// BM_PerByteLogExpAccumulate is the baseline: two log-table lookups and an
+// exp lookup per byte (GF256::Mul). The kernel implementations run it as a
+// matrix product: the generic one pays one lookup into a precomputed
+// 256-entry product row plus one XOR per byte, the SIMD ones (SSSE3, AVX2,
+// NEON nibble shuffles; GFNI's VGF2P8MULB) 16-64 bytes per instruction
+// group.
 //
-// The fused-vs-unfused pair measures GFBulk::MatrixMulAccumulate against
-// the equivalent n * m independent MulRowAccumulate calls on the dispersal
-// geometry of the acceptance bar (n=8 outputs, m=5 inputs, 64 KiB blocks).
+// The fused-vs-unfused pair runs each implementation's
+// matrix_mul_accumulate on the dispersal geometry of the acceptance bar
+// (n=8 outputs, m=5 inputs, 64 KiB blocks): BM_MatrixMulAccumulateFused<impl>
+// as one call, BM_MatrixMulAccumulateUnfused<impl> as n * m 1 x 1 calls,
+// one per (output, input) pair.
 //
 // The other per-block data-plane kernel is the CRC-32C every stamp and
 // verify runs, over the stamped span of a 1 KiB and a 32 KiB block —
@@ -51,10 +52,8 @@ std::vector<std::uint8_t> RandomBytes(std::size_t n) {
 
 constexpr std::uint8_t kCoeff = 0x8E;  // A generic non-trivial coefficient.
 
-// L1-resident through streaming block sizes.
-constexpr std::int64_t kBlockSizes[] = {256, 4096, 65536, 1 << 20};
-
-// Baseline: the seed's per-byte log/exp multiply-accumulate loop.
+// Baseline: the seed's per-byte log/exp multiply-accumulate loop, from
+// L1-resident to streaming block sizes.
 void BM_PerByteLogExpAccumulate(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto src = RandomBytes(n);
@@ -97,35 +96,6 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetLabel(bdisk::internal::Crc32cKernels().back().name);
 }
 BENCHMARK(BM_Crc32c)->Arg(kStampedSpans[0])->Arg(kStampedSpans[1]);
-
-// One registered benchmark per (implementation, kernel); the implementation
-// name is part of the benchmark name, so every JSON line identifies its
-// datapoint (e.g. "BM_MulRowAccumulate<avx2>/65536:bytes_per_second").
-void RunMulRowAccumulate(benchmark::State& state, const KernelTable* k) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto src = RandomBytes(n);
-  std::vector<std::uint8_t> dst(n, 0);
-  for (auto _ : state) {
-    k->mul_row_accumulate(dst.data(), src.data(), kCoeff, n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-void RunXorRow(benchmark::State& state, const KernelTable* k) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto src = RandomBytes(n);
-  std::vector<std::uint8_t> dst(n, 0);
-  for (auto _ : state) {
-    k->xor_row(dst.data(), src.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
 
 // The acceptance-bar dispersal geometry: 8 output blocks over 5 inputs,
 // 64 KiB each, SystematicCauchy coefficients (3 identity-heavy rows would
@@ -181,8 +151,9 @@ void RunMatrixUnfused(benchmark::State& state, const KernelTable* k) {
   for (auto _ : state) {
     for (std::size_t i = 0; i < MatrixBenchData::kNDst; ++i) {
       for (std::size_t j = 0; j < MatrixBenchData::kNSrc; ++j) {
-        k->mul_row_accumulate(d.dsts[i], d.srcs[j], d.coeffs[i][j],
-                              MatrixBenchData::kBlock);
+        const std::uint8_t* const coeff = d.coeffs[i] + j;
+        k->matrix_mul_accumulate(&d.dsts[i], &d.srcs[j], &coeff, 1, 1,
+                                 MatrixBenchData::kBlock);
       }
     }
     benchmark::DoNotOptimize(d.dst_bytes.data());
@@ -205,18 +176,6 @@ void RegisterPerImplementationBenchmarks() {
   }
   for (const KernelTable* k : Dispatch::Supported()) {
     const std::string tag = std::string("<") + k->name + ">";
-    benchmark::RegisterBenchmark(
-        ("BM_MulRowAccumulate" + tag).c_str(),
-        [k](benchmark::State& state) { RunMulRowAccumulate(state, k); })
-        ->Arg(kBlockSizes[0])
-        ->Arg(kBlockSizes[1])
-        ->Arg(kBlockSizes[2])
-        ->Arg(kBlockSizes[3]);
-    benchmark::RegisterBenchmark(
-        ("BM_XorRow" + tag).c_str(),
-        [k](benchmark::State& state) { RunXorRow(state, k); })
-        ->Arg(kBlockSizes[1])
-        ->Arg(kBlockSizes[3]);
     benchmark::RegisterBenchmark(
         ("BM_MatrixMulAccumulateFused" + tag).c_str(),
         [k](benchmark::State& state) { RunMatrixFused(state, k); });

@@ -1,6 +1,7 @@
 #include "adaptive/adaptive_loop.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -10,9 +11,22 @@
 
 namespace bdisk::adaptive {
 
+namespace {
+
+/// Estimator decay per adaptation interval.
+constexpr double kDecay = 0.3;
+/// Re-optimize only after at least this many requests in an interval (noise
+/// gate).
+constexpr std::uint64_t kMinIntervalRequests = 16;
+/// Swap only if the candidate's expected mean delay undercuts the
+/// incumbent's (under the same demand estimate) by this fraction.
+constexpr double kImprovementThreshold = 0.05;
+
+}  // namespace
+
 Result<AdaptiveController> AdaptiveController::Create(
     std::vector<broadcast::FlatFileSpec> files,
-    broadcast::BroadcastProgram initial, AdaptiveLoopOptions options) {
+    broadcast::BroadcastProgram initial) {
   if (initial.file_count() != files.size()) {
     return Status::InvalidArgument(
         "AdaptiveController: initial program has " +
@@ -29,12 +43,12 @@ Result<AdaptiveController> AdaptiveController::Create(
           "entry ('" + files[f].name + "')");
     }
   }
-  DemandEstimator estimator(files.size(), options.decay);
+  DemandEstimator estimator(files.size(), kDecay);
   BDISK_ASSIGN_OR_RETURN(ProgramOptimizer optimizer,
-                         ProgramOptimizer::Create(files, options.optimizer));
+                         ProgramOptimizer::Create(files));
   HotSwapCoordinator coordinator(std::move(initial));
   return AdaptiveController(std::move(estimator), std::move(optimizer),
-                            std::move(coordinator), std::move(options));
+                            std::move(coordinator));
 }
 
 Result<bool> AdaptiveController::EndInterval(
@@ -50,7 +64,7 @@ Result<bool> AdaptiveController::EndInterval(
   estimator_.ObserveCounts(counts);
   estimator_.FoldInterval();
   obs::GlobalRegistry().GetCounter("adaptive.intervals")->Add();
-  if (interval_total < options_.min_interval_requests) return false;
+  if (interval_total < kMinIntervalRequests) return false;
 
   // One timer per swap decision (optimize + evaluate + maybe schedule).
   obs::ScopedPhaseTimer timer(obs::GlobalRegistry().GetHistogram(
@@ -62,7 +76,7 @@ Result<bool> AdaptiveController::EndInterval(
       ProgramScore incumbent,
       EvaluateProgram(coordinator_.current_program(), demand));
   if (candidate.score.expected_mean_delay >=
-      incumbent.expected_mean_delay * (1.0 - options_.improvement_threshold)) {
+      incumbent.expected_mean_delay * (1.0 - kImprovementThreshold)) {
     return false;
   }
   BDISK_ASSIGN_OR_RETURN(std::uint64_t swap_slot,
@@ -104,8 +118,8 @@ std::vector<sim::ClientRequest> GenerateDriftingRequests(
 Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
     const std::vector<broadcast::FlatFileSpec>& files,
     const DriftingZipfWorkload& workload, std::uint64_t interval_slots,
-    const AdaptiveLoopOptions& options, const faults::ChannelModel& channel,
-    runtime::ThreadPool* pool, const broadcast::BroadcastProgram* initial,
+    const faults::ChannelModel& channel, runtime::ThreadPool* pool,
+    const broadcast::BroadcastProgram* initial,
     std::uint64_t snapshot_interval_slots,
     const obs::TraceOptions* trace_options,
     const std::function<Status(const obs::Timeline& timeline, bool adaptive)>&
@@ -130,9 +144,8 @@ Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
     baseline = *initial;
   } else {
     const ZipfDistribution zipf(files.size(), workload.theta);
-    BDISK_ASSIGN_OR_RETURN(
-        ProgramOptimizer optimizer,
-        ProgramOptimizer::Create(files, options.optimizer));
+    BDISK_ASSIGN_OR_RETURN(ProgramOptimizer optimizer,
+                           ProgramOptimizer::Create(files));
     BDISK_ASSIGN_OR_RETURN(OptimizedProgram seeded,
                            optimizer.Optimize(zipf.Probabilities(), pool));
     baseline = std::move(seeded.program);
@@ -140,7 +153,7 @@ Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
 
   BDISK_ASSIGN_OR_RETURN(
       AdaptiveController controller,
-      AdaptiveController::Create(files, baseline, options));
+      AdaptiveController::Create(files, baseline));
 
   // Walk the controller over the trace, one interval at a time. Decisions
   // consume only arrivals, so the timeline is causal: the program at slot
@@ -189,11 +202,22 @@ Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
 
   // Replay the identical trace against both timelines over the same fault
   // realization (the channel is a pure trace, so both simulators see the
-  // identical realization by construction).
-  const std::uint64_t tail =
-      8 * std::max(baseline.DataCycleLength(),
-                   controller.schedule().MaxDataCycleLength());
-  const std::uint64_t horizon = workload.arrival_horizon + tail;
+  // identical realization by construction). The horizon is the arrivals
+  // plus 8 data cycles, at most 2^32 - 1 slots: the longest the event
+  // engine and the snapshot timeline take.
+  constexpr std::uint64_t kMaxHorizon =
+      std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t cycle = std::max(
+      baseline.DataCycleLength(), controller.schedule().MaxDataCycleLength());
+  if (cycle > kMaxHorizon / 8 ||
+      workload.arrival_horizon > kMaxHorizon - 8 * cycle) {
+    return Status::InvalidArgument(
+        "RunAdaptiveExperiment: replay horizon passes 2^32 - 1 slots: " +
+        std::to_string(workload.arrival_horizon) +
+        " arrival slots plus 8 data cycles of " + std::to_string(cycle) +
+        " slots");
+  }
+  const std::uint64_t horizon = workload.arrival_horizon + 8 * cycle;
 
   // The replay horizon is only known here, so the snapshot timelines are
   // owned by the result rather than passed in by the caller.

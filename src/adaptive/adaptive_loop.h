@@ -4,13 +4,14 @@
 /// AdaptiveController chains the three adaptive components — estimator,
 /// optimizer, hot-swap coordinator — into the production control loop: at
 /// every adaptation-interval boundary it folds the interval's request
-/// counts, re-optimizes against the decayed demand estimate, and schedules
-/// a hot swap when (and only when) the candidate's exact expected mean
-/// delay beats the incumbent's by a configurable margin.
+/// counts, re-optimizes against the decayed demand estimate (decay 0.3 per
+/// interval), and schedules a hot swap when (and only when) the interval
+/// saw at least 16 requests and the candidate's exact expected mean delay
+/// undercuts the incumbent's by at least 5%.
 ///
 /// Determinism contract: the controller consumes only request *arrivals*
 /// (not retrieval outcomes), so the resulting epoch schedule is a pure
-/// function of the request trace and options — independent of thread
+/// function of the request trace — independent of thread
 /// count, and causally valid: the program governing slot t depends only on
 /// requests issued before t's interval. This is what lets the adaptive
 /// experiment first derive the full schedule and then replay the trace
@@ -45,20 +46,6 @@
 
 namespace bdisk::adaptive {
 
-/// \brief Control-loop tuning.
-struct AdaptiveLoopOptions {
-  /// Estimator decay per adaptation interval.
-  double decay = 0.3;
-  /// Re-optimize only after at least this many requests in an interval
-  /// (noise gate).
-  std::uint64_t min_interval_requests = 16;
-  /// Swap only if the candidate's expected mean delay undercuts the
-  /// incumbent's (under the same demand estimate) by this fraction.
-  double improvement_threshold = 0.05;
-  /// Candidate search options.
-  OptimizerOptions optimizer;
-};
-
 /// \brief Estimator -> optimizer -> hot-swap, one interval at a time.
 class AdaptiveController {
  public:
@@ -67,7 +54,7 @@ class AdaptiveController {
   /// \param initial  program governing from slot 0 (must match `files`).
   static Result<AdaptiveController> Create(
       std::vector<broadcast::FlatFileSpec> files,
-      broadcast::BroadcastProgram initial, AdaptiveLoopOptions options = {});
+      broadcast::BroadcastProgram initial);
 
   /// Closes one adaptation interval: folds `counts` (requests per file
   /// observed during the interval) into the estimator, re-optimizes, and —
@@ -86,15 +73,13 @@ class AdaptiveController {
 
  private:
   AdaptiveController(DemandEstimator estimator, ProgramOptimizer optimizer,
-                     HotSwapCoordinator coordinator,
-                     AdaptiveLoopOptions options)
+                     HotSwapCoordinator coordinator)
       : estimator_(std::move(estimator)), optimizer_(std::move(optimizer)),
-        coordinator_(std::move(coordinator)), options_(std::move(options)) {}
+        coordinator_(std::move(coordinator)) {}
 
   DemandEstimator estimator_;
   ProgramOptimizer optimizer_;
   HotSwapCoordinator coordinator_;
-  AdaptiveLoopOptions options_;
 };
 
 /// \brief Zipf-skewed request trace whose popularity ranking reverses at
@@ -173,8 +158,7 @@ struct AdaptiveExperimentResult {
 Result<AdaptiveExperimentResult> RunAdaptiveExperiment(
     const std::vector<broadcast::FlatFileSpec>& files,
     const DriftingZipfWorkload& workload, std::uint64_t interval_slots,
-    const AdaptiveLoopOptions& options, const faults::ChannelModel& channel,
-    runtime::ThreadPool* pool = nullptr,
+    const faults::ChannelModel& channel, runtime::ThreadPool* pool = nullptr,
     const broadcast::BroadcastProgram* initial = nullptr,
     std::uint64_t snapshot_interval_slots = 0,
     const obs::TraceOptions* trace_options = nullptr,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <unordered_map>
 
-#include "bdisk/delay_analysis.h"
 #include "bdisk/multi_disk.h"
 #include "common/check.h"
 #include "runtime/parallel_for.h"
@@ -13,6 +13,12 @@
 namespace bdisk::adaptive {
 
 namespace {
+
+/// Frequency-class counts tried, one candidate each; 1 class is the flat
+/// baseline.
+constexpr std::uint32_t kClassCounts[] = {1, 2, 3, 4};
+/// Fastest relative frequency a class may spin at.
+constexpr std::uint32_t kMaxRelativeFrequency = 8;
 
 /// Rebuilds `program` with its files permuted into `canonical` order (and
 /// the canonical latency vectors), matching by name. The multi-disk builder
@@ -60,30 +66,17 @@ Result<ProgramScore> EvaluateProgram(const broadcast::BroadcastProgram& program,
         " entries for " + std::to_string(program.file_count()) + " files");
   }
   ProgramScore score;
-  const broadcast::DelayAnalyzer analyzer(program);
   for (broadcast::FileIndex f = 0; f < program.file_count(); ++f) {
     score.expected_mean_delay +=
         demand[f] * broadcast::MeanRetrievalLatency(program, f);
-    BDISK_ASSIGN_OR_RETURN(
-        std::uint64_t worst,
-        analyzer.WorstCaseLatency(f, 0, broadcast::ClientModel::kIda));
-    score.worst_case_latency = std::max(score.worst_case_latency, worst);
   }
   return score;
 }
 
 Result<ProgramOptimizer> ProgramOptimizer::Create(
-    std::vector<broadcast::FlatFileSpec> files, OptimizerOptions options) {
+    std::vector<broadcast::FlatFileSpec> files) {
   if (files.empty()) {
     return Status::InvalidArgument("ProgramOptimizer: no files");
-  }
-  if (options.class_counts.empty()) {
-    return Status::InvalidArgument("ProgramOptimizer: no candidate class "
-                                   "counts");
-  }
-  if (options.max_relative_frequency == 0) {
-    return Status::InvalidArgument(
-        "ProgramOptimizer: max_relative_frequency must be positive");
   }
   std::unordered_map<std::string, std::size_t> seen;
   for (std::size_t f = 0; f < files.size(); ++f) {
@@ -98,7 +91,7 @@ Result<ProgramOptimizer> ProgramOptimizer::Create(
           "ProgramOptimizer: duplicate file name '" + files[f].name + "'");
     }
   }
-  return ProgramOptimizer(std::move(files), std::move(options));
+  return ProgramOptimizer(std::move(files));
 }
 
 Result<broadcast::BroadcastProgram> ProgramOptimizer::BuildCandidate(
@@ -116,11 +109,8 @@ Result<broadcast::BroadcastProgram> ProgramOptimizer::BuildCandidate(
   // Geometric frequency levels, fastest first: 2^(k-1), ..., 2, 1 (capped).
   std::vector<std::uint32_t> level_freq(class_count);
   for (std::uint32_t c = 0; c < class_count; ++c) {
-    const std::uint32_t shift = class_count - 1 - c;
-    level_freq[c] = shift >= 31
-                        ? options_.max_relative_frequency
-                        : std::min<std::uint32_t>(
-                              1u << shift, options_.max_relative_frequency);
+    level_freq[c] = std::min<std::uint32_t>(1u << (class_count - 1 - c),
+                                            kMaxRelativeFrequency);
   }
 
   // Nearest level in log-frequency space; canonical file order within each
@@ -168,14 +158,14 @@ Result<OptimizedProgram> ProgramOptimizer::Optimize(
   // Build and score every candidate; candidates are independent, so shard
   // them across the pool. Failures are kept per candidate and judged
   // serially afterwards — selection is identical at any thread count.
-  const std::size_t candidates = options_.class_counts.size();
+  constexpr std::size_t candidates = std::size(kClassCounts);
   std::vector<Result<OptimizedProgram>> scored(
       candidates, Status::Internal("ProgramOptimizer: candidate not built"));
   runtime::ParallelFor(
       pool, candidates, runtime::ShardCountFor(pool, candidates),
       [&](unsigned, runtime::ShardRange range) {
         for (std::uint64_t c = range.begin; c < range.end; ++c) {
-          const std::uint32_t k = options_.class_counts[c];
+          const std::uint32_t k = kClassCounts[c];
           auto program = BuildCandidate(demand, k);
           if (!program.ok()) {
             scored[c] = program.status();
@@ -194,23 +184,13 @@ Result<OptimizedProgram> ProgramOptimizer::Optimize(
   std::size_t best = candidates;  // Sentinel: none selected yet.
   for (std::size_t c = 0; c < candidates; ++c) {
     if (!scored[c].ok()) continue;
-    if (options_.worst_case_cap_slots != 0 &&
-        scored[c]->score.worst_case_latency > options_.worst_case_cap_slots) {
-      continue;
-    }
     if (best == candidates || scored[c]->score.expected_mean_delay <
                                   scored[best]->score.expected_mean_delay) {
       best = c;
     }
   }
-  if (best == candidates) {
-    for (std::size_t c = 0; c < candidates; ++c) {
-      if (!scored[c].ok()) return scored[c].status();
-    }
-    return Status::Infeasible(
-        "ProgramOptimizer: every candidate exceeds the worst-case cap of " +
-        std::to_string(options_.worst_case_cap_slots) + " slots");
-  }
+  // Every candidate failed: report the first failure.
+  if (best == candidates) return scored.front().status();
   return std::move(scored[best]);
 }
 

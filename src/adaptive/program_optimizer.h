@@ -6,14 +6,13 @@
 /// rule — the classic mean-delay optimum for broadcast media assigns file
 /// i a frequency proportional to sqrt(p_i / m_i) (access probability over
 /// transmission cost) — quantizes them onto a small set of multi-disk
-/// frequency classes, builds one candidate program per quantization, and
-/// scores every candidate with the *exact* analyses from the bdisk layer:
+/// frequency classes, builds one candidate program per quantization (1, 2,
+/// 3 and 4 classes; 1 class is the flat baseline), and scores every
+/// candidate by its exact expected mean delay,
 ///
-/// * expected mean delay  = sum_i p_i * MeanRetrievalLatency(program, i)
-///   (closed form over occurrence lists, fault-free), and
-/// * worst-case latency   = max_i DelayAnalyzer::WorstCaseLatency(i, 0)
-///   (the delay-analysis refinement: a candidate that optimizes the hot
-///   tail must not starve cold files beyond `worst_case_cap_slots`).
+///   sum_i p_i * MeanRetrievalLatency(program, i)
+///
+/// (the bdisk layer's closed form over occurrence lists, fault-free).
 ///
 /// Candidates are independent, so they are evaluated in parallel across a
 /// runtime::ThreadPool; selection is deterministic (score, then candidate
@@ -40,24 +39,10 @@ class ThreadPool;
 
 namespace bdisk::adaptive {
 
-/// \brief Optimizer search options.
-struct OptimizerOptions {
-  /// Frequency-class counts to try (one multi-disk candidate each; 1 class
-  /// is the flat baseline).
-  std::vector<std::uint32_t> class_counts{1, 2, 3, 4};
-  /// Fastest relative frequency a class may spin at.
-  std::uint32_t max_relative_frequency = 8;
-  /// Reject candidates whose fault-free worst-case latency (any file)
-  /// exceeds this many slots (0 = no cap).
-  std::uint64_t worst_case_cap_slots = 0;
-};
-
 /// \brief Exact scores of one program under a demand estimate.
 struct ProgramScore {
   /// Demand-weighted mean retrieval latency in slots (fault-free, exact).
   double expected_mean_delay = 0.0;
-  /// Max over files of the fault-free worst-case latency in slots.
-  std::uint64_t worst_case_latency = 0;
 };
 
 /// \brief A chosen candidate program plus its planning artifacts.
@@ -66,7 +51,8 @@ struct OptimizedProgram {
   ProgramScore score;
   /// Number of frequency classes of the winning candidate.
   std::uint32_t class_count = 0;
-  /// Index of the winning candidate in the options' class_counts order.
+  /// Index of the winning candidate among the class counts tried
+  /// (class_count - 1).
   std::size_t candidate_index = 0;
 };
 
@@ -80,8 +66,7 @@ class ProgramOptimizer {
  public:
   /// Validates the file list: non-empty, unique names, m >= 1, n >= m.
   static Result<ProgramOptimizer> Create(
-      std::vector<broadcast::FlatFileSpec> files,
-      OptimizerOptions options = {});
+      std::vector<broadcast::FlatFileSpec> files);
 
   /// Builds and scores one candidate per class count and returns the best
   /// (lowest expected mean delay; ties break toward the lower candidate
@@ -92,12 +77,10 @@ class ProgramOptimizer {
                                     runtime::ThreadPool* pool = nullptr) const;
 
   const std::vector<broadcast::FlatFileSpec>& files() const { return files_; }
-  const OptimizerOptions& options() const { return options_; }
 
  private:
-  ProgramOptimizer(std::vector<broadcast::FlatFileSpec> files,
-                   OptimizerOptions options)
-      : files_(std::move(files)), options_(std::move(options)) {}
+  explicit ProgramOptimizer(std::vector<broadcast::FlatFileSpec> files)
+      : files_(std::move(files)) {}
 
   /// Builds the candidate for `class_count` frequency classes: square-root
   /// frequencies quantized to geometric levels, multi-disk layout, file
@@ -106,7 +89,6 @@ class ProgramOptimizer {
       const std::vector<double>& demand, std::uint32_t class_count) const;
 
   std::vector<broadcast::FlatFileSpec> files_;
-  OptimizerOptions options_;
 };
 
 }  // namespace bdisk::adaptive

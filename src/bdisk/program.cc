@@ -1,6 +1,7 @@
 #include "bdisk/program.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -52,14 +53,22 @@ Result<BroadcastProgram> BroadcastProgram::Create(
   }
 
   // Data cycle: the block rotation of file f re-aligns with the period
-  // every n_f / gcd(c_f, n_f) periods.
-  std::uint64_t factor = 1;
+  // every r_f = n_f / gcd(c_f, n_f) periods, so the cycle is the period
+  // times lcm_f r_f. Each step multiplies the cycle so far (period * L) by
+  // r_f / gcd(L, r_f), checked: UINT64_MAX once it does not fit.
+  const std::uint64_t period = slot_to_file.size();
+  p.data_cycle_ = period;
   for (std::size_t f = 0; f < files.size(); ++f) {
     const std::uint64_t c = p.occurrences_[f].size();
     const std::uint64_t n = files[f].n;
-    factor = LcmCapped(factor, n / Gcd(c, n));
+    const std::uint64_t r = n / Gcd(c, n);
+    const std::uint64_t step = r / Gcd(p.data_cycle_ / period, r);
+    if (p.data_cycle_ > std::numeric_limits<std::uint64_t>::max() / step) {
+      p.data_cycle_ = std::numeric_limits<std::uint64_t>::max();
+      break;
+    }
+    p.data_cycle_ *= step;
   }
-  p.data_cycle_ = factor * slot_to_file.size();
 
   p.files_ = std::move(files);
   p.slot_to_file_ = std::move(slot_to_file);

@@ -72,6 +72,9 @@ class BroadcastProgram {
   /// \brief Program data cycle in slots (Section 2.3): the smallest multiple
   /// of the period after which every file's block rotation re-aligns; the
   /// program as a sequence of (file, block) pairs has exactly this period.
+  /// UINT64_MAX when the cycle does not fit in 64 bits (rotations of many
+  /// coprime lengths): the program is still valid, but a horizon sized from
+  /// its cycle must saturate or be rejected, never wrap.
   std::uint64_t DataCycleLength() const { return data_cycle_; }
 
   const std::vector<ProgramFile>& files() const { return files_; }

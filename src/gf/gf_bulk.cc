@@ -1,6 +1,6 @@
 /// \file gf_bulk.cc
 /// \brief Shared kernel tables, the portable "generic" implementation, and
-/// the dispatched GFBulk entry points.
+/// the dispatched GFBulk entry point.
 
 #include "gf/gf_bulk.h"
 
@@ -37,55 +37,31 @@ const ProductTable& Products() {
 }
 
 // ---------------------------------------------------------------------------
-// Generic (portable scalar) kernels — the PR 1 table kernels, unchanged in
-// behavior; every other implementation must match them byte-for-byte.
+// Generic (portable scalar) kernel — every other implementation must match
+// it byte-for-byte.
 // ---------------------------------------------------------------------------
 
-void GenericXorRow(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  // Word-wide main loop; memcpy keeps it alias- and alignment-safe and
-  // compiles to plain 64-bit loads/stores.
-  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
-    std::uint64_t a;
-    std::uint64_t b;
-    std::memcpy(&a, dst + i, sizeof(a));
-    std::memcpy(&b, src + i, sizeof(b));
-    a ^= b;
-    std::memcpy(dst + i, &a, sizeof(a));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void GenericMulRow(std::uint8_t* dst, const std::uint8_t* src,
+// dst[i] ^= coeff * src[i] for i in [0, n): nothing for coeff 0, a
+// word-wide XOR for coeff 1, one product-table lookup per byte otherwise.
+void MulAccumulate(std::uint8_t* dst, const std::uint8_t* src,
                    std::uint8_t coeff, std::size_t n) {
-  if (coeff == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (coeff == 1) {
-    if (dst != src) std::memmove(dst, src, n);
-    return;
-  }
-  const std::uint8_t* const table = Products().rows[coeff].data();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    dst[i] = table[src[i]];
-    dst[i + 1] = table[src[i + 1]];
-    dst[i + 2] = table[src[i + 2]];
-    dst[i + 3] = table[src[i + 3]];
-  }
-  for (; i < n; ++i) dst[i] = table[src[i]];
-}
-
-void GenericMulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                             std::uint8_t coeff, std::size_t n) {
   if (coeff == 0) return;
+  std::size_t i = 0;
   if (coeff == 1) {
-    GenericXorRow(dst, src, n);
+    // memcpy keeps the word loop alias- and alignment-safe and compiles to
+    // plain 64-bit loads/stores.
+    for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+      std::uint64_t a;
+      std::uint64_t b;
+      std::memcpy(&a, dst + i, sizeof(a));
+      std::memcpy(&b, src + i, sizeof(b));
+      a ^= b;
+      std::memcpy(dst + i, &a, sizeof(a));
+    }
+    for (; i < n; ++i) dst[i] ^= src[i];
     return;
   }
   const std::uint8_t* const table = Products().rows[coeff].data();
-  std::size_t i = 0;
   // Unrolled by 4: the four independent lookup/XOR chains pipeline well and
   // give the compiler room to keep table loads in flight.
   for (; i + 4 <= n; i += 4) {
@@ -114,7 +90,7 @@ void GenericMatrixMulAccumulate(std::uint8_t* const* dsts,
       std::uint8_t* const dst = dsts[i] + pos;
       const std::uint8_t* const row = coeffs[i];
       for (std::size_t j = 0; j < n_src; ++j) {
-        GenericMulRowAccumulate(dst, srcs[j] + pos, row[j], len);
+        MulAccumulate(dst, srcs[j] + pos, row[j], len);
       }
     }
   }
@@ -141,37 +117,19 @@ const NibbleTables& GetNibbleTables() {
 }
 
 const KernelTable* GenericKernels() {
-  static constexpr KernelTable kTable = {
-      "generic",        GenericXorRow,
-      GenericMulRow,    GenericMulRowAccumulate,
-      GenericMatrixMulAccumulate,
-  };
+  static constexpr KernelTable kTable = {"generic",
+                                         GenericMatrixMulAccumulate};
   return &kTable;
 }
 
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
-// Dispatched public entry points.
+// Public entry points.
 // ---------------------------------------------------------------------------
 
 const std::uint8_t* GFBulk::MulTable(std::uint8_t coeff) {
   return Products().rows[coeff].data();
-}
-
-void GFBulk::XorRow(std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t n) {
-  Dispatch::Active().xor_row(dst, src, n);
-}
-
-void GFBulk::MulRow(std::uint8_t* dst, const std::uint8_t* src,
-                    std::uint8_t coeff, std::size_t n) {
-  Dispatch::Active().mul_row(dst, src, coeff, n);
-}
-
-void GFBulk::MulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                              std::uint8_t coeff, std::size_t n) {
-  Dispatch::Active().mul_row_accumulate(dst, src, coeff, n);
 }
 
 void GFBulk::MatrixMulAccumulate(std::uint8_t* const* dsts,

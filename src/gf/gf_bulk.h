@@ -1,24 +1,25 @@
 /// \file gf_bulk.h
-/// \brief Bulk GF(2^8) kernels operating on whole block columns.
+/// \brief The bulk GF(2^8) kernel: a matrix product over whole blocks.
 ///
 /// IDA dispersal and reconstruction (paper Figure 3) are matrix products in
 /// which each output block is a linear combination of m input blocks:
 ///
-///   dst[k] ^= coeff * src[k]   for every byte k of the block
+///   dst[k] ^= XOR over j of coeff[j] * src_j[k]   for every byte k
 ///
-/// These entry points route through gf::Dispatch to the fastest kernel
-/// implementation the CPU supports (gf/gf_dispatch.h): split low/high-nibble
-/// 16-entry tables driven by SSSE3 PSHUFB / AVX2 VPSHUFB / NEON TBL, which
-/// multiply 16–32 bytes per instruction pair, with the portable 256x256
-/// product-table kernel as the fallback. The coeff==0 / coeff==1 cases
-/// degenerate to a no-op / word-wide XOR on every path.
+/// MatrixMulAccumulate computes all n_dst output blocks over the same n_src
+/// input blocks in one call, tiling the byte range so each source tile is
+/// read once per tile round instead of once per destination, and each
+/// destination chunk is read and written once per tile instead of once per
+/// source — O(n_dst + n_src) block traffic where an unfused loop pays
+/// O(n_dst * n_src). Matrix::Inverse clears each pivot column with one call
+/// of it, too (gf/matrix.h).
 ///
-/// The fused MatrixMulAccumulate is the codec hot loop: it computes all
-/// n_dst output blocks over the same n_src input blocks in one call, tiling
-/// the byte range so each source tile is read once per tile round instead of
-/// once per destination, and each destination chunk is read and written once
-/// per tile instead of once per source — O(n_dst + n_src) block traffic
-/// where the unfused loop pays O(n_dst * n_src).
+/// The call routes through gf::Dispatch to the fastest kernel
+/// implementation the CPU supports (gf/gf_dispatch.h): GFNI's VGF2P8MULB,
+/// split low/high-nibble 16-entry tables driven by SSSE3 PSHUFB / AVX2
+/// VPSHUFB / NEON TBL, which multiply 16–32 bytes per instruction pair, or
+/// the portable 256x256 product-table kernel as the fallback. Coefficients
+/// 0 and 1 degenerate to a skipped source / a plain XOR on every path.
 ///
 /// GF256::MulSlow remains the reference oracle; tests assert every kernel
 /// implementation agrees with it byte-for-byte (tests/gf_simd_test.cc).
@@ -31,30 +32,15 @@
 
 namespace bdisk::gf {
 
-/// \brief Dispatched bulk GF(2^8) kernels.
+/// \brief The product table and the dispatched matrix-block kernel.
 ///
-/// All functions are static and thread-safe after first use (tables and the
-/// dispatch selection are built on first access under the C++ static-
-/// initialization guarantee). Buffers may not overlap unless dst == src
-/// exactly.
+/// Both functions are static and thread-safe (tables and the dispatch
+/// selection are built on first access under the C++ static-initialization
+/// guarantee).
 class GFBulk {
  public:
   /// The 256-entry product row for `coeff`: MulTable(c)[x] == c * x.
   static const std::uint8_t* MulTable(std::uint8_t coeff);
-
-  /// dst[i] ^= src[i] for i in [0, n). Word- or vector-wide XOR.
-  static void XorRow(std::uint8_t* dst, const std::uint8_t* src,
-                     std::size_t n);
-
-  /// dst[i] = coeff * src[i] for i in [0, n).
-  static void MulRow(std::uint8_t* dst, const std::uint8_t* src,
-                     std::uint8_t coeff, std::size_t n);
-
-  /// dst[i] ^= coeff * src[i] for i in [0, n) — the IDA inner loop.
-  ///
-  /// coeff == 0 is a no-op; coeff == 1 is XorRow.
-  static void MulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                               std::uint8_t coeff, std::size_t n);
 
   /// \brief Fused matrix-block multiply-accumulate — the whole-codec loop.
   ///
@@ -67,7 +53,7 @@ class GFBulk {
   /// blocks must be distinct from each other and from every source block;
   /// source blocks may repeat.
   ///
-  /// Equivalent to n_dst * n_src MulRowAccumulate calls, but tiled so the
+  /// Equivalent to n_dst * n_src single-source calls, but tiled so the
   /// source working set stays cache-resident and each destination chunk is
   /// loaded/stored once per tile, with the accumulator held in registers
   /// across sources on the SIMD paths.

@@ -2,11 +2,12 @@
 /// \brief Internal registry of GF(2^8) bulk-kernel implementations.
 ///
 /// Each implementation (generic table-driven, SSSE3, AVX2, GFNI, NEON) fills
-/// one KernelTable with the four bulk entry points. GFNI multiplies in the
-/// field directly (VGF2P8MULB reduces by this field's polynomial, 0x11B);
-/// the other vectorized variants use the split-nibble technique
-/// (gf-complete / ISA-L): a byte product
-/// c * b factors through the low and high nibbles of b,
+/// one KernelTable with one entry point: the fused matrix-block product
+/// that dispersal, reconstruction and matrix inversion all run. GFNI
+/// multiplies in the field directly (VGF2P8MULB reduces by this field's
+/// polynomial, 0x11B); the other vectorized variants use the split-nibble
+/// technique (gf-complete / ISA-L): a byte product c * b factors through
+/// the low and high nibbles of b,
 ///
 ///   c * b  =  c * (b & 0x0F)  ^  c * ((b >> 4) << 4)
 ///
@@ -27,24 +28,13 @@
 
 namespace bdisk::gf::internal {
 
-/// One implementation of the bulk kernels. Every function pointer in a
-/// registered table is non-null; the semantics match gf::GFBulk exactly
-/// (same coeff==0 / coeff==1 degenerate cases, byte-identical outputs).
+/// One implementation of the bulk kernel. The function pointer of a
+/// registered table is non-null; its semantics match
+/// gf::GFBulk::MatrixMulAccumulate exactly (byte-identical outputs).
 struct KernelTable {
   /// Stable lowercase identifier ("generic", "ssse3", "avx2", "gfni",
   /// "neon") — the values BDISK_GF_IMPL accepts.
   const char* name;
-
-  /// dst[i] ^= src[i] for i in [0, n).
-  void (*xor_row)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
-
-  /// dst[i] = coeff * src[i] for i in [0, n).
-  void (*mul_row)(std::uint8_t* dst, const std::uint8_t* src,
-                  std::uint8_t coeff, std::size_t n);
-
-  /// dst[i] ^= coeff * src[i] for i in [0, n).
-  void (*mul_row_accumulate)(std::uint8_t* dst, const std::uint8_t* src,
-                             std::uint8_t coeff, std::size_t n);
 
   /// Fused matrix-block product: for every destination block i,
   ///   dsts[i][k] ^= XOR_j coeffs[i][j] * srcs[j][k],  k in [0, block_size).

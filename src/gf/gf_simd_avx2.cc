@@ -1,9 +1,9 @@
 /// \file gf_simd_avx2.cc
-/// \brief AVX2 (VPSHUFB) GF(2^8) kernels — 32 bytes per shuffle pair.
+/// \brief AVX2 (VPSHUFB) GF(2^8) kernel — 32 bytes per shuffle pair.
 ///
 /// Compiled with -mavx2 on x86 (per-file flag; see CMakeLists.txt), reached
 /// only through gf::Dispatch after a CPUID probe. Identical structure to the
-/// SSSE3 kernels with the 16-byte nibble tables broadcast to both 128-bit
+/// SSSE3 kernel with the 16-byte nibble tables broadcast to both 128-bit
 /// lanes: VPSHUFB shuffles within each lane, so a broadcast table applies
 /// the same 16-entry lookup to all 32 bytes.
 
@@ -14,7 +14,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace bdisk::gf::internal {
 
@@ -44,70 +43,6 @@ inline __m256i MulVec(__m256i v, __m256i tlo, __m256i thi, __m256i mask) {
 inline std::uint8_t MulByte(const NibbleTables& t, std::uint8_t c,
                             std::uint8_t b) {
   return static_cast<std::uint8_t>(t.lo[c][b & 0x0F] ^ t.hi[c][b >> 4]);
-}
-
-void Avx2XorRow(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    StoreU(dst + i, _mm256_xor_si256(LoadU(dst + i), LoadU(src + i)));
-    StoreU(dst + i + 32,
-           _mm256_xor_si256(LoadU(dst + i + 32), LoadU(src + i + 32)));
-  }
-  for (; i + 32 <= n; i += 32) {
-    StoreU(dst + i, _mm256_xor_si256(LoadU(dst + i), LoadU(src + i)));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void Avx2MulRow(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t coeff,
-                std::size_t n) {
-  if (coeff == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (coeff == 1) {
-    if (dst != src) std::memmove(dst, src, n);
-    return;
-  }
-  const NibbleTables& t = GetNibbleTables();
-  const __m256i tlo = BroadcastTable(t.lo[coeff]);
-  const __m256i thi = BroadcastTable(t.hi[coeff]);
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    StoreU(dst + i, MulVec(LoadU(src + i), tlo, thi, mask));
-    StoreU(dst + i + 32, MulVec(LoadU(src + i + 32), tlo, thi, mask));
-  }
-  for (; i + 32 <= n; i += 32) {
-    StoreU(dst + i, MulVec(LoadU(src + i), tlo, thi, mask));
-  }
-  for (; i < n; ++i) dst[i] = MulByte(t, coeff, src[i]);
-}
-
-void Avx2MulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                          std::uint8_t coeff, std::size_t n) {
-  if (coeff == 0) return;
-  if (coeff == 1) {
-    Avx2XorRow(dst, src, n);
-    return;
-  }
-  const NibbleTables& t = GetNibbleTables();
-  const __m256i tlo = BroadcastTable(t.lo[coeff]);
-  const __m256i thi = BroadcastTable(t.hi[coeff]);
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    StoreU(dst + i, _mm256_xor_si256(LoadU(dst + i),
-                                     MulVec(LoadU(src + i), tlo, thi, mask)));
-    StoreU(dst + i + 32,
-           _mm256_xor_si256(LoadU(dst + i + 32),
-                            MulVec(LoadU(src + i + 32), tlo, thi, mask)));
-  }
-  for (; i + 32 <= n; i += 32) {
-    StoreU(dst + i, _mm256_xor_si256(LoadU(dst + i),
-                                     MulVec(LoadU(src + i), tlo, thi, mask)));
-  }
-  for (; i < n; ++i) dst[i] ^= MulByte(t, coeff, src[i]);
 }
 
 // Terms of one destination row, split by fast path and hoisted out of the
@@ -221,11 +156,7 @@ void Avx2MatrixMulAccumulate(std::uint8_t* const* dsts,
 }  // namespace
 
 const KernelTable* Avx2Kernels() {
-  static constexpr KernelTable kTable = {
-      "avx2",      Avx2XorRow,
-      Avx2MulRow,  Avx2MulRowAccumulate,
-      Avx2MatrixMulAccumulate,
-  };
+  static constexpr KernelTable kTable = {"avx2", Avx2MatrixMulAccumulate};
   return &kTable;
 }
 

@@ -1,5 +1,5 @@
 /// \file gf_simd_gfni.cc
-/// \brief AVX-512 GFNI GF(2^8) kernels — 64 byte products per VGF2P8MULB.
+/// \brief AVX-512 GFNI GF(2^8) kernel — 64 byte products per VGF2P8MULB.
 ///
 /// The field's reduction polynomial, x^8 + x^4 + x^3 + x + 1 (0x11B,
 /// gf/gf256.h), is exactly the one VGF2P8MULB reduces by, so a product is
@@ -15,8 +15,6 @@
     defined(__AVX512BW__)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 namespace bdisk::gf::internal {
 
@@ -41,58 +39,6 @@ inline void StoreTail(std::uint8_t* p, __mmask64 k, __m512i v) {
 
 inline __m512i Mul(__m512i v, __m512i coeff) {
   return _mm512_gf2p8mul_epi8(v, coeff);
-}
-
-void GfniXorRow(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    StoreU(dst + i, _mm512_xor_si512(LoadU(dst + i), LoadU(src + i)));
-  }
-  if (i < n) {
-    const __mmask64 k = TailMask(n - i);
-    StoreTail(dst + i, k,
-              _mm512_xor_si512(LoadTail(dst + i, k), LoadTail(src + i, k)));
-  }
-}
-
-void GfniMulRow(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t coeff,
-                std::size_t n) {
-  if (coeff == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (coeff == 1) {
-    if (dst != src) std::memmove(dst, src, n);
-    return;
-  }
-  const __m512i c = _mm512_set1_epi8(static_cast<char>(coeff));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) StoreU(dst + i, Mul(LoadU(src + i), c));
-  if (i < n) {
-    const __mmask64 k = TailMask(n - i);
-    StoreTail(dst + i, k, Mul(LoadTail(src + i, k), c));
-  }
-}
-
-void GfniMulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                          std::uint8_t coeff, std::size_t n) {
-  if (coeff == 0) return;
-  if (coeff == 1) {
-    GfniXorRow(dst, src, n);
-    return;
-  }
-  const __m512i c = _mm512_set1_epi8(static_cast<char>(coeff));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    StoreU(dst + i,
-           _mm512_xor_si512(LoadU(dst + i), Mul(LoadU(src + i), c)));
-  }
-  if (i < n) {
-    const __mmask64 k = TailMask(n - i);
-    StoreTail(dst + i, k,
-              _mm512_xor_si512(LoadTail(dst + i, k),
-                               Mul(LoadTail(src + i, k), c)));
-  }
 }
 
 // Terms of one destination row, split by fast path and hoisted out of the
@@ -191,11 +137,7 @@ void GfniMatrixMulAccumulate(std::uint8_t* const* dsts,
 }  // namespace
 
 const KernelTable* GfniKernels() {
-  static constexpr KernelTable kTable = {
-      "gfni",      GfniXorRow,
-      GfniMulRow,  GfniMulRowAccumulate,
-      GfniMatrixMulAccumulate,
-  };
+  static constexpr KernelTable kTable = {"gfni", GfniMatrixMulAccumulate};
   return &kTable;
 }
 

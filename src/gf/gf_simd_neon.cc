@@ -1,5 +1,5 @@
 /// \file gf_simd_neon.cc
-/// \brief AArch64 NEON (TBL) GF(2^8) kernels — 16 bytes per table pair.
+/// \brief AArch64 NEON (TBL) GF(2^8) kernel — 16 bytes per table pair.
 ///
 /// NEON is architecturally mandatory on AArch64, so no per-file compile
 /// flag or runtime probe is needed; gf::Dispatch registers this table
@@ -14,7 +14,6 @@
 #include <arm_neon.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace bdisk::gf::internal {
 
@@ -31,67 +30,6 @@ inline uint8x16_t MulVec(uint8x16_t v, uint8x16_t tlo, uint8x16_t thi) {
 inline std::uint8_t MulByte(const NibbleTables& t, std::uint8_t c,
                             std::uint8_t b) {
   return static_cast<std::uint8_t>(t.lo[c][b & 0x0F] ^ t.hi[c][b >> 4]);
-}
-
-void NeonXorRow(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i), vld1q_u8(src + i)));
-    vst1q_u8(dst + i + 16,
-             veorq_u8(vld1q_u8(dst + i + 16), vld1q_u8(src + i + 16)));
-  }
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i), vld1q_u8(src + i)));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void NeonMulRow(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t coeff,
-                std::size_t n) {
-  if (coeff == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (coeff == 1) {
-    if (dst != src) std::memmove(dst, src, n);
-    return;
-  }
-  const NibbleTables& t = GetNibbleTables();
-  const uint8x16_t tlo = vld1q_u8(t.lo[coeff]);
-  const uint8x16_t thi = vld1q_u8(t.hi[coeff]);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    vst1q_u8(dst + i, MulVec(vld1q_u8(src + i), tlo, thi));
-    vst1q_u8(dst + i + 16, MulVec(vld1q_u8(src + i + 16), tlo, thi));
-  }
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, MulVec(vld1q_u8(src + i), tlo, thi));
-  }
-  for (; i < n; ++i) dst[i] = MulByte(t, coeff, src[i]);
-}
-
-void NeonMulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                          std::uint8_t coeff, std::size_t n) {
-  if (coeff == 0) return;
-  if (coeff == 1) {
-    NeonXorRow(dst, src, n);
-    return;
-  }
-  const NibbleTables& t = GetNibbleTables();
-  const uint8x16_t tlo = vld1q_u8(t.lo[coeff]);
-  const uint8x16_t thi = vld1q_u8(t.hi[coeff]);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i),
-                               MulVec(vld1q_u8(src + i), tlo, thi)));
-    vst1q_u8(dst + i + 16, veorq_u8(vld1q_u8(dst + i + 16),
-                                    MulVec(vld1q_u8(src + i + 16), tlo, thi)));
-  }
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i),
-                               MulVec(vld1q_u8(src + i), tlo, thi)));
-  }
-  for (; i < n; ++i) dst[i] ^= MulByte(t, coeff, src[i]);
 }
 
 // Terms of one destination row, split by fast path and hoisted out of the
@@ -198,11 +136,7 @@ void NeonMatrixMulAccumulate(std::uint8_t* const* dsts,
 }  // namespace
 
 const KernelTable* NeonKernels() {
-  static constexpr KernelTable kTable = {
-      "neon",      NeonXorRow,
-      NeonMulRow,  NeonMulRowAccumulate,
-      NeonMatrixMulAccumulate,
-  };
+  static constexpr KernelTable kTable = {"neon", NeonMatrixMulAccumulate};
   return &kTable;
 }
 

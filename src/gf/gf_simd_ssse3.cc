@@ -1,5 +1,5 @@
 /// \file gf_simd_ssse3.cc
-/// \brief SSSE3 (PSHUFB) GF(2^8) kernels — 16 bytes per shuffle pair.
+/// \brief SSSE3 (PSHUFB) GF(2^8) kernel — 16 bytes per shuffle pair.
 ///
 /// Compiled with -mssse3 on x86 (CMake sets it per-file so the rest of the
 /// binary stays portable); reached only through gf::Dispatch after a CPUID
@@ -12,7 +12,6 @@
 #include <tmmintrin.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace bdisk::gf::internal {
 
@@ -37,70 +36,6 @@ inline __m128i MulVec(__m128i v, __m128i tlo, __m128i thi, __m128i mask) {
 inline std::uint8_t MulByte(const NibbleTables& t, std::uint8_t c,
                             std::uint8_t b) {
   return static_cast<std::uint8_t>(t.lo[c][b & 0x0F] ^ t.hi[c][b >> 4]);
-}
-
-void Ssse3XorRow(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    StoreU(dst + i, _mm_xor_si128(LoadU(dst + i), LoadU(src + i)));
-    StoreU(dst + i + 16,
-           _mm_xor_si128(LoadU(dst + i + 16), LoadU(src + i + 16)));
-  }
-  for (; i + 16 <= n; i += 16) {
-    StoreU(dst + i, _mm_xor_si128(LoadU(dst + i), LoadU(src + i)));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void Ssse3MulRow(std::uint8_t* dst, const std::uint8_t* src,
-                 std::uint8_t coeff, std::size_t n) {
-  if (coeff == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (coeff == 1) {
-    if (dst != src) std::memmove(dst, src, n);
-    return;
-  }
-  const NibbleTables& t = GetNibbleTables();
-  const __m128i tlo = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[coeff]));
-  const __m128i thi = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[coeff]));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    StoreU(dst + i, MulVec(LoadU(src + i), tlo, thi, mask));
-    StoreU(dst + i + 16, MulVec(LoadU(src + i + 16), tlo, thi, mask));
-  }
-  for (; i + 16 <= n; i += 16) {
-    StoreU(dst + i, MulVec(LoadU(src + i), tlo, thi, mask));
-  }
-  for (; i < n; ++i) dst[i] = MulByte(t, coeff, src[i]);
-}
-
-void Ssse3MulRowAccumulate(std::uint8_t* dst, const std::uint8_t* src,
-                           std::uint8_t coeff, std::size_t n) {
-  if (coeff == 0) return;
-  if (coeff == 1) {
-    Ssse3XorRow(dst, src, n);
-    return;
-  }
-  const NibbleTables& t = GetNibbleTables();
-  const __m128i tlo = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[coeff]));
-  const __m128i thi = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[coeff]));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    StoreU(dst + i, _mm_xor_si128(LoadU(dst + i),
-                                  MulVec(LoadU(src + i), tlo, thi, mask)));
-    StoreU(dst + i + 16,
-           _mm_xor_si128(LoadU(dst + i + 16),
-                         MulVec(LoadU(src + i + 16), tlo, thi, mask)));
-  }
-  for (; i + 16 <= n; i += 16) {
-    StoreU(dst + i, _mm_xor_si128(LoadU(dst + i),
-                                  MulVec(LoadU(src + i), tlo, thi, mask)));
-  }
-  for (; i < n; ++i) dst[i] ^= MulByte(t, coeff, src[i]);
 }
 
 // Terms of one destination row, split by fast path and hoisted out of the
@@ -215,11 +150,7 @@ void Ssse3MatrixMulAccumulate(std::uint8_t* const* dsts,
 }  // namespace
 
 const KernelTable* Ssse3Kernels() {
-  static constexpr KernelTable kTable = {
-      "ssse3",      Ssse3XorRow,
-      Ssse3MulRow,  Ssse3MulRowAccumulate,
-      Ssse3MatrixMulAccumulate,
-  };
+  static constexpr KernelTable kTable = {"ssse3", Ssse3MatrixMulAccumulate};
   return &kTable;
 }
 

@@ -1,5 +1,6 @@
 #include "gf/matrix.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/check.h"
@@ -22,27 +23,6 @@ Result<Matrix> Matrix::FromRowMajor(std::size_t rows, std::size_t cols,
 Matrix Matrix::Identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m.Set(i, i, 1);
-  return m;
-}
-
-Result<Matrix> Matrix::Vandermonde(std::size_t rows, std::size_t cols) {
-  if (rows > 255) {
-    return Status::InvalidArgument(
-        "Vandermonde: at most 255 rows over GF(2^8), got " +
-        std::to_string(rows));
-  }
-  if (cols > rows) {
-    return Status::InvalidArgument("Vandermonde: cols > rows");
-  }
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const auto x = static_cast<std::uint8_t>(i + 1);  // Distinct, non-zero.
-    std::uint8_t p = 1;
-    for (std::size_t j = 0; j < cols; ++j) {
-      m.Set(i, j, p);
-      p = GF256::Mul(p, x);
-    }
-  }
   return m;
 }
 
@@ -125,80 +105,66 @@ Result<Matrix> Matrix::Mul(const Matrix& other) const {
   return out;
 }
 
-Result<std::vector<std::uint8_t>> Matrix::MulVector(
-    const std::vector<std::uint8_t>& v) const {
-  if (v.size() != cols_) {
-    return Status::InvalidArgument("MulVector: vector size mismatch");
-  }
-  std::vector<std::uint8_t> out(rows_, 0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    std::uint8_t acc = 0;
-    const std::uint8_t* row = RowData(i);
-    for (std::size_t j = 0; j < cols_; ++j) {
-      acc = GF256::Add(acc, GF256::Mul(row[j], v[j]));
-    }
-    out[i] = acc;
-  }
-  return out;
-}
-
 Result<Matrix> Matrix::Inverse() const {
   if (rows_ != cols_) {
     return Status::InvalidArgument("Inverse: matrix is not square");
   }
+  // Gauss–Jordan on one n x 2n buffer [A | I]: every row operation covers
+  // both halves at once, and the right half ends as the inverse.
   const std::size_t n = rows_;
-  Matrix a = *this;
-  Matrix inv = Identity(n);
+  const std::size_t width = 2 * n;
+  Matrix aug(n, width);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::copy_n(RowData(r), n, aug.MutableRowData(r));
+    aug.Set(r, n + r, 1);
+  }
+  std::vector<std::uint8_t*> dsts;
+  std::vector<std::uint8_t> factors;
+  std::vector<const std::uint8_t*> coeffs;
+  dsts.reserve(n);
+  factors.reserve(n);
+  coeffs.reserve(n);
   for (std::size_t col = 0; col < n; ++col) {
-    // Find a pivot.
+    // The pivot: the first nonzero at or below the diagonal, swapped up.
     std::size_t pivot = col;
-    while (pivot < n && a.At(pivot, col) == 0) ++pivot;
+    while (pivot < n && aug.At(pivot, col) == 0) ++pivot;
     if (pivot == n) {
       return Status::Infeasible("Inverse: singular matrix");
     }
+    std::uint8_t* const pivot_row = aug.MutableRowData(col);
     if (pivot != col) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::swap(a.data_[pivot * n + j], a.data_[col * n + j]);
-        std::swap(inv.data_[pivot * n + j], inv.data_[col * n + j]);
-      }
+      std::swap_ranges(pivot_row, pivot_row + width,
+                       aug.MutableRowData(pivot));
     }
-    // Normalize the pivot row.
-    const std::uint8_t p_inv = GF256::Inv(a.At(col, col));
-    GFBulk::MulRow(a.MutableRowData(col), a.RowData(col), p_inv, n);
-    GFBulk::MulRow(inv.MutableRowData(col), inv.RowData(col), p_inv, n);
-    // Eliminate the column everywhere else.
+    // Left of `col` the pivot row is already zero, so scaling it and adding
+    // it to other rows changes columns [col, 2n) only.
+    const std::uint8_t* const scale =
+        GFBulk::MulTable(GF256::Inv(pivot_row[col]));
+    for (std::size_t j = col; j < width; ++j) {
+      pivot_row[j] = scale[pivot_row[j]];
+    }
+    // Clear the column with one fused call: each other row with a nonzero
+    // factor f in it gains f times the pivot row. The call overwrites the
+    // factors (each becomes 0), so they are copied out first.
+    dsts.clear();
+    factors.clear();
+    coeffs.clear();
     for (std::size_t r = 0; r < n; ++r) {
-      if (r == col) continue;
-      const std::uint8_t f = a.At(r, col);
-      GFBulk::MulRowAccumulate(a.MutableRowData(r), a.RowData(col), f, n);
-      GFBulk::MulRowAccumulate(inv.MutableRowData(r), inv.RowData(col), f, n);
+      const std::uint8_t f = aug.At(r, col);
+      if (r == col || f == 0) continue;
+      dsts.push_back(aug.MutableRowData(r) + col);
+      factors.push_back(f);
     }
+    for (const std::uint8_t& f : factors) coeffs.push_back(&f);
+    const std::uint8_t* const src = pivot_row + col;
+    GFBulk::MatrixMulAccumulate(dsts.data(), &src, coeffs.data(), dsts.size(),
+                                1, width - col);
+  }
+  Matrix inv(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::copy_n(aug.RowData(r) + n, n, inv.MutableRowData(r));
   }
   return inv;
-}
-
-std::size_t Matrix::Rank() const {
-  Matrix a = *this;
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < cols_ && rank < rows_; ++col) {
-    std::size_t pivot = rank;
-    while (pivot < rows_ && a.At(pivot, col) == 0) ++pivot;
-    if (pivot == rows_) continue;
-    if (pivot != rank) {
-      for (std::size_t j = 0; j < cols_; ++j) {
-        std::swap(a.data_[pivot * cols_ + j], a.data_[rank * cols_ + j]);
-      }
-    }
-    const std::uint8_t p_inv = GF256::Inv(a.At(rank, col));
-    GFBulk::MulRow(a.MutableRowData(rank), a.RowData(rank), p_inv, cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      if (r == rank) continue;
-      GFBulk::MulRowAccumulate(a.MutableRowData(r), a.RowData(rank),
-                               a.At(r, col), cols_);
-    }
-    ++rank;
-  }
-  return rank;
 }
 
 Result<Matrix> Matrix::SelectRows(

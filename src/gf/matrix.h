@@ -1,10 +1,11 @@
 /// \file matrix.h
 /// \brief Dense matrices over GF(2^8), with the operations IDA needs:
-/// multiplication, Gaussian-elimination inversion, row selection, and
-/// Vandermonde / Cauchy constructions whose every m-row subset is invertible.
+/// multiplication, Gauss–Jordan inversion, row selection, and the Cauchy
+/// constructions whose every m-row subset is invertible.
 ///
-/// Row-wide elimination steps (Inverse, Rank) run on the dispatched bulk
-/// kernels (gf/gf_bulk.h), so they ride the same SIMD paths as the codec.
+/// Inverse clears each pivot column with one call of the dispatched fused
+/// kernel (gf::GFBulk::MatrixMulAccumulate), so the elimination rides the
+/// same SIMD paths as the codec.
 
 #ifndef BDISK_GF_MATRIX_H_
 #define BDISK_GF_MATRIX_H_
@@ -33,14 +34,6 @@ class Matrix {
   /// The n x n identity matrix.
   static Matrix Identity(std::size_t n);
 
-  /// \brief Vandermonde matrix V[i][j] = x_i^j with distinct evaluation
-  /// points x_i = i + 1 (i in [0, rows)), rows <= 255, cols <= rows... any
-  /// `cols` rows of it are linearly independent because the points are
-  /// distinct and non-zero.
-  ///
-  /// Fails if rows > 255 (GF(2^8) has only 255 distinct non-zero points).
-  static Result<Matrix> Vandermonde(std::size_t rows, std::size_t cols);
-
   /// \brief Cauchy matrix C[i][j] = 1 / (x_i + y_j) with x_i = i and
   /// y_j = rows + j, all distinct; every square submatrix is invertible.
   ///
@@ -68,16 +61,9 @@ class Matrix {
   /// Matrix product this * other. Fails on shape mismatch.
   Result<Matrix> Mul(const Matrix& other) const;
 
-  /// Matrix-vector product this * v (v.size() must equal cols()).
-  Result<std::vector<std::uint8_t>> MulVector(
-      const std::vector<std::uint8_t>& v) const;
-
-  /// Inverse via Gauss–Jordan elimination. Fails with Infeasible if the
-  /// matrix is singular or non-square.
+  /// Inverse via Gauss–Jordan elimination on [this | I]. Fails with
+  /// Infeasible if the matrix is singular, InvalidArgument if non-square.
   Result<Matrix> Inverse() const;
-
-  /// Rank via Gaussian elimination (destructive on a copy).
-  std::size_t Rank() const;
 
   /// The square matrix formed by the given rows (in the given order).
   /// Fails if any index is out of range.

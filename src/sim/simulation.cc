@@ -291,8 +291,14 @@ Result<RetrievalOutcome> Simulator::RetrieveTransaction(
 }
 
 Result<std::uint64_t> Simulator::StartRange(std::uint64_t deadline) const {
-  const std::uint64_t tail =
-      std::max<std::uint64_t>(deadline, 4 * MaxDataCycle());
+  // Four data cycles, saturating: a cycle past 2^62 slots needs a horizon
+  // no fault trace can have.
+  const std::uint64_t cycle = MaxDataCycle();
+  const std::uint64_t four_cycles =
+      cycle > std::numeric_limits<std::uint64_t>::max() / 4
+          ? std::numeric_limits<std::uint64_t>::max()
+          : 4 * cycle;
+  const std::uint64_t tail = std::max(deadline, four_cycles);
   if (faults_.size() <= tail) {
     return Status::InvalidArgument(
         "Simulator: horizon too small for workload (need > " +

@@ -1,7 +1,7 @@
 // Tests for the adaptive subsystem: demand estimation, demand-driven
-// program optimization (determinism, canonical order, delay-analysis
-// refinement), hot-swap coordination, and the closed loop beating a static
-// program under demand drift.
+// program optimization (determinism, canonical order), hot-swap
+// coordination, the closed loop beating a static program under demand
+// drift, and the bound on its replay horizon.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "bdisk/multi_disk.h"
 #include "common/zipf.h"
 #include "faults/channel_model.h"
+#include "prime_rotation_program.h"
 #include "runtime/thread_pool.h"
 
 namespace bdisk::adaptive {
@@ -109,32 +110,6 @@ TEST(ProgramOptimizerTest, ParallelOptimizeIsBitIdentical) {
   EXPECT_EQ(serial->program.slots(), parallel->program.slots());
   EXPECT_EQ(serial->score.expected_mean_delay,
             parallel->score.expected_mean_delay);
-  EXPECT_EQ(serial->score.worst_case_latency,
-            parallel->score.worst_case_latency);
-}
-
-TEST(ProgramOptimizerTest, WorstCaseCapRefinesSelection) {
-  auto unconstrained = ProgramOptimizer::Create(Population());
-  ASSERT_TRUE(unconstrained.ok());
-  const ZipfDistribution zipf(8, 1.2);
-  auto best = unconstrained->Optimize(zipf.Probabilities());
-  ASSERT_TRUE(best.ok());
-
-  // Capping below the unconstrained winner's worst case forces a different
-  // (flatter) candidate or an Infeasible verdict — never a cap violation.
-  OptimizerOptions capped_options;
-  capped_options.worst_case_cap_slots = best->score.worst_case_latency - 1;
-  auto capped = ProgramOptimizer::Create(Population(), capped_options);
-  ASSERT_TRUE(capped.ok());
-  auto refined = capped->Optimize(zipf.Probabilities());
-  if (refined.ok()) {
-    EXPECT_LE(refined->score.worst_case_latency,
-              capped_options.worst_case_cap_slots);
-    EXPECT_GE(refined->score.expected_mean_delay,
-              best->score.expected_mean_delay);
-  } else {
-    EXPECT_TRUE(refined.status().IsInfeasible());
-  }
 }
 
 TEST(ProgramOptimizerTest, RejectsMalformedInputs) {
@@ -192,7 +167,7 @@ TEST(AdaptiveLoopTest, ControllerSwapsOnDemandFlip) {
   auto initial = optimizer->Optimize(zipf.Probabilities());
   ASSERT_TRUE(initial.ok());
 
-  auto controller = AdaptiveController::Create(files, initial->program, {});
+  auto controller = AdaptiveController::Create(files, initial->program);
   ASSERT_TRUE(controller.ok()) << controller.status();
 
   // Steady pre-flip demand: no swap (the incumbent is already optimal).
@@ -235,7 +210,7 @@ TEST(AdaptiveLoopTest, AdaptiveBeatsStaticUnderDrift) {
   workload.seed = 9;
 
   auto result = RunAdaptiveExperiment(Population(), workload,
-                                      /*interval_slots=*/3000, {},
+                                      /*interval_slots=*/3000,
                                       faults::BernoulliChannel(0.02, 41));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GE(result->swaps, 1u);
@@ -258,12 +233,11 @@ TEST(AdaptiveLoopTest, ExperimentIsThreadCountInvariant) {
   workload.flip_slot = 6000;
 
   const faults::BernoulliChannel channel(0.05, 7);
-  auto serial =
-      RunAdaptiveExperiment(Population(), workload, 2000, {}, channel);
+  auto serial = RunAdaptiveExperiment(Population(), workload, 2000, channel);
   ASSERT_TRUE(serial.ok()) << serial.status();
   runtime::ThreadPool pool(4);
-  auto parallel = RunAdaptiveExperiment(Population(), workload, 2000, {},
-                                        channel, &pool);
+  auto parallel =
+      RunAdaptiveExperiment(Population(), workload, 2000, channel, &pool);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(serial->swaps, parallel->swaps);
   ASSERT_EQ(serial->schedule.epoch_count(), parallel->schedule.epoch_count());
@@ -277,6 +251,25 @@ TEST(AdaptiveLoopTest, ExperimentIsThreadCountInvariant) {
             parallel->adaptive_metrics.OverallMeanLatency());
   EXPECT_EQ(serial->static_metrics.OverallMeanLatency(),
             parallel->static_metrics.OverallMeanLatency());
+}
+
+// A data cycle past 2^64 slots: the replay horizon (the arrivals plus 8
+// data cycles) cannot fit in 2^32 - 1 slots, so the experiment fails.
+TEST(AdaptiveLoopTest, DataCyclePastHorizonBoundIsRejected) {
+  auto initial = broadcast::PrimeRotationProgram();
+  ASSERT_TRUE(initial.ok()) << initial.status();
+  std::vector<FlatFileSpec> files;
+  for (const broadcast::ProgramFile& pf : initial->files()) {
+    files.push_back({pf.name, pf.m, pf.n, {}});
+  }
+  DriftingZipfWorkload workload;
+  workload.requests = 200;
+  workload.arrival_horizon = 2000;
+  workload.flip_slot = 1000;
+  auto result = RunAdaptiveExperiment(files, workload, 1000,
+                                      faults::LosslessChannel(), nullptr,
+                                      &*initial);
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
 }
 
 }  // namespace

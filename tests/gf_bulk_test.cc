@@ -31,49 +31,7 @@ TEST(GFBulkTest, MulTableMatchesMulSlowExhaustively) {
   }
 }
 
-TEST(GFBulkTest, XorRowMatchesBytewiseXor) {
-  Rng rng(7);
-  // Sizes straddling the 8-byte word loop, including the 0 and tail cases.
-  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 64u, 1000u}) {
-    auto dst = RandomBytes(n, &rng);
-    const auto src = RandomBytes(n, &rng);
-    auto expected = dst;
-    for (std::size_t i = 0; i < n; ++i) expected[i] ^= src[i];
-    GFBulk::XorRow(dst.data(), src.data(), n);
-    EXPECT_EQ(dst, expected) << "n=" << n;
-  }
-}
-
-TEST(GFBulkTest, MulRowMatchesMulSlowOnRandomInputs) {
-  Rng rng(8);
-  for (std::size_t n : {1u, 5u, 64u, 257u, 4096u}) {
-    const auto src = RandomBytes(n, &rng);
-    for (unsigned c : {0u, 1u, 2u, 29u, 127u, 255u}) {
-      const auto coeff = static_cast<std::uint8_t>(c);
-      std::vector<std::uint8_t> dst(n, 0xAB);
-      GFBulk::MulRow(dst.data(), src.data(), coeff, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(dst[i], GF256::MulSlow(coeff, src[i]))
-            << "n=" << n << " c=" << c << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(GFBulkTest, MulRowInPlace) {
-  Rng rng(9);
-  const auto src = RandomBytes(333, &rng);
-  for (unsigned c : {0u, 1u, 77u}) {
-    const auto coeff = static_cast<std::uint8_t>(c);
-    auto buf = src;
-    GFBulk::MulRow(buf.data(), buf.data(), coeff, buf.size());
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      ASSERT_EQ(buf[i], GF256::MulSlow(coeff, src[i])) << "c=" << c;
-    }
-  }
-}
-
-TEST(GFBulkTest, MulRowAccumulateMatchesMulSlowOnRandomInputs) {
+TEST(GFBulkTest, MatrixMulAccumulateMatchesMulSlowOnRandomInputs) {
   Rng rng(10);
   for (std::size_t n : {1u, 3u, 8u, 100u, 4096u}) {
     const auto src = RandomBytes(n, &rng);
@@ -81,7 +39,11 @@ TEST(GFBulkTest, MulRowAccumulateMatchesMulSlowOnRandomInputs) {
     for (unsigned c = 0; c < 256; c += 17) {
       const auto coeff = static_cast<std::uint8_t>(c);
       auto dst = base;
-      GFBulk::MulRowAccumulate(dst.data(), src.data(), coeff, n);
+      // A 1 x 1 product: one destination, one source.
+      std::uint8_t* dsts[] = {dst.data()};
+      const std::uint8_t* srcs[] = {src.data()};
+      const std::uint8_t* coeffs[] = {&coeff};
+      GFBulk::MatrixMulAccumulate(dsts, srcs, coeffs, 1, 1, n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(dst[i],
                   static_cast<std::uint8_t>(base[i] ^
@@ -94,17 +56,20 @@ TEST(GFBulkTest, MulRowAccumulateMatchesMulSlowOnRandomInputs) {
 
 TEST(GFBulkTest, AccumulatingAllCoefficientsIsLinear) {
   // sum_c (c * src) over a set of coefficients equals (xor of coefficients)
-  // * src — accumulation must respect field linearity.
+  // * src — accumulation must respect field linearity. One 1 x 4 product
+  // whose four sources are the same block.
   Rng rng(11);
   const std::size_t n = 512;
   const auto src = RandomBytes(n, &rng);
-  const std::uint8_t coeffs[] = {0x03, 0x1D, 0x80, 0xFF};
+  const std::uint8_t row[] = {0x03, 0x1D, 0x80, 0xFF};
   std::vector<std::uint8_t> acc(n, 0);
+  std::uint8_t* dsts[] = {acc.data()};
+  const std::uint8_t* srcs[] = {src.data(), src.data(), src.data(),
+                                src.data()};
+  const std::uint8_t* coeffs[] = {row};
+  GFBulk::MatrixMulAccumulate(dsts, srcs, coeffs, 1, 4, n);
   std::uint8_t combined = 0;
-  for (std::uint8_t c : coeffs) {
-    GFBulk::MulRowAccumulate(acc.data(), src.data(), c, n);
-    combined ^= c;
-  }
+  for (std::uint8_t c : row) combined ^= c;
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(acc[i], GF256::MulSlow(combined, src[i])) << "i=" << i;
   }

@@ -1,18 +1,20 @@
 // Exhaustive conformance tests for every GF(2^8) kernel implementation the
 // host supports, against the GF256::MulSlow oracle.
 //
-// Every implementation (generic table kernel, SSSE3, AVX2, NEON — whatever
-// gf::Dispatch::Supported() reports) must be byte-identical to the scalar
-// oracle for all 256 coefficients, at lengths that straddle every vector
-// width and tail path, and at every src/dst misalignment in [0, 16). The
-// oracle is materialized once as a 256x256 table whose every entry is
-// asserted equal to GF256::MulSlow, then applied via lookups (building
-// multi-KiB expected buffers through the bitwise MulSlow loop itself would
-// dominate the test's runtime without adding coverage).
+// Every implementation (generic table kernel, SSSE3, AVX2, GFNI, NEON —
+// whatever gf::Dispatch::Supported() reports) runs its one entry point,
+// matrix_mul_accumulate, as a single-source product that must be
+// byte-identical to the scalar oracle for all 256 coefficients, at lengths
+// that straddle every vector width and tail path, and at every src/dst
+// misalignment in [0, 16). The oracle is materialized once as a 256x256
+// table whose every entry is asserted equal to GF256::MulSlow, then applied
+// via lookups (building multi-KiB expected buffers through the bitwise
+// MulSlow loop itself would dominate the test's runtime without adding
+// coverage).
 //
-// A second suite checks the fused MatrixMulAccumulate against the unfused
-// per-(dst, src) row loop on random matrices, and that every implementation
-// reproduces ida::Dispersal's wire bytes exactly.
+// A second suite checks multi-row, multi-source products against an
+// unfused per-(dst, src) oracle byte loop on random matrices, and that
+// every implementation reproduces ida::Dispersal's wire bytes exactly.
 
 #include <gtest/gtest.h>
 
@@ -92,34 +94,32 @@ TEST(GfSimdTest, DispatchReportsConsistentImplementations) {
 }
 
 // Shared buffers for the conformance sweep. `src` and `dst` carry extra
-// room so kernels can be invoked at every misalignment; `base` is the
-// logical (offset-independent) initial dst content for accumulate calls.
+// room so the kernel can be invoked at every misalignment; `base` is the
+// logical (offset-independent) initial dst content.
 struct Sweep {
   std::vector<std::uint8_t> src = RandomBytes(kMaxOffset + kMaxLength, 101);
   std::vector<std::uint8_t> base = RandomBytes(kMaxLength, 202);
   std::vector<std::uint8_t> dst =
       std::vector<std::uint8_t>(kMaxOffset + kMaxLength + kCanary, 0);
-  // Expected product / accumulate bytes for the current (coeff, src_off).
+  // Expected bytes base ^ coeff * src for the current (coeff, src_off).
   std::vector<std::uint8_t> exp = std::vector<std::uint8_t>(kMaxLength, 0);
-  std::vector<std::uint8_t> acc_exp = std::vector<std::uint8_t>(kMaxLength, 0);
 };
 
-// Runs one (impl, coeff, len, src_off, dst_off) kernel call and checks the
+// Runs one (impl, coeff, len, src_off, dst_off) single-source product —
+// one destination, one source, a 1 x 1 coefficient matrix — and checks the
 // output bytes plus the canary region around the destination window.
 // Returns false (after recording a gtest failure) on the first mismatch so
 // the sweep can bail out instead of printing millions of errors.
-template <typename Fn>
-bool CheckCall(Sweep* s, const char* what, const char* impl, unsigned coeff,
-               std::size_t len, std::size_t src_off, std::size_t dst_off,
-               const std::uint8_t* expected, bool init_dst_with_base,
-               Fn&& call) {
-  std::uint8_t* const dst = s->dst.data() + dst_off;
+bool CheckCall(Sweep* s, const KernelTable& k, unsigned coeff,
+               std::size_t len, std::size_t src_off, std::size_t dst_off) {
+  std::uint8_t* dst = s->dst.data() + dst_off;
   std::memset(s->dst.data(), 0x5C, s->dst.size());
-  if (init_dst_with_base && len > 0) {
-    std::memcpy(dst, s->base.data(), len);
-  }
-  call(dst, s->src.data() + src_off, static_cast<std::uint8_t>(coeff), len);
-  const bool body_ok = len == 0 || std::memcmp(dst, expected, len) == 0;
+  if (len > 0) std::memcpy(dst, s->base.data(), len);
+  const std::uint8_t* src = s->src.data() + src_off;
+  const auto c = static_cast<std::uint8_t>(coeff);
+  const std::uint8_t* row = &c;
+  k.matrix_mul_accumulate(&dst, &src, &row, 1, 1, len);
+  const bool body_ok = len == 0 || std::memcmp(dst, s->exp.data(), len) == 0;
   bool canary_ok = true;
   for (std::size_t i = 0; i < dst_off && canary_ok; ++i) {
     canary_ok = s->dst[i] == 0x5C;
@@ -129,16 +129,17 @@ bool CheckCall(Sweep* s, const char* what, const char* impl, unsigned coeff,
     canary_ok = s->dst[i] == 0x5C;
   }
   EXPECT_TRUE(body_ok && canary_ok)
-      << what << " impl=" << impl << " coeff=" << coeff << " len=" << len
+      << "impl=" << k.name << " coeff=" << coeff << " len=" << len
       << " src_off=" << src_off << " dst_off=" << dst_off
       << (body_ok ? " (out-of-bounds write hit the canary)"
                   : " (output bytes differ from the MulSlow oracle)");
   return body_ok && canary_ok;
 }
 
-// The exhaustive sweep of the ISSUE: every supported implementation x all
-// 256 coefficients x kLengths x src offsets 0-15 x dst offsets 0-15, for
-// both MulRow and MulRowAccumulate.
+// The exhaustive sweep: every supported implementation x all 256
+// coefficients x kLengths x src offsets 0-15 x dst offsets 0-15. Coefficient
+// 0 leaves dst as is and coefficient 1 is a plain XOR, so the sweep covers
+// both fast paths at every misalignment too.
 TEST(GfSimdTest, MulKernelsMatchOracleExhaustively) {
   const auto& oracle = OracleTable();
   Sweep s;
@@ -147,65 +148,14 @@ TEST(GfSimdTest, MulKernelsMatchOracleExhaustively) {
       const auto& row = oracle[coeff];
       for (std::size_t src_off = 0; src_off < kMaxOffset; ++src_off) {
         for (std::size_t i = 0; i < kMaxLength; ++i) {
-          s.exp[i] = row[s.src[src_off + i]];
-          s.acc_exp[i] = static_cast<std::uint8_t>(s.base[i] ^ s.exp[i]);
+          s.exp[i] = static_cast<std::uint8_t>(s.base[i] ^
+                                               row[s.src[src_off + i]]);
         }
         for (std::size_t len : kLengths) {
           for (std::size_t dst_off = 0; dst_off < kMaxOffset; ++dst_off) {
-            if (!CheckCall(&s, "MulRow", k->name, coeff, len, src_off, dst_off,
-                           s.exp.data(), /*init_dst_with_base=*/false,
-                           k->mul_row)) {
-              return;
-            }
-            if (!CheckCall(&s, "MulRowAccumulate", k->name, coeff, len,
-                           src_off, dst_off, s.acc_exp.data(),
-                           /*init_dst_with_base=*/true,
-                           k->mul_row_accumulate)) {
-              return;
-            }
+            if (!CheckCall(&s, *k, coeff, len, src_off, dst_off)) return;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(GfSimdTest, XorRowMatchesBytewiseXorAtEveryMisalignment) {
-  Sweep s;
-  for (const KernelTable* k : Dispatch::Supported()) {
-    for (std::size_t src_off = 0; src_off < kMaxOffset; ++src_off) {
-      for (std::size_t i = 0; i < kMaxLength; ++i) {
-        s.acc_exp[i] = static_cast<std::uint8_t>(s.base[i] ^
-                                                 s.src[src_off + i]);
-      }
-      for (std::size_t len : kLengths) {
-        for (std::size_t dst_off = 0; dst_off < kMaxOffset; ++dst_off) {
-          auto xor_call = [k](std::uint8_t* dst, const std::uint8_t* src,
-                              std::uint8_t, std::size_t n) {
-            k->xor_row(dst, src, n);
-          };
-          if (!CheckCall(&s, "XorRow", k->name, /*coeff=*/0, len, src_off,
-                         dst_off, s.acc_exp.data(),
-                         /*init_dst_with_base=*/true, xor_call)) {
-            return;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(GfSimdTest, MulRowSupportsExactInPlaceAliasing) {
-  const auto& oracle = OracleTable();
-  const auto src = RandomBytes(333, 17);
-  for (const KernelTable* k : Dispatch::Supported()) {
-    for (unsigned c : {0u, 1u, 77u, 255u}) {
-      auto buf = src;
-      k->mul_row(buf.data(), buf.data(), static_cast<std::uint8_t>(c),
-                 buf.size());
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        ASSERT_EQ(buf[i], oracle[c][src[i]])
-            << "impl=" << k->name << " c=" << c << " i=" << i;
       }
     }
   }
@@ -215,15 +165,18 @@ TEST(GfSimdTest, MulRowSupportsExactInPlaceAliasing) {
 // Fused matrix kernel.
 // ---------------------------------------------------------------------------
 
-// Unfused reference: n_dst * n_src independent row passes through the
-// already-oracle-verified generic kernel.
+// Unfused reference: n_dst * n_src independent byte loops through the
+// MulSlow-verified oracle table.
 void UnfusedReference(std::uint8_t* const* dsts, const std::uint8_t* const* srcs,
                       const std::uint8_t* const* coeffs, std::size_t n_dst,
                       std::size_t n_src, std::size_t block_size) {
-  const KernelTable* generic = internal::GenericKernels();
+  const auto& oracle = OracleTable();
   for (std::size_t i = 0; i < n_dst; ++i) {
     for (std::size_t j = 0; j < n_src; ++j) {
-      generic->mul_row_accumulate(dsts[i], srcs[j], coeffs[i][j], block_size);
+      const auto& row = oracle[coeffs[i][j]];
+      for (std::size_t k = 0; k < block_size; ++k) {
+        dsts[i][k] ^= row[srcs[j][k]];
+      }
     }
   }
 }

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
+
+#include "prime_rotation_program.h"
 
 namespace bdisk::broadcast {
 namespace {
@@ -213,6 +216,18 @@ TEST(ProgramTest, DataCycleWithCoprimeRotation) {
   auto p = BroadcastProgram::Create(std::move(files), std::move(slots));
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->DataCycleLength(), 9u);
+}
+
+TEST(ProgramTest, DataCyclePastSixtyFourBitsSaturates) {
+  // 15 * (2 * 3 * ... * 47) fits in 64 bits and is exact.
+  auto fits = PrimeRotationProgram(15);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(fits->DataCycleLength(), 15u * 614889782588491410u);
+  // 16 * (2 * 3 * ... * 53) does not: the program is valid and its cycle
+  // reads UINT64_MAX.
+  auto past = PrimeRotationProgram(16);
+  ASSERT_TRUE(past.ok()) << past.status();
+  EXPECT_EQ(past->DataCycleLength(), std::numeric_limits<std::uint64_t>::max());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "bdisk/flat_builder.h"
 #include "faults/channel_model.h"
+#include "prime_rotation_program.h"
 
 namespace bdisk::sim {
 namespace {
@@ -196,6 +197,19 @@ TEST(SimulatorTest, HorizonTooSmallForWorkload) {
   Simulator sim(p, channel, 30);
   WorkloadConfig config;
   EXPECT_FALSE(sim.RunWorkload(config).ok());
+}
+
+// A data cycle past 2^64 slots: the tail of four data cycles fits no
+// horizon, so the workload is rejected.
+TEST(SimulatorTest, DataCyclePastSixtyFourBitsIsRejected) {
+  auto p = broadcast::PrimeRotationProgram();
+  ASSERT_TRUE(p.ok()) << p.status();
+  const faults::LosslessChannel channel;
+  Simulator sim(*p, channel, 5000);
+  WorkloadConfig config;
+  config.requests_per_file = 10;
+  const auto metrics = sim.RunWorkload(config);
+  EXPECT_TRUE(metrics.status().IsInvalidArgument()) << metrics.status();
 }
 
 TEST(TransactionTest, CompletesAtLastFile) {

@@ -324,14 +324,11 @@ TEST(TraceTest, AdaptiveExperimentEmitsSwapDecisionSpans) {
   workload.arrival_horizon = 12000;
   workload.flip_slot = 6000;
   workload.seed = 5;
-  adaptive::AdaptiveLoopOptions loop;
-  loop.min_interval_requests = 8;
-  loop.improvement_threshold = 0.01;
 
   TraceOptions options;
   options.sample_every = 64;
   auto result = adaptive::RunAdaptiveExperiment(
-      files, workload, /*interval_slots=*/1500, loop,
+      files, workload, /*interval_slots=*/1500,
       faults::BernoulliChannel(0.02, 11), nullptr, nullptr,
       /*snapshot_interval_slots=*/0, &options);
   ASSERT_TRUE(result.ok()) << result.status();

@@ -95,6 +95,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -295,15 +296,30 @@ bdisk::Result<Plan> ResolvePlan(const WorkloadSpec& spec) {
 
 // Room for every per-file tail (deadline or four data cycles) plus a
 // generous start range of 50 periods: the --channel replay's horizon and
-// the default --serve horizon.
-std::uint64_t ReplayHorizon(const BroadcastProgram& program) {
-  std::uint64_t tail = 4 * program.DataCycleLength();
+// the default --serve horizon. InvalidArgument past 2^32 - 1 slots, the
+// longest horizon the event engine and the snapshot timeline take.
+bdisk::Result<std::uint64_t> ReplayHorizon(const BroadcastProgram& program) {
+  constexpr std::uint64_t kMaxHorizon =
+      std::numeric_limits<std::uint32_t>::max();
+  // Each term is clamped where it already fails the check, so the sum
+  // cannot wrap.
+  const std::uint64_t cycle = program.DataCycleLength();
+  std::uint64_t tail = 4 * std::min(cycle, kMaxHorizon);
   for (const ProgramFile& pf : program.files()) {
     if (!pf.latency_slots.empty()) {
-      tail = std::max(tail, pf.latency_slots.front());
+      tail = std::max(tail,
+                      std::min(pf.latency_slots.front(), kMaxHorizon + 1));
     }
   }
-  return tail + 50 * program.period() + 1;
+  const std::uint64_t horizon =
+      tail + 50 * std::min(program.period(), kMaxHorizon) + 1;
+  if (horizon > kMaxHorizon) {
+    return Status::InvalidArgument(
+        "replay horizon passes 2^32 - 1 slots: 4 data cycles of " +
+        std::to_string(cycle) + " slots (or the longest first deadline) " +
+        "plus 50 periods of " + std::to_string(program.period()) + " slots");
+  }
+  return horizon;
 }
 
 // Deterministic per-file contents (exactly m payloads each): the same
@@ -520,7 +536,7 @@ Status Planner::MaterializeStore(const Plan& plan) {
 // reliability/latency frontier of the chosen (n, m) redundancy.
 Status Planner::ReplayChannel(const Plan& plan) {
   const BroadcastProgram& planned = plan.build.program;
-  const std::uint64_t horizon = ReplayHorizon(planned);
+  BDISK_ASSIGN_OR_RETURN(const std::uint64_t horizon, ReplayHorizon(planned));
   bdisk::sim::Simulator simulator(planned, *options_.channel, horizon);
   bdisk::sim::WorkloadConfig config;
   config.requests_per_file = options_.requests_per_file;
@@ -589,7 +605,7 @@ Status Planner::ReplayAdaptive(const Plan& plan) {
   BDISK_ASSIGN_OR_RETURN(
       auto replay,
       bdisk::adaptive::RunAdaptiveExperiment(
-          population, workload, interval, {},
+          population, workload, interval,
           options_.channel != nullptr ? *options_.channel : default_channel,
           pool_.get(), &planned, snapshot_interval, trace_options,
           on_replay));
@@ -648,8 +664,10 @@ Status Planner::ServeUdp(const Plan& plan) {
     sink = faulting.get();
   }
   net::UdpServerOptions serve;
-  serve.horizon = options_.serve_horizon != 0 ? options_.serve_horizon
-                                              : ReplayHorizon(planned);
+  serve.horizon = options_.serve_horizon;
+  if (serve.horizon == 0) {
+    BDISK_ASSIGN_OR_RETURN(serve.horizon, ReplayHorizon(planned));
+  }
   // Pace at the spec's modeled channel rate unless overridden: the wire
   // then carries exactly the bandwidth the plan assumed. 0 = as fast as
   // the kernel accepts.
