@@ -1,7 +1,6 @@
 #include "pinwheel/greedy_scheduler.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -13,22 +12,47 @@ namespace {
 /// Simulated slots before giving up on finding a cycle.
 constexpr std::uint64_t kMaxSteps = 1ULL << 20;
 
+/// Step() result when a sub-task's deadline passes.
+constexpr std::size_t kMissed = std::numeric_limits<std::size_t>::max();
+
 struct SubTask {
   TaskId parent;
   std::uint64_t window;
 };
 
-/// FNV-1a over the counter vector, used as the state-repeat key.
-struct VectorHash {
-  std::size_t operator()(const std::vector<std::uint64_t>& v) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (std::uint64_t x : v) {
-      h ^= x;
-      h *= 1099511628211ULL;
+/// One slot of the policy on the slack counters `c` (sub-task j must be
+/// served within c[j] slots, inclusive): serves the most urgent sub-task
+/// (ties: smaller window, then order) and counts every other one down.
+/// Returns the served sub-task, or kMissed with `*missed` set to the first
+/// other sub-task whose slack runs out, leaving `c` unchanged.
+std::size_t Step(const std::vector<SubTask>& subs,
+                 std::vector<std::uint64_t>* counters, std::size_t* missed) {
+  std::uint64_t* c = counters->data();
+  const std::size_t n = counters->size();
+  std::size_t pick = 0;
+  std::uint64_t least = c[0];
+  std::uint64_t least_window = subs[0].window;
+  std::size_t ones = c[0] == 1;
+  for (std::size_t j = 1; j < n; ++j) {
+    ones += c[j] == 1;
+    if (c[j] < least || (c[j] == least && subs[j].window < least_window)) {
+      pick = j;
+      least = c[j];
+      least_window = subs[j].window;
     }
-    return h;
   }
-};
+  // Counters never fall below 1 and the pick holds the least, so a second
+  // counter at 1 is a sub-task the slot cannot serve.
+  if (ones > 1) {
+    std::size_t j = 0;
+    while (c[j] != 1 || j == pick) ++j;
+    *missed = j;
+    return kMissed;
+  }
+  for (std::size_t j = 0; j < n; ++j) --c[j];
+  c[pick] = least_window;
+  return pick;
+}
 
 }  // namespace
 
@@ -55,52 +79,72 @@ Result<Schedule> GreedyScheduler::BuildSchedule(const Instance& instance) const 
                               " exceeds 1 for " + instance.ToString());
   }
 
-  // Slack counters: sub-task j must be served within c[j] slots (inclusive).
-  std::vector<std::uint64_t> c(subs.size());
-  for (std::size_t j = 0; j < subs.size(); ++j) c[j] = subs[j].window;
+  // The counter states c_0, c_1 = Step(c_0), ... are a deterministic walk
+  // over a finite space, so the walk either misses a deadline or enters a
+  // cycle: c_{mu + lambda} = c_mu with mu and lambda least, and the slots
+  // served from c_mu repeat forever. Brent's algorithm finds lambda, then
+  // mu, holding two counter vectors. The result is that of stepping until
+  // the first repeat or miss for at most kMaxSteps steps: a miss at step
+  // s < kMaxSteps is Infeasible (every state before a miss is distinct), a
+  // cycle with mu + lambda < kMaxSteps is the schedule, and anything else
+  // is ResourceExhausted.
+  std::vector<std::uint64_t> start(subs.size());
+  for (std::size_t j = 0; j < subs.size(); ++j) start[j] = subs[j].window;
+  const auto exhausted = [] {
+    return Status::ResourceExhausted("Greedy: no cycle within " +
+                                     std::to_string(kMaxSteps) + " steps");
+  };
 
-  std::unordered_map<std::vector<std::uint64_t>, std::uint64_t, VectorHash>
-      seen;
-  std::vector<TaskId> served;  // Slot log, by parent task id.
-  served.reserve(1024);
-
-  for (std::uint64_t step = 0; step < kMaxSteps; ++step) {
-    auto [it, inserted] = seen.emplace(c, step);
-    if (!inserted) {
-      // Cycle found: slots [it->second, step) repeat forever.
-      const std::uint64_t start = it->second;
-      std::vector<TaskId> cycle(served.begin() + static_cast<std::ptrdiff_t>(start),
-                                served.end());
-      BDISK_ASSIGN_OR_RETURN(Schedule schedule,
-                             Schedule::FromCycle(std::move(cycle)));
-      return VerifyAndReturn(std::move(schedule), instance, name());
+  // Lambda: the tortoise waits at state 2^k - 1 while the hare, at step
+  // `hare_step`, tries the next 2^k states. A cycle with mu + lambda <
+  // kMaxSteps is met by the round of 2^k >= kMaxSteps at the latest.
+  std::vector<std::uint64_t> tortoise = start;
+  std::vector<std::uint64_t> hare = start;
+  std::uint64_t hare_step = 0;
+  std::uint64_t power = 1;
+  std::uint64_t lambda = 0;
+  for (;;) {
+    std::size_t missed = 0;
+    if (Step(subs, &hare, &missed) == kMissed) {
+      if (hare_step >= kMaxSteps) return exhausted();
+      return Status::Infeasible("Greedy: deadline miss at slot " +
+                                std::to_string(hare_step) + " for task " +
+                                std::to_string(subs[missed].parent));
     }
-
-    // Serve the most urgent sub-task (ties: smaller window, then order).
-    std::size_t pick = 0;
-    for (std::size_t j = 1; j < subs.size(); ++j) {
-      if (c[j] < c[pick] ||
-          (c[j] == c[pick] && subs[j].window < subs[pick].window)) {
-        pick = j;
-      }
-    }
-    served.push_back(subs[pick].parent);
-    for (std::size_t j = 0; j < subs.size(); ++j) {
-      if (j == pick) {
-        c[j] = subs[j].window;
-      } else {
-        if (c[j] == 1) {
-          return Status::Infeasible(
-              "Greedy: deadline miss at slot " + std::to_string(step) +
-              " for task " + std::to_string(subs[j].parent));
-        }
-        --c[j];
-      }
+    ++hare_step;
+    ++lambda;
+    if (hare == tortoise) break;
+    if (lambda == power) {
+      if (power >= kMaxSteps) return exhausted();
+      tortoise = hare;
+      power *= 2;
+      lambda = 0;
     }
   }
-  return Status::ResourceExhausted("Greedy: no cycle within " +
-                                   std::to_string(kMaxSteps) +
-                                   " steps");
+
+  // Mu: two walks lambda apart from c_0 first meet at c_mu. Every state
+  // up to mu + lambda was reached above, so no step here misses.
+  std::size_t unused = 0;
+  tortoise = start;
+  hare = start;
+  for (std::uint64_t i = 0; i < lambda; ++i) Step(subs, &hare, &unused);
+  std::uint64_t mu = 0;
+  while (tortoise != hare) {
+    Step(subs, &tortoise, &unused);
+    Step(subs, &hare, &unused);
+    ++mu;
+  }
+  if (mu + lambda >= kMaxSteps) return exhausted();
+
+  // The cycle: the slots served from c_mu, lambda of them.
+  std::vector<TaskId> cycle;
+  cycle.reserve(lambda);
+  for (std::uint64_t i = 0; i < lambda; ++i) {
+    cycle.push_back(subs[Step(subs, &tortoise, &unused)].parent);
+  }
+  BDISK_ASSIGN_OR_RETURN(Schedule schedule,
+                         Schedule::FromCycle(std::move(cycle)));
+  return VerifyAndReturn(std::move(schedule), instance, name());
 }
 
 }  // namespace bdisk::pinwheel

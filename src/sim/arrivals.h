@@ -34,6 +34,8 @@
 #include <cstdint>
 #include <string>
 
+#include "runtime/rng_stream.h"
+
 namespace bdisk::sim {
 
 /// \brief Stationary (homogeneous Poisson) arrivals: each client's time is
@@ -45,8 +47,13 @@ class PoissonArrivals {
   PoissonArrivals(std::uint64_t window_slots, std::uint64_t seed);
 
   /// Continuous arrival time of client `i`, in [0, window_slots). Pure:
-  /// depends only on the window, the seed and `i`.
-  double ArrivalTimeOf(std::uint64_t client) const;
+  /// depends only on the window, the seed and `i`: stream `i` of the
+  /// family-tagged base seed, mixed once at construction.
+  double ArrivalTimeOf(std::uint64_t client) const {
+    // UniformDouble is in [0, 1), so the time stays below the window.
+    return runtime::StreamRng(base_, client).UniformDouble() *
+           static_cast<double>(window_);
+  }
 
   /// Arrival time of client `i` quantized to a broadcast slot
   /// (floor of ArrivalTimeOf, so always < window_slots).
@@ -63,6 +70,7 @@ class PoissonArrivals {
  private:
   std::uint64_t window_;
   std::uint64_t seed_;
+  std::uint64_t base_;  // Mix64(seed ^ the Poisson family tag).
 };
 
 }  // namespace bdisk::sim

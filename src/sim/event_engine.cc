@@ -35,6 +35,47 @@ EventEngine::EventEngine(const EpochSchedule& schedule,
   BuildLanes();
 }
 
+// The layouts the header documents: a lane entry per transmission, a state
+// per client of a block.
+static_assert(sizeof(LaneTransmission) == 8);
+static_assert(sizeof(ClientState) == 48);
+
+namespace {
+
+// Stores in `tx`, a lane of `count` transmissions (slots set, outcomes
+// zero) of a file of geometry (m, n), the closed outcome of every ordinal
+// that has one. The retrieval from ordinal k0 completes at its m-th clean
+// transmission K when K is in the lane and K - k0 < n: then every clean
+// transmission among k0..K carries a new block. One sweep: the window
+// [k0, end) grows until it holds m clean transmissions, ending on the
+// m-th, and gives up k0 as k0 moves on, so K never moves back.
+void CloseOrdinals(std::uint32_t count, std::uint32_t m, std::uint32_t n,
+                   const faults::FaultType* trace, LaneTransmission* tx) {
+  std::uint32_t end = 0;
+  std::uint32_t clean = 0;
+  std::uint32_t corrupt = 0;
+  for (std::uint32_t k0 = 0; k0 < count; ++k0) {
+    while (clean < m && end < count) {
+      const faults::FaultType fault = trace[tx[end++].slot];
+      clean += fault == faults::FaultType::kNone;
+      corrupt += fault == faults::FaultType::kCorrupted;
+    }
+    // K = end - 1 is clean, so the window's corrupted transmissions all
+    // precede it.
+    const std::uint32_t events = end - k0;
+    if (clean == m && events <= n &&
+        events <= std::numeric_limits<std::uint16_t>::max()) {
+      tx[k0].events = static_cast<std::uint16_t>(events);
+      tx[k0].corrupt = static_cast<std::uint16_t>(corrupt);
+    }
+    const faults::FaultType fault = trace[tx[k0].slot];
+    clean -= fault == faults::FaultType::kNone;
+    corrupt -= fault == faults::FaultType::kCorrupted;
+  }
+}
+
+}  // namespace
+
 void EventEngine::BuildLanes() {
   // Lane slots, ordinals and fault counts are 32-bit; the sentinel's slot
   // stays above every slot of the horizon.
@@ -74,7 +115,7 @@ void EventEngine::BuildLanes() {
     }
   }
 
-  // Second pass: fill each lane in slot order, counting faults as it goes,
+  // Second pass: fill each lane in slot order, close every ordinal it can,
   // then point each bucket at its first transmission.
   lane_tx_.resize(tx_total);
   seek_.resize(seek_total);
@@ -84,13 +125,12 @@ void EventEngine::BuildLanes() {
     for (broadcast::FileIndex f = 0; f < file_count; ++f) {
       const Lane& lane = lanes_[e * file_count + f];
       LaneTransmission* tx = lane_tx_.data() + lane.first;
-      std::uint32_t faults = 0;
       for (std::uint32_t k = 0; k < lane.count; ++k) {
-        const std::uint64_t slot = lane.base + program.SlotOfTransmission(f, k);
-        tx[k] = {static_cast<std::uint32_t>(slot), faults};
-        if (trace[slot] != faults::FaultType::kNone) ++faults;
+        tx[k].slot = static_cast<std::uint32_t>(
+            lane.base + program.SlotOfTransmission(f, k));
       }
-      tx[lane.count] = {std::numeric_limits<std::uint32_t>::max(), faults};
+      tx[lane.count].slot = std::numeric_limits<std::uint32_t>::max();
+      CloseOrdinals(lane.count, lane.m, lane.n, trace, tx);
       const std::uint64_t buckets =
           ((lane.end - lane.base - 1) >> lane.shift) + 1;
       std::uint32_t k = 0;
@@ -111,10 +151,6 @@ std::size_t EventEngine::EpochIndexAt(std::uint64_t t) const {
       [](std::uint64_t slot, const EpochRef& e) { return slot < e.start; });
   BDISK_DCHECK(it != epochs_.begin());
   return static_cast<std::size_t>(it - epochs_.begin()) - 1;
-}
-
-std::uint64_t EventEngine::PeriodAt(std::uint64_t t) const {
-  return epochs_[EpochIndexAt(t)].program->period();
 }
 
 inline const EventEngine::Lane* EventEngine::Seek(broadcast::FileIndex file,
@@ -185,47 +221,6 @@ struct SpillSet {
   }
 };
 
-// Closes a retrieval whose first transmission is ordinal `k0` of the lane
-// `tx` (`count` transmissions, then the sentinel) of a file of geometry
-// (m, n), from the lane's fault counts: with at most r = n - m faults among
-// ordinals k0..K, K - k0 < n, so every clean transmission there carries a
-// new block and the client completes at its m-th clean one. That K is the
-// least fixed point of K = k0 + m - 1 + faults(k0..K), reached from below
-// in at most faults + 1 rounds. The lossless baseline completes at ordinal
-// k0 + m - 1. Records the outcome in `st` and returns the events heard, or
-// 0, leaving `st` untouched, when the retrieval needs the walk: more than
-// r faults, or a window that runs past the lane.
-std::uint64_t CloseClient(const LaneTransmission* tx, std::uint64_t k0,
-                          std::uint64_t count, std::uint32_t m,
-                          std::uint32_t n, const faults::FaultType* trace,
-                          ClientState* st) {
-  const std::uint64_t lossless = k0 + m - 1;
-  if (lossless >= count) return 0;
-  const std::uint32_t faults_before = tx[k0].faults_before;
-  std::uint64_t k = lossless;
-  for (;;) {
-    const std::uint64_t next =
-        lossless + (tx[k + 1].faults_before - faults_before);
-    if (next == k) break;
-    if (next - k0 >= n || next >= count) return 0;
-    k = next;
-  }
-  // Only a faulty transmission can be corrupted; K itself is clean.
-  std::uint32_t corrupt = 0;
-  if (k > lossless) {
-    for (std::uint64_t j = k0; j < k; ++j) {
-      corrupt += trace[tx[j].slot] == faults::FaultType::kCorrupted;
-    }
-  }
-  st->completion_slot = tx[k].slot;
-  st->baseline_slot = tx[lossless].slot;
-  st->errors_observed = static_cast<std::uint32_t>(k - lossless);
-  st->corrupt_detected = corrupt;
-  st->flags =
-      ClientState::kCompleted | ClientState::kBaselineDone | ClientState::kDone;
-  return k - k0 + 1;
-}
-
 // Walks one client's chain from its first transmission `tx` until it
 // collects m distinct blocks or the horizon runs out, and records the
 // outcome in `st`. `trace` is the fault trace; `have` must be empty, and
@@ -294,18 +289,19 @@ void EventShardRunner::Prepare(
     std::uint64_t begin, std::uint64_t end,
     const std::function<EventClient(std::uint64_t)>& client_at) {
   const auto& files = engine_->files();
+  const std::size_t file_count = files.size();
   const std::uint64_t horizon = engine_->horizon();
-  states_.assign(static_cast<std::size_t>(end - begin), ClientState{});
+  // Each state is written once, whole: no fill ahead of the loop.
+  states_.clear();
+  states_.reserve(static_cast<std::size_t>(end - begin));
   events_ = 0;
   walked_ = 0;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const EventClient client = client_at(begin + i);
-    BDISK_CHECK(client.file < files.size());
+  for (std::uint64_t g = begin; g < end; ++g) {
+    const EventClient client = client_at(g);
+    BDISK_CHECK(client.file < file_count);
     BDISK_CHECK(client.start_slot < horizon);
-    ClientState& st = states_[i];
-    st.file = client.file;
-    st.start_slot = client.start_slot;
-    st.deadline_slots = client.deadline_slots;
+    states_.emplace_back(client.start_slot, client.deadline_slots,
+                         client.file);
   }
   std::size_t max_n = 0;
   for (const broadcast::ProgramFile& pf : files) {
@@ -331,10 +327,18 @@ void EventShardRunner::Drain() {
       st.flags = ClientState::kDone;
       continue;
     }
-    const std::uint64_t closed = CloseClient(
-        lane_tx + lane->first, k0, lane->count, lane->m, lane->n, trace, &st);
-    if (closed > 0) {
-      events += closed;
+    // A closed retrieval: the lossless baseline completes at ordinal
+    // k0 + m - 1, the retrieval itself `events` - 1 ordinals after k0.
+    const LaneTransmission* tx = lane_tx + lane->first;
+    const LaneTransmission closed = tx[k0];
+    if (closed.events != 0) {
+      st.completion_slot = tx[k0 + closed.events - 1].slot;
+      st.baseline_slot = tx[k0 + lane->m - 1].slot;
+      st.errors_observed = closed.events - lane->m;
+      st.corrupt_detected = closed.corrupt;
+      st.flags = ClientState::kCompleted | ClientState::kBaselineDone |
+                 ClientState::kDone;
+      events += closed.events;
       continue;
     }
     ++walked;
@@ -385,31 +389,29 @@ void EventEngine::RecordRetrievalTrace(
                                   trigger));
 }
 
-RetrievalOutcome EventShardRunner::OutcomeOf(const ClientState& st) const {
-  RetrievalOutcome walk;
-  walk.completed = (st.flags & ClientState::kCompleted) != 0;
-  walk.completion_slot = st.completion_slot;
-  walk.errors_observed = st.errors_observed;
-  walk.corrupt_detected = st.corrupt_detected;
-  return FinishOutcome(walk, st.start_slot, st.deadline_slots,
-                       engine_->PeriodAt(st.start_slot), [&st] {
-                         // The baseline completes no later than the actual
-                         // walk (its distinct set is a superset at every
-                         // slot).
-                         BDISK_CHECK((st.flags &
-                                      ClientState::kBaselineDone) != 0);
-                         return st.baseline_slot;
-                       });
-}
-
 void EventShardRunner::Collect(SimulationMetrics* local,
                                obs::Timeline* timeline,
                                std::uint64_t global_begin,
                                obs::TraceSink* trace) const {
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const ClientState& st = states_[i];
+  const EventEngine& engine = *engine_;
+  const ClientState* states = states_.data();
+  const std::size_t count = states_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const ClientState& st = states[i];
     BDISK_DCHECK((st.flags & ClientState::kDone) != 0);
-    const RetrievalOutcome outcome = OutcomeOf(st);
+    RetrievalOutcome walk;
+    walk.completed = (st.flags & ClientState::kCompleted) != 0;
+    walk.completion_slot = st.completion_slot;
+    walk.errors_observed = st.errors_observed;
+    walk.corrupt_detected = st.corrupt_detected;
+    const RetrievalOutcome outcome = FinishOutcome(
+        walk, st.start_slot, st.deadline_slots, engine.PeriodAt(st.start_slot),
+        [&st] {
+          // The baseline completes no later than the actual walk (its
+          // distinct set is a superset at every slot).
+          BDISK_CHECK((st.flags & ClientState::kBaselineDone) != 0);
+          return st.baseline_slot;
+        });
     // The trigger check runs inline for every client; only a triggered
     // client pays for the out-of-line span replay.
     const std::uint8_t trigger =
@@ -418,8 +420,8 @@ void EventShardRunner::Collect(SimulationMetrics* local,
                                 outcome.met_deadline, outcome.stall_slots)
             : 0;
     if (trigger != 0) {
-      engine_->RecordRetrievalTrace(trace, global_begin + i, st, outcome,
-                                    trigger);
+      engine.RecordRetrievalTrace(trace, global_begin + i, st, outcome,
+                                  trigger);
     }
     AccumulateOutcome(outcome, &local->per_file[st.file], timeline);
   }

@@ -12,19 +12,21 @@
 ///
 /// **Transmission lanes.** The constructor lays out one lane per (epoch,
 /// file): the file's transmissions in that epoch before the horizon, each
-/// as its slot and the number of faulty transmissions before it in the
-/// lane, plus a seek index of at most one entry per transmission — at most
-/// 12 bytes per transmission, O(transmissions in the horizon) in all. A
-/// lane's ordinal k carries block k mod n (the epoch-local rotation of
-/// sim/epoch.h). A client's first transmission k0 is an index lookup, and
-/// the fault counts close most retrievals in O(1): IDA needs any m of the
-/// n blocks and n consecutive ordinals carry n distinct blocks, so a
-/// client that loses at most r = n - m transmissions inside its lane
+/// an 8-byte entry holding its slot and the closed outcome of a retrieval
+/// whose first transmission it is, plus a seek index of at most one entry
+/// per transmission — at most 12 bytes per transmission, O(transmissions
+/// in the horizon) in all. A lane's ordinal k carries block k mod n (the
+/// epoch-local rotation of sim/epoch.h). IDA needs any m of the n blocks
+/// and n consecutive ordinals carry n distinct blocks, so a retrieval from
+/// ordinal k0 that loses at most r = n - m transmissions inside its lane
 /// completes at its m-th clean transmission, the ordinal K with
-/// K = k0 + m - 1 + (faults among k0..K) and K - k0 < n. Only a client
-/// that loses more than r, or whose retrieval runs past its lane's end (an
-/// epoch hot-swap or the horizon), walks its chain, one lane ordinal per
-/// event.
+/// K - k0 < n. The constructor finds K for every ordinal in one sweep over
+/// the lane's clean ordinals and stores the events heard, K - k0 + 1, and
+/// the corrupted transmissions among k0..K (0 events: no such K). A
+/// client's first transmission k0 is an index lookup, and its entry closes
+/// the retrieval with loads alone. Only a client that loses more than r,
+/// or whose retrieval runs past its lane's end (an epoch hot-swap or the
+/// horizon), walks its chain, one lane ordinal per event.
 /// Run() handles each shard in fixed blocks of kBlockClients clients, so
 /// engine memory beyond the lanes is O(block) per thread however large the
 /// fleet.
@@ -98,14 +100,16 @@ struct ClientState {
   static constexpr std::uint8_t kBaselineDone = 2;  // Lossless walk done.
   static constexpr std::uint8_t kDone = 4;          // No more events.
 
+  // The request first: Prepare initializes these and leaves the rest at
+  // their defaults.
   std::uint64_t start_slot = 0;
+  std::uint64_t deadline_slots = 0;
+  broadcast::FileIndex file = 0;
+  std::uint32_t errors_observed = 0;
   std::uint64_t completion_slot = 0;
   /// Slot at which the lossless-baseline walk (stall metric) collected m
   /// distinct blocks; valid when kBaselineDone is set.
   std::uint64_t baseline_slot = 0;
-  std::uint64_t deadline_slots = 0;
-  broadcast::FileIndex file = 0;
-  std::uint32_t errors_observed = 0;
   std::uint32_t corrupt_detected = 0;
   std::uint8_t flags = 0;
 };
@@ -117,17 +121,22 @@ struct EventEngineStats {
   /// Clients simulated.
   std::uint64_t clients = 0;
   /// Clients whose retrieval was walked event by event rather than closed
-  /// from their lane's fault counts.
+  /// from their lane's closed outcomes.
   std::uint64_t clients_walked = 0;
 };
 
-/// \brief One transmission of a lane: its absolute slot and the number of
-/// faulty (lost or corrupted) transmissions before it in the lane. A lane
-/// of c transmissions holds c + 1 of these; the last, a sentinel, has slot
-/// UINT32_MAX and the lane's fault total.
+/// \brief One transmission of a lane (8 bytes): its absolute slot and the
+/// closed outcome of a retrieval whose first transmission it is. A closed
+/// retrieval hears `events` transmissions, the last of them its m-th clean
+/// one, and `corrupt` of them are corrupted; `events` is 0 when the
+/// retrieval must be walked (it loses more than n - m transmissions, runs
+/// past the lane, or would hear more than UINT16_MAX). A lane of c
+/// transmissions holds c + 1 of these; the last, a sentinel, has slot
+/// UINT32_MAX and no outcome.
 struct LaneTransmission {
   std::uint32_t slot = 0;
-  std::uint32_t faults_before = 0;
+  std::uint16_t events = 0;
+  std::uint16_t corrupt = 0;
 };
 
 /// \brief Discrete-event broadcast-disk engine over a program or epoch
@@ -161,8 +170,12 @@ class EventEngine {
     return (*faults_)[slot];
   }
 
-  /// Period of the program governing slot `t` (periods_to_recovery).
-  std::uint64_t PeriodAt(std::uint64_t t) const;
+  /// Period of the program governing slot `t` (periods_to_recovery); no
+  /// search when the engine has one epoch.
+  std::uint64_t PeriodAt(std::uint64_t t) const {
+    return epochs_[epochs_.size() == 1 ? 0 : EpochIndexAt(t)]
+        .program->period();
+  }
 
   /// \brief A transmission cursor: one transmission of a file (its slot
   /// and rotated block) and its place in the lane of the epoch that sends
@@ -317,18 +330,18 @@ class EventShardRunner {
  public:
   explicit EventShardRunner(const EventEngine& engine) : engine_(&engine) {}
 
-  /// Materializes states for clients [begin, end) of `client_at` and sizes
-  /// the spill scratch for the engine's widest file. Allocates only past
-  /// the capacity of an earlier range; checks every client's validity
-  /// (known file, start before horizon).
+  /// Materializes states for clients [begin, end) of `client_at`, writing
+  /// each state once, whole, and sizes the spill scratch for the engine's
+  /// widest file. Allocates only past the capacity of an earlier range;
+  /// checks every client's validity (known file, start before horizon).
   void Prepare(std::uint64_t begin, std::uint64_t end,
                const std::function<EventClient(std::uint64_t)>& client_at);
 
-  /// Finishes each client, in ascending client order: from its lane's fault
-  /// counts when it loses at most n - m transmissions inside its first
-  /// transmission's lane, otherwise by walking its transmissions until it
-  /// completes or the horizon runs out. Call once per Prepare. Performs no
-  /// heap allocation.
+  /// Finishes each client, in ascending client order: from its first
+  /// transmission's closed outcome when it loses at most n - m
+  /// transmissions inside that lane, otherwise by walking its transmissions
+  /// until it completes or the horizon runs out. Call once per Prepare.
+  /// Performs no heap allocation.
   void Drain();
 
   /// Folds the finished clients' outcomes into `local` in ascending client
@@ -352,10 +365,6 @@ class EventShardRunner {
   std::uint64_t clients_walked() const { return walked_; }
 
  private:
-  /// The finished client's outcome under the rule both engines share
-  /// (FinishOutcome).
-  RetrievalOutcome OutcomeOf(const ClientState& st) const;
-
   const EventEngine* engine_;
   std::vector<ClientState> states_;
   /// Distinct-block sets of the client being walked when its file has

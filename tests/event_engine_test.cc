@@ -539,45 +539,81 @@ TEST(EventEngineTest, LaneEdgesMatchRetrieve) {
   EXPECT_GT(next_lane_starts, 0u) << "every file ends its epoch — vacuous";
 }
 
-// Seeded channels from lossless to half the slots lost, and one bursty
-// trace: every file, every start of two periods, checked one by one and
-// then drained as one block, which closes every client on the lossless
-// channel and walks some on the lossiest.
-TEST(EventEngineTest, SeededChannelSweepMatchesRetrieve) {
-  const BroadcastProgram program = SmallProgram();
-  const std::uint64_t horizon = 30 * program.period();
-  const std::uint64_t starts = 2 * program.period();
-  const std::uint64_t clients = program.files().size() * starts;
+// What a seeded sweep drained: its clients, the walked ones, the completed
+// ones, and the closed ones that heard a corrupted transmission.
+struct SweepCounts {
+  std::uint64_t clients = 0;
+  std::uint64_t walked = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t closed_corrupt = 0;
+};
+
+// Every file of `program` from every start in [0, starts) under the seeded
+// channel `spec` over `horizon` slots: each client checked against
+// Retrieve one by one, then all drained as one block.
+SweepCounts ExpectSeededSweepMatchesRetrieve(const BroadcastProgram& program,
+                                             const char* spec,
+                                             std::uint64_t horizon,
+                                             std::uint64_t starts) {
+  SweepCounts counts;
+  auto channel = faults::ParseChannelSpec(spec);
+  EXPECT_TRUE(channel.ok()) << channel.status();
+  if (!channel.ok()) return counts;
+  const Simulator simulator(program, **channel, horizon);
+  std::vector<faults::FaultType> trace(horizon);
+  (*channel)->FillFaults(0, horizon, trace.data());
+  const EventEngine engine(program, trace);
+  counts.clients = program.files().size() * starts;
   const auto client_at = [&](std::uint64_t g) {
     return EventClient{static_cast<broadcast::FileIndex>(g / starts),
                        g % starts, 0};
   };
-  std::vector<std::uint64_t> walked;
+  for (std::uint64_t g = 0; g < counts.clients; ++g) {
+    ExpectStateMatchesRetrieve(simulator, engine, client_at(g), spec);
+    const EventShardRunner one = DrainOne(engine, client_at(g));
+    if (one.clients_walked() == 0 && one.state(0).corrupt_detected > 0) {
+      ++counts.closed_corrupt;
+    }
+  }
+  EventShardRunner runner(engine);
+  runner.Prepare(0, counts.clients, client_at);
+  runner.Drain();
+  counts.walked = runner.clients_walked();
+  for (std::uint64_t g = 0; g < counts.clients; ++g) {
+    counts.completed += (runner.state(g).flags & ClientState::kCompleted) != 0;
+  }
+  return counts;
+}
+
+// Seeded channels from lossless to half the slots lost, and one bursty
+// trace: every file, every start of two periods, which closes every client
+// on the lossless channel and walks some on the lossiest. Then a file with
+// n > 64 under losses and corruption from every start of the horizon:
+// closed clients whose corrupt counts come from the lanes, and walked ones
+// on the spill sets.
+TEST(EventEngineTest, SeededChannelSweepMatchesRetrieve) {
+  const BroadcastProgram program = SmallProgram();
+  const std::uint64_t horizon = 30 * program.period();
+  std::vector<SweepCounts> counts;
   for (const char* spec :
        {"bernoulli:p=0,seed=3", "bernoulli:p=0.01,seed=3",
         "bernoulli:p=0.2,seed=3", "bernoulli:p=0.5,seed=3",
         "gilbert:pgb=0.1,pbg=0.2,seed=3+corrupt:p=0.05,seed=4"}) {
-    auto channel = faults::ParseChannelSpec(spec);
-    ASSERT_TRUE(channel.ok()) << channel.status();
-    const Simulator simulator(program, **channel, horizon);
-    std::vector<faults::FaultType> trace(horizon);
-    (*channel)->FillFaults(0, horizon, trace.data());
-    const EventEngine engine(program, trace);
-    for (std::uint64_t g = 0; g < clients; ++g) {
-      ExpectStateMatchesRetrieve(simulator, engine, client_at(g), spec);
-    }
-    EventShardRunner runner(engine);
-    runner.Prepare(0, clients, client_at);
-    runner.Drain();
-    walked.push_back(runner.clients_walked());
-    if (walked.size() == 1) {  // Lossless: every client completes.
-      for (std::uint64_t g = 0; g < clients; ++g) {
-        ASSERT_NE(runner.state(g).flags & ClientState::kCompleted, 0) << g;
-      }
-    }
+    counts.push_back(ExpectSeededSweepMatchesRetrieve(
+        program, spec, horizon, 2 * program.period()));
   }
-  EXPECT_EQ(walked[0], 0u);  // Lossless, one epoch: all closed.
-  EXPECT_GT(walked[3], 0u);  // p = 0.5: some lose more than n - m.
+  EXPECT_EQ(counts[0].walked, 0u);  // Lossless, one epoch: all closed.
+  EXPECT_EQ(counts[0].completed, counts[0].clients);
+  EXPECT_GT(counts[3].walked, 0u);  // p = 0.5: some lose more than n - m.
+
+  const BroadcastProgram wide = WideProgram();
+  const std::uint64_t wide_horizon = 12 * wide.period();
+  const SweepCounts spill = ExpectSeededSweepMatchesRetrieve(
+      wide, "bernoulli:p=0.08,seed=5+corrupt:p=0.06,seed=6", wide_horizon,
+      wide_horizon);
+  EXPECT_GT(spill.walked, 0u);
+  EXPECT_LT(spill.walked, spill.clients);
+  EXPECT_GT(spill.closed_corrupt, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@
 # recorded as a line count and cksum; the metrics stream's registry line
 # carries wall-clock phase timers, so it is dropped first. Then every
 # usage error below must exit 2 and name the offending flag, or the
-# malformed spec's file, on stderr.
+# malformed spec's file, on stderr, and a spec with a long deadline must
+# end infeasible under a 4 GB address-space limit.
 #
 # Usage: tests/planner_cli_test.sh PLANNER [--write]
 #   --write rewrites the goldens from PLANNER instead of comparing.
@@ -99,5 +100,18 @@ reject --engine --engine event "$spec"
 printf 'channel 196608\nfile nav bytes=16384 latency=1e300 faults=1\n' \
   > hostile.spec
 reject nav hostile.spec
+
+# A long but finite deadline plans in bounded memory: its greedy cycle
+# search holds two counter vectors, not every state it has seen, so under a
+# 4 GB address-space limit the run ends infeasible (exit 1), not aborted.
+printf '%s\n' 'channel 196608' 'file a bytes=16384 latency=0.5 faults=1' \
+  'file nav bytes=16384 latency=1e7 faults=1' > long.spec
+(ulimit -v 4000000 && exec "$planner" long.spec) > out.txt 2>&1
+rc=$?
+if [[ $rc -ne 1 ]] || ! grep -q '^infeasible:' out.txt; then
+  echo "FAIL: bdisk_planner long.spec under ulimit -v 4000000 exited $rc:"
+  cat out.txt
+  failed=1
+fi
 
 exit "$failed"

@@ -128,8 +128,11 @@ TEST(RngTest, ShufflePreservesElements) {
 // Sample is std::upper_bound over the cumulative table, capped at the last
 // item. The test rebuilds the table the way the constructor does — an
 // in-order sum of the probabilities with the last entry set to 1.0 — and
-// compares on every entry and its neighbours, the edges of the domain, and
-// seeded uniform draws.
+// compares on every entry and its neighbours, every bucket edge k / 2^j of
+// a guide table of up to 2^14 buckets and its neighbours, the edges of the
+// domain, and seeded uniform draws. n = 1000 at theta = 2.5 has buckets
+// that hold many cumulative boundaries, so the scan is covered as well as
+// the one-step buckets.
 TEST(ZipfTest, SampleMatchesUpperBoundOfCumulativeTable) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::uint64_t seed = 1;
@@ -152,6 +155,14 @@ TEST(ZipfTest, SampleMatchesUpperBoundOfCumulativeTable) {
         inputs.push_back(std::nextafter(c, -kInf));
         inputs.push_back(c);
         inputs.push_back(std::nextafter(c, kInf));
+      }
+      for (int j = 0; j <= 14; ++j) {
+        for (std::uint64_t k = 0; k <= (1ULL << j); ++k) {
+          const double edge = std::ldexp(static_cast<double>(k), -j);
+          inputs.push_back(std::nextafter(edge, -kInf));
+          inputs.push_back(edge);
+          inputs.push_back(std::nextafter(edge, kInf));
+        }
       }
       Rng rng(seed++);
       for (int i = 0; i < 100000; ++i) inputs.push_back(rng.UniformDouble());

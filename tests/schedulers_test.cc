@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "pinwheel/chain_schedulers.h"
@@ -222,6 +227,115 @@ TEST(GreedySchedulerTest, KnownMissIsCaughtByPortfolio) {
 TEST(GreedySchedulerTest, RejectsOverOne) {
   const Instance inst = MakeInstance({{1, 1, 2}, {2, 1, 2}, {3, 1, 2}});
   EXPECT_TRUE(GreedyScheduler().BuildSchedule(inst).status().IsInfeasible());
+}
+
+// The greedy walk stepped until its first repeated counter state, with a
+// table of every state seen: the direct reference for GreedyScheduler's
+// cycle search. Returns the slots served from the repeated state's first
+// visit, or the status of a deadline miss or of 2^20 steps without either.
+Result<std::vector<TaskId>> FirstRepeatCycle(const Instance& instance) {
+  std::vector<std::pair<TaskId, std::uint64_t>> subs;  // (parent, window)
+  for (const Task& t : instance.tasks()) {
+    for (std::uint64_t k = 0; k < t.a; ++k) subs.emplace_back(t.id, t.b);
+  }
+  std::vector<std::uint64_t> c;
+  for (const auto& sub : subs) c.push_back(sub.second);
+  std::map<std::vector<std::uint64_t>, std::uint64_t> seen;
+  std::vector<TaskId> served;
+  for (std::uint64_t step = 0; step < (1ULL << 20); ++step) {
+    const auto [it, inserted] = seen.emplace(c, step);
+    if (!inserted) {
+      return std::vector<TaskId>(
+          served.begin() + static_cast<std::ptrdiff_t>(it->second),
+          served.end());
+    }
+    std::size_t pick = 0;
+    for (std::size_t j = 1; j < subs.size(); ++j) {
+      if (c[j] < c[pick] ||
+          (c[j] == c[pick] && subs[j].second < subs[pick].second)) {
+        pick = j;
+      }
+    }
+    served.push_back(subs[pick].first);
+    for (std::size_t j = 0; j < subs.size(); ++j) {
+      if (j == pick) {
+        c[j] = subs[j].second;
+      } else if (c[j] == 1) {
+        return Status::Infeasible("Greedy: deadline miss at slot " +
+                                  std::to_string(step) + " for task " +
+                                  std::to_string(subs[j].first));
+      } else {
+        --c[j];
+      }
+    }
+  }
+  return Status::ResourceExhausted("Greedy: no cycle within 1048576 steps");
+}
+
+// On seeded instances of density at most 1, the scheduler returns the
+// reference's cycle slot for slot, or its status and message.
+TEST(GreedySchedulerTest, CycleMatchesFirstRepeatReference) {
+  Rng rng(29);
+  int cycles = 0;
+  int misses = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Task> tasks;
+    const std::size_t n = 1 + rng.Uniform(5);
+    for (TaskId i = 0; i < n; ++i) {
+      const std::uint64_t b = 2 + rng.Uniform(40);
+      const std::uint64_t a =
+          1 + rng.Uniform(std::max<std::uint64_t>(1, b / 4));
+      tasks.push_back({i, a, b});
+    }
+    const Instance inst = MakeInstance(std::move(tasks));
+    if (inst.density() > 1.0) continue;
+    const auto want = FirstRepeatCycle(inst);
+    const auto got = GreedyScheduler().BuildSchedule(inst);
+    if (want.ok()) {
+      ++cycles;
+      ASSERT_TRUE(got.ok()) << inst.ToString() << ": " << got.status();
+      EXPECT_EQ(got->slots(), *want) << inst.ToString();
+    } else {
+      ++misses;
+      ASSERT_FALSE(got.ok()) << inst.ToString();
+      EXPECT_EQ(got.status().code(), want.status().code()) << inst.ToString();
+      EXPECT_EQ(got.status().message(), want.status().message())
+          << inst.ToString();
+    }
+  }
+  EXPECT_GT(cycles, 50);
+  EXPECT_GT(misses, 50);
+}
+
+// The step bound, on walks whose outcome is known in closed form. With
+// {(0, 1, 2), (1, 1, W)} the state after the first slot recurs W slots
+// later (task 0 is served until task 1's slack reaches 1), so the first
+// repeat is at step W + 1: a cycle of W slots below 2^20 steps, none at
+// 2^20, and none for a window far past it. With {(0, 1, 2), (1, 1, W),
+// (2, 1, W)} tasks 1 and 2 run out together at step W - 1: a miss at the
+// last step, or one the bound does not reach.
+TEST(GreedySchedulerTest, StepBoundMatchesFirstRepeat) {
+  constexpr std::uint64_t kSteps = 1ULL << 20;
+  const auto two = [](std::uint64_t w) {
+    return GreedyScheduler().BuildSchedule(
+        MakeInstance({{0, 1, 2}, {1, 1, w}}));
+  };
+  const auto cycle = two(kSteps - 2);
+  ASSERT_TRUE(cycle.ok()) << cycle.status();
+  EXPECT_EQ(cycle->period(), kSteps - 2);
+  EXPECT_EQ(std::count(cycle->slots().begin(), cycle->slots().end(), 1), 1);
+  EXPECT_TRUE(two(kSteps - 1).status().IsResourceExhausted());
+  EXPECT_TRUE(two(30720000000ULL).status().IsResourceExhausted());
+
+  const auto three = [](std::uint64_t w) {
+    return GreedyScheduler().BuildSchedule(
+        MakeInstance({{0, 1, 2}, {1, 1, w}, {2, 1, w}}));
+  };
+  const auto miss = three(kSteps);
+  ASSERT_TRUE(miss.status().IsInfeasible()) << miss.status();
+  EXPECT_EQ(miss.status().message(),
+            "Greedy: deadline miss at slot 1048575 for task 2");
+  EXPECT_TRUE(three(kSteps + 1).status().IsResourceExhausted());
 }
 
 // Tasks with a > 1 must be spread: the chain schedulers' spread encoding

@@ -15,6 +15,14 @@
 # and once on the probed best; its metric names carry the implementation
 # prefix, so the lines coexist in one file.
 #
+# The end-to-end datapoints come from BENCHMARK.json's command, run as
+# `python3 pipebench/run.py --workload W --seed 1 --seconds 10 --trace 0`
+# for each workload (run.py builds pipebench under .bench_build/): one line
+# per end-to-end metric, with bench "pipebench_W", e.g.
+#   {"bench":"pipebench_fleet","metric":"ops_per_s","value":...,
+#    "threads":1,"commit":"<shortsha>"}
+# A run that is not correct, or has failed operations, fails the capture.
+#
 # The finished capture is validated with `bench_compare --check` (when the
 # tool is built): every line must parse as a trajectory datapoint and the
 # file must be non-empty, so a silently-broken capture fails here instead
@@ -66,6 +74,33 @@ if grep -q '"metric":"generic:' "$best_lines"; then
 else
   cat "$best_lines" >> "$out"
 fi
+
+# End-to-end datapoints: one pipebench run per workload, one line per
+# end-to-end metric that BENCHMARK.json names.
+pipebench_lines() {
+  python3 -c '
+import json, sys
+bench, commit, spec = sys.argv[1:4]
+lines = sys.stdin.read().strip().splitlines()
+result = json.loads(lines[-1]) if lines else {}
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("error: %s: incorrect run: %s" % (bench, lines[-1:]))
+with open(spec) as f:
+    names = [m["name"] for m in json.load(f)["end_to_end"]]
+for name in names:
+    print(json.dumps({"bench": bench, "metric": name,
+                      "value": result["metrics"][name]["value"],
+                      "threads": 1, "commit": commit},
+                     separators=(",", ":")))
+' "$@"
+}
+for workload in wire_1k update_churn fleet; do
+  echo "== pipebench --workload $workload" >&2
+  python3 "$root/pipebench/run.py" --workload "$workload" --seed 1 \
+      --seconds 10 --trace 0 2> /dev/null |
+    pipebench_lines "pipebench_$workload" "$sha" "$root/BENCHMARK.json" \
+      >> "$out"
+done
 
 # Validate the capture before anyone commits it. --check fails on an
 # empty file and on any line that is not a well-formed datapoint.
