@@ -121,21 +121,14 @@ double BroadcastProgram::Utilization() const {
 }
 
 Status BroadcastProgram::VerifyBroadcastConditions() const {
-  // Reuse the pinwheel verifier: treat file indices as task ids.
-  std::vector<pinwheel::TaskId> cycle(slot_to_file_.size());
-  for (std::size_t t = 0; t < slot_to_file_.size(); ++t) {
-    cycle[t] = slot_to_file_[t] == kIdleSlot
-                   ? pinwheel::Schedule::kIdle
-                   : static_cast<pinwheel::TaskId>(slot_to_file_[t]);
-  }
-  BDISK_ASSIGN_OR_RETURN(pinwheel::Schedule schedule,
-                         pinwheel::Schedule::FromCycle(std::move(cycle)));
+  // File indices double as pinwheel task ids; each condition is swept over
+  // the file's own occurrence list.
   for (std::size_t f = 0; f < files_.size(); ++f) {
     const ProgramFile& pf = files_[f];
     for (std::size_t j = 0; j < pf.latency_slots.size(); ++j) {
       const pinwheel::ConditionCheck check = pinwheel::Verifier::CheckCondition(
-          schedule, static_cast<pinwheel::TaskId>(f), pf.m + j,
-          pf.latency_slots[j]);
+          occurrences_[f], period(), static_cast<pinwheel::TaskId>(f),
+          pf.m + j, pf.latency_slots[j]);
       if (!check.satisfied) {
         return Status::Infeasible("file '" + pf.name + "' violates " +
                                   check.ToString());

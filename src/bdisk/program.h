@@ -123,7 +123,10 @@ class BroadcastProgram {
 
   /// \brief Checks every file's bc(m_i, d⃗_i) condition (files with an empty
   /// latency vector are skipped): file i must occupy at least m_i + j slots
-  /// of every window of d^(j) slots. Exact over all window offsets.
+  /// of every window of d^(j) slots. Exact over all window offsets: each
+  /// level is one pinwheel::Verifier sweep over the file's occurrence list,
+  /// so the whole check costs O(transmissions per period x levels) and
+  /// never walks the period slot by slot.
   Status VerifyBroadcastConditions() const;
 
   /// The slot-to-file cycle (one period).

@@ -8,6 +8,14 @@
 /// repetition contains at least a slots of task i; by periodicity it
 /// suffices to check the `period` distinct window start offsets, which the
 /// verifier does exactly (no sampling).
+///
+/// It does so without visiting every offset. A window of b slots holds
+/// floor(b / period) whole periods plus r = b mod period slots, and the
+/// count in the r-slot part falls only at the starts where one of the
+/// task's occurrences leaves it. One condition therefore costs
+/// O(occurrences of its task) once those are known, and Verify and CheckAll
+/// gather every task's occurrences in one pass over the cycle, so checking
+/// an instance costs O(period + tasks).
 
 #ifndef BDISK_PINWHEEL_VERIFIER_H_
 #define BDISK_PINWHEEL_VERIFIER_H_
@@ -29,7 +37,7 @@ struct ConditionCheck {
   std::uint64_t b = 0;
   /// Minimum occurrence count over all windows of length b.
   std::uint64_t min_count = 0;
-  /// A window start offset achieving min_count.
+  /// The smallest window start offset in [0, period) achieving min_count.
   std::uint64_t worst_start = 0;
   /// True iff min_count >= a.
   bool satisfied = false;
@@ -42,11 +50,18 @@ class Verifier {
  public:
   /// Minimum number of occurrences of `id` over all windows of `window`
   /// consecutive slots of the infinite repetition of `schedule`.
-  /// `worst_start`, if non-null, receives a start offset achieving the
-  /// minimum. `window` must be positive.
+  /// `worst_start`, if non-null, receives the smallest start offset in
+  /// [0, period) achieving the minimum. `window` must be positive.
   static std::uint64_t MinWindowCount(const Schedule& schedule, TaskId id,
                                       std::uint64_t window,
                                       std::uint64_t* worst_start = nullptr);
+
+  /// Checks pc(id, a, b) for a task at the ascending positions
+  /// `occurrences` (each below `period`) of a cycle of `period` slots
+  /// repeated forever. O(occurrences.size()).
+  static ConditionCheck CheckCondition(
+      const std::vector<std::uint64_t>& occurrences, std::uint64_t period,
+      TaskId id, std::uint64_t a, std::uint64_t b);
 
   /// Checks pc(id, a, b) against the schedule.
   static ConditionCheck CheckCondition(const Schedule& schedule, TaskId id,

@@ -8,9 +8,11 @@
 # shows only a marker; a run that starts with the flagless run's output
 # shows only what follows it. Each metrics stream and trace a run wrote is
 # recorded as a line count and cksum; the metrics stream's registry line
-# carries wall-clock phase timers, so it is dropped first. Then every
+# carries wall-clock phase timers, so it is dropped first. A spec whose
+# program has a period of millions of slots must print
+# tests/fixtures/longperiod.planner.golden byte for byte. Then every
 # usage error below must exit 2 and name the offending flag, or the
-# malformed spec's file, on stderr, and a spec with a long deadline must
+# malformed spec's file, on stderr, and a spec with a longer deadline must
 # end infeasible under a 4 GB address-space limit.
 #
 # Usage: tests/planner_cli_test.sh PLANNER [--write]
@@ -72,6 +74,23 @@ for spec in smallmix gslots; do
     failed=1
   fi
 done
+
+# A 1e6 s deadline beside a 0.5 s one plans a program of period 2985984
+# slots, so every condition is verified on a cycle of millions of slots.
+printf '%s\n' 'channel 196608' 'file a bytes=16384 latency=0.5 faults=1' \
+  'file nav bytes=16384 latency=1e6 faults=1' > longperiod.spec
+"$planner" longperiod.spec > out.txt 2>&1
+{
+  echo "== longperiod.spec (exit $?)"
+  cat out.txt
+} > longperiod.out
+golden="$fixtures/longperiod.planner.golden"
+if [[ "${2:-}" == "--write" ]]; then
+  cp longperiod.out "$golden"
+elif ! diff -u "$golden" longperiod.out; then
+  echo "FAIL: longperiod transcript differs from $golden"
+  failed=1
+fi
 
 # reject FLAG ARGS...: the run must exit 2 with an error line naming FLAG.
 reject() {

@@ -7,9 +7,13 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/random.h"
+#include "pinwheel/verifier.h"
 #include "prime_rotation_program.h"
+#include "seeded_programs.h"
 
 namespace bdisk::broadcast {
 namespace {
@@ -167,7 +171,86 @@ TEST(ProgramTest, VerifyBroadcastConditionsFail) {
   ASSERT_TRUE(p.ok());
   Status st = p->VerifyBroadcastConditions();
   EXPECT_TRUE(st.IsInfeasible());
-  EXPECT_NE(st.message().find("A"), std::string::npos);
+  EXPECT_EQ(st.message(),
+            "file 'A' violates pc(0, 6, 8): min window count 5 at start 0 "
+            "=> VIOLATED");
+}
+
+// VerifyBroadcastConditions' verdict from a sliding window over slots():
+// the first (file, level) in file order whose window of d^(j) slots holds
+// fewer than m + j of the file's slots at some start, with the minimum
+// count and the smallest start reaching it.
+Status WindowScanVerdict(const BroadcastProgram& p) {
+  const std::vector<FileIndex>& slots = p.slots();
+  const std::uint64_t period = slots.size();
+  for (FileIndex f = 0; f < p.file_count(); ++f) {
+    const ProgramFile& pf = p.files()[f];
+    for (std::size_t j = 0; j < pf.latency_slots.size(); ++j) {
+      pinwheel::ConditionCheck check;
+      check.task = f;
+      check.a = pf.m + j;
+      check.b = pf.latency_slots[j];
+      std::uint64_t count = 0;
+      for (std::uint64_t k = 0; k < check.b; ++k) {
+        if (slots[k % period] == f) ++count;
+      }
+      check.min_count = count;
+      for (std::uint64_t s = 1; s < period; ++s) {
+        if (slots[(s - 1 + check.b) % period] == f) ++count;
+        if (slots[s - 1] == f) --count;
+        if (count < check.min_count) {
+          check.min_count = count;
+          check.worst_start = s;
+        }
+      }
+      check.satisfied = check.min_count >= check.a;
+      if (!check.satisfied) {
+        return Status::Infeasible("file '" + pf.name + "' violates " +
+                                  check.ToString());
+      }
+    }
+  }
+  return Status::OK();
+}
+
+// On the seeded multi-disk programs, half of them shuffled, with latency
+// vectors of 0-3 levels drawn per file around the window the file needs.
+TEST(ProgramTest, VerifyBroadcastConditionsMatchesWindowScan) {
+  Rng rng(3030);
+  std::size_t passed = 0;
+  std::size_t failed_past_first = 0;
+  for (const BroadcastProgram& seeded :
+       seeded_programs::SeededPrograms(29, 40, 1500)) {
+    const std::uint64_t period = seeded.period();
+    for (int draw = 0; draw < 4; ++draw) {
+      std::vector<ProgramFile> files = seeded.files();
+      for (FileIndex f = 0; f < files.size(); ++f) {
+        const std::uint64_t c = seeded.CountOf(f);
+        const std::uint64_t levels = rng.Uniform(4);
+        for (std::uint64_t j = 0; j < levels; ++j) {
+          const std::uint64_t need = (files[f].m + j) * period;
+          files[f].latency_slots.push_back((need + c - 1) / c +
+                                           rng.Uniform(period));
+        }
+      }
+      auto p = BroadcastProgram::Create(std::move(files), seeded.slots());
+      ASSERT_TRUE(p.ok()) << p.status();
+      const Status want = WindowScanVerdict(*p);
+      const Status got = p->VerifyBroadcastConditions();
+      ASSERT_EQ(got.code(), want.code()) << got << " vs " << want;
+      ASSERT_EQ(got.message(), want.message());
+      if (want.ok()) {
+        ++passed;
+      } else if (want.message().find("violates pc(0, " +
+                                     std::to_string(p->files()[0].m) +
+                                     ",") == std::string::npos) {
+        ++failed_past_first;
+      }
+    }
+  }
+  // Both verdicts occur, and failures name more than the first condition.
+  EXPECT_GT(passed, 10u);
+  EXPECT_GT(failed_past_first, 10u);
 }
 
 TEST(ProgramTest, ToStringShowsRotatedBlocks) {

@@ -1,8 +1,13 @@
 // Fuzz-style cross-validation of the verifier's windowed counting against
 // a naive brute-force reference, over random schedules and window sizes
-// (including windows far beyond the period).
+// (including windows far beyond the period), and of the one-pass instance
+// checks against per-condition ones.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "pinwheel/schedule.h"
@@ -12,9 +17,11 @@ namespace bdisk::pinwheel {
 namespace {
 
 // Reference implementation: literally materialize the repeated schedule
-// and slide the window.
+// and slide the window. `first_worst`, if non-null, receives the smallest
+// start reaching the minimum.
 std::uint64_t BruteMinWindowCount(const Schedule& s, TaskId id,
-                                  std::uint64_t window) {
+                                  std::uint64_t window,
+                                  std::uint64_t* first_worst = nullptr) {
   const std::uint64_t period = s.period();
   std::uint64_t best = UINT64_MAX;
   for (std::uint64_t start = 0; start < period; ++start) {
@@ -22,7 +29,10 @@ std::uint64_t BruteMinWindowCount(const Schedule& s, TaskId id,
     for (std::uint64_t k = 0; k < window; ++k) {
       if (s.At(start + k) == id) ++count;
     }
-    best = std::min(best, count);
+    if (count < best) {
+      best = count;
+      if (first_worst != nullptr) *first_worst = start;
+    }
   }
   return best;
 }
@@ -40,24 +50,28 @@ TEST(VerifierFuzzTest, MatchesBruteForceOnRandomSchedules) {
     }
     auto schedule = Schedule::FromCycle(cycle);
     ASSERT_TRUE(schedule.ok());
-    for (TaskId id = 0; id < n_tasks; ++id) {
+    std::vector<TaskId> ids{Schedule::kIdle};
+    for (TaskId id = 0; id < n_tasks; ++id) ids.push_back(id);
+    for (TaskId id : ids) {
       for (std::uint64_t window :
-           {std::uint64_t{1}, std::uint64_t{2}, period, period + 1,
-            2 * period, 2 * period + 3, 5 * period + 1}) {
-        std::uint64_t worst = 0;
+           {std::uint64_t{1}, std::uint64_t{2}, period - 1, period,
+            period + 1, 2 * period, 2 * period + 3, 3 * period - 1,
+            5 * period + 1}) {
+        if (window == 0) continue;
+        std::uint64_t worst = UINT64_MAX;
         const std::uint64_t fast =
             Verifier::MinWindowCount(*schedule, id, window, &worst);
+        std::uint64_t first_worst = UINT64_MAX;
         const std::uint64_t brute =
-            BruteMinWindowCount(*schedule, id, window);
+            BruteMinWindowCount(*schedule, id, window, &first_worst);
         ASSERT_EQ(fast, brute)
             << "trial " << trial << " period " << period << " task " << id
             << " window " << window << " schedule " << schedule->ToString();
-        // The reported worst start must achieve the minimum.
-        std::uint64_t at_worst = 0;
-        for (std::uint64_t k = 0; k < window; ++k) {
-          if (schedule->At(worst + k) == id) ++at_worst;
-        }
-        ASSERT_EQ(at_worst, fast);
+        // The reported worst start is the smallest start reaching the
+        // minimum: Infeasible messages print it.
+        ASSERT_EQ(worst, first_worst)
+            << "trial " << trial << " period " << period << " task " << id
+            << " window " << window << " schedule " << schedule->ToString();
       }
     }
   }
@@ -82,6 +96,59 @@ TEST(VerifierFuzzTest, MaxGapConsistentWithWindowCounts) {
     if (*gap > 1) {
       EXPECT_EQ(Verifier::MinWindowCount(*schedule, 1, *gap - 1), 0u);
     }
+  }
+}
+
+// Verify and CheckAll gather every task's occurrences in one pass over the
+// cycle; they must agree with one CheckCondition per task on sparse ids
+// (kIdle - 1 included), on a task the cycle never holds, and on windows far
+// beyond the period.
+TEST(VerifierFuzzTest, CheckAllMatchesPerConditionChecksOnSparseIds) {
+  constexpr TaskId kTop = Schedule::kIdle - 1;
+  const std::vector<TaskId> present{7, 1000, kTop};
+  constexpr TaskId kAbsent = 42;
+  Rng rng(161803);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::uint64_t period = 1 + rng.Uniform(30);
+    std::vector<TaskId> cycle(period);
+    for (auto& slot : cycle) {
+      const std::uint64_t pick = rng.Uniform(present.size() + 1);
+      slot = pick == present.size() ? Schedule::kIdle : present[pick];
+    }
+    auto schedule = Schedule::FromCycle(cycle);
+    ASSERT_TRUE(schedule.ok());
+    std::vector<Task> tasks;
+    for (TaskId id : {TaskId{1000}, kAbsent, kTop, TaskId{7}}) {
+      const std::uint64_t b =
+          1 + rng.Uniform(trial % 2 == 0 ? 2 * period : 1000 * period);
+      tasks.push_back({id, 1 + rng.Uniform(b), b});
+    }
+    auto instance = Instance::Create(tasks);
+    ASSERT_TRUE(instance.ok()) << instance.status();
+
+    const std::vector<ConditionCheck> all =
+        Verifier::CheckAll(*schedule, *instance);
+    ASSERT_EQ(all.size(), tasks.size());
+    std::string first_violation;
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      const Task& t = tasks[k];
+      const ConditionCheck one =
+          Verifier::CheckCondition(*schedule, t.id, t.a, t.b);
+      EXPECT_EQ(all[k].ToString(), one.ToString())
+          << "trial " << trial << " schedule " << schedule->ToString();
+      if (t.id == kAbsent) {
+        EXPECT_EQ(one.min_count, 0u);
+        EXPECT_EQ(one.worst_start, 0u);
+        EXPECT_FALSE(one.satisfied);
+      }
+      if (!one.satisfied && first_violation.empty()) {
+        first_violation = "Schedule violates " + one.ToString();
+      }
+    }
+    // The absent task always fails, so Verify names the first violation.
+    const Status st = Verifier::Verify(*schedule, *instance);
+    ASSERT_TRUE(st.IsInfeasible());
+    EXPECT_EQ(st.message(), first_violation);
   }
 }
 
