@@ -9,6 +9,7 @@
 #ifndef BDISK_COMMON_RANDOM_H_
 #define BDISK_COMMON_RANDOM_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -24,9 +25,23 @@ namespace bdisk {
 class Rng {
  public:
   using result_type = std::uint64_t;
+  /// The four xoshiro256** state words.
+  using State = std::array<std::uint64_t, 4>;
 
   /// Constructs a generator from a 64-bit seed (expanded via SplitMix64).
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { Seed(seed); }
+
+  /// A generator resuming from `state` (as read by state()), for code that
+  /// jumps the stream ahead (sim/contents.h). Any state is accepted; the
+  /// all-zero one yields zeros forever.
+  static Rng FromState(const State& state) {
+    Rng rng;
+    rng.state_ = state;
+    return rng;
+  }
+
+  /// The current state: the next draw is a function of it alone.
+  const State& state() const { return state_; }
 
   /// Re-seeds the generator.
   void Seed(std::uint64_t seed) {
@@ -118,7 +133,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::uint64_t state_[4];
+  State state_;
 };
 
 }  // namespace bdisk

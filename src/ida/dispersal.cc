@@ -51,34 +51,51 @@ void Dispersal::DisperseStripe(FileId file_id, const std::uint8_t* stripe,
                                std::uint64_t version,
                                std::vector<Block>* out) const {
   out->resize(n_);
+  for (std::uint32_t j = 0; j < m_; ++j) {
+    const std::uint8_t* const data =
+        stripe + static_cast<std::size_t>(j) * block_size_;
+    (*out)[j].payload.assign(data, data + block_size_);
+  }
+  const Status encoded = DisperseInPlace(file_id, version, out);
+  BDISK_CHECK(encoded.ok());
+}
+
+Status Dispersal::DisperseInPlace(FileId file_id, std::uint64_t version,
+                                  std::vector<Block>* blocks) const {
+  if (blocks->size() != n_) {
+    return Status::InvalidArgument(
+        "DisperseInPlace: need n = " + std::to_string(n_) + " blocks, got " +
+        std::to_string(blocks->size()));
+  }
+  for (std::uint32_t j = 0; j < m_; ++j) {
+    if ((*blocks)[j].payload.size() != block_size_) {
+      return Status::InvalidArgument(
+          "DisperseInPlace: data block " + std::to_string(j) + " holds " +
+          std::to_string((*blocks)[j].payload.size()) +
+          " bytes, block_size is " + std::to_string(block_size_));
+    }
+  }
   // The systematic rows are the stripe's own blocks; only the n - m parity
   // payloads start zeroed for the product below.
   for (std::uint32_t i = 0; i < n_; ++i) {
-    (*out)[i].header = BlockHeader{file_id, i, m_, n_, version};
-    if (i < m_) {
-      const std::uint8_t* const data =
-          stripe + static_cast<std::size_t>(i) * block_size_;
-      (*out)[i].payload.assign(data, data + block_size_);
-    } else {
-      (*out)[i].payload.assign(block_size_, 0);
-    }
+    (*blocks)[i].header = BlockHeader{file_id, i, m_, n_, version};
+    if (i >= m_) (*blocks)[i].payload.assign(block_size_, 0);
   }
-  // Parity block i, byte k = sum_j M[m + i][j] * stripe_block_j[k] — one
+  // Parity block i, byte k = sum_j M[m + i][j] * data_block_j[k] — one
   // fused matrix-block product instead of (n - m) * m independent row
-  // passes, so each stripe block streams through cache once per tile
+  // passes, so each data block streams through cache once per tile
   // (gf/gf_bulk.h).
   std::array<std::uint8_t*, kMaxBlocks> dsts;
   std::array<const std::uint8_t*, kMaxBlocks> srcs;
   std::array<const std::uint8_t*, kMaxBlocks> rows;
   for (std::uint32_t i = m_; i < n_; ++i) {
-    dsts[i - m_] = (*out)[i].payload.data();
+    dsts[i - m_] = (*blocks)[i].payload.data();
     rows[i - m_] = dispersal_matrix_.RowData(i);
   }
-  for (std::uint32_t j = 0; j < m_; ++j) {
-    srcs[j] = stripe + static_cast<std::size_t>(j) * block_size_;
-  }
+  for (std::uint32_t j = 0; j < m_; ++j) srcs[j] = (*blocks)[j].payload.data();
   gf::GFBulk::MatrixMulAccumulate(dsts.data(), srcs.data(), rows.data(),
                                   n_ - m_, m_, block_size_);
+  return Status::OK();
 }
 
 Result<std::vector<std::uint8_t>> Dispersal::Reconstruct(

@@ -83,6 +83,22 @@ class Dispersal {
                                       const std::vector<std::uint8_t>& file,
                                       std::uint64_t version = 0) const;
 
+  /// \brief The encoder behind every dispersal, in place: `blocks` holds
+  /// the N blocks of one stripe, and the payloads of the first m are
+  /// already its data rows. Writes every block's header (`file_id`, its
+  /// index, m, N, `version`; checksum 0, unstamped) and replaces the N - m
+  /// parity payloads with block_size bytes each of the product, reusing
+  /// their capacity; the data payloads are only read.
+  ///
+  /// Disperse and DisperseBatch copy their caller's rows into fresh
+  /// payloads and call this; a producer that can write its rows straight
+  /// into the data payloads (sim::VersionedBroadcastServer synthesizes
+  /// each snapshot there) skips that copy. Fails with InvalidArgument,
+  /// touching nothing, unless `blocks` holds exactly N blocks and each
+  /// data payload is block_size bytes.
+  Status DisperseInPlace(FileId file_id, std::uint64_t version,
+                         std::vector<Block>* blocks) const;
+
   /// \brief Reconstructs the original file from any >= m distinct blocks.
   ///
   /// The first m distinct valid blocks are used: blocks with duplicate
@@ -157,7 +173,9 @@ class Dispersal {
         dispersal_matrix_(std::move(dispersal_matrix)),
         inverse_cache_(std::make_unique<InverseCache>()) {}
 
-  /// Disperses one m * block_size stripe into `out` (resized to N blocks).
+  /// Disperses one m * block_size stripe into `out` (resized to N blocks):
+  /// copies the stripe's rows into the data payloads, then
+  /// DisperseInPlace.
   void DisperseStripe(FileId file_id, const std::uint8_t* stripe,
                       std::uint64_t version, std::vector<Block>* out) const;
 

@@ -25,6 +25,8 @@ void UdpClient::AddSession(const WireSession& session) {
   by_file_[session.file].push_back(sessions_.size());
   sessions_.emplace_back(session.file, session.m, session.n,
                          options_.block_size, session.start_slot);
+  // The wire serves a static broadcast: its files are never updated.
+  sessions_.back().pin_version(0);
 }
 
 Result<std::vector<WireSessionResult>> UdpClient::Run() {

@@ -95,7 +95,9 @@ class UdpClient {
   /// The port the broadcast server should send to.
   std::uint16_t bound_port() const { return socket_.bound_port(); }
 
-  /// Registers a logical session. Call before Run().
+  /// Registers a logical session. Call before Run(). The broadcast is
+  /// static, so the session pins version 0 and rejects any other
+  /// (`SessionResult::version_rejected` counts them).
   void AddSession(const WireSession& session);
 
   /// Runs the event loop to completion and returns one result per

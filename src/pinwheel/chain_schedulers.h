@@ -34,27 +34,24 @@ namespace bdisk::pinwheel {
 class SaScheduler : public Scheduler {
  public:
   std::string name() const override { return "Sa"; }
-  double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 };
 
 /// \brief Sx: single-chain specialization {x * 2^j} with base search.
+/// Subsumes Sa, so inherits its 1/2 guarantee; empirically schedules most
+/// instances up to ~0.65 (bench_scheduler_density quantifies this).
 class SxScheduler : public Scheduler {
  public:
   std::string name() const override { return "Sx"; }
-  /// Subsumes Sa, so inherits its 1/2 guarantee; empirically schedules most
-  /// instances up to ~0.65 (bench_scheduler_density quantifies this).
-  double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 };
 
 /// \brief Sxy: 3-smooth specialization {x * 2^j * 3^k} with base search.
+/// Subsumes Sa; empirically schedules most instances up to ~0.7-0.8
+/// (bench_scheduler_density), in line with Chan & Chin's 7/10 analysis.
 class SxyScheduler : public Scheduler {
  public:
   std::string name() const override { return "Sxy"; }
-  /// Subsumes Sa; empirically schedules most instances up to ~0.7-0.8
-  /// (bench_scheduler_density), in line with Chan & Chin's 7/10 analysis.
-  double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 };
 

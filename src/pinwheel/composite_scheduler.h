@@ -24,7 +24,6 @@ class CompositeScheduler : public Scheduler {
   CompositeScheduler();
 
   std::string name() const override { return "Composite"; }
-  double guaranteed_density() const override { return 0.5; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 
  private:

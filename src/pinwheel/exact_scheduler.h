@@ -38,10 +38,6 @@ class ExactScheduler : public Scheduler {
       : options_(options) {}
 
   std::string name() const override { return "Exact"; }
-  /// Complete for single-unit instances, so "guaranteed density" is the
-  /// feasibility frontier itself; reported as 0 because no uniform density
-  /// bound below 1 guarantees feasibility (paper, Example 1).
-  double guaranteed_density() const override { return 0.0; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 
   /// \brief Feasibility test without schedule construction. Returns true /

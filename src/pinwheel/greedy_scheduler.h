@@ -26,7 +26,6 @@ namespace bdisk::pinwheel {
 class GreedyScheduler : public Scheduler {
  public:
   std::string name() const override { return "Greedy"; }
-  double guaranteed_density() const override { return 0.0; }
   Result<Schedule> BuildSchedule(const Instance& instance) const override;
 };
 

@@ -27,11 +27,6 @@ class Scheduler {
   /// Human-readable scheduler name ("Sa", "Sx", ...).
   virtual std::string name() const = 0;
 
-  /// \brief Worst-case density up to which this scheduler is *guaranteed*
-  /// to succeed (0 if best-effort only). E.g. 0.5 for Sa on single-unit
-  /// instances.
-  virtual double guaranteed_density() const = 0;
-
   /// Builds and verifies a schedule for `instance`.
   virtual Result<Schedule> BuildSchedule(const Instance& instance) const = 0;
 

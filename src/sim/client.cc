@@ -48,6 +48,12 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
   }
   if (CanReconstruct()) return OfferOutcome::kAlreadyComplete;
   if (version_.has_value() && block.header.version != *version_) {
+    if (version_pinned_) {
+      // The only version this broadcast carries is the pinned one, so
+      // any other is forged or damaged: refuse it, and never restart.
+      ++version_rejected_;
+      return OfferOutcome::kVersionMismatch;
+    }
     if (block.header.version < *version_) {
       // An older snapshot's block: IDA's linear combination only inverts
       // against one consistent snapshot, so it can never be combined with
@@ -87,6 +93,12 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
   block_epochs_.push_back(epoch);
   return CanReconstruct() ? OfferOutcome::kCompleted
                           : OfferOutcome::kAccepted;
+}
+
+void ReconstructingClient::pin_version(std::uint64_t version) {
+  BDISK_CHECK(distinct_ == 0);
+  version_ = version;
+  version_pinned_ = true;
 }
 
 std::uint32_t ReconstructingClient::EpochsSpanned() const {
@@ -149,7 +161,7 @@ void ReconstructingClient::Clear() {
   distinct_ = 0;
   spare_rows_.clear();
   block_epochs_.clear();
-  version_.reset();
+  if (!version_pinned_) version_.reset();
 }
 
 RetrievalSession::RetrievalSession(broadcast::FileIndex file,
@@ -185,6 +197,8 @@ Result<SessionResult> RetrievalSession::Finish() {
   SessionResult result = result_;
   // Read before the hand-over empties the client.
   result.epochs_spanned = client_.EpochsSpanned();
+  result.version_rejected =
+      static_cast<std::uint32_t>(client_.version_rejected());
   if (result.completed) {
     BDISK_ASSIGN_OR_RETURN(result.data, client_.Reconstruct());
   }
@@ -233,6 +247,7 @@ Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
   const broadcast::ProgramFile& pf = server.program().files()[file];
   RetrievalSession session(file, pf.m, pf.n, server.block_size(),
                            start_slot);
+  session.pin_version(0);
   BDISK_ASSIGN_OR_RETURN(
       SessionResult result,
       WalkRetrieval(

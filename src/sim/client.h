@@ -51,6 +51,11 @@ enum class OfferOutcome : std::uint8_t {
   /// Rejected: the block's version predates the version being collected —
   /// blocks of different update generations must never be combined.
   kStaleVersion,
+  /// Rejected: the client pins one version (a static broadcast's is 0)
+  /// and the block carries another. Nothing is restarted: a copy of a
+  /// genuine block re-stamped with a higher version cannot make the client
+  /// drop its collection and then refuse every genuine block as stale.
+  kVersionMismatch,
   /// Rejected: the block is stamped and its checksum does not match, or
   /// checksums are required and it is unstamped — the payload (or header)
   /// was corrupted in transit.
@@ -79,6 +84,12 @@ class ReconstructingClient {
   /// blocks are rejected in either mode.
   void set_require_checksums(bool require) { require_checksums_ = require; }
 
+  /// Admits only blocks of `version` and rejects any other, newer or older,
+  /// as kVersionMismatch; for a broadcast whose files are never updated,
+  /// which pins version 0. Unpinned (the default), the newest version
+  /// heard wins, as described at OfferEx. Call before the first offer.
+  void pin_version(std::uint64_t version);
+
   /// Offers a received block and reports exactly what happened to it.
   ///
   /// `epoch` keys the block by the program epoch it was heard under
@@ -89,7 +100,8 @@ class ReconstructingClient {
   /// single-epoch retrieval. Stale-*version* blocks (an older update
   /// generation than the one being collected) are rejected, and a *newer*
   /// version discards the stale partial collection and restarts, exactly
-  /// like the versioned server's update semantics.
+  /// like the versioned server's update semantics — unless the client pins
+  /// a version (pin_version), which rejects every other one.
   OfferOutcome OfferEx(const ida::Block& block, std::uint64_t epoch = 0);
 
   /// True iff m distinct blocks have been collected.
@@ -110,8 +122,9 @@ class ReconstructingClient {
   /// reconstruct another file.
   Result<std::vector<std::uint8_t>> Reconstruct();
 
-  /// Drops all collected blocks (for reuse; rejection counters persist).
-  /// The arena and spare area keep their capacity.
+  /// Drops all collected blocks (for reuse; rejection counters persist,
+  /// and so does a pinned version). The arena and spare area keep their
+  /// capacity.
   void Clear();
 
   /// Duplicate-index blocks rejected so far.
@@ -120,6 +133,8 @@ class ReconstructingClient {
   std::uint64_t stale_rejected() const { return stale_rejected_; }
   /// Checksum-mismatch blocks rejected so far.
   std::uint64_t checksum_rejected() const { return checksum_rejected_; }
+  /// Blocks of a version other than the pinned one rejected so far.
+  std::uint64_t version_rejected() const { return version_rejected_; }
   /// Partial collections discarded because a newer version appeared.
   std::uint32_t restarts() const { return restarts_; }
   /// The file this client collects.
@@ -147,12 +162,15 @@ class ReconstructingClient {
   // Epoch under which each collected block was heard.
   std::vector<std::uint64_t> block_epochs_;
   // Version pinned by the first admitted block (collection invariant:
-  // every collected block carries this version).
+  // every collected block carries this version), or by pin_version.
   std::optional<std::uint64_t> version_;
+  // Set by pin_version: version_ never changes, and Clear keeps it.
+  bool version_pinned_ = false;
   bool require_checksums_ = false;
   std::uint64_t duplicates_rejected_ = 0;
   std::uint64_t stale_rejected_ = 0;
   std::uint64_t checksum_rejected_ = 0;
+  std::uint64_t version_rejected_ = 0;
   std::uint32_t restarts_ = 0;
 };
 
@@ -169,6 +187,9 @@ struct SessionResult {
   /// Transmissions of the requested file corrupted by the channel and
   /// rejected by the client (checksum or header validation).
   std::uint32_t corrupt_detected = 0;
+  /// Blocks of the session's file rejected for a version other than the
+  /// pinned one (ReconstructingClient::pin_version).
+  std::uint32_t version_rejected = 0;
   /// Latency minus the lossless-channel latency of the same session
   /// (valid when completed).
   std::uint64_t stall_slots = 0;
@@ -186,6 +207,10 @@ class RetrievalSession {
   RetrievalSession(broadcast::FileIndex file, std::uint32_t m,
                    std::uint32_t n, std::size_t block_size,
                    std::optional<std::uint64_t> start_slot);
+
+  /// Admits only blocks of `version` (ReconstructingClient::pin_version):
+  /// a session of a static broadcast pins 0.
+  void pin_version(std::uint64_t version) { client_.pin_version(version); }
 
   /// Hears `slot` (an idle beacon or any file's block): the first slot at
   /// or after the start slot tunes in. Returns whether it is tuned in.
@@ -235,7 +260,8 @@ Result<SessionResult> WalkRetrieval(
 /// server stamps checksums, and the session requires them) and discard.
 /// Because the trace is random-access, no replay from slot 0 is needed —
 /// the realization is identical no matter where (or on how many threads)
-/// sessions start. A disk-backed server's read failure is returned.
+/// sessions start. A disk-backed server's read failure is returned. The
+/// server's files are never updated, so the session pins version 0.
 Result<SessionResult> RunRetrievalSession(const BroadcastServer& server,
                                           const faults::ChannelModel& channel,
                                           broadcast::FileIndex file,

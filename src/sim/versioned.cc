@@ -1,25 +1,15 @@
 #include "sim/versioned.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
+#include <array>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "sim/client.h"
+#include "sim/contents.h"
 
 namespace bdisk::sim {
 
 namespace {
-
-/// `word` in little-endian byte order, so a memcpy of it stores the same
-/// bytes on every host.
-std::uint64_t LittleEndian(std::uint64_t word) {
-  if constexpr (std::endian::native == std::endian::big) {
-    return __builtin_bswap64(word);
-  }
-  return word;
-}
 
 /// Stages the erase of `file`'s committed versions beyond the
 /// kRetainedVersions nearest `version`, which is being added: farthest
@@ -86,26 +76,45 @@ std::uint64_t VersionedBroadcastServer::VersionStartSlot(
   return interval == 0 ? 0 : version * interval;
 }
 
+std::uint64_t VersionedBroadcastServer::ContentSeed(
+    broadcast::FileIndex file, std::uint64_t version) const {
+  return options_.content_seed * 0x9E3779B97F4A7C15ULL + file * 1000003ULL +
+         version;
+}
+
 std::vector<std::uint8_t> VersionedBroadcastServer::ContentsOf(
     broadcast::FileIndex file, std::uint64_t version) const {
   BDISK_CHECK(file < program_.file_count());
-  const broadcast::ProgramFile& pf = program_.files()[file];
-  // Deterministic synthetic snapshot: seeded by (seed, file, version),
-  // eight bytes per draw, each draw stored as one little-endian word (a
-  // short tail takes the low bytes of one more draw).
-  Rng rng(options_.content_seed * 0x9E3779B97F4A7C15ULL + file * 1000003ULL +
-          version);
-  std::vector<std::uint8_t> data(pf.m * options_.block_size);
-  std::size_t i = 0;
-  for (; data.size() - i >= 8; i += 8) {
-    const std::uint64_t word = LittleEndian(rng());
-    std::memcpy(data.data() + i, &word, 8);
-  }
-  if (i < data.size()) {
-    const std::uint64_t word = LittleEndian(rng());
-    std::memcpy(data.data() + i, &word, data.size() - i);
-  }
+  const std::size_t m = program_.files()[file].m;
+  const std::size_t block_size = options_.block_size;
+  std::vector<std::uint8_t> data(m * block_size);
+  std::array<std::uint8_t*, ida::Dispersal::kMaxBlocks> rows;
+  for (std::size_t j = 0; j < m; ++j) rows[j] = data.data() + j * block_size;
+  SynthesizeRows(ContentSeed(file, version), rows.data(), m, block_size);
   return data;
+}
+
+Result<std::vector<ida::Block>> VersionedBroadcastServer::BuildVersion(
+    broadcast::FileIndex file, std::uint64_t version) const {
+  // One pass: the snapshot is synthesized straight into the data payloads
+  // and the parity rows are encoded next to them, with no intermediate
+  // file to copy from.
+  const ida::Dispersal& engine = engines_[file];
+  const std::size_t m = engine.reconstruct_threshold();
+  std::vector<ida::Block> blocks(engine.total_blocks());
+  std::array<std::uint8_t*, ida::Dispersal::kMaxBlocks> rows;
+  for (std::size_t j = 0; j < m; ++j) {
+    blocks[j].payload.resize(options_.block_size);
+    rows[j] = blocks[j].payload.data();
+  }
+  SynthesizeRows(ContentSeed(file, version), rows.data(), m,
+                 options_.block_size);
+  BDISK_RETURN_NOT_OK(engine.DisperseInPlace(static_cast<ida::FileId>(file),
+                                             version, &blocks));
+  // Stamped once per (file, version) at dispersal time, like the static
+  // server's store.
+  ida::StampChecksums(&blocks);
+  return blocks;
 }
 
 Result<std::optional<ida::Block>> VersionedBroadcastServer::FetchTransmission(
@@ -115,17 +124,14 @@ Result<std::optional<ida::Block>> VersionedBroadcastServer::FetchTransmission(
   const std::uint64_t version = VersionAt(tx->file, slot);
   const auto file_id = static_cast<ida::FileId>(tx->file);
   if (options_.store != nullptr) {
-    // Disk-backed: on first sight of a (file, version), disperse and
-    // persist it, retiring the file's versions outside the retention
-    // window in the same commit (one commit per version exercises the
-    // two-generation swap under natural update churn); every transmission
-    // is served from disk — the memory cache stays empty.
+    // Disk-backed: on first sight of a (file, version), build and persist
+    // it, retiring the file's versions outside the retention window in the
+    // same commit (one commit per version exercises the two-generation
+    // swap under natural update churn); every transmission is served from
+    // disk — the memory cache stays empty.
     if (options_.store->FindEntry(file_id, version) == nullptr) {
-      BDISK_ASSIGN_OR_RETURN(
-          std::vector<ida::Block> blocks,
-          engines_[tx->file].Disperse(file_id, ContentsOf(tx->file, version),
-                                      version));
-      ida::StampChecksums(&blocks);
+      BDISK_ASSIGN_OR_RETURN(std::vector<ida::Block> blocks,
+                             BuildVersion(tx->file, version));
       BDISK_RETURN_NOT_OK(options_.store->StageFile(blocks));
       BDISK_RETURN_NOT_OK(StageEvictions(options_.store, file_id, version));
       BDISK_RETURN_NOT_OK(options_.store->Commit());
@@ -138,13 +144,8 @@ Result<std::optional<ida::Block>> VersionedBroadcastServer::FetchTransmission(
   const auto key = std::make_pair(tx->file, version);
   auto it = coded_.find(key);
   if (it == coded_.end()) {
-    BDISK_ASSIGN_OR_RETURN(
-        std::vector<ida::Block> blocks,
-        engines_[tx->file].Disperse(file_id, ContentsOf(tx->file, version),
-                                    version));
-    // Stamped once per (file, version) at dispersal time, like the static
-    // server's store.
-    ida::StampChecksums(&blocks);
+    BDISK_ASSIGN_OR_RETURN(std::vector<ida::Block> blocks,
+                           BuildVersion(tx->file, version));
     it = coded_.emplace(key, std::move(blocks)).first;
   }
   return std::optional<ida::Block>(it->second[tx->block_index]);

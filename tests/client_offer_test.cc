@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "bdisk/flat_builder.h"
 #include "common/random.h"
+#include "faults/channel_model.h"
 #include "ida/dispersal.h"
 #include "sim/client.h"
 
@@ -280,6 +282,84 @@ void Collect(ReconstructingClient* client, const Snapshot& snap,
       ASSERT_EQ(client->OfferEx(straggler), OfferOutcome::kStaleVersion);
     }
   }
+}
+
+// Each slot in `forged` delivers its genuine block re-stamped with the
+// next version and a fresh, valid checksum: a forger who copies the
+// broadcast but holds no key.
+class ForgingChannel final : public faults::ChannelModel {
+ public:
+  explicit ForgingChannel(std::vector<std::uint64_t> forged)
+      : forged_(std::move(forged)) {}
+  faults::FaultType FaultAt(std::uint64_t slot) const override {
+    return std::find(forged_.begin(), forged_.end(), slot) != forged_.end()
+               ? faults::FaultType::kCorrupted
+               : faults::FaultType::kNone;
+  }
+  void CorruptBlock(std::uint64_t, ida::Block* block) const override {
+    ++block->header.version;
+    ida::StampChecksum(block);
+  }
+  std::string Describe() const override { return "forging"; }
+
+ private:
+  std::vector<std::uint64_t> forged_;
+};
+
+TEST(VersionForgeryTest, StaticSessionRejectsAReStampedNewerVersion) {
+  // A static broadcast never updates a file, so a newer version can only
+  // be forged. Had the session restarted on the forgery, every later
+  // genuine block would be stale and the retrieval would never complete.
+  auto program = broadcast::BuildFlatProgram({{"A", 3, 6, {}}, {"B", 2, 4, {}}},
+                                             broadcast::FlatLayout::kSpread);
+  ASSERT_TRUE(program.ok()) << program.status();
+  const std::vector<std::vector<std::uint8_t>> contents{RandomFile(3 * 16, 1),
+                                                        RandomFile(2 * 16, 2)};
+  auto server = BroadcastServer::Create(*program, contents, 16);
+  ASSERT_TRUE(server.ok()) << server.status();
+  // Forge A's first transmission, which would pin the collection, and its
+  // third, which would restart one.
+  std::vector<std::uint64_t> a_slots;
+  for (std::uint64_t t = 0; a_slots.size() < 3; ++t) {
+    const auto tx = program->TransmissionAt(t);
+    if (tx.has_value() && tx->file == 0) a_slots.push_back(t);
+  }
+  const ForgingChannel channel({a_slots[0], a_slots[2]});
+  auto forged = RunRetrievalSession(*server, channel, 0, 0, 200);
+  ASSERT_TRUE(forged.ok()) << forged.status();
+  ASSERT_TRUE(forged->completed);
+  EXPECT_EQ(forged->data, contents[0]);
+  EXPECT_EQ(forged->version_rejected, 2u);
+
+  // A versioned retrieval keeps the newest-version rule: an unpinned
+  // client restarts on the same forgery.
+  ReconstructingClient unpinned(0, 3, 6, 16);
+  auto first = server->FetchTransmission(a_slots[0]);
+  ASSERT_TRUE(first.ok() && first->has_value());
+  ida::Block copy = **first;
+  channel.CorruptBlock(a_slots[0], &copy);
+  EXPECT_EQ(unpinned.OfferEx(**first), OfferOutcome::kAccepted);
+  EXPECT_EQ(unpinned.OfferEx(copy), OfferOutcome::kAccepted);
+  EXPECT_EQ(unpinned.restarts(), 1u);
+}
+
+TEST(VersionForgeryTest, PinnedClientRejectsEveryOtherVersionWithoutRestart) {
+  const auto v0 = DisperseFile(2, 4, 16, /*version=*/0, 7);
+  const auto v1 = DisperseFile(2, 4, 16, /*version=*/1, 8);
+  const auto v3 = DisperseFile(2, 4, 16, /*version=*/3, 9);
+  ReconstructingClient client(0, 2, 4, 16);
+  client.pin_version(1);
+  EXPECT_EQ(client.OfferEx(v0[0]), OfferOutcome::kVersionMismatch);
+  EXPECT_EQ(client.OfferEx(v1[0]), OfferOutcome::kAccepted);
+  EXPECT_EQ(client.OfferEx(v3[1]), OfferOutcome::kVersionMismatch);
+  EXPECT_EQ(client.OfferEx(v0[1]), OfferOutcome::kVersionMismatch);
+  EXPECT_EQ(client.version_rejected(), 3u);
+  EXPECT_EQ(client.stale_rejected(), 0u);
+  EXPECT_EQ(client.restarts(), 0u);
+  EXPECT_EQ(client.OfferEx(v1[3]), OfferOutcome::kCompleted);
+  auto data = client.Reconstruct();
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(*data, RandomFile(2 * 16, 8));
 }
 
 // Each retrieval restarts mid-collection, so the arena keeps the dropped

@@ -110,6 +110,47 @@ TEST(DispersalTest, WrongFileSizeRejected) {
 
 // Property: any m of the N dispersed blocks reconstruct the original —
 // exhaustive over all C(6,3) = 20 subsets, in random order.
+TEST(DispersalTest, DisperseInPlaceRejectsWrongBlockCountOrPayloadSize) {
+  auto engine = Dispersal::Create(3, 5, 16);
+  ASSERT_TRUE(engine.ok());
+  std::vector<Block> blocks(4);
+  for (std::size_t j = 0; j < 3; ++j) blocks[j].payload.assign(16, 1);
+  Status st = engine->DisperseInPlace(7, 2, &blocks);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("n = 5 blocks, got 4"), std::string::npos) << st;
+
+  blocks.resize(5);
+  blocks[1].payload.resize(15);
+  st = engine->DisperseInPlace(7, 2, &blocks);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_NE(st.message().find("data block 1 holds 15 bytes"),
+            std::string::npos)
+      << st;
+  // A rejected call touches nothing.
+  for (const Block& b : blocks) EXPECT_EQ(b.header, BlockHeader{});
+  EXPECT_TRUE(blocks[3].payload.empty());
+}
+
+TEST(DispersalTest, DisperseInPlaceIsDisperseWithoutTheCopy) {
+  // Disperse copies the rows in and runs this same encoder, so the two
+  // agree byte for byte, headers included, whatever the parity payloads
+  // held before.
+  Rng rng(17);
+  auto engine = Dispersal::Create(4, 7, 40);
+  ASSERT_TRUE(engine.ok());
+  const auto file = RandomFile(4 * 40, &rng);
+  auto dispersed = engine->Disperse(3, file, 9);
+  ASSERT_TRUE(dispersed.ok());
+  std::vector<Block> blocks(7);
+  for (std::size_t j = 0; j < 4; ++j) {
+    blocks[j].payload.assign(file.begin() + 40 * j,
+                             file.begin() + 40 * (j + 1));
+  }
+  blocks[5].payload.assign(100, 0xAB);
+  ASSERT_TRUE(engine->DisperseInPlace(3, 9, &blocks).ok());
+  EXPECT_EQ(blocks, *dispersed);
+}
+
 TEST(DispersalTest, AnyMSubsetReconstructsExhaustive) {
   auto d = Dispersal::Create(3, 6, 16);
   ASSERT_TRUE(d.ok());

@@ -524,6 +524,54 @@ TEST(UdpLoopbackTest, ShortPayloadWithValidChecksumIsNeverBuffered) {
   }
 }
 
+TEST(UdpLoopbackTest, ForgedNewerVersionCannotStallASession) {
+  // A genuine block re-stamped with a higher version and a fresh checksum
+  // arrives first. The broadcast is static, so the listener's session
+  // rejects it instead of restarting on it (after which every genuine
+  // block would be stale), and every file reconstructs byte-exactly.
+  const auto program = ToyProgram();
+  Rng rng(6);
+  std::vector<std::vector<std::uint8_t>> contents{
+      RandomBytes(5 * kBlockSize, &rng), RandomBytes(3 * kBlockSize, &rng)};
+  auto server = sim::BroadcastServer::Create(program, contents, kBlockSize);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto first = server->FetchTransmission(0);
+  ASSERT_TRUE(first.ok() && first->has_value());
+  ida::Block forged = **first;
+  ++forged.header.version;
+  ida::StampChecksum(&forged);
+  ASSERT_EQ(ida::VerifyChecksum(forged), ida::ChecksumState::kValid);
+
+  UdpServerOptions options;
+  options.horizon = 64;
+  std::vector<WireSession> sessions;
+  for (broadcast::FileIndex f = 0; f < 2; ++f) {
+    WireSession s;
+    s.file = f;
+    s.m = program.files()[f].m;
+    s.n = program.files()[f].n;
+    s.start_slot = 0;
+    sessions.push_back(s);
+  }
+  auto run = RunWireWithRetry(&*server, nullptr, sessions, options,
+                              {EncodeBlockDatagram(0, 0, forged)});
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->client_stats.block_datagrams,
+            run->server_stats.block_datagrams + 1);
+  const faults::LosslessChannel no_faults;
+  for (broadcast::FileIndex f = 0; f < 2; ++f) {
+    const auto& r = run->results[f];
+    ASSERT_TRUE(r.session.completed) << "file " << f;
+    EXPECT_EQ(r.session.data, contents[f]) << "file " << f;
+    EXPECT_EQ(r.session.version_rejected, f == forged.header.file_id ? 1u : 0u)
+        << "file " << f;
+    auto reference =
+        sim::RunRetrievalSession(*server, no_faults, f, 0, options.horizon);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(r.session.completion_slot, reference->completion_slot);
+  }
+}
+
 TEST(UdpLoopbackTest, SessionsTuneInAtTheFirstDatagramHeard) {
   // A session without a start slot tunes in at the first datagram of any
   // kind: an idle beacon, or another file's block. Period of 8 slots:

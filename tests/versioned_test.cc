@@ -376,6 +376,35 @@ broadcast::BroadcastProgram ChurnProgram() {
   return std::move(choice->build.program);
 }
 
+TEST(VersionedStoreTest, VersionCommitsLeaveThePinnedDeviceImage) {
+  // Every byte the commit path writes — synthesized snapshots, parity,
+  // stamps, catalog generations and retention erases — is pinned by the
+  // CRC-32C of the whole device after dozens of commits. The snapshots
+  // (6 and 4 rows of 4 KiB) are long enough for the lane kernel
+  // (sim/contents.h); the value was computed with serial synthesis, before
+  // the lanes existed.
+  auto program = broadcast::BuildFlatProgram(
+      {{"A", 6, 8, {}}, {"B", 4, 5, {}}}, broadcast::FlatLayout::kSpread);
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto device = std::make_unique<store::MemBlockDevice>(4096, 256);
+  const std::shared_ptr<store::MemBlockDevice::Buffer> image = device->buffer();
+  auto block_store = store::BlockStore::Format(std::move(device));
+  ASSERT_TRUE(block_store.ok()) << block_store.status();
+  VersionedServerOptions options;
+  options.block_size = 4096;
+  options.update_interval_slots = {7, 11};
+  options.content_seed = 3;
+  options.store = block_store->get();
+  auto server = VersionedBroadcastServer::Create(*program, options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const std::uint64_t formatted = (*block_store)->generation();
+  for (std::uint64_t t = 0; t < 200; ++t) {
+    ASSERT_TRUE(server->FetchTransmission(t).ok()) << "slot " << t;
+  }
+  EXPECT_GE((*block_store)->generation() - formatted, 20u);
+  EXPECT_EQ(Crc32c(image->data(), image->size()), 0xEACC3EFBu);
+}
+
 TEST(VersionedStoreTest, ChurnRunsTenHorizonsOnADeviceSizedByTheWindow) {
   // Regression: a store-backed server used to keep every version, so any
   // finite device ended in ResourceExhausted. The device here holds three

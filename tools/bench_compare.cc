@@ -188,11 +188,23 @@ int CompareMode(const char* baseline_path, const char* current_path,
     }
     const bool failed = regression > threshold;
     if (failed) ++regressions;
-    std::printf("  [%s] %s: %.6g -> %.6g (%+.1f%% %s)\n",
-                failed ? "REGRESSED" : "ok", key.ToString().c_str(),
-                base_value, cur_value, 100.0 * regression,
-                dir == Direction::kHigherBetter ? "slower/lower"
-                                                : "worse");
+    // The signed change, named by whether it moved the good way.
+    const bool better = dir == Direction::kHigherBetter
+                            ? cur_value > base_value
+                            : cur_value < base_value;
+    const char* verdict = cur_value == base_value ? "unchanged"
+                          : better                ? "better"
+                                                  : "worse";
+    if (base_value == 0.0) {
+      std::printf("  [%s] %s: %.6g -> %.6g (%s)\n",
+                  failed ? "REGRESSED" : "ok", key.ToString().c_str(),
+                  base_value, cur_value, verdict);
+    } else {
+      std::printf("  [%s] %s: %.6g -> %.6g (%+.1f%% %s)\n",
+                  failed ? "REGRESSED" : "ok", key.ToString().c_str(),
+                  base_value, cur_value,
+                  100.0 * (cur_value - base_value) / base_value, verdict);
+    }
   }
   for (const auto& [key, value] : current) {
     if (baseline.find(key) == baseline.end()) {
