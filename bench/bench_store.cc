@@ -53,7 +53,7 @@ std::uint64_t PeakRssKb() {
   return kb;
 }
 
-void FillPayload(std::vector<std::uint8_t>* payload, Rng* rng) {
+void FillPayload(bdisk::ida::Payload* payload, Rng* rng) {
   std::size_t i = 0;
   for (; i + 8 <= payload->size(); i += 8) {
     const std::uint64_t x = (*rng)();

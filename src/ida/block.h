@@ -15,10 +15,37 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bdisk::ida {
+
+/// \brief std::allocator, except that constructing an element with no
+/// argument default-initializes it: for bytes, it leaves them unwritten.
+/// Only that one `construct` is defined, so a copy, `assign` or
+/// initializer list still constructs from its arguments as usual.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// \brief A block's payload bytes.
+///
+/// `resize(n)` (and the sized constructor) leaves new bytes unwritten,
+/// because every producer on the served path overwrites a payload whole
+/// right after sizing it: a store read lands in it, a snapshot is
+/// synthesized into it, a wire datagram's bytes are copied into it. A
+/// value-initializing resize would write each of those bytes twice. A site
+/// that needs zeros asks for them: `resize(n, 0)` or `assign(n, 0)`.
+using Payload = std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
 
 /// Identifier of a broadcast file (data item). File ids are dense small
 /// integers assigned by the program builder; kInvalidFileId marks "no file".
@@ -57,7 +84,7 @@ struct BlockHeader {
 /// \brief One broadcast block: header plus payload bytes.
 struct Block {
   BlockHeader header;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
 
   bool operator==(const Block&) const = default;
 };

@@ -50,13 +50,16 @@ void EncodeHeader(std::uint8_t* out, DatagramType type, std::uint64_t slot,
 std::vector<std::uint8_t> EncodeBlockDatagram(std::uint64_t slot,
                                               std::uint64_t epoch,
                                               const ida::Block& block) {
-  std::vector<std::uint8_t> out(kWireHeaderBytes + block.payload.size());
+  // The payload is appended after the header, not copied over a
+  // zero-filled datagram.
+  std::vector<std::uint8_t> out;
+  out.reserve(kWireHeaderBytes + block.payload.size());
+  out.resize(kWireHeaderBytes);
   EncodeHeader(out.data(), DatagramType::kBlock, slot, epoch);
   const auto identity = ida::SerializeIdentity(block.header);
   std::memcpy(out.data() + 24, identity.data(), identity.size());
   PutU32(out.data() + 48, block.header.checksum);
-  std::memcpy(out.data() + kWireHeaderBytes, block.payload.data(),
-              block.payload.size());
+  out.insert(out.end(), block.payload.begin(), block.payload.end());
   return out;
 }
 

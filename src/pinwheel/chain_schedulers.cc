@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -18,22 +17,25 @@ constexpr std::uint64_t kMaxPeriod = 1ULL << 24;
 /// Candidate bases x that Sx/Sxy attempt, least specialized density first.
 constexpr std::size_t kMaxCandidates = 64;
 
-/// Specialization function: maps a window b to the largest admissible
-/// window <= b in the scheduler's window set, or nullopt if none exists.
-using SpecFn = std::function<std::optional<std::uint64_t>(std::uint64_t)>;
+/// Specialization: rounds a window b down to the largest admissible
+/// window <= b in the window set of base x, or nullopt if none exists
+/// (LargestChainValueAtMost or LargestSmoothValueAtMost).
+using SpecFn = std::optional<std::uint64_t> (*)(std::uint64_t x,
+                                                std::uint64_t b);
 
 /// Picks the cheaper sound encoding (unit vs spread; see header) of task
-/// `t` under the specialization `spec`. Returns nullopt if neither fits.
-std::optional<ClassRequest> EncodeTask(const Task& t, const SpecFn& spec) {
+/// `t` under base `x`'s specialization. Returns nullopt if neither fits.
+std::optional<ClassRequest> EncodeTask(const Task& t, SpecFn spec,
+                                       std::uint64_t x) {
   std::optional<ClassRequest> best;
   double best_density = 0.0;
 
   const std::uint64_t unit_window = t.b / t.a;  // floor; >= 1 since b >= a.
-  if (std::optional<std::uint64_t> w = spec(unit_window)) {
+  if (std::optional<std::uint64_t> w = spec(x, unit_window)) {
     best = ClassRequest{t.id, *w, 1};
     best_density = 1.0 / static_cast<double>(*w);
   }
-  if (std::optional<std::uint64_t> w = spec(t.b)) {
+  if (std::optional<std::uint64_t> w = spec(x, t.b)) {
     const double d = static_cast<double>(t.a) / static_cast<double>(*w);
     if (!best.has_value() || d < best_density) {
       best = ClassRequest{t.id, *w, t.a};
@@ -43,21 +45,36 @@ std::optional<ClassRequest> EncodeTask(const Task& t, const SpecFn& spec) {
   return best;
 }
 
-/// Encodes the whole instance; returns the requests and their total density,
-/// or nullopt if some task cannot be specialized or the density exceeds 1.
-std::optional<std::pair<std::vector<ClassRequest>, double>> EncodeInstance(
-    const Instance& instance, const SpecFn& spec) {
-  std::vector<ClassRequest> requests;
-  requests.reserve(instance.size());
+/// Encodes the whole instance at base `x`; returns the total density
+/// (summed in task order), or nullopt if some task cannot be specialized
+/// or the density exceeds 1. Appends the requests to `requests` unless it
+/// is null, so a base can be ranked without building them.
+std::optional<double> EncodeInstance(const Instance& instance, SpecFn spec,
+                                     std::uint64_t x,
+                                     std::vector<ClassRequest>* requests) {
   double density = 0.0;
   for (const Task& t : instance.tasks()) {
-    std::optional<ClassRequest> r = EncodeTask(t, spec);
+    std::optional<ClassRequest> r = EncodeTask(t, spec, x);
     if (!r.has_value()) return std::nullopt;
     density += static_cast<double>(r->count) / static_cast<double>(r->period);
     if (density > 1.0 + 1e-12) return std::nullopt;
-    requests.push_back(*r);
+    if (requests != nullptr) requests->push_back(*r);
   }
-  return std::make_pair(std::move(requests), density);
+  return density;
+}
+
+/// The distinct windows the encodings specialize: every task's b and
+/// floor(b / a), ascending.
+std::vector<std::uint64_t> DistinctWindows(const Instance& instance) {
+  std::vector<std::uint64_t> windows;
+  windows.reserve(2 * instance.size());
+  for (const Task& t : instance.tasks()) {
+    windows.push_back(t.b);
+    windows.push_back(t.b / t.a);
+  }
+  std::sort(windows.begin(), windows.end());
+  windows.erase(std::unique(windows.begin(), windows.end()), windows.end());
+  return windows;
 }
 
 /// Allocates the requests and materializes + verifies the schedule. Chain
@@ -86,26 +103,26 @@ Result<Schedule> Realize(const Instance& instance,
   return last;
 }
 
-/// Shared driver for Sx and Sxy: enumerate candidate bases, order by
-/// encoded density, attempt allocation until one succeeds.
-Result<Schedule> ScheduleWithBases(
-    const Instance& instance, const std::vector<std::uint64_t>& bases,
-    const std::function<SpecFn(std::uint64_t)>& spec_for_base,
-    const std::string& name) {
+/// Shared driver for Sa, Sx and Sxy: rank the candidate bases by encoded
+/// density, then encode and attempt allocation at each in turn until one
+/// succeeds.
+Result<Schedule> ScheduleWithBases(const Instance& instance,
+                                   const std::vector<std::uint64_t>& bases,
+                                   SpecFn spec, const std::string& name) {
   if (instance.empty()) {
     return Status::InvalidArgument(name + ": empty instance");
   }
   struct Candidate {
     std::uint64_t base;
     double density;
-    std::vector<ClassRequest> requests;
   };
   std::vector<Candidate> candidates;
+  candidates.reserve(bases.size());
   for (std::uint64_t x : bases) {
-    auto encoded = EncodeInstance(instance, spec_for_base(x));
-    if (!encoded.has_value()) continue;
-    candidates.push_back(Candidate{x, encoded->second,
-                                   std::move(encoded->first)});
+    if (std::optional<double> density =
+            EncodeInstance(instance, spec, x, nullptr)) {
+      candidates.push_back(Candidate{x, *density});
+    }
   }
   if (candidates.empty()) {
     return Status::Infeasible(name + ": no base specializes " +
@@ -117,8 +134,11 @@ Result<Schedule> ScheduleWithBases(
                    });
   if (candidates.size() > kMaxCandidates) candidates.resize(kMaxCandidates);
   Status last = Status::Infeasible(name + ": all candidate bases failed");
-  for (Candidate& c : candidates) {
-    Result<Schedule> r = Realize(instance, std::move(c.requests), name);
+  for (const Candidate& c : candidates) {
+    std::vector<ClassRequest> requests;
+    requests.reserve(instance.size());
+    EncodeInstance(instance, spec, c.base, &requests);
+    Result<Schedule> r = Realize(instance, std::move(requests), name);
     if (r.ok()) return r;
     last = r.status();
   }
@@ -130,38 +150,22 @@ Result<Schedule> ScheduleWithBases(
 }  // namespace
 
 Result<Schedule> SaScheduler::BuildSchedule(const Instance& instance) const {
-  const auto spec = [](std::uint64_t b) -> std::optional<std::uint64_t> {
-    if (b == 0) return std::nullopt;
-    return LargestPowerOfTwoAtMost(b);
+  const SpecFn powers_of_two = [](std::uint64_t, std::uint64_t b) {
+    return std::optional<std::uint64_t>(LargestPowerOfTwoAtMost(b));
   };
-  const auto spec_for_base = [&spec](std::uint64_t) { return SpecFn(spec); };
-  return ScheduleWithBases(instance, {1}, spec_for_base, name());
+  return ScheduleWithBases(instance, {1}, powers_of_two, name());
 }
 
 Result<Schedule> SxScheduler::BuildSchedule(const Instance& instance) const {
-  std::vector<std::uint64_t> windows;
-  for (const Task& t : instance.tasks()) {
-    windows.push_back(t.b);
-    windows.push_back(t.b / t.a);
-  }
-  const auto spec_for_base = [](std::uint64_t x) {
-    return SpecFn([x](std::uint64_t b) { return LargestChainValueAtMost(x, b); });
-  };
-  return ScheduleWithBases(instance, ChainBaseCandidates(windows),
-                           spec_for_base, name());
+  return ScheduleWithBases(instance,
+                           ChainBaseCandidates(DistinctWindows(instance)),
+                           LargestChainValueAtMost, name());
 }
 
 Result<Schedule> SxyScheduler::BuildSchedule(const Instance& instance) const {
-  std::vector<std::uint64_t> windows;
-  for (const Task& t : instance.tasks()) {
-    windows.push_back(t.b);
-    windows.push_back(t.b / t.a);
-  }
-  const auto spec_for_base = [](std::uint64_t x) {
-    return SpecFn([x](std::uint64_t b) { return LargestSmoothValueAtMost(x, b); });
-  };
-  return ScheduleWithBases(instance, SmoothBaseCandidates(windows),
-                           spec_for_base, name());
+  return ScheduleWithBases(instance,
+                           SmoothBaseCandidates(DistinctWindows(instance)),
+                           LargestSmoothValueAtMost, name());
 }
 
 }  // namespace bdisk::pinwheel

@@ -73,20 +73,27 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
   }
   const std::uint32_t index = block.header.block_index;
   const std::size_t block_size = engine_.block_size();
-  if (arena_.empty()) arena_.resize(std::size_t{m_} * block_size);
-  std::uint8_t* row;
   if (index < m_) {
-    row = arena_.data() + std::size_t{index} * block_size;
+    const std::size_t offset = std::size_t{index} * block_size;
+    if (offset < arena_.size()) {
+      // A gap a later row skipped over, zero until now.
+      std::memcpy(arena_.data() + offset, block.payload.data(), block_size);
+    } else {
+      // Past the arena's end: zero only the rows skipped, then append.
+      if (arena_.capacity() == 0) arena_.reserve(std::size_t{m_} * block_size);
+      arena_.resize(offset);
+      arena_.insert(arena_.end(), block.payload.begin(), block.payload.end());
+    }
   } else {
     if (spares_ == nullptr) {
       // At most m blocks are collected, so at most min(n - m, m) spares.
       spares_ = std::make_unique_for_overwrite<std::uint8_t[]>(
           std::size_t{std::min(n_ - m_, m_)} * block_size);
     }
-    row = spares_.get() + spare_rows_.size() * block_size;
+    std::memcpy(spares_.get() + spare_rows_.size() * block_size,
+                block.payload.data(), block_size);
     spare_rows_.push_back(index);
   }
-  std::memcpy(row, block.payload.data(), block_size);
   version_ = block.header.version;
   have_[index] = true;
   ++distinct_;
@@ -129,12 +136,11 @@ Result<std::vector<std::uint8_t>> ReconstructingClient::Reconstruct() {
   std::array<const std::uint8_t*, ida::Dispersal::kMaxBlocks> parity;
   std::size_t held = 0;
   for (std::uint32_t j = 0; j < m_; ++j) {
-    if (have_[j]) {
-      received[held++] = j;
-    } else if (arena_stale_) {
-      std::memset(arena_.data() + std::size_t{j} * block_size, 0, block_size);
-    }
+    if (have_[j]) received[held++] = j;
   }
+  // Every row below the arena's end is held or zero; the erased rows past
+  // the last one written are zeroed here, as the solve needs.
+  arena_.resize(std::size_t{m_} * block_size);
   std::array<std::uint32_t, ida::Dispersal::kMaxBlocks> slots;
   std::iota(slots.begin(), slots.begin() + spare_rows_.size(), 0u);
   std::sort(slots.begin(), slots.begin() + spare_rows_.size(),
@@ -155,9 +161,8 @@ Result<std::vector<std::uint8_t>> ReconstructingClient::Reconstruct() {
 
 void ReconstructingClient::Clear() {
   have_.assign(n_, false);
-  // Rows a dropped collection wrote stay behind in the arena until a
-  // hand-over takes the arena away.
-  arena_stale_ = !arena_.empty() && (arena_stale_ || distinct_ > 0);
+  // Keeps the capacity; the next collection's rows are appended afresh.
+  arena_.clear();
   distinct_ = 0;
   spare_rows_.clear();
   block_epochs_.clear();

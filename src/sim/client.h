@@ -6,11 +6,15 @@
 /// most m blocks — IDA needs no more), blocks identified purely by their
 /// headers ("this is block 4 out of 10 of object Z").
 ///
-/// The collection is assembled in place. A client owns one m × block_size
-/// arena, allocated at the first admitted block: a data block (index < m)
-/// is its slice of the file, so it is copied straight to its offset, and a
-/// parity block goes to a spare area of at most min(n − m, m) rows.
-/// Reconstruct() then solves only the erased data rows
+/// The collection is assembled in place, and a row is zero-filled only if
+/// it may stay erased. A client owns one arena, reserved at m × block_size
+/// bytes at the first admitted data block. A data block (index < m) is its
+/// slice of the file, so it goes straight to its offset: a row past the
+/// arena's end is appended after zero-filling only the rows it skips, and
+/// a row inside the arena overwrites one of those zeroed gaps. Every row
+/// below the arena's end is therefore held or zero. A parity block goes to
+/// a spare area of at most min(n − m, m) rows. Reconstruct() zero-fills
+/// the rows past the last one written, solves only the erased data rows
 /// (ida::Dispersal::SolveErasures) and hands the arena over as the file.
 
 #ifndef BDISK_SIM_CLIENT_H_
@@ -123,8 +127,8 @@ class ReconstructingClient {
   Result<std::vector<std::uint8_t>> Reconstruct();
 
   /// Drops all collected blocks (for reuse; rejection counters persist,
-  /// and so does a pinned version). The arena and spare area keep their
-  /// capacity.
+  /// and so does a pinned version). The arena is emptied, and it and the
+  /// spare area keep their capacity.
   void Clear();
 
   /// Duplicate-index blocks rejected so far.
@@ -147,13 +151,10 @@ class ReconstructingClient {
   ida::Dispersal engine_;
   std::vector<bool> have_;
   std::uint32_t distinct_ = 0;
-  // The file being assembled: m rows of block_size bytes, empty until the
-  // first admitted block. Received data rows hold their blocks; the other
-  // rows are zero while `arena_stale_` is false.
+  // The file being assembled, up to m rows of block_size bytes: it ends
+  // after the highest data row received, and each row below its end holds
+  // its block or zeros. Reconstruct extends it to m rows.
   std::vector<std::uint8_t> arena_;
-  // Set once the arena has held a discarded collection: its erased rows
-  // may then hold stale bytes, which Reconstruct zeroes.
-  bool arena_stale_ = false;
   // Parity blocks, one block_size row each in arrival order (never
   // zero-filled; allocated at the first admitted parity block and released
   // at the hand-over), and the block index of each row.

@@ -97,8 +97,8 @@ std::vector<std::uint8_t> VersionedBroadcastServer::ContentsOf(
 Result<std::vector<ida::Block>> VersionedBroadcastServer::BuildVersion(
     broadcast::FileIndex file, std::uint64_t version) const {
   // One pass: the snapshot is synthesized straight into the data payloads
-  // and the parity rows are encoded next to them, with no intermediate
-  // file to copy from.
+  // (sized unwritten, ida::Payload) and the parity rows are encoded next
+  // to them, with no intermediate file to copy from.
   const ida::Dispersal& engine = engines_[file];
   const std::size_t m = engine.reconstruct_threshold();
   std::vector<ida::Block> blocks(engine.total_blocks());

@@ -114,8 +114,11 @@ std::vector<std::uint8_t> SerializeCatalog(const Catalog& catalog) {
   return blob;
 }
 
-/// Bounds-checked catalog parse; every malformation is a typed DataLoss.
-Result<Catalog> ParseCatalog(const std::vector<std::uint8_t>& blob) {
+/// Bounds-checked catalog parse against the device's geometry; every
+/// malformation is a typed DataLoss.
+Result<Catalog> ParseCatalog(const std::vector<std::uint8_t>& blob,
+                             std::size_t block_size,
+                             std::uint64_t block_count) {
   const auto corrupt = [](const std::string& what) -> Status {
     return Status::DataLoss("block store catalog: " + what);
   };
@@ -140,6 +143,14 @@ Result<Catalog> ParseCatalog(const std::vector<std::uint8_t>& blob) {
       return corrupt("entry with invalid geometry m=" +
                      std::to_string(entry.m) + " n=" +
                      std::to_string(entry.n));
+    }
+    // A payload longer than the device could never be read back, and
+    // reading it would allocate payload_bytes.
+    if (entry.BlocksPerCoded(block_size) > block_count) {
+      return corrupt("entry for file " + std::to_string(entry.file_id) +
+                     " v" + std::to_string(entry.version) + " has " +
+                     std::to_string(entry.payload_bytes) +
+                     "-byte payloads, more than the device holds");
     }
     if (static_cast<std::size_t>(end - p) <
         static_cast<std::size_t>(entry.n) * kRefBytes) {
@@ -182,8 +193,9 @@ bool MarkEntry(const CatalogEntry& entry, std::size_t block_size,
   return true;
 }
 
+/// ceil(bytes / block_size), without wrapping for any `bytes`.
 std::uint64_t ExtentBlocks(std::uint64_t bytes, std::size_t block_size) {
-  return (bytes + block_size - 1) / block_size;
+  return bytes / block_size + (bytes % block_size != 0 ? 1 : 0);
 }
 
 }  // namespace
@@ -344,7 +356,7 @@ Result<std::unique_ptr<BlockStore>> BlockStore::Open(
       return r.ToStatus("block store open");
     }
     if (Crc32c(blob.data(), blob.size()) != sb.catalog_crc) continue;
-    Result<Catalog> catalog = ParseCatalog(blob);
+    Result<Catalog> catalog = ParseCatalog(blob, bs, count);
     if (!catalog.ok()) continue;
     // Allocation consistency: no entry may overlap another, the catalog
     // extent, or the superblocks.
@@ -562,6 +574,7 @@ Result<ida::Block> BlockStore::ReadCodedBlock(
   block.header.total_blocks = entry->n;
   block.header.version = entry->version;
   block.header.checksum = ref.checksum;
+  // Unwritten bytes (ida::Payload): the read fills every one of them.
   block.payload.resize(entry->payload_bytes);
   const IoResult r =
       ReadExtent(ref.first_block, block.payload.data(), entry->payload_bytes);

@@ -100,9 +100,11 @@ struct CatalogEntry {
 
   bool operator==(const CatalogEntry&) const = default;
 
-  /// Device blocks one coded payload occupies.
+  /// Device blocks one coded payload occupies, ceil(payload_bytes /
+  /// device_block_size), without wrapping for any payload_bytes.
   std::uint64_t BlocksPerCoded(std::size_t device_block_size) const {
-    return (payload_bytes + device_block_size - 1) / device_block_size;
+    return payload_bytes / device_block_size +
+           (payload_bytes % device_block_size != 0 ? 1 : 0);
   }
 };
 

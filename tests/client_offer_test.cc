@@ -4,8 +4,9 @@
 // or overwritten — while stale-*epoch* blocks remain combinable under the
 // hot-swap geometry contract. Also pins the in-place assembly: a geometry
 // and block-size sweep of seeded arrival orders through restarts and
-// hand-overs, and the allocation bound (checked by counting global
-// operator new calls).
+// hand-overs, a randomized comparison with the codec's own reconstruction,
+// and the allocation bound (checked by counting global operator new
+// calls).
 
 #include <gtest/gtest.h>
 
@@ -423,6 +424,100 @@ TEST(InPlaceAssemblyTest, EveryCompletionIsByteExact) {
       }
     }
   }
+}
+
+// Property: whatever order the m blocks arrive in, the assembly hands
+// over the file, byte for byte what ida::Dispersal::Reconstruct makes of
+// the same m blocks. Each trial draws m <= n <= 12 and a block size (odd
+// ones included) and one arrival shape: any order, parity first, parity
+// only, or a restart on a newer version after a partial collection of the
+// older one; Collect adds duplicates and stale stragglers between blocks.
+TEST(InPlaceAssemblyTest, RandomArrivalOrdersMatchTheCodec) {
+  constexpr std::size_t kBlockSizes[] = {1, 3, 8, 17, 64, 255, 1000};
+  Rng rng(0xA2E7A);
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.Uniform(12));
+    const auto m = static_cast<std::uint32_t>(1 + rng.Uniform(n));
+    const std::size_t block_size =
+        kBlockSizes[rng.Uniform(std::size(kBlockSizes))];
+    const int shape = trial % 4;
+    SCOPED_TRACE("trial=" + std::to_string(trial) + " m=" +
+                 std::to_string(m) + " n=" + std::to_string(n) +
+                 " block_size=" + std::to_string(block_size) +
+                 " shape=" + std::to_string(shape));
+    auto engine = ida::Dispersal::Create(m, n, block_size);
+    ASSERT_TRUE(engine.ok());
+    const Snapshot v1 = MakeSnapshot(*engine, 1, &rng);
+    const Snapshot v2 = MakeSnapshot(*engine, 2, &rng);
+    ReconstructingClient client(0, m, n, block_size);
+    client.set_require_checksums(true);
+
+    std::vector<std::size_t> order;
+    const std::uint32_t parity = n - m;
+    if (shape == 1 && parity > 0) {
+      // Parity first, then data rows; both groups shuffled.
+      const std::size_t p = 1 + rng.Uniform(std::min(parity, m));
+      for (const std::size_t i : rng.SampleWithoutReplacement(parity, p)) {
+        order.push_back(m + i);
+      }
+      rng.Shuffle(&order);
+      std::vector<std::size_t> data = rng.SampleWithoutReplacement(m, m - p);
+      rng.Shuffle(&data);
+      order.insert(order.end(), data.begin(), data.end());
+    } else if (shape == 2 && parity >= m) {
+      // Parity only: every data row is erased.
+      for (const std::size_t i : rng.SampleWithoutReplacement(parity, m)) {
+        order.push_back(m + i);
+      }
+    } else {
+      order = rng.SampleWithoutReplacement(n, m);
+      rng.Shuffle(&order);
+    }
+    if (shape == 3 && m > 1) {
+      // A partial collection of version 1, which version 2 restarts.
+      for (const std::size_t i :
+           rng.SampleWithoutReplacement(n, 1 + rng.Uniform(m - 1))) {
+        ASSERT_EQ(client.OfferEx(v1.blocks[i]), OfferOutcome::kAccepted);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(Collect(&client, v2, order, v1, &rng));
+    EXPECT_EQ(client.restarts(), shape == 3 && m > 1 ? 1u : 0u);
+    auto data = client.Reconstruct();
+    ASSERT_TRUE(data.ok()) << data.status();
+    ASSERT_EQ(*data, v2.contents);
+    std::vector<ida::Block> held;
+    for (const std::size_t i : order) held.push_back(v2.blocks[i]);
+    auto codec = engine->Reconstruct(held);
+    ASSERT_TRUE(codec.ok()) << codec.status();
+    ASSERT_EQ(*data, *codec);
+  }
+}
+
+// Rows a dropped collection wrote must not survive as the next version's
+// erased rows: version 1's rows 3-5, then version 2 from its three parity
+// blocks and rows 0-2, which leaves rows 3-5 to the solve.
+TEST(InPlaceAssemblyTest, RestartLeavesNoDroppedRowInAnErasedRow) {
+  constexpr std::uint32_t kM = 6;
+  constexpr std::uint32_t kN = 9;
+  constexpr std::size_t kBlock = 1000;
+  auto engine = ida::Dispersal::Create(kM, kN, kBlock);
+  ASSERT_TRUE(engine.ok());
+  Rng rng(0x5EA1);
+  const Snapshot v1 = MakeSnapshot(*engine, 1, &rng);
+  const Snapshot v2 = MakeSnapshot(*engine, 2, &rng);
+  ReconstructingClient client(0, kM, kN, kBlock);
+  client.set_require_checksums(true);
+  for (const std::size_t i : {3, 4, 5}) {
+    ASSERT_EQ(client.OfferEx(v1.blocks[i]), OfferOutcome::kAccepted);
+  }
+  for (const std::size_t i : {6, 7, 8, 0, 1}) {
+    ASSERT_EQ(client.OfferEx(v2.blocks[i]), OfferOutcome::kAccepted);
+  }
+  ASSERT_EQ(client.OfferEx(v2.blocks[2]), OfferOutcome::kCompleted);
+  EXPECT_EQ(client.restarts(), 1u);
+  auto data = client.Reconstruct();
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(*data, v2.contents);
 }
 
 // The arena at the first admitted block and the spares at the first parity

@@ -96,8 +96,8 @@ TEST(DispersalTest, SystematicPrefixCopiesData) {
   const std::vector<std::uint8_t> file{1, 2, 3, 4, 5, 6, 7, 8};
   auto blocks = d->Disperse(0, file);
   ASSERT_TRUE(blocks.ok());
-  EXPECT_EQ((*blocks)[0].payload, (std::vector<std::uint8_t>{1, 2, 3, 4}));
-  EXPECT_EQ((*blocks)[1].payload, (std::vector<std::uint8_t>{5, 6, 7, 8}));
+  EXPECT_EQ((*blocks)[0].payload, (Payload{1, 2, 3, 4}));
+  EXPECT_EQ((*blocks)[1].payload, (Payload{5, 6, 7, 8}));
 }
 
 TEST(DispersalTest, WrongFileSizeRejected) {
@@ -335,7 +335,8 @@ TEST(DispersalTest, CorruptPayloadSizeRejected) {
   Rng rng(5);
   auto blocks = d->Disperse(0, RandomFile(16, &rng));
   ASSERT_TRUE(blocks.ok());
-  (*blocks)[1].payload.resize(5);
+  Payload& payload = (*blocks)[1].payload;
+  payload.erase(payload.begin() + 5, payload.end());
   std::vector<Block> subset{(*blocks)[0], (*blocks)[1]};
   EXPECT_TRUE(d->Reconstruct(subset).status().IsInvalidArgument());
 }

@@ -56,7 +56,8 @@ ida::Block MakeBlock(std::uint32_t file, std::uint32_t index,
   b.header.total_blocks = 5;
   b.header.version = 2;
   Rng rng(file * 100 + index);
-  b.payload = RandomBytes(payload_bytes, &rng);
+  const std::vector<std::uint8_t> bytes = RandomBytes(payload_bytes, &rng);
+  b.payload.assign(bytes.begin(), bytes.end());
   ida::StampChecksum(&b);
   return b;
 }

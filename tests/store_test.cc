@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -592,38 +593,100 @@ TEST(BlockStoreTest, TornSuperblockRecoversToOlderGeneration) {
   EXPECT_EQ((*reopened)->FindEntry(1, 0), nullptr);
 }
 
-TEST(BlockStoreTest, CatalogExtentPastTheDeviceIsRejectedNotFatal) {
-  // A catalog whose CRCs validate but whose first extent starts past the
-  // end of the device lies about allocation: recovery must fall back to
-  // the older generation rather than abort on an out-of-range bit.
+// Commits one file (generation 2, in superblock slot 0), lets `edit`
+// change that generation's superblock and catalog blob in place, and
+// returns the device bytes with both CRCs re-sealed over the edit.
+std::shared_ptr<MemBlockDevice::Buffer> CraftGenerationTwo(
+    const std::function<void(std::uint8_t* superblock, std::uint8_t* catalog)>&
+        edit) {
   auto mem = MakeMem();
   auto buffer = mem->buffer();
   {
     auto store = BlockStore::Format(std::move(mem));
-    ASSERT_TRUE(store.ok()) << store.status();
-    ASSERT_TRUE((*store)->StageFile(MakeBlocks(0, 0, 2, 3, 30)).ok());
-    ASSERT_TRUE((*store)->Commit().ok());  // Generation 2, slot 0.
+    EXPECT_TRUE(store.ok()) << store.status();
+    EXPECT_TRUE((*store)->StageFile(MakeBlocks(0, 0, 2, 3, 30)).ok());
+    EXPECT_TRUE((*store)->Commit().ok());
   }
-  const auto get64 = [&](std::size_t at) {
+  std::uint8_t* const superblock = buffer->data();
+  const auto get64 = [](const std::uint8_t* p) {
     std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = v << 8 | (*buffer)[at + i];
+    for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
     return v;
   };
-  const auto put = [&](std::size_t at, std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) (*buffer)[at + i] = (v >> (8 * i)) & 0xFF;
+  const auto put32 = [](std::uint8_t* p, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xFF;
   };
-  const std::size_t catalog = get64(32) * kBlockSize;
-  const std::size_t catalog_bytes = get64(40);
+  std::uint8_t* const catalog = buffer->data() + get64(superblock + 32) *
+                                                     kBlockSize;
+  const std::uint64_t catalog_bytes = get64(superblock + 40);
+  edit(superblock, catalog);
+  put32(superblock + 48, Crc32c(catalog, catalog_bytes));
+  put32(superblock + 52, Crc32c(superblock, 52));
+  return buffer;
+}
+
+void Put64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = (v >> (8 * i)) & 0xFF;
+}
+
+TEST(BlockStoreTest, CatalogExtentPastTheDeviceIsRejectedNotFatal) {
+  // A catalog whose CRCs validate but whose first extent starts past the
+  // end of the device lies about allocation: recovery must fall back to
+  // the older generation rather than abort on an out-of-range bit.
   // Entry 0's first block reference sits after the count and the entry's
-  // fixed fields; point it past the device and re-seal both CRCs.
-  put(catalog + 8 + 28, kBlockCount + 1000, 8);
-  put(48, Crc32c(buffer->data() + catalog, catalog_bytes), 4);
-  put(52, Crc32c(buffer->data(), 52), 4);
+  // fixed fields.
+  auto buffer = CraftGenerationTwo([](std::uint8_t*, std::uint8_t* catalog) {
+    Put64(catalog + 8 + 28, kBlockCount + 1000);
+  });
   auto reopened =
       BlockStore::Open(MemBlockDevice::Attach(buffer, kBlockSize));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->generation(), 1u);
   EXPECT_TRUE((*reopened)->catalog().empty());
+}
+
+TEST(BlockStoreTest, PayloadRunPastTheDeviceIsRejectedNotFatal) {
+  // An entry's payload_bytes near 2^64 once wrapped its run of sectors to
+  // 0, passed the allocation check, and made the first read of it abort
+  // on a payload of that size. Recovery must reject that generation and
+  // adopt the older one.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t payload_bytes :
+       {kMax - (kBlockSize - 1), kMax - (kBlockSize - 2), kMax,
+        std::uint64_t{kBlockSize} * (kBlockCount + 1)}) {
+    SCOPED_TRACE(payload_bytes);
+    // Entry 0's payload_bytes follows the entry count and four fields.
+    auto buffer = CraftGenerationTwo(
+        [payload_bytes](std::uint8_t*, std::uint8_t* catalog) {
+          Put64(catalog + 8 + 20, payload_bytes);
+        });
+    auto reopened =
+        BlockStore::Open(MemBlockDevice::Attach(buffer, kBlockSize));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ((*reopened)->generation(), 1u);
+    EXPECT_TRUE((*reopened)->catalog().empty());
+    const auto read = (*reopened)->ReadCodedBlock(0, 0, 0);
+    EXPECT_TRUE(read.status().IsNotFound()) << read.status();
+  }
+}
+
+TEST(BlockStoreTest, CatalogLengthPastTheDeviceIsRejectedNotFatal) {
+  // The same wrap in the superblock's catalog length once sized the
+  // catalog read at nearly 2^64 bytes.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t catalog_bytes :
+       {kMax - (kBlockSize - 1), kMax}) {
+    SCOPED_TRACE(catalog_bytes);
+    auto buffer = CraftGenerationTwo(
+        [catalog_bytes](std::uint8_t* superblock, std::uint8_t*) {
+          Put64(superblock + 40, catalog_bytes);
+        });
+    auto reopened =
+        BlockStore::Open(MemBlockDevice::Attach(buffer, kBlockSize));
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ((*reopened)->generation(), 1u);
+    EXPECT_TRUE((*reopened)->catalog().empty());
+  }
 }
 
 TEST(BlockStoreTest, BothSuperblocksDamagedIsDataLoss) {
