@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <thread>
 #include <utility>
 
 #include "net/wire.h"
+#include "obs/registry.h"
 
 namespace bdisk::net {
 
@@ -39,19 +41,39 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
             [this](std::size_t a, std::size_t b) {
               return sessions_[a].start_slot() > sessions_[b].start_slot();
             });
+  BDISK_ASSIGN_OR_RETURN(const int recv_buffer, socket_.RecvBufferBytes());
+  const std::uint64_t half_buffer = static_cast<std::uint64_t>(recv_buffer) / 2;
   std::vector<std::uint8_t> buf(65536);
+  // Set by a drain of more than one block datagram: the next batch is
+  // left to queue while the listener sleeps (see udp_client.h).
+  bool flowing = false;
+  // The last drain's kernel memory, each datagram estimated as 2 x size
+  // + 1 KiB (a loopback skb's truesize, rounded up).
+  std::uint64_t batch_bytes = 0;
   while (!stats_.end_seen) {
-    BDISK_ASSIGN_OR_RETURN(bool readable,
-                           socket_.PollReadable(options_.idle_timeout_ms));
-    if (!readable) {
-      stats_.timed_out = true;
-      break;
+    if (flowing) {
+      if (batch_bytes <= half_buffer) {
+        std::this_thread::sleep_for(kDrainInterval);
+      }
+      ++stats_.timed_drains;
+    } else {
+      BDISK_ASSIGN_OR_RETURN(bool readable,
+                             socket_.PollReadable(options_.idle_timeout_ms));
+      ++stats_.poll_wakeups;
+      if (!readable) {
+        stats_.timed_out = true;
+        break;
+      }
     }
-    // Drain everything queued before polling again.
+    // Drain everything queued.
+    std::uint64_t drained = 0, blocks = 0;
+    batch_bytes = 0;
     for (;;) {
       BDISK_ASSIGN_OR_RETURN(std::optional<std::size_t> n,
                              socket_.Recv(buf.data(), buf.size()));
       if (!n.has_value()) break;
+      ++drained;
+      batch_bytes += 2 * *n + 1024;
       ++stats_.datagrams;
       auto decoded = DecodeDatagram(buf.data(), *n);
       if (!decoded.ok()) {
@@ -74,6 +96,7 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
         continue;
       }
       ++stats_.block_datagrams;
+      ++blocks;
       const ida::FileId claimed = d.block.header.file_id;
       if (claimed >= by_file_.size()) continue;
       for (const std::size_t i : by_file_[claimed]) {
@@ -85,7 +108,16 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
         }
       }
     }
+    if (flowing && drained == 0) ++stats_.empty_drains;
+    flowing = blocks > 1;
   }
+  obs::MetricRegistry& registry = obs::GlobalRegistry();
+  registry.GetCounter("net.listener.datagrams")->Add(stats_.datagrams);
+  registry.GetCounter("net.listener.decode_errors")->Add(stats_.decode_errors);
+  registry.GetCounter("net.listener.poll_wakeups")->Add(stats_.poll_wakeups);
+  registry.GetCounter("net.listener.timed_drains")->Add(stats_.timed_drains);
+  registry.GetCounter("net.listener.empty_drains")->Add(stats_.empty_drains);
+
   std::vector<WireSessionResult> results;
   results.reserve(sessions_.size());
   for (sim::RetrievalSession& s : sessions_) {

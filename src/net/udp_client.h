@@ -11,11 +11,35 @@
 /// `OfferEx` path, byte for byte (the wire header carries the block's
 /// identity + CRC-32C stamp verbatim, and the stamp is required).
 ///
-/// The loop is single-threaded and non-blocking: `poll(2)` for
-/// readability, drain the socket, decode, offer. It runs past the last
-/// completion until an end-of-stream datagram arrives or the wire stays
-/// silent past the idle timeout (UDP may lose the end datagrams too), so
-/// datagrams received can always be audited against datagrams sent.
+/// The loop is single-threaded and non-blocking, and it pays one wake-up
+/// per batch of a flowing stream. It waits in `poll(2)` for readability,
+/// then drains the socket: decode, offer, until `recv` finds the queue
+/// empty. A drain that returned more than one block datagram means the
+/// stream is flowing, so the listener sleeps `kDrainInterval`, off the
+/// socket's wait queue, and drains whatever queued meanwhile. A drain of
+/// at most one block sends the loop back to `poll(2)`, so a paced,
+/// low-rate stream still costs one `poll(2)` wake-up per datagram. Idle
+/// beacons do not count: a paced sender sends each one, header-sized,
+/// right behind the block before it, so a block and a beacon in one drain
+/// say nothing about the rate.
+///
+/// Why the sleep helps: on loopback the sender's `sendto(2)` runs the
+/// receive path itself, and while the listener waits on the socket's
+/// queue, every send also pays the listener's wake-up. Off the queue, an
+/// enqueue wakes nobody. On pipebench wire_1k a `poll(2)` wake-up used to
+/// come every ~3 datagrams; with the sleep the listener's CPU per
+/// datagram about halves, and the server thread's per-slot time falls
+/// (docs/ARCHITECTURE.md has the figures).
+///
+/// The sleep is skipped when the last batch filled more than half of the
+/// receive buffer, estimating each datagram's kernel memory as 2 x size
+/// + 1 KiB against the SO_RCVBUF the kernel reads back, so large blocks or
+/// a small `net.core.rmem_max` cannot overflow the queue during a sleep.
+///
+/// The loop runs past the last completion until an end-of-stream datagram
+/// arrives or the wire stays silent past the idle timeout (UDP may lose
+/// the end datagrams too), so datagrams received can always be audited
+/// against datagrams sent.
 ///
 /// What a wire listener *cannot* report: `lost_observed` and
 /// `stall_slots` need the server's schedule as ground truth (a lost
@@ -30,6 +54,7 @@
 #ifndef BDISK_NET_UDP_CLIENT_H_
 #define BDISK_NET_UDP_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -39,6 +64,11 @@
 #include "sim/client.h"
 
 namespace bdisk::net {
+
+/// How long the listener sleeps before it drains a flowing stream. 20,
+/// 40 and 100 us measured alike on wire_1k; a few tens of us keep a batch
+/// well under the receive buffer at loopback rates.
+inline constexpr std::chrono::microseconds kDrainInterval{40};
 
 /// \brief One logical retrieval: which file, what geometry, and from
 /// which slot the listener counts latency.
@@ -79,6 +109,13 @@ struct UdpClientStats {
   std::uint64_t block_datagrams = 0;
   std::uint64_t idle_datagrams = 0;
   std::uint64_t decode_errors = 0;
+  /// `poll(2)` calls that returned, readable or timed out.
+  std::uint64_t poll_wakeups = 0;
+  /// Drains after a `kDrainInterval` sleep (or after a skipped one, when
+  /// the last batch filled half the receive buffer).
+  std::uint64_t timed_drains = 0;
+  /// Timed drains that found the queue empty.
+  std::uint64_t empty_drains = 0;
   bool end_seen = false;
   bool timed_out = false;
 };
@@ -101,7 +138,9 @@ class UdpClient {
   void AddSession(const WireSession& session);
 
   /// Runs the event loop to completion and returns one result per
-  /// registered session, in registration order.
+  /// registered session, in registration order. Adds the datagram,
+  /// decode-error and wake-up counts to `obs::GlobalRegistry()` as
+  /// `net.listener.*` counters.
   Result<std::vector<WireSessionResult>> Run();
 
   const UdpClientStats& stats() const { return stats_; }

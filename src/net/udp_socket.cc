@@ -21,19 +21,19 @@ Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(what + ": " + strerror(err));
 }
 
-Result<struct sockaddr_in> ToSockaddr(const Endpoint& ep) {
-  struct sockaddr_in addr;
+}  // namespace
+
+Result<sockaddr_in> ResolveEndpoint(const Endpoint& endpoint) {
+  sockaddr_in addr;
   memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_port = htons(endpoint.port);
+  if (inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) {
     return Status::InvalidArgument("net: not a numeric IPv4 address: '" +
-                                   ep.host + "'");
+                                   endpoint.host + "'");
   }
   return addr;
 }
-
-}  // namespace
 
 Result<Endpoint> ParseEndpoint(const std::string& spec) {
   Endpoint ep;
@@ -49,7 +49,7 @@ Result<Endpoint> ParseEndpoint(const std::string& spec) {
   }
   ep.port = static_cast<std::uint16_t>(port);
   // Validate the host eagerly so Bind/SendTo failures can't be a typo.
-  BDISK_RETURN_NOT_OK(ToSockaddr(ep).status());
+  BDISK_RETURN_NOT_OK(ResolveEndpoint(ep).status());
   return ep;
 }
 
@@ -83,7 +83,7 @@ Result<UdpSocket> UdpSocket::Open() {
 
 Result<UdpSocket> UdpSocket::Bind(const Endpoint& endpoint) {
   BDISK_ASSIGN_OR_RETURN(UdpSocket s, Open());
-  BDISK_ASSIGN_OR_RETURN(struct sockaddr_in addr, ToSockaddr(endpoint));
+  BDISK_ASSIGN_OR_RETURN(sockaddr_in addr, ResolveEndpoint(endpoint));
   if (bind(s.fd_, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
       0) {
     return ErrnoStatus("net: bind", errno);
@@ -106,13 +106,21 @@ Status UdpSocket::SetRecvBufferBytes(int bytes) {
   return Status::OK();
 }
 
-Status UdpSocket::SendTo(const Endpoint& dest, const std::uint8_t* data,
+Result<int> UdpSocket::RecvBufferBytes() const {
+  int bytes = 0;
+  socklen_t len = sizeof(bytes);
+  if (getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, &len) < 0) {
+    return ErrnoStatus("net: SO_RCVBUF", errno);
+  }
+  return bytes;
+}
+
+Status UdpSocket::SendTo(const sockaddr_in& dest, const std::uint8_t* data,
                          std::size_t size) {
-  BDISK_ASSIGN_OR_RETURN(struct sockaddr_in addr, ToSockaddr(dest));
   for (;;) {
     const ssize_t n =
-        sendto(fd_, data, size, 0, reinterpret_cast<struct sockaddr*>(&addr),
-               sizeof(addr));
+        sendto(fd_, data, size, 0,
+               reinterpret_cast<const struct sockaddr*>(&dest), sizeof(dest));
     if (n >= 0) return Status::OK();
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -150,7 +158,10 @@ Result<bool> UdpSocket::PollReadable(int timeout_ms) {
 }
 
 Status SocketSink::SendDatagram(const std::uint8_t* data, std::size_t size) {
-  Status s = socket_->SendTo(dest_, data, size);
+  if (!dest_addr_.has_value()) {
+    BDISK_ASSIGN_OR_RETURN(dest_addr_, ResolveEndpoint(dest_));
+  }
+  Status s = socket_->SendTo(*dest_addr_, data, size);
   if (s.ok()) {
     ++sent_;
     return s;

@@ -16,10 +16,13 @@
 #ifndef BDISK_NET_UDP_SOCKET_H_
 #define BDISK_NET_UDP_SOCKET_H_
 
+#include <netinet/in.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 
@@ -35,6 +38,10 @@ struct Endpoint {
 /// plane must not block on a resolver). A bare ":port" or "port" means
 /// 127.0.0.1.
 Result<Endpoint> ParseEndpoint(const std::string& spec);
+
+/// \brief The socket address of a numeric IPv4 endpoint; InvalidArgument
+/// when the host is not a numeric IPv4 address.
+Result<sockaddr_in> ResolveEndpoint(const Endpoint& endpoint);
 
 /// \brief RAII non-blocking UDP socket.
 class UdpSocket {
@@ -61,10 +68,15 @@ class UdpSocket {
   /// silent datagram loss on loopback.
   Status SetRecvBufferBytes(int bytes);
 
-  /// Sends one datagram to `dest`. A full socket buffer (EWOULDBLOCK) is
-  /// reported as kResourceExhausted; the UDP contract makes dropping legal,
-  /// so callers may treat it as channel loss.
-  Status SendTo(const Endpoint& dest, const std::uint8_t* data,
+  /// The kernel receive buffer SO_RCVBUF reads back (Linux doubles the
+  /// size asked for, capped by `net.core.rmem_max`).
+  Result<int> RecvBufferBytes() const;
+
+  /// Sends one datagram to `dest` (see ResolveEndpoint). A full socket
+  /// buffer (EWOULDBLOCK) is reported as kResourceExhausted; the UDP
+  /// contract makes dropping legal, so callers may treat it as channel
+  /// loss.
+  Status SendTo(const sockaddr_in& dest, const std::uint8_t* data,
                 std::size_t size);
 
   /// Receives one datagram into `buf`, non-blocking. Returns the
@@ -92,10 +104,15 @@ class WireSink {
 };
 
 /// \brief The production sink: one socket, one destination endpoint.
+/// The endpoint is resolved at the first send, which returns its
+/// InvalidArgument if the host is not numeric. The socket stays
+/// unconnected: an ICMP port-unreachable from an absent listener would
+/// turn later sends on a connected socket into ECONNREFUSED, and a
+/// broadcaster must not care whether anyone listens.
 class SocketSink : public WireSink {
  public:
   SocketSink(UdpSocket* socket, Endpoint dest)
-      : socket_(socket), dest_(dest) {}
+      : socket_(socket), dest_(std::move(dest)) {}
 
   Status SendDatagram(const std::uint8_t* data, std::size_t size) override;
 
@@ -107,6 +124,7 @@ class SocketSink : public WireSink {
  private:
   UdpSocket* socket_;
   Endpoint dest_;
+  std::optional<sockaddr_in> dest_addr_;  // dest_, once resolved
   std::uint64_t sent_ = 0;
   std::uint64_t kernel_dropped_ = 0;
 };

@@ -32,6 +32,7 @@
 #include "net/udp_server.h"
 #include "net/udp_socket.h"
 #include "net/wire.h"
+#include "obs/registry.h"
 #include "sim/client.h"
 #include "sim/server.h"
 
@@ -152,6 +153,21 @@ TEST(EndpointTest, ParsesHostPortAndDefaults) {
   EXPECT_FALSE(ParseEndpoint("127.0.0.1:99999").ok());
   EXPECT_FALSE(ParseEndpoint("127.0.0.1:").ok());
   EXPECT_FALSE(ParseEndpoint("").ok());
+}
+
+TEST(SocketSinkTest, NonNumericHostFailsTypedAtEverySend) {
+  // The sink resolves its endpoint at the first send, not at
+  // construction, and a failed resolution is not cached as an address.
+  auto sender = UdpSocket::Open();
+  ASSERT_TRUE(sender.ok()) << sender.status();
+  SocketSink sink(&*sender, Endpoint{"localhost", 9});
+  const std::uint8_t bytes[3] = {1, 2, 3};
+  for (int i = 0; i < 2; ++i) {
+    const Status s = sink.SendDatagram(bytes, sizeof(bytes));
+    EXPECT_TRUE(s.IsInvalidArgument()) << s;
+  }
+  EXPECT_EQ(sink.sent(), 0u);
+  EXPECT_EQ(sink.kernel_dropped(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,6 +396,179 @@ Result<WireRun> RunWireWithRetry(
   }
   return Status::Internal(
       "loopback kept dropping datagrams in the kernel after 5 attempts");
+}
+
+// One session per file of `program` for each start slot.
+std::vector<WireSession> SessionsFrom(
+    const broadcast::BroadcastProgram& program,
+    const std::vector<std::uint64_t>& starts) {
+  std::vector<WireSession> sessions;
+  for (const std::uint64_t start : starts) {
+    for (broadcast::FileIndex f = 0; f < program.file_count(); ++f) {
+      WireSession s;
+      s.file = f;
+      s.m = program.files()[f].m;
+      s.n = program.files()[f].n;
+      s.start_slot = start;
+      sessions.push_back(s);
+    }
+  }
+  return sessions;
+}
+
+TEST(UdpClientTest, QueuedBatchWithoutEndTimesOutAfterOneTimedDrain) {
+  // K block datagrams are queued before Run() and nothing follows: the
+  // first poll(2) drains all K, which makes the stream flowing, so the
+  // listener sleeps and drains again (empty) before it polls once more and
+  // times out.
+  const auto program = ToyProgram();
+  Rng rng(3);
+  std::vector<std::vector<std::uint8_t>> contents{
+      RandomBytes(5 * kBlockSize, &rng), RandomBytes(3 * kBlockSize, &rng)};
+  auto server = sim::BroadcastServer::Create(program, contents, kBlockSize);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  UdpClientOptions client_options;
+  client_options.block_size = kBlockSize;
+  client_options.idle_timeout_ms = 50;
+  auto client = UdpClient::Create(client_options);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const std::vector<WireSession> sessions = SessionsFrom(program, {0, 3});
+  for (const WireSession& s : sessions) client->AddSession(s);
+
+  auto sender = UdpSocket::Open();
+  ASSERT_TRUE(sender.ok()) << sender.status();
+  SocketSink sink(&*sender, Endpoint{"127.0.0.1", client->bound_port()});
+  constexpr std::uint64_t kSlots = 12;
+  std::uint64_t queued = 0;
+  for (std::uint64_t t = 0; t < kSlots; ++t) {
+    auto block = server->FetchTransmission(t);
+    ASSERT_TRUE(block.ok()) << block.status();
+    if (!block->has_value()) continue;
+    const auto datagram = EncodeBlockDatagram(t, 0, **block);
+    ASSERT_TRUE(sink.SendDatagram(datagram.data(), datagram.size()).ok());
+    ++queued;
+  }
+  ASSERT_GT(queued, 1u);
+
+  obs::MetricRegistry& registry = obs::GlobalRegistry();
+  const char* const kCounters[] = {
+      "net.listener.datagrams", "net.listener.decode_errors",
+      "net.listener.poll_wakeups", "net.listener.timed_drains",
+      "net.listener.empty_drains"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kCounters) {
+    before.push_back(registry.GetCounter(name)->Value());
+  }
+  auto results = client->Run();
+  ASSERT_TRUE(results.ok()) << results.status();
+  const UdpClientStats& stats = client->stats();
+  EXPECT_TRUE(stats.timed_out);
+  EXPECT_FALSE(stats.end_seen);
+  EXPECT_EQ(stats.datagrams, queued);
+  EXPECT_EQ(stats.block_datagrams, queued);
+  EXPECT_EQ(stats.decode_errors, 0u);
+  EXPECT_EQ(stats.poll_wakeups, 2u);
+  EXPECT_GE(stats.timed_drains, 1u);
+  const std::uint64_t counted[] = {stats.datagrams, stats.decode_errors,
+                                   stats.poll_wakeups, stats.timed_drains,
+                                   stats.empty_drains};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(registry.GetCounter(kCounters[i])->Value() - before[i],
+              counted[i])
+        << kCounters[i];
+  }
+
+  // Every session ends as the in-process walk of the same slots does, and
+  // every completed one is intact.
+  const faults::LosslessChannel no_faults;
+  bool any_completed = false;
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const WireSessionResult& r = (*results)[i];
+    auto reference = sim::RunRetrievalSession(
+        *server, no_faults, sessions[i].file, *sessions[i].start_slot, kSlots);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_EQ(r.session.completed, reference->completed) << "session " << i;
+    if (!r.session.completed) continue;
+    any_completed = true;
+    EXPECT_EQ(r.session.completion_slot, reference->completion_slot)
+        << "session " << i;
+    EXPECT_EQ(r.session.data, contents[sessions[i].file]) << "session " << i;
+  }
+  EXPECT_TRUE(any_completed) << "no session completed; lengthen kSlots";
+}
+
+TEST(UdpClientTest, ABlockAndItsIdleBeaconStartNoTimedDrain) {
+  // A paced sender sends a header-sized idle beacon right behind the block
+  // before it, so one drain often holds both: that is not a flowing stream.
+  const auto program = ToyProgram();
+  UdpClientOptions client_options;
+  client_options.block_size = kBlockSize;
+  client_options.idle_timeout_ms = 50;
+  auto client = UdpClient::Create(client_options);
+  ASSERT_TRUE(client.ok()) << client.status();
+  for (const WireSession& s : SessionsFrom(program, {0})) {
+    client->AddSession(s);
+  }
+  auto sender = UdpSocket::Open();
+  ASSERT_TRUE(sender.ok()) << sender.status();
+  SocketSink sink(&*sender, Endpoint{"127.0.0.1", client->bound_port()});
+  for (const auto& datagram :
+       {EncodeBlockDatagram(0, 0, MakeBlock(0, 0, kBlockSize)),
+        EncodeControlDatagram(DatagramType::kIdle, 1, 0)}) {
+    ASSERT_TRUE(sink.SendDatagram(datagram.data(), datagram.size()).ok());
+  }
+  ASSERT_TRUE(client->Run().ok());
+  const UdpClientStats& stats = client->stats();
+  EXPECT_TRUE(stats.timed_out);
+  EXPECT_EQ(stats.datagrams, 2u);
+  EXPECT_EQ(stats.idle_datagrams, 1u);
+  EXPECT_EQ(stats.poll_wakeups, 2u);
+  EXPECT_EQ(stats.timed_drains, 0u);
+}
+
+TEST(UdpClientTest, QueuedBurstThenStreamIsByteIdentical) {
+  // A burst of another file's blocks is queued before Run(), so the first
+  // drain takes the timed path; the served stream that follows must still
+  // match the in-process walk on the same channel, session for session.
+  const auto program = ToyProgram();
+  Rng rng(8);
+  std::vector<std::vector<std::uint8_t>> contents{
+      RandomBytes(5 * kBlockSize, &rng), RandomBytes(3 * kBlockSize, &rng)};
+  auto server = sim::BroadcastServer::Create(program, contents, kBlockSize);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto channel = faults::ParseChannelSpec("gilbert:pgb=0.1,pbg=0.25,seed=11");
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  // The burst rides slot 0, which this channel must not drop.
+  ASSERT_NE((*channel)->FaultAt(0), faults::FaultType::kLost);
+
+  std::vector<std::vector<std::uint8_t>> burst;
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    burst.push_back(EncodeBlockDatagram(0, 0, MakeBlock(7, i, kBlockSize)));
+  }
+  UdpServerOptions options;
+  options.horizon = 512;
+  const std::vector<WireSession> sessions =
+      SessionsFrom(program, {0, 17, 37, 200});
+  auto run = RunWireWithRetry(&*server, channel->get(), sessions, options,
+                              burst);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->client_stats.decode_errors, 0u);
+  EXPECT_GE(run->client_stats.timed_drains, 1u);
+  ASSERT_EQ(run->results.size(), sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const WireSessionResult& wire = run->results[i];
+    auto reference = sim::RunRetrievalSession(
+        *server, **channel, sessions[i].file, *sessions[i].start_slot,
+        options.horizon);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_EQ(wire.session.completed, reference->completed)
+        << "session " << i;
+    EXPECT_EQ(wire.session.completion_slot, reference->completion_slot)
+        << "session " << i;
+    EXPECT_EQ(wire.session.latency, reference->latency) << "session " << i;
+    EXPECT_EQ(wire.session.data, reference->data) << "session " << i;
+  }
 }
 
 TEST(UdpLoopbackTest, LosslessBroadcastReconstructsEveryFile) {

@@ -731,10 +731,19 @@ Status Planner::ListenUdp(const Plan& plan) {
   BDISK_ASSIGN_OR_RETURN(const auto results, client.Run());
   const auto expected = DeterministicContents(planned, plan.payload_bytes);
   const auto& stats = client.stats();
-  std::printf("heard %llu datagrams (%llu blocks, %llu idle)%s%s\n",
+  // A wake-up is a poll(2) return or a timed drain.
+  const std::uint64_t wakeups = stats.poll_wakeups + stats.timed_drains;
+  std::printf("heard %llu datagrams (%llu blocks, %llu idle), %.2f per "
+              "wake-up (%llu poll(2), %llu timed drains, %llu empty)%s%s\n",
               static_cast<unsigned long long>(stats.datagrams),
               static_cast<unsigned long long>(stats.block_datagrams),
               static_cast<unsigned long long>(stats.idle_datagrams),
+              wakeups > 0 ? static_cast<double>(stats.datagrams) /
+                                static_cast<double>(wakeups)
+                          : 0.0,
+              static_cast<unsigned long long>(stats.poll_wakeups),
+              static_cast<unsigned long long>(stats.timed_drains),
+              static_cast<unsigned long long>(stats.empty_drains),
               stats.end_seen ? ", end of stream" : "",
               stats.timed_out ? ", timed out" : "");
   std::size_t failed = 0;

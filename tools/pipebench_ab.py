@@ -3,15 +3,16 @@
 
     tools/pipebench_ab.py --base 6366e8a --workloads fleet --seeds 300-309
 
-Run from anywhere inside the checkout. The tool snapshots the working tree
-(tracked and untracked files that .gitignore does not exclude) as a
-dangling commit, adds `git worktree`s of it and of the base commit under a
-fresh temporary directory (TMPDIR) outside the checkout, and builds each
-side's pipebench there with that side's own pipebench/run.py. It then
-runs one pair of `python3 pipebench/run.py` runs per seed and workload,
-base first on even pairs and change first on odd ones, so drift on a
-shared host falls on both sides alike. The worktrees are removed on exit,
-also after an error or an interrupt.
+Run from anywhere inside the checkout. The tool writes nothing into the
+checkout or its .git: under a fresh temporary directory (TMPDIR) outside
+the checkout it exports the base commit with `git archive` and copies the
+working tree's files as `git add -A` would stage them (`git ls-files -co
+--exclude-standard`: tracked and untracked files that .gitignore does not
+exclude). It builds each side's pipebench there with that side's own
+pipebench/run.py, then runs one pair of `python3 pipebench/run.py` runs
+per seed and workload, base first on even pairs and change first on odd
+ones, so drift on a shared host falls on both sides alike. The temporary
+directory is removed on exit, also after an error or an interrupt.
 
 For every end-to-end metric in the working tree's BENCHMARK.json it prints
 each side's median [q1-q3] over the pairs, the median of the per-pair
@@ -39,10 +40,10 @@ SEED_FIXED = ("mean_delay_slots", "max_delay_slots", "mean_data_age_slots")
 SIDES = ("base", "change")
 
 
-def git(root, *args, env=None):
+def git(root, *args):
     """Runs git in `root` and returns its stripped stdout."""
     run = subprocess.run(["git", "-C", root] + list(args), check=True,
-                         stdout=subprocess.PIPE, env=env)
+                         stdout=subprocess.PIPE)
     return run.stdout.decode().strip()
 
 
@@ -60,25 +61,34 @@ def parse_seeds(text):
     return seeds
 
 
-def snapshot_working_tree(root):
-    """A commit of the working tree as `git add -A` would stage it, made
-    through a scratch index, so neither the real index nor any ref moves."""
-    fd, index = tempfile.mkstemp(prefix="pipebench_ab_index_")
-    os.close(fd)
+def export_commit(root, commit, dest):
+    """Extracts `commit`'s tree into the new directory `dest`."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", root, "archive", commit],
+                               stdout=subprocess.PIPE)
     try:
-        env = dict(os.environ, GIT_INDEX_FILE=index)
-        git(root, "read-tree", "HEAD", env=env)
-        git(root, "add", "-A", env=env)
-        tree = git(root, "write-tree", env=env)
+        subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout,
+                       check=True)
     finally:
-        os.remove(index)
-    # A fixed identity: the snapshot needs none of the user's git config.
-    who = {"GIT_%s_%s" % (role, key): value
-           for role in ("AUTHOR", "COMMITTER")
-           for key, value in (("NAME", "pipebench_ab"),
-                              ("EMAIL", "pipebench_ab@localhost"))}
-    return git(root, "commit-tree", tree, "-p", "HEAD", "-m",
-               "pipebench_ab: working tree", env=dict(os.environ, **who))
+        archive.stdout.close()
+        status = archive.wait()
+    if status != 0:
+        raise subprocess.CalledProcessError(status, "git archive " + commit)
+
+
+def export_working_tree(root, dest):
+    """Copies into `dest` the files `git add -A` would stage: tracked files
+    still present and untracked ones that .gitignore does not exclude."""
+    listing = subprocess.run(
+        ["git", "-C", root, "ls-files", "-z", "-co", "--exclude-standard"],
+        check=True, stdout=subprocess.PIPE).stdout.decode()
+    for rel in listing.split("\0"):
+        src = os.path.join(root, rel)
+        if not rel or not os.path.lexists(src):
+            continue
+        dst = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
 
 
 def build(side_root, label):
@@ -187,19 +197,16 @@ def main():
         os.rmdir(scratch)
         parser.error("the temporary directory must lie outside the checkout "
                      "(set TMPDIR)")
-    # An interrupt or a kill still removes the worktrees.
+    # An interrupt or a kill still removes the exported trees.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
 
-    trees = {}
+    trees = {side: os.path.join(scratch, side) for side in SIDES}
     problems = []
     try:
-        commits = {"base": base, "change": snapshot_working_tree(root)}
+        export_commit(root, base, trees["base"])
+        export_working_tree(root, trees["change"])
         for side in SIDES:
-            path = os.path.join(scratch, side)
-            git(root, "worktree", "add", "--detach", "--quiet", path,
-                commits[side])
-            trees[side] = path
-            build(path, side)
+            build(trees[side], side)
         for workload in workloads:
             pairs = {}
             for i, seed in enumerate(seeds):
@@ -236,10 +243,6 @@ def main():
     except (subprocess.CalledProcessError, OSError) as err:
         problems.append("set-up failed: %s" % err)
     finally:
-        for path in trees.values():
-            subprocess.run(["git", "-C", root, "worktree", "remove",
-                            "--force", path], check=False)
-        subprocess.run(["git", "-C", root, "worktree", "prune"], check=False)
         shutil.rmtree(scratch, ignore_errors=True)
     for problem in problems:
         print("FAIL: " + problem, file=sys.stderr)
