@@ -15,27 +15,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "common/default_init_allocator.h"
+
 namespace bdisk::ida {
-
-/// \brief std::allocator, except that constructing an element with no
-/// argument default-initializes it: for bytes, it leaves them unwritten.
-/// Only that one `construct` is defined, so a copy, `assign` or
-/// initializer list still constructs from its arguments as usual.
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
-  using std::allocator<T>::allocator;
-
-  template <typename U>
-  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(p)) U;
-  }
-};
 
 /// \brief A block's payload bytes.
 ///

@@ -100,14 +100,6 @@ Status Dispersal::DisperseInPlace(FileId file_id, std::uint64_t version,
 
 Result<std::vector<std::uint8_t>> Dispersal::Reconstruct(
     const std::vector<Block>& blocks) const {
-  std::vector<std::uint8_t> file(static_cast<std::size_t>(m_) * block_size_,
-                                 0);
-  BDISK_RETURN_NOT_OK(ReconstructInto(blocks, file.data()));
-  return file;
-}
-
-Status Dispersal::ReconstructInto(const std::vector<Block>& blocks,
-                                  std::uint8_t* dst) const {
   // The first m distinct, valid blocks, by block index: walking the index
   // lists them in ascending order, as SolveErasures takes them.
   std::array<const Block*, kMaxBlocks> by_index{};
@@ -143,7 +135,9 @@ Status Dispersal::ReconstructInto(const std::vector<Block>& blocks,
                             std::to_string(distinct));
   }
   // Received data blocks are their rows of the file; parity blocks stay
-  // where they are for the solve to read.
+  // where they are for the solve to read. Erased rows start zero.
+  std::vector<std::uint8_t> file(static_cast<std::size_t>(m_) * block_size_,
+                                 0);
   std::array<std::size_t, kMaxBlocks> received;
   std::array<const std::uint8_t*, kMaxBlocks> parity;
   std::size_t held = 0;
@@ -153,13 +147,15 @@ Status Dispersal::ReconstructInto(const std::vector<Block>& blocks,
     if (b == nullptr) continue;
     received[held++] = i;
     if (i < m_) {
-      std::memcpy(dst + static_cast<std::size_t>(i) * block_size_,
+      std::memcpy(file.data() + static_cast<std::size_t>(i) * block_size_,
                   b->payload.data(), block_size_);
     } else {
       parity[parity_held++] = b->payload.data();
     }
   }
-  return SolveErasures(received.data(), parity.data(), dst);
+  BDISK_RETURN_NOT_OK(
+      SolveErasures(received.data(), parity.data(), file.data()));
+  return file;
 }
 
 Status Dispersal::SolveErasures(const std::size_t* received,

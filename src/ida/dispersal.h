@@ -134,20 +134,13 @@ class Dispersal {
   /// `pool` when non-null — and returned in file order. Stripe identity is
   /// positional: all stripes share `file_id` and `version`, so blocks of
   /// different stripes must not be mixed in one Reconstruct call; keep the
-  /// per-stripe grouping (as ReconstructBatch does).
+  /// per-stripe grouping and reconstruct each stripe on its own.
   ///
   /// Deterministic: the output is byte-identical for any pool size,
   /// including the serial path (pool == nullptr).
   Result<std::vector<std::vector<Block>>> DisperseBatch(
       FileId file_id, const std::vector<std::uint8_t>& file,
       std::uint64_t version = 0, runtime::ThreadPool* pool = nullptr) const;
-
-  /// \brief Inverse of DisperseBatch: reconstructs every stripe (each needs
-  /// >= m distinct valid blocks, checked per stripe) — fanned out across
-  /// `pool` when non-null — and concatenates the stripes in order.
-  Result<std::vector<std::uint8_t>> ReconstructBatch(
-      const std::vector<std::vector<Block>>& stripes,
-      runtime::ThreadPool* pool = nullptr) const;
 
   /// Number of distinct inverse matrices cached so far.
   std::size_t cached_inverse_count() const {
@@ -158,7 +151,7 @@ class Dispersal {
  private:
   // Cache of inverse reconstruction matrices keyed by sorted row subset.
   // Read-mostly after warmup, so lookups take the lock shared and only
-  // inserts take it exclusive — concurrent batch reconstruction does not
+  // inserts take it exclusive — concurrent reconstructions do not
   // serialize on cache hits. Heap-allocated so the engine stays movable
   // despite the mutex; entries are never erased, so pointers into the map
   // remain valid while other threads insert.
@@ -178,12 +171,6 @@ class Dispersal {
   /// DisperseInPlace.
   void DisperseStripe(FileId file_id, const std::uint8_t* stripe,
                       std::uint64_t version, std::vector<Block>* out) const;
-
-  /// Reconstructs one stripe into `dst` (m * block_size bytes, zeroed):
-  /// selects the blocks, copies the received data rows in place and solves
-  /// the rest.
-  Status ReconstructInto(const std::vector<Block>& blocks,
-                         std::uint8_t* dst) const;
 
   /// The inverse of the dispersal rows `received` (m ascending indices),
   /// from the cache or computed and cached.

@@ -1,13 +1,13 @@
 /// \file dispersal_batch.cc
-/// \brief Batched (multi-stripe) dispersal and reconstruction.
+/// \brief Batched (multi-stripe) dispersal.
 ///
 /// A file larger than one dispersal stripe (m * block_size bytes) is
 /// processed as consecutive independent stripes, which fan out across a
 /// runtime::ThreadPool: each stripe's matrix product touches disjoint
-/// input/output ranges, so the only shared state is the inverse-matrix
-/// cache, which Dispersal synchronizes internally.
+/// input/output ranges. Each stripe is reconstructed with its own
+/// Reconstruct call, which may run concurrently with others on one engine:
+/// their only shared state, the inverse-matrix cache, is synchronized.
 
-#include "common/check.h"
 #include "ida/dispersal.h"
 #include "obs/registry.h"
 #include "runtime/parallel_for.h"
@@ -41,40 +41,6 @@ Result<std::vector<std::vector<Block>>> Dispersal::DisperseBatch(
         }
       });
   return out;
-}
-
-Result<std::vector<std::uint8_t>> Dispersal::ReconstructBatch(
-    const std::vector<std::vector<Block>>& stripes,
-    runtime::ThreadPool* pool) const {
-  if (stripes.empty()) {
-    return Status::InvalidArgument("ReconstructBatch: no stripes");
-  }
-  const std::size_t stripe_bytes = static_cast<std::size_t>(m_) * block_size_;
-  std::vector<std::uint8_t> file(stripes.size() * stripe_bytes, 0);
-  obs::ScopedPhaseTimer timer(obs::GlobalRegistry().GetHistogram(
-      "phase.decode_us", obs::PhaseTimerBoundsUs()));
-  obs::GlobalRegistry().GetCounter("ida.decode_bytes")->Add(file.size());
-  const unsigned shards = runtime::ShardCountFor(pool, stripes.size());
-  // Per-shard first failure, reported as the error of the lowest failing
-  // shard so the (already rare) error path is stable for a given shard
-  // count.
-  std::vector<Status> failures(shards);
-  runtime::ParallelFor(
-      pool, stripes.size(), shards,
-      [&](unsigned shard, runtime::ShardRange range) {
-        for (std::uint64_t s = range.begin; s < range.end; ++s) {
-          Status status =
-              ReconstructInto(stripes[s], file.data() + s * stripe_bytes);
-          if (!status.ok()) {
-            failures[shard] = std::move(status);
-            return;
-          }
-        }
-      });
-  for (Status& status : failures) {
-    if (!status.ok()) return std::move(status);
-  }
-  return file;
 }
 
 }  // namespace bdisk::ida

@@ -5,8 +5,24 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
+
+#include "common/check.h"
 
 namespace bdisk::store {
+
+namespace {
+
+// True iff the geometry is positive and its byte size fits off_t, so no
+// byte offset on the device (index * block_size + done) wraps.
+bool GeometryFits(std::size_t block_size, std::uint64_t block_count) {
+  return block_size != 0 && block_count != 0 &&
+         block_count <= static_cast<std::uint64_t>(
+                            std::numeric_limits<off_t>::max()) /
+                            block_size;
+}
+
+}  // namespace
 
 const char* IoErrorToString(IoError error) {
   switch (error) {
@@ -83,9 +99,11 @@ Status IoResult::ToStatus(const std::string& context) const {
 Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::Create(
     const std::string& path, std::size_t block_size,
     std::uint64_t block_count) {
-  if (block_size == 0 || block_count == 0) {
+  if (!GeometryFits(block_size, block_count)) {
     return Status::InvalidArgument(
-        "FileBlockDevice: block_size and block_count must be positive");
+        "FileBlockDevice: block_size " + std::to_string(block_size) +
+        " x block_count " + std::to_string(block_count) +
+        " must be positive and fit off_t in bytes");
   }
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
@@ -187,15 +205,49 @@ IoResult FileBlockDevice::Sync() {
 // MemBlockDevice
 // ---------------------------------------------------------------------------
 
+MemBlockDevice::MemBlockDevice(std::size_t block_size,
+                               std::uint64_t block_count)
+    : block_size_(block_size),
+      block_count_([&] {
+        // Before written_ or the buffer sizes anything from the product.
+        BDISK_CHECK(GeometryFits(block_size, block_count));
+        return block_count;
+      }()),
+      written_(block_count_) {
+  buffer_ = std::make_shared<Buffer>(block_size * block_count);
+}
+
+MemBlockDevice::MemBlockDevice(std::shared_ptr<Buffer> buffer,
+                               std::size_t block_size)
+    : buffer_(std::move(buffer)), block_size_(block_size),
+      block_count_(buffer_->size() / block_size), written_(block_count_) {
+  written_.SetRun(0, block_count_);
+}
+
+std::shared_ptr<MemBlockDevice::Buffer> MemBlockDevice::buffer() {
+  for (std::uint64_t i = 0; i < block_count_; ++i) {
+    if (!written_.Test(i)) {
+      std::memset(buffer_->data() + i * block_size_, 0, block_size_);
+    }
+  }
+  written_.SetRun(0, block_count_);
+  return buffer_;
+}
+
 IoResult MemBlockDevice::ReadBlock(std::uint64_t index, void* out) {
   if (index >= block_count_) return IoResult::OutOfRange(IoOp::kRead, index);
-  std::memcpy(out, buffer_->data() + index * block_size_, block_size_);
+  if (written_.Test(index)) {
+    std::memcpy(out, buffer_->data() + index * block_size_, block_size_);
+  } else {
+    std::memset(out, 0, block_size_);
+  }
   return IoResult::Ok();
 }
 
 IoResult MemBlockDevice::WriteBlock(std::uint64_t index, const void* data) {
   if (index >= block_count_) return IoResult::OutOfRange(IoOp::kWrite, index);
   std::memcpy(buffer_->data() + index * block_size_, data, block_size_);
+  written_.Set(index);
   return IoResult::Ok();
 }
 

@@ -16,7 +16,15 @@
 ///    permits them on signals and large requests), so a short write that
 ///    *reports* as short can only come from fault injection — real
 ///    devices either complete the sector or fail with errno.
-///  * MemBlockDevice — an in-memory array for hermetic unit tests.
+///  * MemBlockDevice — an in-memory device for hermetic tests and for
+///    servers whose store need not outlive the process (pipebench's
+///    update_churn). It is sparse: construction allocates its bytes
+///    without writing them and a bitmap records which sectors were ever
+///    written, so a device pays only for the sectors it writes (update_churn
+///    writes ~1.5k of its 7.4k 4 KiB sectors). A never-written sector
+///    reads as zeros, filled into the caller's buffer; `buffer()` zero-fills
+///    every never-written sector before it hands the bytes out, so an image
+///    is byte-for-byte what a zero-filled device would hold.
 ///
 /// The write-atomicity model the store's crash-safety proof relies on:
 /// a WriteBlock either persists the whole sector (it returned OK) or is
@@ -32,7 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "common/default_init_allocator.h"
 #include "common/status.h"
+#include "store/bitmap.h"
 #include "store/io_result.h"
 
 namespace bdisk::store {
@@ -60,7 +70,8 @@ class BlockDevice {
 class FileBlockDevice final : public BlockDevice {
  public:
   /// Creates (or truncates to size) `path` as a device of
-  /// `block_count * block_size` bytes.
+  /// `block_count * block_size` bytes. Fails with InvalidArgument unless
+  /// both are positive and that byte size fits off_t.
   static Result<std::unique_ptr<FileBlockDevice>> Create(
       const std::string& path, std::size_t block_size,
       std::uint64_t block_count);
@@ -90,41 +101,54 @@ class FileBlockDevice final : public BlockDevice {
   std::uint64_t block_count_;
 };
 
-/// \brief In-memory device for hermetic tests. The backing buffer may be
-/// shared between instances (via Attach) to model reopening a device that
-/// survived a simulated crash without touching the filesystem.
+/// \brief Sparse in-memory device. The backing buffer may be shared
+/// between instances (via Attach) to model reopening a device that survived
+/// a simulated crash without touching the filesystem.
+///
+/// Reads as a zero-filled device would, but writes only the sectors written
+/// to it (see the file comment). Like the store above it, one thread uses a
+/// device at a time: a write marks its sector in a bitmap that reads test.
 class MemBlockDevice final : public BlockDevice {
  public:
-  using Buffer = std::vector<std::uint8_t>;
+  /// The device's bytes. Sized without a zero-fill: a byte of a sector
+  /// never written holds whatever the heap returned until `buffer()`.
+  using Buffer = std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
 
-  MemBlockDevice(std::size_t block_size, std::uint64_t block_count)
-      : buffer_(std::make_shared<Buffer>(block_size * block_count, 0)),
-        block_size_(block_size), block_count_(block_count) {}
+  /// A device of `block_count` sectors that all read as zeros.
+  /// CHECK-fails unless `block_size` is positive and the device's byte size
+  /// fits off_t, as FileBlockDevice::Create requires.
+  MemBlockDevice(std::size_t block_size, std::uint64_t block_count);
 
-  /// A second device over the same bytes (the "after reboot" view).
+  /// A second device over the same bytes (the "after reboot" view). Every
+  /// sector of `buffer` counts as written.
   static std::unique_ptr<MemBlockDevice> Attach(
       std::shared_ptr<Buffer> buffer, std::size_t block_size) {
     return std::unique_ptr<MemBlockDevice>(
         new MemBlockDevice(std::move(buffer), block_size));
   }
 
-  std::shared_ptr<Buffer> buffer() const { return buffer_; }
+  /// The device's bytes, shared with the device. Zero-fills every sector
+  /// never written and marks it written first, so the image equals a
+  /// zero-filled device after the same writes, and later writes through
+  /// either the device or the returned buffer are seen by both.
+  std::shared_ptr<Buffer> buffer();
 
   std::size_t block_size() const override { return block_size_; }
   std::uint64_t block_count() const override { return block_count_; }
 
+  /// A never-written sector zero-fills `out` and leaves the buffer alone.
   IoResult ReadBlock(std::uint64_t index, void* out) override;
   IoResult WriteBlock(std::uint64_t index, const void* data) override;
   IoResult Sync() override { return IoResult::Ok(); }
 
  private:
-  MemBlockDevice(std::shared_ptr<Buffer> buffer, std::size_t block_size)
-      : buffer_(std::move(buffer)), block_size_(block_size),
-        block_count_(buffer_->size() / block_size) {}
+  MemBlockDevice(std::shared_ptr<Buffer> buffer, std::size_t block_size);
 
   std::shared_ptr<Buffer> buffer_;
   std::size_t block_size_;
   std::uint64_t block_count_;
+  // A set bit marks a sector whose bytes in buffer_ are the device's.
+  FreeBitmap written_;
 };
 
 }  // namespace bdisk::store

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "faults/channel_model.h"
 #include "faults/channel_spec.h"
 #include "ida/block.h"
+#include "ida/dispersal.h"
 #include "net/faulting_socket.h"
 #include "net/rate_limiter.h"
 #include "net/udp_client.h"
@@ -129,6 +131,101 @@ TEST(WireFormatTest, RejectsForeignAndMangledDatagrams) {
   auto decoded = DecodeDatagram(flipped.data(), flipped.size());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(ida::VerifyChecksum(decoded->block), ida::ChecksumState::kMismatch);
+}
+
+TEST(WireFormatTest, MutatedDatagramsDecodeTypedAndAdmitOnlyTheOriginal) {
+  // A seeded mutation test over real datagrams: the five stamped blocks
+  // of one dispersal and both control types, with bytes flipped (mostly in
+  // the header), truncated or extended, each decoded from an exact-size
+  // copy so the ASan leg sees any read past the end. Every decode is a
+  // typed error or a datagram, and a client admits a decoded block only
+  // when its identity and payload are an original's (and always when the
+  // whole block is).
+  constexpr std::uint64_t kSeed = 0x3D15C0DEull;
+  constexpr int kCases = 10000;
+  constexpr ida::FileId kFile = 2;
+  constexpr std::size_t kPayload = 96;
+  auto engine = ida::Dispersal::Create(3, 5, kPayload);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  Rng rng(kSeed);
+  auto blocks = engine->Disperse(kFile, RandomBytes(3 * kPayload, &rng),
+                                 /*version=*/4);
+  ASSERT_TRUE(blocks.ok()) << blocks.status();
+  ida::StampChecksums(&*blocks);
+  struct Original {
+    std::vector<std::uint8_t> bytes;
+    const ida::Block* block = nullptr;  // null for control datagrams
+  };
+  std::vector<Original> originals;
+  for (const ida::Block& block : *blocks) {
+    originals.push_back(
+        {EncodeBlockDatagram(100 + block.header.block_index, 1, block),
+         &block});
+  }
+  originals.push_back({EncodeControlDatagram(DatagramType::kIdle, 200, 1)});
+  originals.push_back({EncodeControlDatagram(DatagramType::kEnd, 300, 1)});
+
+  sim::ReconstructingClient client(kFile, 3, 5, kPayload);
+  client.set_require_checksums(true);
+  std::uint64_t rejected = 0, controls = 0, refused = 0, admitted = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const Original& original = originals[rng.Uniform(originals.size())];
+    std::vector<std::uint8_t> bytes = original.bytes;
+    const std::uint64_t kind = rng.Uniform(4);
+    if (kind != 1) {
+      for (std::uint64_t flips = 1 + rng.Uniform(4); flips > 0; --flips) {
+        const std::size_t at = rng.Uniform(2) == 0
+                                   ? rng.Uniform(kWireHeaderBytes)
+                                   : rng.Uniform(bytes.size());
+        bytes[at] ^= static_cast<std::uint8_t>(1 + rng.Uniform(255));
+      }
+    }
+    if (kind == 1 || kind == 3) {
+      bytes.resize(rng.Uniform(bytes.size()));
+    } else if (kind == 2) {
+      const std::vector<std::uint8_t> tail =
+          RandomBytes(1 + rng.Uniform(64), &rng);
+      bytes.insert(bytes.end(), tail.begin(), tail.end());
+    }
+    const std::vector<std::uint8_t> exact(bytes.begin(), bytes.end());
+    SCOPED_TRACE("case " + std::to_string(c));
+    const auto decoded = DecodeDatagram(exact.data(), exact.size());
+    if (!decoded.ok()) {
+      ASSERT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+      ++rejected;
+      continue;
+    }
+    ASSERT_LE(static_cast<std::uint8_t>(decoded->type),
+              static_cast<std::uint8_t>(DatagramType::kEnd));
+    if (decoded->type != DatagramType::kBlock) {
+      ASSERT_EQ(exact.size(), kWireHeaderBytes);
+      ++controls;
+      continue;
+    }
+    const ida::Block& block = decoded->block;
+    ASSERT_EQ(block.payload.size(), exact.size() - kWireHeaderBytes);
+    const sim::OfferOutcome outcome = client.OfferEx(block, decoded->epoch);
+    const bool admits = outcome == sim::OfferOutcome::kAccepted ||
+                        outcome == sim::OfferOutcome::kCompleted;
+    if (original.block != nullptr && block == *original.block) {
+      ASSERT_TRUE(admits) << "an intact block was refused";
+    }
+    if (!admits) {
+      ++refused;
+      continue;
+    }
+    ++admitted;
+    ASSERT_NE(original.block, nullptr) << "a control datagram was admitted";
+    ASSERT_EQ(ida::SerializeIdentity(block.header),
+              ida::SerializeIdentity(original.block->header));
+    ASSERT_EQ(block.payload, original.block->payload);
+    client.Clear();
+  }
+  // Every branch was reached, so no assertion above is vacuous.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(controls, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(admitted, 0u);
 }
 
 // ---------------------------------------------------------------------------

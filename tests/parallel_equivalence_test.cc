@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bdisk/flat_builder.h"
 #include "common/random.h"
 #include "faults/channel_model.h"
 #include "ida/dispersal.h"
+#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "sim/simulation.h"
 
@@ -205,7 +207,10 @@ TEST(DisperseBatchTest, RejectsBadSizes) {
                   .IsInvalidArgument());
 }
 
-TEST(ReconstructBatchTest, RoundtripFromParityUnderPool) {
+TEST(DisperseBatchTest, StripesReconstructConcurrentlyOnOneEngine) {
+  // Each stripe of a DisperseBatch round-trips through its own
+  // Reconstruct. The stripes run on a pool and share one engine, so its
+  // inverse cache is filled and read from several threads at once.
   auto engine = Dispersal::Create(6, 12, 256);
   ASSERT_TRUE(engine.ok());
   const std::size_t stripe_bytes = 6 * 256;
@@ -214,35 +219,37 @@ TEST(ReconstructBatchTest, RoundtripFromParityUnderPool) {
   auto dispersed = engine->DisperseBatch(2, file, 0, &pool);
   ASSERT_TRUE(dispersed.ok());
   // Keep a different 6-subset per stripe (rotating, often all-parity) so
-  // reconstruction exercises several cached inverses concurrently.
+  // reconstruction exercises several cached inverses concurrently. One
+  // stripe is starved below the threshold and must fail on its own.
+  const std::size_t starved = 13;
   std::vector<std::vector<Block>> received(dispersed->size());
   for (std::size_t s = 0; s < dispersed->size(); ++s) {
-    for (std::size_t j = 0; j < 6; ++j) {
+    for (std::size_t j = 0; j < (s == starved ? 5 : 6); ++j) {
       received[s].push_back((*dispersed)[s][(s + j) % 12]);
     }
   }
-  auto serial = engine->ReconstructBatch(received);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(*serial, file);
-  auto parallel = engine->ReconstructBatch(received, &pool);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(*parallel, file);
+  std::vector<Result<std::vector<std::uint8_t>>> stripes(
+      received.size(), Status::Internal("stripe not run"));
+  runtime::ParallelFor(&pool, received.size(),
+                       runtime::ShardCountFor(&pool, received.size()),
+                       [&](unsigned, runtime::ShardRange range) {
+                         for (std::uint64_t s = range.begin; s < range.end;
+                              ++s) {
+                           stripes[s] = engine->Reconstruct(received[s]);
+                         }
+                       });
+  for (std::size_t s = 0; s < stripes.size(); ++s) {
+    if (s == starved) {
+      EXPECT_TRUE(stripes[s].status().IsDataLoss()) << stripes[s].status();
+      continue;
+    }
+    ASSERT_TRUE(stripes[s].ok()) << "stripe " << s << ": "
+                                 << stripes[s].status();
+    EXPECT_TRUE(std::equal(stripes[s]->begin(), stripes[s]->end(),
+                           file.begin() + s * stripe_bytes))
+        << "stripe " << s;
+  }
   EXPECT_LE(engine->cached_inverse_count(), 12u);
-}
-
-TEST(ReconstructBatchTest, PropagatesStripeErrors) {
-  auto engine = Dispersal::Create(3, 6, 32);
-  ASSERT_TRUE(engine.ok());
-  const auto file = RandomBytes(4 * 3 * 32, 9);
-  auto dispersed = engine->DisperseBatch(0, file);
-  ASSERT_TRUE(dispersed.ok());
-  EXPECT_TRUE(engine->ReconstructBatch({}).status().IsInvalidArgument());
-  // Starve one stripe below the threshold.
-  auto starved = *dispersed;
-  starved[2].resize(2);
-  ThreadPool pool(2);
-  EXPECT_TRUE(
-      engine->ReconstructBatch(starved, &pool).status().IsDataLoss());
 }
 
 }  // namespace

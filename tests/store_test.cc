@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,6 +111,150 @@ TEST(MemBlockDeviceTest, AttachSharesBytesAcrossReboot) {
   auto rebooted = MemBlockDevice::Attach(dev->buffer(), kBlockSize);
   ASSERT_TRUE(rebooted->ReadBlock(9, out.data()).ok());
   EXPECT_EQ(in, out);
+}
+
+TEST(MemBlockDeviceTest, NeverWrittenSectorReadsAsZeros) {
+  // The device's bytes are allocated unwritten (CI reruns this suite with
+  // MALLOC_PERTURB_, which fills them with 0x5A), so a sector reads zero
+  // only because the device zero-fills the caller's buffer.
+  auto dev = MakeMem();
+  std::vector<std::uint8_t> in(kBlockSize, 0xAB), out(kBlockSize, 0xEE);
+  ASSERT_TRUE(dev->WriteBlock(5, in.data()).ok());
+  for (const std::uint64_t index : {std::uint64_t{0}, std::uint64_t{4},
+                                    std::uint64_t{6}, kBlockCount - 1}) {
+    std::fill(out.begin(), out.end(), 0xEE);
+    ASSERT_TRUE(dev->ReadBlock(index, out.data()).ok());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kBlockSize, 0)) << index;
+  }
+  ASSERT_TRUE(dev->ReadBlock(5, out.data()).ok());
+  EXPECT_EQ(out, in);
+}
+
+// Forwards to a MemBlockDevice and applies every write to `dense` too:
+// the image a zero-filled device holds after the same writes.
+class MirroredDevice final : public BlockDevice {
+ public:
+  MirroredDevice(std::unique_ptr<MemBlockDevice> inner,
+                 MemBlockDevice::Buffer* dense)
+      : inner_(std::move(inner)), dense_(dense) {}
+
+  std::size_t block_size() const override { return inner_->block_size(); }
+  std::uint64_t block_count() const override { return inner_->block_count(); }
+  IoResult ReadBlock(std::uint64_t index, void* out) override {
+    return inner_->ReadBlock(index, out);
+  }
+  IoResult WriteBlock(std::uint64_t index, const void* data) override {
+    const IoResult r = inner_->WriteBlock(index, data);
+    if (r.ok()) {
+      std::memcpy(dense_->data() + index * block_size(), data, block_size());
+      written_.insert(index);
+    }
+    return r;
+  }
+  IoResult Sync() override { return inner_->Sync(); }
+
+  std::size_t distinct_written() const { return written_.size(); }
+
+ private:
+  std::unique_ptr<MemBlockDevice> inner_;
+  MemBlockDevice::Buffer* dense_;
+  std::set<std::uint64_t> written_;
+};
+
+TEST(MemBlockDeviceTest, SparseImageEqualsADenseDeviceAndReopens) {
+  auto mem = MakeMem();
+  MemBlockDevice* sparse = mem.get();
+  MemBlockDevice::Buffer dense(kBlockSize * kBlockCount, 0);
+  auto mirrored = std::make_unique<MirroredDevice>(std::move(mem), &dense);
+  const MirroredDevice* mirror = mirrored.get();
+  auto store = BlockStore::Format(std::move(mirrored));
+  ASSERT_TRUE(store.ok()) << store.status();
+  std::vector<std::vector<ida::Block>> files;
+  for (std::uint64_t version = 0; version < 3; ++version) {
+    files.push_back(MakeBlocks(7, version, 2, 3, 100));
+    ASSERT_TRUE((*store)->StageFile(files.back()).ok());
+    if (version > 0) {
+      ASSERT_TRUE((*store)->StageErase(7, version - 1).ok());
+    }
+    ASSERT_TRUE((*store)->Commit().ok());
+  }
+  // Most sectors were never written, so buffer() has sectors to fill.
+  ASSERT_LT(mirror->distinct_written(), kBlockCount / 2);
+
+  const std::shared_ptr<MemBlockDevice::Buffer> image = sparse->buffer();
+  EXPECT_TRUE(*image == dense);
+  const std::uint64_t generation = (*store)->generation();
+  store->reset();
+
+  auto reopened = BlockStore::Open(MemBlockDevice::Attach(image, kBlockSize));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->generation(), generation);
+  EXPECT_EQ((*reopened)->FindEntry(7, 1), nullptr);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const auto block = (*reopened)->ReadCodedBlock(7, 2, i);
+    ASSERT_TRUE(block.ok()) << block.status();
+    EXPECT_EQ(*block, files[2][i]);
+  }
+}
+
+// Resident set size of this process in bytes, or nullopt where
+// /proc/self/status cannot be read.
+std::optional<std::uint64_t> ResidentBytes() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return std::nullopt;
+  char line[256];
+  std::optional<std::uint64_t> kib;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    unsigned long long value = 0;
+    if (std::sscanf(line, "VmRSS: %llu kB", &value) == 1) kib = value;
+  }
+  std::fclose(status);
+  if (!kib.has_value()) return std::nullopt;
+  return *kib * 1024;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BDISK_STORE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define BDISK_STORE_TEST_SANITIZED 1
+#endif
+#endif
+
+TEST(MemBlockDeviceTest, ConstructionTouchesNoSectorBytes) {
+#ifdef BDISK_STORE_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators fill or shadow fresh memory";
+#endif
+  const char* perturb = std::getenv("MALLOC_PERTURB_");
+  if (perturb != nullptr && std::atoi(perturb) != 0) {
+    GTEST_SKIP() << "MALLOC_PERTURB_ fills every fresh allocation";
+  }
+  const std::optional<std::uint64_t> before = ResidentBytes();
+  if (!before.has_value()) GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  constexpr std::size_t kSector = 4096;
+  constexpr std::uint64_t kDeviceBytes = 64ull << 20;
+  const MemBlockDevice dev(kSector, kDeviceBytes / kSector);
+  const std::optional<std::uint64_t> after = ResidentBytes();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_LT(*after - std::min(*after, *before), 4ull << 20)
+      << "a 64 MiB device made " << *after - *before << " bytes resident";
+}
+
+TEST(FileBlockDeviceTest, CreateRejectsAGeometryPastOffT) {
+  // 4096 x (2^52 + 1) bytes wraps to 4096: Create used to size a 4 KiB
+  // file, and WriteBlock(2^52) then landed on sector 0.
+  const std::string path = ::testing::TempDir() + "/bdisk_store_dev_wrap";
+  for (const std::uint64_t count : {(1ull << 52) + 1, 1ull << 51}) {
+    const auto dev = FileBlockDevice::Create(path, 4096, count);
+    ASSERT_FALSE(dev.ok()) << count;
+    EXPECT_TRUE(dev.status().IsInvalidArgument()) << dev.status();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MemBlockDeviceDeathTest, ConstructorChecksTheGeometry) {
+  EXPECT_DEATH(MemBlockDevice(4096, (1ull << 52) + 1), "CHECK failed");
+  EXPECT_DEATH(MemBlockDevice(0, 16), "CHECK failed");
 }
 
 TEST(FileBlockDeviceTest, CreateWriteReadReopen) {

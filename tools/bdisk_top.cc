@@ -7,7 +7,7 @@
 // and observed channel errors; the final row adds the undecodable and
 // miss rates that are only knowable at the horizon. When the stream
 // carries a "registry" line, a footer derives throughput figures from the
-// process-wide instruments: GF encode/decode GB/s, event-engine events/s,
+// process-wide instruments: GF encode GB/s, event-engine events/s,
 // and adaptive hot swaps.
 //
 // Usage:
@@ -103,10 +103,8 @@ void RenderRegistryFooter(const JsonValue& registry) {
     return h != nullptr && h->is_object() ? Num(*h, "sum") : 0.0;
   };
   const double encode_us = phase_us("phase.encode_us");
-  const double decode_us = phase_us("phase.decode_us");
   const double drain_us = phase_us("phase.event_drain_us");
   const double encode_bytes = Num(registry, "ida.encode_bytes");
-  const double decode_bytes = Num(registry, "ida.decode_bytes");
   const double events = Num(registry, "sim.events");
   const double swaps = Num(registry, "adaptive.swaps");
 
@@ -115,11 +113,6 @@ void RenderRegistryFooter(const JsonValue& registry) {
     std::printf("  GF encode: %8.3f GB/s (%.0f MB in %.1f ms)\n",
                 encode_bytes / 1e3 / encode_us, encode_bytes / 1e6,
                 encode_us / 1e3);
-  }
-  if (decode_us > 0.0) {
-    std::printf("  GF decode: %8.3f GB/s (%.0f MB in %.1f ms)\n",
-                decode_bytes / 1e3 / decode_us, decode_bytes / 1e6,
-                decode_us / 1e3);
   }
   if (drain_us > 0.0) {
     std::printf("  events:    %8.3f M events/s (%.0f events in %.1f ms)\n",
