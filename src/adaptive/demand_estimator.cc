@@ -12,12 +12,6 @@ DemandEstimator::DemandEstimator(std::size_t file_count, double decay)
   BDISK_CHECK(decay >= 0.0 && decay < 1.0);
 }
 
-void DemandEstimator::Observe(broadcast::FileIndex file, std::uint64_t count) {
-  BDISK_CHECK(file < interval_counts_.size());
-  interval_counts_[file] += count;
-  total_observed_ += count;
-}
-
 void DemandEstimator::ObserveCounts(const std::vector<std::uint64_t>& counts) {
   BDISK_CHECK(counts.size() == interval_counts_.size());
   for (std::size_t f = 0; f < counts.size(); ++f) {

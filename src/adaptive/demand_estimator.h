@@ -17,10 +17,9 @@
 #ifndef BDISK_ADAPTIVE_DEMAND_ESTIMATOR_H_
 #define BDISK_ADAPTIVE_DEMAND_ESTIMATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "bdisk/program.h"
 
 namespace bdisk::adaptive {
 
@@ -32,9 +31,6 @@ class DemandEstimator {
   ///                   (0 = only the last interval matters, values close
   ///                   to 1 = long memory). Must be in [0, 1).
   DemandEstimator(std::size_t file_count, double decay);
-
-  /// Records `count` requests for `file` within the current interval.
-  void Observe(broadcast::FileIndex file, std::uint64_t count = 1);
 
   /// Records a whole interval's per-file counts at once.
   void ObserveCounts(const std::vector<std::uint64_t>& counts);

@@ -1,14 +1,34 @@
 #include "bdisk/file_spec.h"
 
 #include <cmath>
+#include <limits>
 
 namespace bdisk::broadcast {
+
+namespace {
+
+/// A program carries m and n = m + r as 32-bit block counts
+/// (ProgramFile), so a file whose counts do not fit is malformed.
+Status CheckBlockCounts(const std::string& what, std::uint64_t m,
+                        std::uint64_t r) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (m > kMax || r > kMax - m) {
+    return Status::InvalidArgument(
+        what + ": " + std::to_string(m) + " blocks plus " +
+        std::to_string(r) + " for fault tolerance do not fit 32 bits");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status FileSpec::Validate() const {
   if (size_blocks == 0) {
     return Status::InvalidArgument("FileSpec '" + name +
                                    "': size must be positive");
   }
+  BDISK_RETURN_NOT_OK(CheckBlockCounts("FileSpec '" + name + "'",
+                                       size_blocks, fault_tolerance));
   if (!(latency_seconds > 0.0)) {
     return Status::InvalidArgument("FileSpec '" + name +
                                    "': latency must be positive");
@@ -36,34 +56,13 @@ Result<std::uint64_t> FileSpec::WindowSlots(
   return static_cast<std::uint64_t>(window);
 }
 
-Result<algebra::BroadcastCondition> FileSpec::ToBroadcastCondition(
-    std::uint64_t bandwidth_blocks_per_second) const {
-  BDISK_RETURN_NOT_OK(Validate());
-  if (bandwidth_blocks_per_second == 0) {
-    return Status::InvalidArgument("bandwidth must be positive");
-  }
-  BDISK_ASSIGN_OR_RETURN(const std::uint64_t window,
-                         WindowSlots(bandwidth_blocks_per_second));
-  algebra::BroadcastCondition bc;
-  bc.m = size_blocks;
-  bc.d.assign(fault_tolerance + 1, window);
-  Status st = bc.Validate();
-  if (!st.ok()) {
-    return Status::Infeasible(
-        "FileSpec '" + name + "': window of " + std::to_string(window) +
-        " slots at " + std::to_string(bandwidth_blocks_per_second) +
-        " blocks/sec cannot hold " +
-        std::to_string(size_blocks + fault_tolerance) + " blocks (" +
-        st.message() + ")");
-  }
-  return bc;
-}
-
 Status GeneralizedFileSpec::Validate() const {
   if (size_blocks == 0) {
     return Status::InvalidArgument("GeneralizedFileSpec '" + name +
                                    "': size must be positive");
   }
+  BDISK_RETURN_NOT_OK(CheckBlockCounts("GeneralizedFileSpec '" + name + "'",
+                                       size_blocks, fault_tolerance()));
   return ToBroadcastCondition().Validate().WithContext("GeneralizedFileSpec '" +
                                                        name + "'");
 }

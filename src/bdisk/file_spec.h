@@ -33,7 +33,8 @@ struct FileSpec {
   /// Number of block-loss faults r_i to tolerate within one retrieval.
   std::uint64_t fault_tolerance = 0;
 
-  /// Validates size >= 1 and latency > 0.
+  /// Validates size >= 1, latency > 0, and that m_i and m_i + r_i fit the
+  /// program's 32-bit block counts.
   Status Validate() const;
 
   /// Blocks/sec this file alone contributes to the bandwidth lower bound:
@@ -45,12 +46,6 @@ struct FileSpec {
   /// does not fit 64 bits.
   Result<std::uint64_t> WindowSlots(
       std::uint64_t bandwidth_blocks_per_second) const;
-
-  /// The broadcast condition at integer bandwidth B blocks/sec: all
-  /// latencies equal floor(B * T_i). Fails if that window cannot hold
-  /// m_i + r_i blocks.
-  Result<algebra::BroadcastCondition> ToBroadcastCondition(
-      std::uint64_t bandwidth_blocks_per_second) const;
 };
 
 /// \brief Generalized fault-tolerant real-time broadcast file (Section 4.1).
@@ -61,7 +56,8 @@ struct GeneralizedFileSpec {
   /// Latency vector in slots: latency_slots[j] = d^(j), j = 0..r_i.
   std::vector<std::uint64_t> latency_slots;
 
-  /// Validates via the underlying broadcast condition.
+  /// Validates size >= 1, that m_i and m_i + r_i fit the program's 32-bit
+  /// block counts, and the underlying broadcast condition.
   Status Validate() const;
 
   /// Fault tolerance r_i.

@@ -1,15 +1,8 @@
 #include "common/random.h"
 
-#include <cmath>
 #include <unordered_set>
 
 namespace bdisk {
-
-double Rng::Exponential(double mean) {
-  BDISK_DCHECK(mean > 0.0);
-  // Inverse-CDF; 1 - U in (0, 1] avoids log(0).
-  return -mean * std::log(1.0 - UniformDouble());
-}
 
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
                                                        std::size_t k) {

@@ -111,9 +111,6 @@ class Rng {
     return UniformDouble() < p;
   }
 
-  /// Geometric-ish exponential sample with the given mean (mean > 0).
-  double Exponential(double mean);
-
   /// Samples `k` distinct indices from [0, n) uniformly (Floyd's algorithm).
   /// Requires k <= n. Result is in no particular order.
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,

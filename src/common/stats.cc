@@ -1,8 +1,5 @@
 #include "common/stats.h"
 
-#include <cmath>
-#include <sstream>
-
 namespace bdisk {
 
 double RunningStats::variance() const {
@@ -13,46 +10,12 @@ double RunningStats::variance() const {
   return std::max(0.0, sumsq_ / n - m * m);
 }
 
-double RunningStats::stddev() const {
-  if (count_ < 2) return 0.0;
-  const double n = static_cast<double>(count_);
-  const double m = sum_ / n;
-  return std::sqrt(std::max(0.0, (sumsq_ - n * m * m) / (n - 1.0)));
-}
-
 void RunningStats::Merge(const RunningStats& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   sumsq_ += other.sumsq_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-std::uint64_t Histogram::Quantile(double q) const {
-  if (total_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // At least one observation must be covered, so Quantile(0) is the minimum.
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))));
-  std::uint64_t running = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    running += buckets_[i];
-    if (running >= target) return i;
-  }
-  return buckets_.size() - 1;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream oss;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    if (i + 1 == buckets_.size()) {
-      oss << ">=" << i << ": " << buckets_[i] << "\n";
-    } else {
-      oss << i << ": " << buckets_[i] << "\n";
-    }
-  }
-  return oss.str();
 }
 
 std::uint64_t Gcd(std::uint64_t a, std::uint64_t b) {

@@ -48,8 +48,6 @@ class RunningStats {
   }
   /// Population variance (0 with < 2 observations).
   double variance() const;
-  /// Sample standard deviation (0 with < 2 observations).
-  double stddev() const;
   /// Smallest observation (+inf when empty).
   double min() const { return min_; }
   /// Largest observation (-inf when empty).
@@ -65,51 +63,6 @@ class RunningStats {
   double sumsq_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// \brief Fixed-bucket histogram over non-negative integer observations
-/// (e.g. retrieval latencies in slots). Values beyond the last bucket are
-/// counted in an overflow bucket.
-class Histogram {
- public:
-  /// Creates a histogram with buckets [0, 1, ..., max_value] plus overflow.
-  explicit Histogram(std::size_t max_value) : buckets_(max_value + 2, 0) {}
-
-  /// Records one observation.
-  void Add(std::uint64_t value) {
-    const std::size_t idx =
-        value < buckets_.size() - 1 ? static_cast<std::size_t>(value)
-                                    : buckets_.size() - 1;
-    ++buckets_[idx];
-    ++total_;
-  }
-
-  /// Total number of observations.
-  std::uint64_t total() const { return total_; }
-
-  /// Count recorded in the bucket for `value` (the overflow bucket if the
-  /// value exceeds the configured maximum).
-  std::uint64_t CountAt(std::uint64_t value) const {
-    const std::size_t idx =
-        value < buckets_.size() - 1 ? static_cast<std::size_t>(value)
-                                    : buckets_.size() - 1;
-    return buckets_[idx];
-  }
-
-  /// Count in the overflow bucket.
-  std::uint64_t OverflowCount() const { return buckets_.back(); }
-
-  /// Smallest value v such that at least `q` (in [0,1]) of the observations
-  /// are <= v. Returns 0 on an empty histogram; an answer in the overflow
-  /// bucket reports the first overflow value.
-  std::uint64_t Quantile(double q) const;
-
-  /// Multi-line "value: count" dump of the non-empty buckets.
-  std::string ToString() const;
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
 };
 
 /// \brief Greatest common divisor of two positive integers.

@@ -19,7 +19,7 @@ const GF256::Tables& GF256::tables() {
     for (unsigned i = 255; i < 510; ++i) {
       t.exp[i] = t.exp[i - 255];
     }
-    t.log[0] = 0;  // Unused sentinel; Mul/Div guard against zero operands.
+    t.log[0] = 0;  // Unused sentinel; Mul and Inv guard against zero.
     return t;
   }();
   return kTables;
@@ -28,21 +28,6 @@ const GF256::Tables& GF256::tables() {
 std::uint8_t GF256::Inv(std::uint8_t a) {
   BDISK_CHECK(a != 0);
   return tables().exp[255 - tables().log[a]];
-}
-
-std::uint8_t GF256::Div(std::uint8_t a, std::uint8_t b) {
-  BDISK_CHECK(b != 0);
-  if (a == 0) return 0;
-  // 255 + log(a) - log(b) lies in [1, 509]; the doubled exp table covers it.
-  const unsigned s = 255u + tables().log[a] - tables().log[b];
-  return tables().exp[s];
-}
-
-std::uint8_t GF256::Pow(std::uint8_t a, unsigned e) {
-  if (e == 0) return 1;
-  if (a == 0) return 0;
-  const unsigned l = (static_cast<unsigned>(tables().log[a]) * e) % 255;
-  return tables().exp[l];
 }
 
 std::uint8_t GF256::MulSlow(std::uint8_t a, std::uint8_t b) {

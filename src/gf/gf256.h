@@ -47,12 +47,6 @@ class GF256 {
   /// Multiplicative inverse. `a` must be non-zero.
   static std::uint8_t Inv(std::uint8_t a);
 
-  /// Field division a / b. `b` must be non-zero.
-  static std::uint8_t Div(std::uint8_t a, std::uint8_t b);
-
-  /// a raised to the integer power e (e >= 0); Pow(0, 0) == 1.
-  static std::uint8_t Pow(std::uint8_t a, unsigned e);
-
   /// Slow bitwise ("Russian peasant") multiplication; reference
   /// implementation used to validate the tables in tests.
   static std::uint8_t MulSlow(std::uint8_t a, std::uint8_t b);

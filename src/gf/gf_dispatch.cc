@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace bdisk::gf {
 
@@ -51,9 +50,7 @@ const KernelTable& Select() {
   const auto& supported = Dispatch::Supported();
   const char* env = std::getenv("BDISK_GF_IMPL");
   if (env != nullptr && *env != '\0') {
-    for (const KernelTable* k : supported) {
-      if (std::strcmp(k->name, env) == 0) return *k;
-    }
+    if (const KernelTable* k = Dispatch::ByName(env); k != nullptr) return *k;
     std::fprintf(stderr,
                  "bdisk: BDISK_GF_IMPL=%s is unknown or unsupported on this "
                  "host; falling back to %s (supported:",

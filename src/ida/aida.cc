@@ -13,63 +13,4 @@ std::uint32_t RedundancyProfile::BlocksForMode(const std::string& mode) const {
   return it == mode_to_n_.end() ? m_ : it->second;
 }
 
-Result<Aida> Aida::Create(std::uint32_t m, std::uint32_t n_max,
-                          std::size_t block_size) {
-  BDISK_ASSIGN_OR_RETURN(Dispersal d, Dispersal::Create(m, n_max, block_size));
-  return Aida(std::move(d));
-}
-
-Result<std::vector<Block>> Aida::Allocate(const std::vector<Block>& dispersed,
-                                          std::uint32_t n) const {
-  if (n < m() || n > n_max()) {
-    return Status::InvalidArgument(
-        "Allocate: n must lie in [m, N] = [" + std::to_string(m()) + ", " +
-        std::to_string(n_max()) + "], got " + std::to_string(n));
-  }
-  if (dispersed.size() != n_max()) {
-    return Status::InvalidArgument(
-        "Allocate: expected all " + std::to_string(n_max()) +
-        " dispersed blocks, got " + std::to_string(dispersed.size()));
-  }
-  return std::vector<Block>(dispersed.begin(), dispersed.begin() + n);
-}
-
-Result<std::vector<Block>> Aida::DisperseAndAllocate(
-    FileId file_id, const std::vector<std::uint8_t>& file,
-    std::uint32_t n) const {
-  BDISK_ASSIGN_OR_RETURN(std::vector<Block> all, Disperse(file_id, file));
-  return Allocate(all, n);
-}
-
-Result<std::uint32_t> Aida::BlocksForFaultTolerance(std::uint32_t r) const {
-  const std::uint64_t need = static_cast<std::uint64_t>(m()) + r;
-  if (need > n_max()) {
-    return Status::InvalidArgument(
-        "BlocksForFaultTolerance: tolerating " + std::to_string(r) +
-        " faults needs " + std::to_string(need) + " blocks but N = " +
-        std::to_string(n_max()));
-  }
-  return static_cast<std::uint32_t>(need);
-}
-
-Result<std::vector<std::uint8_t>> PadToFileSize(
-    const std::vector<std::uint8_t>& data, std::uint32_t m,
-    std::size_t block_size) {
-  const std::size_t target = static_cast<std::size_t>(m) * block_size;
-  if (data.size() > target) {
-    return Status::InvalidArgument(
-        "PadToFileSize: data (" + std::to_string(data.size()) +
-        " bytes) exceeds m * block_size = " + std::to_string(target));
-  }
-  std::vector<std::uint8_t> out = data;
-  out.resize(target, 0);
-  return out;
-}
-
-std::uint32_t BlocksNeeded(std::size_t data_size, std::size_t block_size) {
-  if (block_size == 0) return 1;
-  if (data_size == 0) return 1;
-  return static_cast<std::uint32_t>((data_size + block_size - 1) / block_size);
-}
-
 }  // namespace bdisk::ida

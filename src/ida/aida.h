@@ -3,11 +3,13 @@
 /// Section 2.2 (Bestavros [8]).
 ///
 /// AIDA inserts a *bandwidth allocation* step between dispersal and
-/// transmission: of the N dispersed blocks, only n in [m, N] are actually
-/// transmitted, where n is chosen per data item and per *mode of operation*
-/// ("combat" vs "landing" in the paper's AWACS example). Redundancy can thus
-/// be scaled up for critical items and down for unimportant ones without
-/// re-dispersing anything.
+/// transmission: of the N blocks an item could be dispersed to, only n in
+/// [m, N] are transmitted, where n is chosen per data item and per *mode of
+/// operation* ("combat" vs "landing" in the paper's AWACS example).
+/// Redundancy can thus be scaled up for critical items and down for
+/// unimportant ones. RedundancyProfile holds that choice; the broadcast
+/// program carries each file's n, and the servers disperse the file
+/// m -> n through ida::Dispersal directly.
 
 #ifndef BDISK_IDA_AIDA_H_
 #define BDISK_IDA_AIDA_H_
@@ -15,10 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
-
-#include "common/status.h"
-#include "ida/dispersal.h"
 
 namespace bdisk::ida {
 
@@ -51,69 +49,6 @@ class RedundancyProfile {
   std::uint32_t n_max_;
   std::map<std::string, std::uint32_t> mode_to_n_;
 };
-
-/// \brief AIDA engine: dispersal plus the bandwidth-allocation step.
-class Aida {
- public:
-  /// Creates an engine dispersing m-out-of-n_max with the given block size.
-  static Result<Aida> Create(std::uint32_t m, std::uint32_t n_max,
-                             std::size_t block_size);
-
-  /// Disperses to the full N blocks (the allocation step later picks n).
-  Result<std::vector<Block>> Disperse(FileId file_id,
-                                      const std::vector<std::uint8_t>& file) const {
-    return dispersal_.Disperse(file_id, file);
-  }
-
-  /// \brief The bandwidth-allocation step: selects `n` of the dispersed
-  /// blocks for transmission (the first n, i.e. the systematic data blocks
-  /// plus n - m parity blocks).
-  ///
-  /// Fails unless m <= n <= N and `dispersed.size() == N`.
-  Result<std::vector<Block>> Allocate(const std::vector<Block>& dispersed,
-                                      std::uint32_t n) const;
-
-  /// Disperse + Allocate in one call.
-  Result<std::vector<Block>> DisperseAndAllocate(
-      FileId file_id, const std::vector<std::uint8_t>& file,
-      std::uint32_t n) const;
-
-  /// Reconstructs from any >= m distinct received blocks.
-  Result<std::vector<std::uint8_t>> Reconstruct(
-      const std::vector<Block>& blocks) const {
-    return dispersal_.Reconstruct(blocks);
-  }
-
-  /// Minimum n that tolerates `r` block-loss faults (m + r). Fails if
-  /// m + r > N.
-  Result<std::uint32_t> BlocksForFaultTolerance(std::uint32_t r) const;
-
-  /// Bandwidth overhead factor of transmitting n blocks: n / m.
-  double RedundancyRatio(std::uint32_t n) const {
-    return static_cast<double>(n) / static_cast<double>(m());
-  }
-
-  std::uint32_t m() const { return dispersal_.reconstruct_threshold(); }
-  std::uint32_t n_max() const { return dispersal_.total_blocks(); }
-  std::size_t block_size() const { return dispersal_.block_size(); }
-  const Dispersal& dispersal() const { return dispersal_; }
-
- private:
-  explicit Aida(Dispersal dispersal) : dispersal_(std::move(dispersal)) {}
-
-  Dispersal dispersal_;
-};
-
-/// \brief Pads `data` with zeros to a multiple of m * block_size... returns
-/// a copy padded to exactly m * block_size bytes. Fails if data is larger
-/// than m * block_size.
-Result<std::vector<std::uint8_t>> PadToFileSize(
-    const std::vector<std::uint8_t>& data, std::uint32_t m,
-    std::size_t block_size);
-
-/// \brief Smallest m such that `data_size` bytes fit in m blocks of
-/// `block_size` bytes (i.e. ceil(data_size / block_size)), minimum 1.
-std::uint32_t BlocksNeeded(std::size_t data_size, std::size_t block_size);
 
 }  // namespace bdisk::ida
 

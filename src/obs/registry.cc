@@ -17,19 +17,6 @@ HistogramMetric::HistogramMetric(std::vector<double> bounds)
   for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
 }
 
-double HistogramMetric::QuantileUpperBound(double q) const {
-  const std::uint64_t total = Count();
-  if (total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    seen += CountInBucket(i);
-    if (seen >= target && seen > 0) return bounds_[i];
-  }
-  return bounds_.back();
-}
-
 void HistogramMetric::ResetQuiesced() {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     counts_[i].store(0, std::memory_order_relaxed);
@@ -45,15 +32,6 @@ Counter* MetricRegistry::GetCounter(const std::string& name) {
   }
   counters_.emplace_back(name, std::make_unique<Counter>());
   return counters_.back().second.get();
-}
-
-Gauge* MetricRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [n, g] : gauges_) {
-    if (n == name) return g.get();
-  }
-  gauges_.emplace_back(name, std::make_unique<Gauge>());
-  return gauges_.back().second.get();
 }
 
 HistogramMetric* MetricRegistry::GetHistogram(const std::string& name,
@@ -74,20 +52,16 @@ void MetricRegistry::WriteJson(JsonWriter* writer) const {
   struct Entry {
     std::string name;
     const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
     const HistogramMetric* histogram = nullptr;
   };
   std::vector<Entry> entries;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [n, c] : counters_) {
-      entries.push_back({n, c.get(), nullptr, nullptr});
-    }
-    for (const auto& [n, g] : gauges_) {
-      entries.push_back({n, nullptr, g.get(), nullptr});
+      entries.push_back({n, c.get(), nullptr});
     }
     for (const auto& [n, h] : histograms_) {
-      entries.push_back({n, nullptr, nullptr, h.get()});
+      entries.push_back({n, nullptr, h.get()});
     }
   }
   std::sort(entries.begin(), entries.end(),
@@ -97,8 +71,6 @@ void MetricRegistry::WriteJson(JsonWriter* writer) const {
     writer->Key(e.name);
     if (e.counter != nullptr) {
       writer->Uint(e.counter->Value());
-    } else if (e.gauge != nullptr) {
-      writer->Double(e.gauge->Value());
     } else {
       writer->BeginObject();
       writer->Key("count");
@@ -125,10 +97,6 @@ void MetricRegistry::Reset() {
   for (auto& [n, c] : counters_) {
     (void)n;
     c->ResetQuiesced();
-  }
-  for (auto& [n, g] : gauges_) {
-    (void)n;
-    g->Set(0.0);
   }
   for (auto& [n, h] : histograms_) {
     (void)n;

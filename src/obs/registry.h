@@ -1,5 +1,5 @@
 /// \file registry.h
-/// \brief Process-wide registry of named counters, gauges, and histograms.
+/// \brief Process-wide registry of named counters and histograms.
 ///
 /// The recording paths are built for the GF / simulation hot loops:
 /// Counter::Add and Histogram::Record are single relaxed atomic RMWs with
@@ -55,17 +55,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// \brief Last-write-wins instantaneous value (e.g. bytes resident,
-/// configured interval). Set is one relaxed store.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// \brief Fixed-bucket histogram with inclusive upper bounds plus an
 /// implicit overflow bucket. Record is a branchless-ish linear scan over
 /// the (small, cache-resident) bounds array and one relaxed fetch_add;
@@ -98,12 +87,6 @@ class HistogramMetric {
   std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   double Sum() const { return sum_.load(std::memory_order_relaxed); }
 
-  /// Smallest bucket upper bound b such that at least `q` (in [0,1]) of
-  /// the observations fall in buckets with bound <= b — an upper-bound
-  /// percentile estimate. Returns the last bound for the overflow bucket,
-  /// 0 when empty.
-  double QuantileUpperBound(double q) const;
-
   /// Zeroes all buckets in place (pointer stays valid). Callers must
   /// ensure no concurrent Record — intended for quiesced test/bench use.
   void ResetQuiesced();
@@ -122,7 +105,6 @@ class HistogramMetric {
 class MetricRegistry {
  public:
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   /// `bounds` applies on first registration; later calls return the
   /// existing instrument regardless.
   HistogramMetric* GetHistogram(const std::string& name,
@@ -131,7 +113,6 @@ class MetricRegistry {
   /// Serializes every instrument as one JSON object value keyed by name,
   /// sorted by name (deterministic member order):
   ///   counters:   "name":N
-  ///   gauges:     "name":X
   ///   histograms: "name":{"count":N,"sum":S,"bounds":[...],"counts":[...]}
   /// Written inside the caller's current container via Key/value pairs.
   void WriteJson(JsonWriter* writer) const;
@@ -144,7 +125,6 @@ class MetricRegistry {
   mutable std::mutex mutex_;
   // Deques-by-unique_ptr: pointer stability under growth.
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
-  std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::vector<std::pair<std::string, std::unique_ptr<HistogramMetric>>>
       histograms_;
 };

@@ -49,12 +49,6 @@ void Timeline::RecordIncomplete(std::uint32_t errors, std::uint32_t corrupt) {
   incomplete_corrupt_ += corrupt;
 }
 
-std::size_t Timeline::completed_count() const {
-  std::size_t count = completed_.size();
-  for (const std::vector<Outcome>& chunk : merged_) count += chunk.size();
-  return count;
-}
-
 void Timeline::Merge(Timeline&& other) {
   BDISK_CHECK(interval_slots_ == other.interval_slots_);
   BDISK_CHECK(horizon_ == other.horizon_);

@@ -68,7 +68,6 @@ class Timeline {
     return static_cast<std::size_t>(
         (horizon_ + interval_slots_ - 1) / interval_slots_);
   }
-  std::size_t completed_count() const;
 
   /// Preallocates room for `outcomes` completed records (engines know the
   /// shard's client count up front).

@@ -83,6 +83,16 @@ std::vector<std::uint64_t> DistinctWindows(const Instance& instance) {
 Result<Schedule> Realize(const Instance& instance,
                          std::vector<ClassRequest> requests,
                          const std::string& name) {
+  // The schedule's period is a multiple of every request's, so a request
+  // past the cap can only fail ToSchedule. Fail before Allocate, whose
+  // bookkeeping grows with each request's count and period.
+  for (const ClassRequest& r : requests) {
+    if (r.period > kMaxPeriod) {
+      return Status::ResourceExhausted(
+          "ToSchedule: schedule period exceeds cap " +
+          std::to_string(kMaxPeriod));
+    }
+  }
   Status last = Status::Infeasible(name + ": allocation failed");
   for (const AllocationPolicy& policy : AllocationPolicy::AllPolicies()) {
     auto assignments = ChainAllocator::Allocate(requests, policy);

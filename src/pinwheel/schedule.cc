@@ -11,43 +11,6 @@ Result<Schedule> Schedule::FromCycle(std::vector<TaskId> cycle) {
   return Schedule(std::move(cycle));
 }
 
-std::vector<std::uint64_t> Schedule::OccurrencesOf(TaskId id) const {
-  std::vector<std::uint64_t> out;
-  for (std::uint64_t t = 0; t < cycle_.size(); ++t) {
-    if (cycle_[t] == id) out.push_back(t);
-  }
-  return out;
-}
-
-std::uint64_t Schedule::CountOf(TaskId id) const {
-  std::uint64_t n = 0;
-  for (TaskId s : cycle_) {
-    if (s == id) ++n;
-  }
-  return n;
-}
-
-double Schedule::Utilization() const {
-  if (cycle_.empty()) return 0.0;
-  return 1.0 - static_cast<double>(IdleCount()) /
-                   static_cast<double>(cycle_.size());
-}
-
-Result<std::uint64_t> Schedule::MaxGapOf(TaskId id) const {
-  const std::vector<std::uint64_t> occ = OccurrencesOf(id);
-  if (occ.empty()) {
-    return Status::NotFound("MaxGapOf: task " + std::to_string(id) +
-                            " never appears in the schedule");
-  }
-  std::uint64_t max_gap = 0;
-  for (std::size_t i = 0; i < occ.size(); ++i) {
-    const std::uint64_t next =
-        i + 1 < occ.size() ? occ[i + 1] : occ[0] + period();
-    max_gap = std::max(max_gap, next - occ[i]);
-  }
-  return max_gap;
-}
-
 std::string Schedule::ToString() const {
   std::ostringstream oss;
   for (std::size_t i = 0; i < cycle_.size(); ++i) {

@@ -38,24 +38,6 @@ class Schedule {
   /// The task occupying absolute slot `t` (kIdle if unallocated).
   TaskId At(std::uint64_t t) const { return cycle_[t % cycle_.size()]; }
 
-  /// Positions of task `id` within one period, ascending. Empty if the task
-  /// never appears. This is the paper's "P.i" restricted to one period.
-  std::vector<std::uint64_t> OccurrencesOf(TaskId id) const;
-
-  /// Number of slots per period allocated to task `id`.
-  std::uint64_t CountOf(TaskId id) const;
-
-  /// Number of idle slots per period.
-  std::uint64_t IdleCount() const { return CountOf(kIdle); }
-
-  /// Fraction of slots that are allocated (1 - idle fraction).
-  double Utilization() const;
-
-  /// \brief Largest gap (in slots) between consecutive occurrences of task
-  /// `id`, measured cyclically: the paper's Delta for Lemma 2 when applied
-  /// to a file's block slots. Fails with NotFound if the task never appears.
-  Result<std::uint64_t> MaxGapOf(TaskId id) const;
-
   /// "1, 2, 1, *, 2" rendering of one period, with '*' for idle slots.
   std::string ToString() const;
 

@@ -1,10 +1,7 @@
 #include "pinwheel/task.h"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_set>
-
-#include "common/stats.h"
 
 namespace bdisk::pinwheel {
 
@@ -44,25 +41,6 @@ double Instance::density() const {
   double d = 0.0;
   for (const Task& t : tasks_) d += t.density();
   return d;
-}
-
-std::uint64_t Instance::WindowLcm() const {
-  std::uint64_t l = 1;
-  for (const Task& t : tasks_) l = LcmCapped(l, t.b);
-  return l;
-}
-
-std::uint64_t Instance::MaxWindow() const {
-  std::uint64_t m = 0;
-  for (const Task& t : tasks_) m = std::max(m, t.b);
-  return m;
-}
-
-Result<Task> Instance::FindTask(TaskId id) const {
-  for (const Task& t : tasks_) {
-    if (t.id == id) return t;
-  }
-  return Status::NotFound("No task with id " + std::to_string(id));
 }
 
 std::string Instance::ToString() const {

@@ -68,16 +68,6 @@ class Instance {
   /// feasibility in general (Example 1 of the paper).
   double density() const;
 
-  /// Least common multiple of all window sizes, saturating at 2^62 (used to
-  /// bound verification horizons).
-  std::uint64_t WindowLcm() const;
-
-  /// Largest window size (0 for an empty instance).
-  std::uint64_t MaxWindow() const;
-
-  /// The task with the given id. Fails with NotFound if absent.
-  Result<Task> FindTask(TaskId id) const;
-
   /// "{(1,1,2), (2,1,3)}" in the paper's notation.
   std::string ToString() const;
 

@@ -63,8 +63,13 @@ std::string ConditionCheck::ToString() const {
 std::uint64_t Verifier::MinWindowCount(const Schedule& schedule, TaskId id,
                                        std::uint64_t window,
                                        std::uint64_t* worst_start) {
-  return SweepMinWindowCount(schedule.OccurrencesOf(id), schedule.period(),
-                             window, worst_start);
+  std::vector<std::uint64_t> occurrences;
+  const std::vector<TaskId>& cycle = schedule.slots();
+  for (std::uint64_t t = 0; t < cycle.size(); ++t) {
+    if (cycle[t] == id) occurrences.push_back(t);
+  }
+  return SweepMinWindowCount(occurrences, schedule.period(), window,
+                             worst_start);
 }
 
 ConditionCheck Verifier::CheckCondition(
@@ -78,12 +83,6 @@ ConditionCheck Verifier::CheckCondition(
       SweepMinWindowCount(occurrences, period, b, &check.worst_start);
   check.satisfied = check.min_count >= a;
   return check;
-}
-
-ConditionCheck Verifier::CheckCondition(const Schedule& schedule, TaskId id,
-                                        std::uint64_t a, std::uint64_t b) {
-  return CheckCondition(schedule.OccurrencesOf(id), schedule.period(), id, a,
-                        b);
 }
 
 Status Verifier::Verify(const Schedule& schedule, const Instance& instance) {

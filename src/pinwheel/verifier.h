@@ -51,7 +51,8 @@ class Verifier {
   /// Minimum number of occurrences of `id` over all windows of `window`
   /// consecutive slots of the infinite repetition of `schedule`.
   /// `worst_start`, if non-null, receives the smallest start offset in
-  /// [0, period) achieving the minimum. `window` must be positive.
+  /// [0, period) achieving the minimum. `window` must be positive. One
+  /// pass over the cycle, then the sweep that CheckCondition runs.
   static std::uint64_t MinWindowCount(const Schedule& schedule, TaskId id,
                                       std::uint64_t window,
                                       std::uint64_t* worst_start = nullptr);
@@ -62,10 +63,6 @@ class Verifier {
   static ConditionCheck CheckCondition(
       const std::vector<std::uint64_t>& occurrences, std::uint64_t period,
       TaskId id, std::uint64_t a, std::uint64_t b);
-
-  /// Checks pc(id, a, b) against the schedule.
-  static ConditionCheck CheckCondition(const Schedule& schedule, TaskId id,
-                                       std::uint64_t a, std::uint64_t b);
 
   /// Checks every task of `instance` against the schedule. OK iff all
   /// conditions hold; otherwise Infeasible naming the first violated

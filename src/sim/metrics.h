@@ -12,9 +12,9 @@
 
 namespace bdisk::sim {
 
-/// \brief Aggregated outcomes of one stream of retrieval attempts (a
-/// file's requests, or a transaction workload).
-struct OutcomeStats {
+/// \brief Per-file retrieval statistics: the aggregated outcomes of one
+/// file's retrieval attempts.
+struct FileMetrics {
   /// Latency (slots, start to completion inclusive) of completed attempts.
   RunningStats latency;
   /// Reconstruction stall time (slots) of completed attempts: actual
@@ -33,11 +33,12 @@ struct OutcomeStats {
   /// Still incomplete when the horizon ended (counted as deadline misses in
   /// MissRate()).
   std::uint64_t incomplete = 0;
-  /// Faulty transmissions (lost or corrupted) of the requested file(s)
+  /// Faulty transmissions (lost or corrupted) of the requested file
   /// observed by the attempts.
   std::uint64_t errors_observed = 0;
   /// Corrupted-and-detected transmissions among errors_observed.
   std::uint64_t corrupt_detected = 0;
+  std::string file_name;
 
   std::uint64_t attempts() const { return completed + incomplete; }
 
@@ -59,10 +60,10 @@ struct OutcomeStats {
     return static_cast<double>(incomplete) / static_cast<double>(a);
   }
 
-  /// Merges another shard's outcomes into this one. Exactly
-  /// order-independent (counts are integers; stats merging is
+  /// Merges another shard's outcomes for the same file into this one.
+  /// Exactly order-independent (counts are integers; stats merging is
   /// RunningStats::Merge over integer-valued observations).
-  void Merge(const OutcomeStats& other) {
+  void Merge(const FileMetrics& other) {
     latency.Merge(other.latency);
     stall.Merge(other.stall);
     periods_to_recovery.Merge(other.periods_to_recovery);
@@ -71,16 +72,6 @@ struct OutcomeStats {
     incomplete += other.incomplete;
     errors_observed += other.errors_observed;
     corrupt_detected += other.corrupt_detected;
-  }
-};
-
-/// \brief Per-file retrieval statistics.
-struct FileMetrics : OutcomeStats {
-  std::string file_name;
-
-  /// Merges another shard's outcomes for the same file into this one.
-  void Merge(const FileMetrics& other) {
-    OutcomeStats::Merge(other);
     if (file_name.empty()) file_name = other.file_name;
   }
 };
@@ -117,11 +108,6 @@ struct SimulationMetrics {
 /// diffs these against committed goldens, and the benches emit them for
 /// trajectory capture.
 std::string MetricsToJson(const SimulationMetrics& metrics);
-
-/// \brief Aggregated outcomes of a transaction workload
-/// (Simulator::RunTransactionWorkload): latency is the joint (last-item)
-/// latency, errors sum over all items of all transactions.
-struct TransactionMetrics : OutcomeStats {};
 
 }  // namespace bdisk::sim
 

@@ -16,7 +16,7 @@
 
 #include "bdisk/program.h"
 #include "common/status.h"
-#include "ida/aida.h"
+#include "ida/dispersal.h"
 #include "sim/epoch.h"
 #include "store/block_store.h"
 
@@ -35,8 +35,8 @@ class BroadcastServer {
  public:
   /// \param program   the broadcast program (copied).
   /// \param contents  one byte vector per program file; contents[f] must be
-  ///                  exactly files()[f].m * block_size bytes (use
-  ///                  ida::PadToFileSize).
+  ///                  exactly files()[f].m * block_size bytes (callers
+  ///                  zero-pad a shorter file).
   /// \param block_size payload bytes per block.
   static Result<BroadcastServer> Create(
       broadcast::BroadcastProgram program,

@@ -36,7 +36,7 @@ Status CheckClientModel(const broadcast::ProgramFile& pf,
 
 }  // namespace
 
-void AccumulateOutcome(const RetrievalOutcome& outcome, OutcomeStats* stats,
+void AccumulateOutcome(const RetrievalOutcome& outcome, FileMetrics* stats,
                        obs::Timeline* timeline) {
   if (outcome.completed) {
     ++stats->completed;
@@ -257,39 +257,6 @@ void Simulator::RecordTraceSpan(obs::TraceSink* sink,
                                   outcome, trigger));
 }
 
-Result<RetrievalOutcome> Simulator::RetrieveTransaction(
-    const TransactionRequest& request) const {
-  if (request.files.empty()) {
-    return Status::InvalidArgument("RetrieveTransaction: no files");
-  }
-  // The transaction completes when its slowest item does, and hears the
-  // faults of all its items.
-  RetrievalOutcome walk;
-  walk.completed = true;
-  for (broadcast::FileIndex f : request.files) {
-    BDISK_RETURN_NOT_OK(
-        CheckRequest({f, request.start_slot, 0, request.model}));
-    const RetrievalOutcome item = SlotWalk(f, request.start_slot);
-    walk.completed = walk.completed && item.completed;
-    walk.completion_slot = std::max(walk.completion_slot, item.completion_slot);
-    walk.errors_observed += item.errors_observed;
-    walk.corrupt_detected += item.corrupt_detected;
-  }
-  return FinishOutcome(
-      walk, request.start_slot, request.deadline_slots,
-      PeriodAt(request.start_slot), [&] {
-        // Joint stall: against the lossless channel the transaction also
-        // completes when its slowest item does.
-        std::uint64_t baseline = 0;
-        for (broadcast::FileIndex f : request.files) {
-          const auto item = LosslessCompletionSlot(f, request.start_slot);
-          BDISK_CHECK(item.has_value());
-          baseline = std::max(baseline, *item);
-        }
-        return baseline;
-      });
-}
-
 Result<std::uint64_t> Simulator::StartRange(std::uint64_t deadline) const {
   // Four data cycles, saturating: a cycle past 2^62 slots needs a horizon
   // no fault trace can have.
@@ -410,48 +377,6 @@ Result<SimulationMetrics> Simulator::RunWorkloadEvented(
                                  ? EventEngine(*schedule_, faults_)
                                  : EventEngine(*program_, faults_);
   return engine.Run(draws.total, client_at, pool, nullptr, timeline, trace);
-}
-
-Result<TransactionMetrics> Simulator::RunTransactionWorkload(
-    const TransactionWorkloadConfig& config, runtime::ThreadPool* pool) const {
-  const std::size_t file_count = files().size();
-  if (config.files_per_transaction == 0 ||
-      config.files_per_transaction > file_count) {
-    return Status::InvalidArgument(
-        "RunTransactionWorkload: files_per_transaction must be in [1, " +
-        std::to_string(file_count) + "], got " +
-        std::to_string(config.files_per_transaction));
-  }
-  for (const broadcast::ProgramFile& pf : files()) {
-    BDISK_RETURN_NOT_OK(CheckClientModel(pf, config.model));
-  }
-  BDISK_ASSIGN_OR_RETURN(const std::uint64_t start_range,
-                         StartRange(config.deadline_slots));
-
-  const unsigned shards = runtime::ShardCountFor(pool, config.transactions);
-  std::vector<TransactionMetrics> shard_metrics(shards);
-  runtime::ParallelFor(
-      pool, config.transactions, shards,
-      [&](unsigned shard, runtime::ShardRange range) {
-        for (std::uint64_t t = range.begin; t < range.end; ++t) {
-          Rng rng = runtime::StreamRng(config.seed, t);
-          TransactionRequest req;
-          req.start_slot = rng.Uniform(start_range);
-          req.deadline_slots = config.deadline_slots;
-          req.model = config.model;
-          for (std::size_t i : rng.SampleWithoutReplacement(
-                   file_count, config.files_per_transaction)) {
-            req.files.push_back(static_cast<broadcast::FileIndex>(i));
-          }
-          auto outcome = RetrieveTransaction(req);
-          BDISK_CHECK(outcome.ok());  // Inputs were validated above.
-          AccumulateOutcome(*outcome, &shard_metrics[shard]);
-        }
-      });
-
-  TransactionMetrics metrics;
-  for (const TransactionMetrics& tm : shard_metrics) metrics.Merge(tm);
-  return metrics;
 }
 
 Result<SimulationMetrics> Simulator::RunRequests(

@@ -102,7 +102,7 @@ RetrievalOutcome FinishOutcome(RetrievalOutcome walk, std::uint64_t start_slot,
 /// \brief Folds one outcome into `stats` and, when non-null, into
 /// `timeline` (bucketed by completion slot). Every simulator metric is
 /// accumulated here.
-void AccumulateOutcome(const RetrievalOutcome& outcome, OutcomeStats* stats,
+void AccumulateOutcome(const RetrievalOutcome& outcome, FileMetrics* stats,
                        obs::Timeline* timeline = nullptr);
 
 /// \brief One shard of RunSharded: a contiguous range of global request
@@ -149,35 +149,6 @@ struct WorkloadConfig {
   std::uint64_t seed = 42;
 };
 
-/// \brief A real-time transaction touching several data items: it fires at
-/// `start_slot` and must have reconstructed *every* listed file within the
-/// deadline (the paper's RTDB setting — e.g. an active AWACS transaction
-/// reading several object positions before raising an alert).
-struct TransactionRequest {
-  std::vector<broadcast::FileIndex> files;
-  std::uint64_t start_slot = 0;
-  /// Joint latency budget in slots (0 = no deadline).
-  std::uint64_t deadline_slots = 0;
-  broadcast::ClientModel model = broadcast::ClientModel::kIda;
-};
-
-/// \brief Workload of independent multi-item transactions: each fires at a
-/// random start slot and reads a random `files_per_transaction`-subset of
-/// the program's files under one joint deadline.
-struct TransactionWorkloadConfig {
-  /// Number of transactions to simulate.
-  std::uint64_t transactions = 1000;
-  /// Data items read per transaction (1 <= value <= file count).
-  std::size_t files_per_transaction = 2;
-  /// Joint latency budget in slots (0 = no deadline).
-  std::uint64_t deadline_slots = 0;
-  /// Client retrieval semantics.
-  broadcast::ClientModel model = broadcast::ClientModel::kIda;
-  /// Base RNG seed; transaction t draws from stream t (runtime::StreamRng),
-  /// making results independent of execution order and shard count.
-  std::uint64_t seed = 42;
-};
-
 /// \brief Completion slot of a faultless distinct-block walk: from
 /// `start`, count distinct block indices of `file` among `tx_at(t)` for
 /// t in [start, end); returns the slot at which the m-th distinct index
@@ -216,11 +187,6 @@ class Simulator {
   /// Executes a single retrieval against the precomputed channel
   /// realization. Fails on an unknown file or a start beyond the horizon.
   Result<RetrievalOutcome> Retrieve(const ClientRequest& request) const;
-
-  /// Executes a multi-item transaction: completes when the last of its
-  /// files completes; `errors_observed` sums over all files.
-  Result<RetrievalOutcome> RetrieveTransaction(
-      const TransactionRequest& request) const;
 
   /// Runs `config.requests_per_file` random-start retrievals per file and
   /// aggregates the outcomes. Fails up front on an invalid config,
@@ -264,13 +230,6 @@ class Simulator {
                                                    nullptr,
                                                obs::TraceSink* trace =
                                                    nullptr) const;
-
-  /// Runs `config.transactions` random multi-item transactions and
-  /// aggregates the outcomes. Same sharding and determinism contract as
-  /// RunWorkload.
-  Result<TransactionMetrics> RunTransactionWorkload(
-      const TransactionWorkloadConfig& config,
-      runtime::ThreadPool* pool = nullptr) const;
 
   /// Replays an explicit request list (e.g. a recorded or generated trace)
   /// and aggregates per-file metrics. Requests are sharded by index across

@@ -35,8 +35,7 @@ std::vector<FlatFileSpec> Population() {
 
 TEST(DemandEstimatorTest, SharesTrackObservations) {
   DemandEstimator estimator(4, 0.5);
-  estimator.Observe(0, 300);
-  estimator.Observe(1, 100);
+  estimator.ObserveCounts({300, 100, 0, 0});
   const std::vector<double> shares = estimator.Shares();
   EXPECT_NEAR(std::accumulate(shares.begin(), shares.end(), 0.0), 1.0,
               1e-12);
@@ -48,11 +47,11 @@ TEST(DemandEstimatorTest, SharesTrackObservations) {
 
 TEST(DemandEstimatorTest, DecayForgetsOldIntervals) {
   DemandEstimator estimator(2, 0.25);
-  estimator.Observe(0, 1000);
+  estimator.ObserveCounts({1000, 0});
   estimator.FoldInterval();
   // Four quiet intervals, then the other file takes over.
   for (int i = 0; i < 4; ++i) estimator.FoldInterval();
-  estimator.Observe(1, 100);
+  estimator.ObserveCounts({0, 100});
   const std::vector<double> shares = estimator.Shares();
   // 1000 * 0.25^5 < 1 << 100: file 1 dominates despite the smaller burst.
   EXPECT_GT(shares[1], shares[0]);

@@ -41,15 +41,15 @@ TEST(FileSpecTest, DemandBlocksPerSecond) {
   EXPECT_NEAR(f.DemandBlocksPerSecond(), 12.5, 1e-12);
 }
 
-TEST(FileSpecTest, ToBroadcastCondition) {
-  FileSpec f{"f", 4, 0.5, 2};
-  auto bc = f.ToBroadcastCondition(20);
-  ASSERT_TRUE(bc.ok());
-  EXPECT_EQ(bc->m, 4u);
-  ASSERT_EQ(bc->d.size(), 3u);
-  for (std::uint64_t d : bc->d) EXPECT_EQ(d, 10u);
-  // Window too small for m + r blocks.
-  EXPECT_TRUE(f.ToBroadcastCondition(10).status().IsInfeasible());
+TEST(BandwidthPlannerTest, WindowTooSmallForItsBlocksIsInfeasible) {
+  const std::vector<FileSpec> files{{"f", 4, 0.5, 2}};
+  auto inst = BandwidthPlanner::ToPinwheelInstance(files, 20);
+  ASSERT_TRUE(inst.ok()) << inst.status();
+  EXPECT_EQ(inst->tasks()[0].a, 6u);  // m + r
+  EXPECT_EQ(inst->tasks()[0].b, 10u);
+  // A window of 5 slots cannot hold m + r = 6 blocks.
+  EXPECT_TRUE(
+      BandwidthPlanner::ToPinwheelInstance(files, 10).status().IsInfeasible());
 }
 
 TEST(BandwidthPlannerTest, LowerBoundIsSumOfDemands) {
@@ -99,8 +99,6 @@ TEST(BandwidthPlannerTest, WindowPastSixtyFourBitsRejected) {
   ASSERT_FALSE(inst.ok());
   EXPECT_TRUE(inst.status().IsInvalidArgument()) << inst.status();
   EXPECT_NE(inst.status().message().find("'nav'"), std::string::npos);
-  EXPECT_TRUE(
-      files[0].ToBroadcastCondition(3072).status().IsInvalidArgument());
   const FileSpec forever{"nav", 1, std::numeric_limits<double>::infinity(),
                          0};
   EXPECT_TRUE(forever.WindowSlots(3072).status().IsInvalidArgument());

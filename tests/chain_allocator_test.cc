@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/random.h"
@@ -141,8 +142,9 @@ TEST(ToScheduleTest, IdleSlotsWhereUnassigned) {
   auto s = ChainAllocator::ToSchedule({{1, 0, 4}});
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->period(), 4u);
-  EXPECT_EQ(s->CountOf(1), 1u);
-  EXPECT_EQ(s->IdleCount(), 3u);
+  EXPECT_EQ(std::count(s->slots().begin(), s->slots().end(), 1u), 1);
+  EXPECT_EQ(
+      std::count(s->slots().begin(), s->slots().end(), Schedule::kIdle), 3);
 }
 
 TEST(ChainAllocatorTest, DeterministicOutput) {

@@ -361,51 +361,6 @@ TEST(DispersalTest, InverseCacheGrowsAndIsReused) {
   EXPECT_EQ(d->cached_inverse_count(), 2u);
 }
 
-TEST(AidaTest, AllocateScalesRedundancy) {
-  auto aida = Aida::Create(3, 9, 8);
-  ASSERT_TRUE(aida.ok());
-  Rng rng(7);
-  const auto file = RandomFile(24, &rng);
-  auto dispersed = aida->Disperse(0, file);
-  ASSERT_TRUE(dispersed.ok());
-
-  auto minimal = aida->Allocate(*dispersed, 3);
-  ASSERT_TRUE(minimal.ok());
-  EXPECT_EQ(minimal->size(), 3u);
-
-  auto maximal = aida->Allocate(*dispersed, 9);
-  ASSERT_TRUE(maximal.ok());
-  EXPECT_EQ(maximal->size(), 9u);
-
-  EXPECT_TRUE(aida->Allocate(*dispersed, 2).status().IsInvalidArgument());
-  EXPECT_TRUE(aida->Allocate(*dispersed, 10).status().IsInvalidArgument());
-}
-
-TEST(AidaTest, MinimalAllocationStillReconstructs) {
-  auto aida = Aida::Create(3, 9, 8);
-  ASSERT_TRUE(aida.ok());
-  Rng rng(8);
-  const auto file = RandomFile(24, &rng);
-  auto tx = aida->DisperseAndAllocate(0, file, 3);
-  ASSERT_TRUE(tx.ok());
-  auto rec = aida->Reconstruct(*tx);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(*rec, file);
-}
-
-TEST(AidaTest, FaultToleranceArithmetic) {
-  auto aida = Aida::Create(5, 10, 8);
-  ASSERT_TRUE(aida.ok());
-  auto n0 = aida->BlocksForFaultTolerance(0);
-  ASSERT_TRUE(n0.ok());
-  EXPECT_EQ(*n0, 5u);
-  auto n5 = aida->BlocksForFaultTolerance(5);
-  ASSERT_TRUE(n5.ok());
-  EXPECT_EQ(*n5, 10u);
-  EXPECT_TRUE(aida->BlocksForFaultTolerance(6).status().IsInvalidArgument());
-  EXPECT_DOUBLE_EQ(aida->RedundancyRatio(10), 2.0);
-}
-
 TEST(AidaTest, RedundancyProfileModes) {
   RedundancyProfile profile(5, 10);
   profile.SetMode("combat", 10);
@@ -417,23 +372,6 @@ TEST(AidaTest, RedundancyProfileModes) {
   EXPECT_EQ(profile.BlocksForMode("unknown"), 5u);  // Defaults to m.
   EXPECT_EQ(profile.FaultsToleratedInMode("combat"), 5u);
   EXPECT_EQ(profile.FaultsToleratedInMode("unknown"), 0u);
-}
-
-TEST(PaddingTest, PadToFileSize) {
-  auto padded = PadToFileSize({1, 2, 3}, 2, 4);
-  ASSERT_TRUE(padded.ok());
-  EXPECT_EQ(*padded, (std::vector<std::uint8_t>{1, 2, 3, 0, 0, 0, 0, 0}));
-  EXPECT_TRUE(PadToFileSize(std::vector<std::uint8_t>(9, 1), 2, 4)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(PaddingTest, BlocksNeeded) {
-  EXPECT_EQ(BlocksNeeded(0, 16), 1u);
-  EXPECT_EQ(BlocksNeeded(1, 16), 1u);
-  EXPECT_EQ(BlocksNeeded(16, 16), 1u);
-  EXPECT_EQ(BlocksNeeded(17, 16), 2u);
-  EXPECT_EQ(BlocksNeeded(160, 16), 10u);
 }
 
 // The paper's Figure 6 geometry: A is 5 blocks dispersed to 10, B is 3

@@ -119,46 +119,6 @@ TEST(ParallelWorkloadTest, ValidationStillFailsUpFront) {
   }
 }
 
-TEST(ParallelTransactionTest, MatchesSerialBitwise) {
-  const auto program = SixFileProgram();
-  for (std::uint64_t seed : {7ull, 4096ull}) {
-    const faults::BernoulliChannel channel(0.1, 777);
-    Simulator sim(program, channel, 60000);
-    TransactionWorkloadConfig config;
-    config.transactions = 1500;
-    config.files_per_transaction = 3;
-    config.deadline_slots = 3 * program.period();
-    config.seed = seed;
-    auto serial = sim.RunTransactionWorkload(config);
-    ASSERT_TRUE(serial.ok()) << serial.status();
-    for (unsigned threads : {2u, 4u}) {
-      ThreadPool pool(threads);
-      auto parallel = sim.RunTransactionWorkload(config, &pool);
-      ASSERT_TRUE(parallel.ok()) << parallel.status();
-      EXPECT_EQ(serial->completed, parallel->completed);
-      EXPECT_EQ(serial->missed_deadline, parallel->missed_deadline);
-      EXPECT_EQ(serial->incomplete, parallel->incomplete);
-      EXPECT_EQ(serial->errors_observed, parallel->errors_observed);
-      EXPECT_EQ(serial->latency.count(), parallel->latency.count());
-      EXPECT_EQ(serial->latency.sum(), parallel->latency.sum());
-      EXPECT_EQ(serial->latency.variance(), parallel->latency.variance());
-      EXPECT_EQ(serial->latency.min(), parallel->latency.min());
-      EXPECT_EQ(serial->latency.max(), parallel->latency.max());
-    }
-  }
-}
-
-TEST(ParallelTransactionTest, ValidatesConfig) {
-  const auto program = SixFileProgram();
-  const faults::LosslessChannel channel;
-  Simulator sim(program, channel, 60000);
-  TransactionWorkloadConfig config;
-  config.files_per_transaction = 0;
-  EXPECT_FALSE(sim.RunTransactionWorkload(config).ok());
-  config.files_per_transaction = 100;  // More than the program has.
-  EXPECT_FALSE(sim.RunTransactionWorkload(config).ok());
-}
-
 std::vector<std::uint8_t> RandomBytes(std::size_t size, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::uint8_t> data(size);

@@ -57,28 +57,6 @@ TEST(InstanceTest, Example1Densities) {
   EXPECT_NEAR(third->density(), 1.0 / 2 + 1.0 / 3 + 1.0 / 100, 1e-12);
 }
 
-TEST(InstanceTest, WindowLcm) {
-  auto inst = Instance::Create({{1, 1, 4}, {2, 1, 6}, {3, 1, 10}});
-  ASSERT_TRUE(inst.ok());
-  EXPECT_EQ(inst->WindowLcm(), 60u);
-}
-
-TEST(InstanceTest, MaxWindow) {
-  auto inst = Instance::Create({{1, 1, 4}, {2, 1, 6}});
-  ASSERT_TRUE(inst.ok());
-  EXPECT_EQ(inst->MaxWindow(), 6u);
-  EXPECT_EQ(Instance().MaxWindow(), 0u);
-}
-
-TEST(InstanceTest, FindTask) {
-  auto inst = Instance::Create({{7, 2, 9}});
-  ASSERT_TRUE(inst.ok());
-  auto found = inst->FindTask(7);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->a, 2u);
-  EXPECT_TRUE(inst->FindTask(8).status().IsNotFound());
-}
-
 TEST(InstanceTest, ToStringMatchesPaperNotation) {
   auto inst = Instance::Create({{1, 1, 2}, {2, 1, 3}});
   ASSERT_TRUE(inst.ok());

@@ -13,7 +13,9 @@
 # tests/fixtures/longperiod.planner.golden byte for byte. Then every
 # usage error below must exit 2 and name the offending flag, or the
 # malformed spec's file, on stderr, and a spec with a longer deadline must
-# end infeasible under a 4 GB address-space limit.
+# end infeasible under a 4 GB address-space limit, as must (with exit 0 or
+# 1, or 2 naming the file) specs past the scheduler's reach or past 32-bit
+# block counts.
 #
 # Usage: tests/planner_cli_test.sh PLANNER [--write]
 #   --write rewrites the goldens from PLANNER instead of comparing.
@@ -132,5 +134,28 @@ if [[ $rc -ne 1 ]] || ! grep -q '^infeasible:' out.txt; then
   cat out.txt
   failed=1
 fi
+
+# A file past the scheduler's reach plans or ends infeasible (exit 0 or 1),
+# and a file whose m or m + r passes 32 bits is a malformed spec (exit 2)
+# that names the file. Under a 4 GB address-space limit none may abort,
+# and each must end within 10 s.
+bounded() {
+  local codes=$1 spec=$2
+  shift 2
+  printf '%s\n' "$@" > "$spec"
+  (ulimit -v 4000000 && exec timeout 10 "$planner" "$spec") > out.txt 2>&1
+  local rc=$?
+  if [[ ! "$rc" =~ ^($codes)$ ]] ||
+    { [[ $rc -eq 2 ]] && ! grep -q "^error: .*'a'" out.txt; }; then
+    echo "FAIL: bdisk_planner $spec under ulimit -v 4000000 exited $rc:"
+    cat out.txt
+    failed=1
+  fi
+}
+bounded '0|1' wide_window.spec 'gfile a blocks=1 latencies=18446744073709551615'
+bounded '0|1' long_window.spec 'gfile a blocks=100000000 latencies=100000001'
+bounded 2 wide_m.spec 'gfile a blocks=4294967296 latencies=4294967300'
+bounded 2 wide_bytes.spec 'channel 1' 'blocksize 1' \
+  'file a bytes=4294967297 latency=4294967298'
 
 exit "$failed"

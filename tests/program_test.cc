@@ -137,6 +137,7 @@ TEST(ProgramTest, FileAtAndIdle) {
   EXPECT_EQ(p->FileAt(2), std::optional<FileIndex>(0));  // Wraps.
   EXPECT_FALSE(p->TransmissionAt(1).has_value());
   EXPECT_DOUBLE_EQ(p->Utilization(), 0.5);
+  EXPECT_EQ(p->MaxGapOf(0), 2u);  // One occurrence: the whole period.
 }
 
 TEST(ProgramTest, MaxGapOf) {

@@ -24,32 +24,7 @@ TEST(ScheduleTest, BasicAccessors) {
   EXPECT_EQ(s.period(), 4u);
   EXPECT_EQ(s.At(0), 1u);
   EXPECT_EQ(s.At(5), 2u);  // Wraps.
-  EXPECT_EQ(s.CountOf(1), 2u);
-  EXPECT_EQ(s.CountOf(2), 1u);
-  EXPECT_EQ(s.IdleCount(), 1u);
-  EXPECT_DOUBLE_EQ(s.Utilization(), 0.75);
-  EXPECT_EQ(s.OccurrencesOf(1), (std::vector<std::uint64_t>{0, 2}));
-}
-
-TEST(ScheduleTest, MaxGapCyclic) {
-  const Schedule s = MakeSchedule({1, Schedule::kIdle, Schedule::kIdle, 1,
-                                   Schedule::kIdle});
-  // Gaps: 0 -> 3 (3), 3 -> 5 (wrap to 0: 2). Max = 3.
-  auto gap = s.MaxGapOf(1);
-  ASSERT_TRUE(gap.ok());
-  EXPECT_EQ(*gap, 3u);
-}
-
-TEST(ScheduleTest, MaxGapSingleOccurrence) {
-  const Schedule s = MakeSchedule({Schedule::kIdle, 1, Schedule::kIdle});
-  auto gap = s.MaxGapOf(1);
-  ASSERT_TRUE(gap.ok());
-  EXPECT_EQ(*gap, 3u);  // Full period.
-}
-
-TEST(ScheduleTest, MaxGapMissingTask) {
-  const Schedule s = MakeSchedule({1});
-  EXPECT_TRUE(s.MaxGapOf(9).status().IsNotFound());
+  EXPECT_EQ(s.slots(), (std::vector<TaskId>{1, 2, 1, Schedule::kIdle}));
 }
 
 TEST(ScheduleTest, ToStringUsesStarForIdle) {
@@ -117,11 +92,11 @@ TEST(VerifierTest, IdleTaskCounting) {
 }
 
 TEST(VerifierTest, CheckConditionStruct) {
-  const Schedule s = MakeSchedule({1, 2});
-  ConditionCheck c = Verifier::CheckCondition(s, 1, 1, 2);
+  // Task 1 at slot 0 of a period-2 cycle: 1, 2, 1, 2, ...
+  ConditionCheck c = Verifier::CheckCondition({0}, 2, 1, 1, 2);
   EXPECT_TRUE(c.satisfied);
   EXPECT_EQ(c.min_count, 1u);
-  c = Verifier::CheckCondition(s, 1, 2, 2);
+  c = Verifier::CheckCondition({0}, 2, 1, 2, 2);
   EXPECT_FALSE(c.satisfied);
   EXPECT_NE(c.ToString().find("VIOLATED"), std::string::npos);
 }

@@ -19,7 +19,7 @@
 
 #include "common/random.h"
 #include "faults/channel_spec.h"
-#include "ida/aida.h"
+#include "ida/dispersal.h"
 #include "scenario_util.h"
 #include "sim/client.h"
 #include "sim/metrics.h"

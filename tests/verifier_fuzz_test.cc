@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -78,7 +79,8 @@ TEST(VerifierFuzzTest, MatchesBruteForceOnRandomSchedules) {
 }
 
 TEST(VerifierFuzzTest, MaxGapConsistentWithWindowCounts) {
-  // pc(1, g) holds iff g >= MaxGapOf: cross-check on random schedules.
+  // pc(1, g) holds iff g >= the largest cyclic gap between task-1 slots:
+  // cross-check on random schedules.
   Rng rng(2718);
   for (int trial = 0; trial < 80; ++trial) {
     const std::uint64_t period = 2 + rng.Uniform(20);
@@ -90,11 +92,16 @@ TEST(VerifierFuzzTest, MaxGapConsistentWithWindowCounts) {
     }
     auto schedule = Schedule::FromCycle(cycle);
     ASSERT_TRUE(schedule.ok());
-    auto gap = schedule->MaxGapOf(1);
-    ASSERT_TRUE(gap.ok());
-    EXPECT_GE(Verifier::MinWindowCount(*schedule, 1, *gap), 1u);
-    if (*gap > 1) {
-      EXPECT_EQ(Verifier::MinWindowCount(*schedule, 1, *gap - 1), 0u);
+    std::uint64_t gap = 0;
+    for (std::uint64_t t = 0; t < period; ++t) {
+      if (cycle[t] != 1) continue;
+      std::uint64_t next = 1;
+      while (cycle[(t + next) % period] != 1) ++next;
+      gap = std::max(gap, next);
+    }
+    EXPECT_GE(Verifier::MinWindowCount(*schedule, 1, gap), 1u);
+    if (gap > 1) {
+      EXPECT_EQ(Verifier::MinWindowCount(*schedule, 1, gap - 1), 0u);
     }
   }
 }
@@ -132,8 +139,12 @@ TEST(VerifierFuzzTest, CheckAllMatchesPerConditionChecksOnSparseIds) {
     std::string first_violation;
     for (std::size_t k = 0; k < tasks.size(); ++k) {
       const Task& t = tasks[k];
+      std::vector<std::uint64_t> occurrences;
+      for (std::uint64_t s = 0; s < period; ++s) {
+        if (cycle[s] == t.id) occurrences.push_back(s);
+      }
       const ConditionCheck one =
-          Verifier::CheckCondition(*schedule, t.id, t.a, t.b);
+          Verifier::CheckCondition(occurrences, period, t.id, t.a, t.b);
       EXPECT_EQ(all[k].ToString(), one.ToString())
           << "trial " << trial << " schedule " << schedule->ToString();
       if (t.id == kAbsent) {
